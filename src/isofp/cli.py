@@ -209,8 +209,6 @@ def reports_for_pair(d, theorem, seed, tol):
             return "product factorization does not apply to the 1-D wealth entry"
         if n == 1:
             return "no angular factors in dimension 1"
-        if n > 3:
-            return "full tensor quadrature limited to 3 factors in the default run"
         f_r = radial_marginal(d).as_density1d()
         factors = [f_r]
         weights = [marginal_weight(d)]
@@ -470,19 +468,23 @@ def run_experiment(config, out_dir):
             ["t", "theta_chi2", "theta_entropy", "hellinger2", "I_theta_chi2",
              "I_theta_entropy", "mass", "l1_dist"], trace_rows(trace)))
         c = _rate_constant_c(d)
-        rate_ok = (trace.fitted_rate is not None and c is not None
-                   and trace.fitted_rate >= 0.95 * 2.0 / c)
         payload = {"density": lbl, "fitted_chi2_rate": trace.fitted_rate,
                    "rate_bound_2_over_c": 2.0 / c if c else None,
                    "hellinger_decay": verify_hellinger_decay(trace, c) if c else None,
                    "mass_drift": float(abs(trace.mass[-1] - trace.mass[0])
                                        / trace.mass[0])}
         files.append(_write_json(out_dir / f"rates_{_slug(lbl)}.json", payload))
-        verdict = "pass" if rate_ok else "FAIL"
-        any_failed |= not rate_ok
-        summary_rows.append((lbl, "relaxation_rate", verdict,
-                             f"rate {trace.fitted_rate:.4f} >= "
-                             f"{0.95 * 2.0 / c:.4f}" if c else "no bound"))
+        # no bound is checked without a rate constant or a fitted rate
+        if c is None:
+            verdict, detail = "unchecked", "no rate bound for this density"
+        elif trace.fitted_rate is None:
+            verdict, detail = "unchecked", "too few samples in the fit window for a rate"
+        else:
+            bound = 0.95 * 2.0 / c
+            verdict = "pass" if trace.fitted_rate >= bound else "FAIL"
+            detail = f"rate {trace.fitted_rate:.4f} >= {bound:.4f}"
+        any_failed |= verdict == "FAIL"
+        summary_rows.append((lbl, "relaxation_rate", verdict, detail))
 
     # markdown summary
     lines = ["# Verification summary", "",

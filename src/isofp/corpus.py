@@ -19,6 +19,7 @@ from .quadrature import TestFunction
 
 __all__ = [
     "Fn1D",
+    "SeparableMember",
     "TestCorpus",
     "corpus_1d",
     "corpus_nd",
@@ -558,59 +559,48 @@ def corpus_anisotropic(V, u=None, seed=0, include_linear=True, label="anisotropi
 # ---------------------------------------------------------------------------
 
 
-def _product_member(name, shapes, bounded=True, tags=()):
-    """phi(x) = prod_i g_i(x_i) from per-coordinate Fn1D shapes."""
-    n = len(shapes)
+class SeparableMember(TestFunction):
+    """phi(x) = prod_i g_i(x_i) (``combine="product"``) or sum_i g_i(x_i)
+    (``combine="sum"``) from per-coordinate Fn1D shapes.
 
-    def ev(pts):
-        out = np.ones(len(pts))
-        for i, g in enumerate(shapes):
-            out *= g(pts[:, i])
-        return out
+    The shapes and the way they combine are kept, so the product check
+    reduces every moment to 1-D moments on the factor rules.
+    """
 
-    def gr(pts):
-        vals = [g(pts[:, i]) for i, g in enumerate(shapes)]
+    def __init__(self, name, shapes, combine, bounded=True, tags=()):
+        if combine not in ("product", "sum"):
+            raise ValueError(f"combine must be 'product' or 'sum', not {combine!r}")
+        self.shapes = tuple(shapes)
+        self.combine = combine
+        super().__init__(name, len(self.shapes), self._eval_points,
+                         self._grad_points, bounded=bounded, tags=tags)
+
+    def _eval_points(self, pts):
+        vals = [g(pts[:, i]) for i, g in enumerate(self.shapes)]
+        return np.prod(vals, axis=0) if self.combine == "product" else np.sum(vals, axis=0)
+
+    def _grad_points(self, pts):
         out = np.empty_like(pts)
-        for i, g in enumerate(shapes):
-            other = np.ones(len(pts))
-            for j, v in enumerate(vals):
-                if j != i:
-                    other *= v
-            out[:, i] = g.deriv(pts[:, i]) * other
+        if self.combine == "sum":
+            for i, g in enumerate(self.shapes):
+                out[:, i] = g.deriv(pts[:, i])
+            return out
+        vals = [g(pts[:, i]) for i, g in enumerate(self.shapes)]
+        for i, g in enumerate(self.shapes):
+            out[:, i] = g.deriv(pts[:, i]) * np.prod(vals[:i] + vals[i + 1:], axis=0)
         return out
-
-    m = TestFunction(name, n, ev, gr, bounded=bounded, tags=tags)
-    m.coord_breakpoints = tuple(tuple(g.breakpoints) for g in shapes)
-    return m
-
-
-def _sum_member(name, shapes, tags=()):
-    n = len(shapes)
-
-    def ev(pts):
-        return sum(g(pts[:, i]) for i, g in enumerate(shapes))
-
-    def gr(pts):
-        out = np.empty_like(pts)
-        for i, g in enumerate(shapes):
-            out[:, i] = g.deriv(pts[:, i])
-        return out
-
-    m = TestFunction(name, n, ev, gr, tags=tags)
-    m.coord_breakpoints = tuple(tuple(g.breakpoints) for g in shapes)
-    return m
 
 
 def corpus_product(supports, seed=0, include_bilinear=False, bump_axes=(0,),
                    label="product"):
     """Corpus on a product box prod_i (a_i, b_i); >= 40 members.
 
-    Members are tensor products and sums of the 1-D shapes adapted to each
-    factor, plus seeded mixtures, and carry per-coordinate breakpoint
-    lists.  Shapes with C^2 knots are drawn only along ``bump_axes`` so the
-    tensor quadrature stays affordable in three and four factors.
-    ``include_bilinear`` adds the unbounded x_1 x_2 witness for
-    light-tailed factors.
+    Members are :class:`SeparableMember` products and sums of seeded draws
+    from the 1-D shapes adapted to each factor; each shape carries its own
+    C^2 knots, where the factor rules of the product check split.  Shapes
+    with knots are drawn only along ``bump_axes``, which keeps the other
+    factor rules free of extra panels.  ``include_bilinear`` adds the
+    unbounded x_1 x_2 witness for light-tailed factors.
     """
     n = len(supports)
     rng = np.random.default_rng(seed)
@@ -630,21 +620,21 @@ def corpus_product(supports, seed=0, include_bilinear=False, bump_axes=(0,),
         for g in per_coord[i][:4]:
             shapes = [const] * n
             shapes[i] = g
-            members.append(_product_member(f"only_x{i + 1}:{g.name}", shapes,
-                                           tags=("single",)))
+            members.append(SeparableMember(f"only_x{i + 1}:{g.name}", shapes,
+                                           "product", tags=("single",)))
     # genuine products
     for k in range(26):
         shapes = [draw(i) for i in range(n)]
-        members.append(_product_member(f"prod{k}:" + "*".join(s.name for s in shapes),
-                                       shapes, tags=("product",)))
+        members.append(SeparableMember(f"prod{k}:" + "*".join(s.name for s in shapes),
+                                       shapes, "product", tags=("product",)))
     # additive members
     for k in range(8):
         shapes = [draw(i) for i in range(n)]
-        members.append(_sum_member(f"sum{k}", shapes, tags=("additive",)))
+        members.append(SeparableMember(f"sum{k}", shapes, "sum", tags=("additive",)))
     if include_bilinear and n >= 2:
         ident = Fn1D("id", lambda x: np.asarray(x, dtype=float),
                      lambda x: np.ones_like(np.asarray(x, dtype=float)), bounded=False)
         shapes = [ident, ident] + [const] * (n - 2)
-        m = _product_member("bilinear_x1x2", shapes, bounded=False, tags=("bilinear",))
-        members.append(m)
+        members.append(SeparableMember("bilinear_x1x2", shapes, "product",
+                                       bounded=False, tags=("bilinear",)))
     return TestCorpus(members, seed, label=label)

@@ -167,7 +167,8 @@ def _shift_point(f):
 
 
 def _factor_rule(f, extra_breakpoints=(), order=12, levels=14):
-    """Probability-normalised nodes and weights for one 1-D factor."""
+    """Nodes, probability-normalised weights and density values for one
+    1-D factor."""
     a, b = f.support
     bp = tuple(set(f.breakpoints) | set(extra_breakpoints))
     if np.isfinite(a) and np.isfinite(b):
@@ -183,72 +184,68 @@ def _factor_rule(f, extra_breakpoints=(), order=12, levels=14):
         nodes, wts = interval_rule(a, math.inf, order=order, levels=levels, breakpoints=bp)
     else:
         nodes, wts = interval_rule(a, b, order=order, levels=levels, breakpoints=bp)
-    dens = f(nodes)
+    dens = np.asarray(f(nodes), dtype=float)
     pw = wts * dens
-    total = pw.sum()
-    return nodes, pw / total, total
+    return nodes, pw / pw.sum(), dens
 
 
-def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL,
-                  factor_order=None):
+def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
     """Tensorized inequality for a product of 1-D densities:
     Var[phi] <= sum_i E[w_i(x_i) (d phi / d x_i)^2].
 
-    Rejects dimensions above four, where the full tensor quadrature is out
-    of scope.  Factor rules split at the per-coordinate breakpoints the
-    corpus members declare.
+    Every member must be a :class:`~isofp.corpus.SeparableMember`, a
+    product prod_i g_i(x_i) or a sum sum_i g_i(x_i); any other member is
+    rejected with a ``ValueError``.  Both sides then reduce exactly to 1-D
+    moments on the factor rules: with m_i = E_i[g_i], S_i = E_i[g_i^2],
+    V_i = Var_i[g_i] and D_i = E_i[w_i g_i'^2],
+
+    - a sum has Var = sum_i V_i and axis terms D_i;
+    - a product has axis terms D_i prod_{j != i} S_j and the telescoped
+      Var = sum_k V_k prod_{j < k} m_j^2 prod_{j > k} S_j.
+
+    Every term is nonnegative, so nothing cancels, and a constant member
+    gets lhs exactly 0.  Factor rules split at the knots of the members'
+    shapes on that axis.
     """
     n = len(densities)
     if n != len(weights):
         raise ValueError("need one weight per factor density")
-    if n > 4:
-        raise ValueError("product check limited to at most 4 factors")
-    order = factor_order or (12 if n <= 2 else 8)
-    levels = 14 if n <= 2 else 8
-    coord_bp = [set() for _ in range(n)]
+    corpus = list(corpus)
     for phi in corpus:
-        per_coord = getattr(phi, "coord_breakpoints", None)
-        if per_coord is None:
-            for i in range(n):
-                coord_bp[i] |= set(getattr(phi, "radial_breakpoints", ()))
-        else:
-            for i in range(n):
-                coord_bp[i] |= set(per_coord[i])
-    axes = [_factor_rule(f, coord_bp[i], order=order, levels=levels)
-            for i, f in enumerate(densities)]
-    node_list = [ax[0] for ax in axes]
-    pw_list = [ax[1] for ax in axes]
-    mesh = np.meshgrid(*node_list, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pw = pw_list[0]
-    for w_ in pw_list[1:]:
-        pw = np.multiply.outer(pw, w_)
-    pw = pw.ravel()
-    # weights are only needed (and may only be defined) where the factor
-    # density is numerically positive
-    w_vals = []
-    for i in range(n):
-        dens = np.asarray(densities[i](node_list[i]), dtype=float)
-        vals = np.zeros_like(dens)
+        if len(getattr(phi, "shapes", ())) != n:
+            raise ValueError(f"member {phi.name!r} has no {n} factor shapes; "
+                             "the product check needs separable members")
+    # beyond two factors the order-8 rules stay: a finer rule would move
+    # n = 3 ratios by up to 4e-7
+    order, levels = (12, 14) if n <= 2 else (8, 8)
+    rules = []
+    for i, f in enumerate(densities):
+        knots = set().union(*(phi.shapes[i].breakpoints for phi in corpus))
+        nodes, pw, dens = _factor_rule(f, knots, order=order, levels=levels)
+        # weights are only needed (and may only be defined) where the factor
+        # density is numerically positive
         pos = dens > 0.0
+        w_vals = np.zeros_like(nodes)
         if np.any(pos):
-            vals[pos] = np.asarray(weights[i](node_list[i][pos]), dtype=float)
-        w_vals.append(vals)
-    w_mesh = np.meshgrid(*w_vals, indexing="ij")
-    w_cols = [m.ravel() for m in w_mesh]
-    anchor = int(np.argmax(pw))
+            w_vals[pos] = np.asarray(weights[i](nodes[pos]), dtype=float)
+        rules.append((nodes, pw, int(np.argmax(pw)), w_vals))
 
     reports = []
     for phi in corpus:
-        lhs = shifted_variance(pw, phi(pts), anchor)
-        grads = phi.grad(pts)
-        rhs = 0.0
-        per_axis = []
-        for i in range(n):
-            term = float(np.dot(pw, w_cols[i] * grads[:, i] ** 2))
-            per_axis.append(term)
-            rhs += term
-        rep = _make_report("product", phi.name, lhs, rhs, tol,
+        m, S, V, D = [], [], [], []
+        for g, (nodes, pw, anchor, w_vals) in zip(phi.shapes, rules):
+            vals = g(nodes)
+            m.append(float(np.dot(pw, vals)))
+            S.append(float(np.dot(pw, vals * vals)))
+            V.append(shifted_variance(pw, vals, anchor))
+            D.append(float(np.dot(pw, w_vals * g.deriv(nodes) ** 2)))
+        if phi.combine == "sum":
+            lhs, per_axis = sum(V), D
+        else:
+            lhs = sum(V[k] * math.prod(mj * mj for mj in m[:k]) * math.prod(S[k + 1:])
+                      for k in range(n))
+            per_axis = [D[i] * math.prod(S[:i] + S[i + 1:]) for i in range(n)]
+        rep = _make_report("product", phi.name, lhs, sum(per_axis), tol,
                            per_axis=per_axis,
                            factors=[f.name for f in densities])
         reports.append(rep)

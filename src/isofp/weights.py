@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .densities import sin_power_density
-from .quadrature import Integrator, integrate_interval
+from .quadrature import Integrator, QuadratureError, integrate_interval
 
 __all__ = [
     "WeightFunction",
@@ -163,7 +163,7 @@ def p_weight_1d(f, m, x, integrator=None):
     """
     integrator = integrator or _WEIGHT_INTEGRATOR
     if m is None:
-        m = f.mean
+        m = _finite_mean(f)
     a, b = f.support
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(xs)
@@ -183,9 +183,18 @@ def p_weight_1d(f, m, x, integrator=None):
     return out if np.ndim(x) else float(out[0])
 
 
+def _finite_mean(f):
+    """The mean of f; P(x) is defined only for densities with a finite mean."""
+    try:
+        return f.mean
+    except QuadratureError as exc:
+        raise WeightError(f"P(x) needs a finite mean, and the mean of {f.name} "
+                          f"does not converge ({exc})") from exc
+
+
 def p_weight_function(f, integrator=None):
     """P(x) of the density wrapped as a WeightFunction (linear-drift family)."""
-    m = f.mean
+    m = _finite_mean(f)
     return WeightFunction(
         lambda x: p_weight_1d(f, m, x, integrator),
         provenance="pq_family",

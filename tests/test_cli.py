@@ -4,7 +4,7 @@ import json
 import numpy as np
 
 from isofp.cli import main, catalog_K, marginal_weight, reports_for_pair
-from isofp.densities import make_density
+from isofp.densities import make_density, parse_density_spec
 
 
 TINY_CONFIG = {
@@ -135,6 +135,29 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 1
 
+    def test_evolution_without_rate_bound_is_unchecked(self, tmp_path):
+        # exponential densities have no rate constant, so no bound is checked
+        from isofp.cli import run_experiment
+
+        cfg = dict(TINY_CONFIG, densities=[], theorems=[],
+                   evolve_densities=["exponential:beta=1,n=2"])
+        code, _, rows = run_experiment(cfg, tmp_path)
+        assert code == 0
+        assert rows == [("exponential_type(beta=1,n=2)", "relaxation_rate", "unchecked",
+                         "no rate bound for this density")]
+
+    def test_evolution_without_fitted_rate_is_unchecked(self, tmp_path):
+        # t_final = 0.05 leaves too few samples in the fit window
+        from isofp.cli import run_experiment
+
+        cfg = dict(TINY_CONFIG, densities=[], theorems=[],
+                   solver=dict(TINY_CONFIG["solver"], t_final=0.05))
+        code, _, rows = run_experiment(cfg, tmp_path)
+        assert code == 0
+        assert [r[2] for r in rows] == ["unchecked"]
+        rates = json.loads(next(tmp_path.glob("rates_*.json")).read_text())
+        assert rates["fitted_chi2_rate"] is None
+
     def test_unknown_density_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         bad = dict(TINY_CONFIG, densities=["weibull:k=2"])
@@ -155,6 +178,12 @@ class TestHelpers:
         assert marginal_weight(g).provenance == "pq_family"
         c = make_density("cauchy_type", {"beta": 4.0}, 3)
         assert abs(float(marginal_weight(c)(0.0)) - 0.25) < 1e-14
+
+    def test_product_in_four_dimensions(self):
+        d = parse_density_spec("gaussian:sigma=2.5,n=4")
+        reports = reports_for_pair(d, "product", 2024, 1e-6)
+        assert len(reports) >= 40
+        assert all(r.status == "ok" and r.passed for r in reports)
 
     def test_reports_for_pair_skip_strings(self):
         d = make_density("cauchy_type", {"beta": 2.0}, 2)

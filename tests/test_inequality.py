@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from isofp.corpus import (
+    Fn1D,
+    SeparableMember,
     corpus_1d,
     corpus_anisotropic,
     corpus_nd,
@@ -27,8 +29,9 @@ from isofp.inequality import (
     check_product,
     check_refined_outside_ball,
     summarize_reports,
+    _factor_rule,
 )
-from isofp.quadrature import TestFunction, weighted_dirichlet
+from isofp.quadrature import TestFunction, shifted_variance, weighted_dirichlet
 from isofp.weights import (
     WeightFunction,
     angular_weight_function,
@@ -42,6 +45,11 @@ from isofp.weights import (
 def unit_weight():
     return WeightFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                           "closed_form", (-math.inf, math.inf))
+
+
+def identity_shape():
+    return Fn1D("id", lambda x: np.asarray(x, dtype=float),
+                lambda x: np.ones_like(np.asarray(x, dtype=float)), bounded=False)
 
 
 def assert_all_pass(reports, tol=1e-6):
@@ -170,10 +178,58 @@ class TestProduct:
             corpus)
         assert_all_pass(reports)
 
-    def test_dimension_cap(self):
+    def test_five_normals_sum_is_sharp(self):
         f = std_normal_1d()
-        with pytest.raises(ValueError, match="at most 4"):
-            check_product([f] * 5, [unit_weight()] * 5, [])
+        member = SeparableMember("sum_x", [identity_shape()] * 5, "sum", bounded=False)
+        rep = check_product([f] * 5, [unit_weight()] * 5, [member])[0]
+        # rhs is five factor masses; lhs carries the order-8 factor rule's
+        # 7.5e-9 relative error in E[x^2] on each factor
+        assert abs(rep.rhs - 5.0) < 1e-12
+        assert abs(rep.lhs - 5.0) < 1e-7
+        assert abs(rep.ratio - 1.0) < 1e-7
+
+    def test_rejects_member_without_factor_shapes(self):
+        f = std_normal_1d()
+        member = constant_member(2, 1.0)
+        with pytest.raises(ValueError, match="const_1.0.*factor shapes"):
+            check_product([f, f], [unit_weight()] * 2, [member])
+
+    def test_matches_tensor_mesh(self):
+        # the tensor mesh over the same factor rules, evaluated with the
+        # members' own __call__ and grad, is the oracle for the 1-D moments
+        d = make_density("cauchy_type", {"beta": 3.0}, 2)
+        factors = [radial_marginal(d).as_density1d(), uniform_angle_density()]
+        weights = [optimal_cauchy_weight(3.0, 2), angular_weight_function(1, 2)]
+        corpus = list(corpus_product([f.support for f in factors], seed=2024))
+        reports = check_product(factors, weights, corpus)
+
+        rules = [_factor_rule(f, set().union(*(m.shapes[i].breakpoints for m in corpus)))
+                 for i, f in enumerate(factors)]
+        pts = np.stack([x.ravel() for x in
+                        np.meshgrid(*(r[0] for r in rules), indexing="ij")], axis=1)
+        pw = np.multiply.outer(rules[0][1], rules[1][1]).ravel()
+        w_cols = []
+        for w, (x, _, dens) in zip(weights, rules):
+            vals = np.zeros_like(x)
+            vals[dens > 0.0] = w(x[dens > 0.0])
+            w_cols.append(vals)
+        w_mesh = [m.ravel() for m in np.meshgrid(*w_cols, indexing="ij")]
+        anchor = int(np.argmax(pw))
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * abs(want)
+
+        by_name = {m.name: m for m in corpus}
+        assert len(reports) == len(corpus)
+        for rep in reports:
+            phi = by_name[rep.witness]
+            lhs = shifted_variance(pw, phi(pts), anchor)
+            g = phi.grad(pts)
+            per_axis = [float(np.dot(pw, w_mesh[i] * g[:, i] ** 2)) for i in range(2)]
+            assert close(rep.lhs, lhs), rep.witness
+            assert close(rep.rhs, sum(per_axis)), rep.witness
+            for got, want in zip(rep.details["per_axis"], per_axis):
+                assert close(got, want), rep.witness
 
 
 class TestWstar:
@@ -241,7 +297,12 @@ class TestConstantMembers:
     @pytest.mark.parametrize("c", [2.5, -7.3, 1000.0])
     def test_product_three_normals(self, c):
         f = std_normal_1d()
-        reports = check_product([f] * 3, [unit_weight()] * 3, [constant_member(3, c)])
+        const = Fn1D(f"const_{c}", lambda x: np.full_like(np.asarray(x, dtype=float), c),
+                     lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        one = Fn1D("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                   lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        member = SeparableMember(f"const_{c}", [const, one, one], "product")
+        reports = check_product([f] * 3, [unit_weight()] * 3, [member])
         assert_exact_zero(reports[0])
 
     @pytest.mark.parametrize("c", [2.5, 1000.0])

@@ -26,6 +26,7 @@ from isofp.weights import (
     optimal_barenblatt_weight,
     optimal_cauchy_weight,
     p_weight_1d,
+    p_weight_function,
     steady_state_residual,
     w_from_pq,
     weight_from_density,
@@ -120,6 +121,14 @@ class TestPWeight1D:
         f = uniform_angle_density()
         with pytest.raises(WeightError):
             p_weight_1d(f, math.pi, 7.0)
+
+    def test_divergent_mean_names_the_hypothesis(self):
+        # the radial marginal of cauchy beta = 1.9 in n = 3 has no first moment
+        f = radial_marginal(make_density("cauchy_type", {"beta": 1.9}, 3)).as_density1d()
+        with pytest.raises(WeightError, match="finite mean"):
+            p_weight_function(f)
+        with pytest.raises(WeightError, match="finite mean"):
+            p_weight_1d(f, None, 1.0)
 
 
 class TestPQFamily:
