@@ -7,7 +7,6 @@ from .densities import (
     RadialMarginal,
     closed_form_weight,
     density_mass,
-    eval_density,
     full_line_density,
     make_density,
     parse_density_spec,
@@ -44,12 +43,9 @@ from .quadrature import (
     QuadratureError,
     TestFunction,
     build_grid,
-    expectation,
+    grid_moments,
     integrate_interval,
     interval_rule,
-    split_dirichlet_radial_angular,
-    variance,
-    weighted_dirichlet,
 )
 from .corpus import (
     TestCorpus,
@@ -76,13 +72,10 @@ from .fpsolver import (
     Solver,
     SolverError,
     build_solver,
-    dissipation_I_theta,
-    evolve,
     fit_decay_rate,
     functional_theta,
     make_radial_grid,
     perturbed_initial_state,
-    step,
     verify_hellinger_decay,
 )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .quadrature import Integrator, integrate_interval
+from .quadrature import Integrator, QuadratureError, integrate_interval
 
 __all__ = [
     "IsotropicDensity",
@@ -23,7 +23,6 @@ __all__ = [
     "Density1D",
     "KINDS",
     "make_density",
-    "eval_density",
     "radial_marginal",
     "closed_form_weight",
     "surface_measure",
@@ -193,11 +192,6 @@ def make_density(kind, params, n):
     return IsotropicDensity(kind, int(n), params, support, norm)
 
 
-def eval_density(d, rho):
-    """f(rho) including the normalisation constant; 0 off the support."""
-    return d.eval(rho)
-
-
 def density_mass(d, integrator=None):
     """Total mass of the density over its support (should be 1)."""
     val, _ = integrate_interval(
@@ -215,9 +209,11 @@ def density_mass(d, integrator=None):
 class Density1D:
     """A one-dimensional probability density on an interval (a, b).
 
-    The mean is computed by quadrature on first use.  These are the inputs
-    of the one-dimensional Poincare checks and of the integral weight
-    formula P(x).
+    The mean is computed by quadrature on first use.  A divergent first
+    moment is remembered too: every later access re-raises the same
+    :class:`QuadratureError` without integrating again.  These are the
+    inputs of the one-dimensional Poincare checks and of the integral
+    weight formula P(x).
     """
 
     def __init__(self, name, support, pdf, mean=None, breakpoints=()):
@@ -234,10 +230,14 @@ class Density1D:
     def mean(self):
         if self._mean is None:
             a, b = self.support
-            val, _ = integrate_interval(lambda x: x * float(self.pdf(x)), a, b,
-                                        integrator=_NORM_INTEGRATOR,
-                                        breakpoints=self.breakpoints)
-            self._mean = val
+            try:
+                self._mean, _ = integrate_interval(
+                    lambda x: x * float(self.pdf(x)), a, b,
+                    integrator=_NORM_INTEGRATOR, breakpoints=self.breakpoints)
+            except QuadratureError as exc:  # the first moment diverges
+                self._mean = exc
+        if isinstance(self._mean, QuadratureError):
+            raise self._mean
         return self._mean
 
     def mass(self, integrator=None):

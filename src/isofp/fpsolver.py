@@ -29,10 +29,7 @@ __all__ = [
     "SolverError",
     "make_radial_grid",
     "build_solver",
-    "step",
-    "evolve",
     "functional_theta",
-    "dissipation_I_theta",
     "fit_decay_rate",
     "verify_hellinger_decay",
     "perturbed_initial_state",
@@ -431,14 +428,6 @@ def build_solver(d, K, cells=400, r_max=None, tail_mass=1e-12, grid=None,
     return Solver(d, K, grid, check_steady=check_steady)
 
 
-def step(solver, state, dt, method="implicit"):
-    return solver.step(state, dt, method=method)
-
-
-def evolve(solver, state, t_final, dt, **kw):
-    return solver.evolve(state, t_final, dt, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Module-level functionals (equilibrium passed explicitly)
 # ---------------------------------------------------------------------------
@@ -469,12 +458,6 @@ def functional_theta(state, eq, kind):
         phi = _THETA_FUNCS[kind][0]
     vols = state.grid.cell_volumes
     return float(np.dot(vols * f_eq, phi(F)))
-
-
-def dissipation_I_theta(state, K, kind, eq):
-    """Discrete I_Theta for a state; see Solver.dissipation."""
-    solver = Solver(eq, K, state.grid, check_steady=False)
-    return solver.dissipation(state, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from .quadrature import (
     Integrator,
     QuadratureError,
     build_grid,
+    grid_moments,
     integrate_interval,
     interval_rule,
     shifted_variance,
+    sphere_dirichlet,
 )
 from .weights import hybrid_weight, composite_Wstar
 
@@ -257,57 +259,28 @@ def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _corpus_grid(d, corpus, weight=None, angular_order=32, extra_breakpoints=()):
-    bp = set(extra_breakpoints)
-    if weight is not None:
-        bp |= set(getattr(weight, "breakpoints", ()))
-    return build_grid(d, list(corpus), extra_breakpoints=tuple(bp),
-                      angular_order=angular_order)
-
-
-def check_isotropic_Wstar(d, corpus, w_radial, tol=DEFAULT_RATIO_TOL,
-                          angular_order=32, grid=None):
+def check_isotropic_Wstar(d, corpus, w_radial, tol=DEFAULT_RATIO_TOL):
     """Var[phi] <= E[W*(|X|) |grad phi|^2] with W* = max(w, pi^2 rho^2 / 2).
 
     The report also carries the sharper radial/angular split of the
     product decomposition, and which of the two terms dominates.
     """
     wstar = composite_Wstar(d, w_radial)
-    grid = grid or _corpus_grid(d, corpus, wstar, angular_order)
-    w_nodes = grid.radial_broadcast(wstar)
-    w_rad_nodes = grid.radial_broadcast(w_radial)
-    pw = grid.prob_weights
-    if grid.n >= 2:
-        e_rho = grid.points / np.where(grid.rho[:, None] == 0, 1.0, grid.rho[:, None])
-        tangents = [grid.dx_dtheta(i) for i in range(1, grid.n)]
+    grid = build_grid(d, corpus, extra_breakpoints=wstar.breakpoints)
+    w_nodes, w_rad_nodes = grid.radial_values(wstar), grid.radial_values(w_radial)
+    bounds = [ANGULAR_POLAR_BOUND] * (d.n - 2) + [ANGULAR_AZIMUTHAL_BOUND] * (d.n > 1)
     reports = []
     for phi in corpus:
-        lhs = shifted_variance(pw, phi(grid.points), grid.anchor)
-        g = phi.grad(grid.points)
-        g2 = np.einsum("ij,ij->i", g, g)
-        rhs = float(np.dot(pw, w_nodes * g2))
-        # the sharper radial/angular split of the product decomposition,
-        # reusing the gradient values
-        if grid.n == 1:
-            radial_part, angular_part = float(np.dot(pw, w_rad_nodes * g2)), 0.0
-        else:
-            d_rho = np.einsum("ij,ij->i", g, e_rho)
-            radial_part = float(np.dot(pw, w_rad_nodes * d_rho ** 2))
-            angular_part = 0.0
-            for i, tang in enumerate(tangents, start=1):
-                d_theta = np.einsum("ij,ij->i", g, tang)
-                bound = (ANGULAR_AZIMUTHAL_BOUND if i == grid.n - 1
-                         else ANGULAR_POLAR_BOUND)
-                angular_part += bound * float(np.dot(pw, d_theta ** 2))
-        rep = _make_report("isotropic_Wstar", phi.name, lhs, rhs, tol,
-                           radial_part=radial_part, angular_part=angular_part,
-                           dominant="radial" if radial_part >= angular_part else "angular")
+        m = grid_moments(grid, phi, [w_nodes], split_weight=w_rad_nodes)
+        angular_part = float(np.dot(bounds, m.angular))
+        rep = _make_report("isotropic_Wstar", phi.name, m.variance, m.dirichlet[0], tol,
+                           radial_part=m.radial, angular_part=angular_part,
+                           dominant="radial" if m.radial >= angular_part else "angular")
         reports.append(rep)
     return _sorted(reports)
 
 
-def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL,
-                               angular_order=32, grid=None):
+def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL):
     """Var[phi] <= 2 E[K(|X|) |grad phi|^2] for phi supported outside B_R.
 
     Members that do not vanish (with gradient) on the closed ball are
@@ -335,21 +308,17 @@ def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL,
                 details={"reason": f"support not confined outside the ball of radius {R}"}))
         else:
             admissible.append(phi)
-    grid = grid or _corpus_grid(d, admissible, K, angular_order,
-                                extra_breakpoints=(R,))
-    K_nodes = grid.radial_broadcast(K)
+    grid = build_grid(d, admissible, extra_breakpoints=(R, *getattr(K, "breakpoints", ())))
+    K_nodes = grid.radial_values(K)
     for phi in admissible:
-        lhs = shifted_variance(grid.prob_weights, phi(grid.points), grid.anchor)
-        g = phi.grad(grid.points)
-        g2 = np.einsum("ij,ij->i", g, g)
-        rhs = 2.0 * float(np.dot(grid.prob_weights, K_nodes * g2))
-        reports.append(_make_report("refined_outside_ball", phi.name, lhs, rhs,
-                                    tol, R=R))
+        m = grid_moments(grid, phi, [K_nodes])
+        reports.append(_make_report("refined_outside_ball", phi.name, m.variance,
+                                    2.0 * m.dirichlet[0], tol, R=R))
     return _sorted(reports)
 
 
 def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
-                 tol=DEFAULT_RATIO_TOL, angular_order=32, grid=None):
+                 tol=DEFAULT_RATIO_TOL):
     """Hybrid bound: Var[phi] <= C (volume term + c(R) surface term).
 
     The weight is max(w, rho^2) inside B_R and K outside; the surface term
@@ -375,17 +344,12 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
                 status="rejected", details={"reason": "member violates the boundedness hypothesis"}))
         else:
             admissible.append(phi)
-    grid = grid or _corpus_grid(d, admissible, W, angular_order)
-    W_nodes = grid.radial_broadcast(W)
-    sphere_pts, sphere_w = grid.sphere_points(R)
+    grid = build_grid(d, admissible, extra_breakpoints=W.breakpoints)
+    W_nodes = grid.radial_values(W)
     for phi in admissible:
-        lhs = shifted_variance(grid.prob_weights, phi(grid.points), grid.anchor)
-        g = phi.grad(grid.points)
-        g2 = np.einsum("ij,ij->i", g, g)
-        volume = float(np.dot(grid.prob_weights, W_nodes * g2))
-        gs = phi.grad(sphere_pts)
-        surface = f_R * R ** (d.n - 1) * float(
-            np.dot(sphere_w, np.einsum("ij,ij->i", gs, gs)))
+        m = grid_moments(grid, phi, [W_nodes])
+        lhs, volume = m.variance, m.dirichlet[0]
+        surface = f_R * R ** (d.n - 1) * sphere_dirichlet(grid, phi, R)
         base = volume + c_R * surface
         rhs = C_mult * base
         empirical = lhs / base if base > 0 else (0.0 if lhs <= 0 else math.inf)
@@ -398,8 +362,7 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
     return _sorted(reports)
 
 
-def check_gaussian_anisotropic(V, u, corpus, tol=DEFAULT_RATIO_TOL,
-                               angular_order=32, grid=None):
+def check_gaussian_anisotropic(V, u, corpus, tol=DEFAULT_RATIO_TOL):
     """Var_G[phi] <= (max eigenvalue of V) E_G[|grad phi|^2] for the
     multivariate Gaussian with covariance V and mean u.
 
@@ -419,15 +382,11 @@ def check_gaussian_anisotropic(V, u, corpus, tol=DEFAULT_RATIO_TOL,
     u = np.zeros(n) if u is None else np.asarray(u, dtype=float)
     H = Q @ np.diag(np.sqrt(lam))
     lam_max = float(lam.max())
-    std = make_density("gaussian", {"sigma": 1.0}, n)
-    grid = grid or _corpus_grid(std, corpus, angular_order=angular_order)
-    pts_x = u[None, :] + grid.points @ H.T
+    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, n), corpus)
+    ones = np.ones_like(grid.r_nodes)
     reports = []
     for phi in corpus:
-        lhs = shifted_variance(grid.prob_weights, phi(pts_x), grid.anchor)
-        g = phi.grad(pts_x)
-        g2 = np.einsum("ij,ij->i", g, g)
-        rhs = lam_max * float(np.dot(grid.prob_weights, g2))
-        reports.append(_make_report("gaussian_anisotropic", phi.name, lhs, rhs,
-                                    tol, lambda_max=lam_max))
+        m = grid_moments(grid, phi, [ones], affine=(u, H))
+        reports.append(_make_report("gaussian_anisotropic", phi.name, m.variance,
+                                    lam_max * m.dirichlet[0], tol, lambda_max=lam_max))
     return _sorted(reports)

@@ -3,14 +3,16 @@
 Provides the two integration backends used everywhere else: an adaptive
 Gauss-Kronrod wrapper for 1-D integrals (semi-infinite domains are mapped
 onto (0, 1) by the rational substitution r = t/(1-t)), and fixed tensor
-grids in hyperspherical coordinates for n-dimensional expectations,
-variances and weighted Dirichlet forms.
+grids in hyperspherical coordinates, kept as radial and angular factors,
+with one kernel for the variance and weighted Dirichlet forms of a test
+function on such a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -24,11 +26,10 @@ __all__ = [
     "TestFunction",
     "HypersphericalGrid",
     "build_grid",
-    "expectation",
-    "variance",
     "shifted_variance",
-    "weighted_dirichlet",
-    "split_dirichlet_radial_angular",
+    "GridMoments",
+    "grid_moments",
+    "sphere_dirichlet",
     "ANGULAR_POLAR_BOUND",
     "ANGULAR_AZIMUTHAL_BOUND",
 ]
@@ -59,7 +60,6 @@ class Integrator:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 200
-    endpoint_policy: tuple = ("open", "open")
 
 
 DEFAULT_INTEGRATOR = Integrator()
@@ -262,18 +262,25 @@ class TestFunction:
 
 
 class HypersphericalGrid:
-    """Tensor quadrature grid (rho, theta_1..theta_{n-1}) for one density.
+    """Tensor quadrature grid (rho, theta_1..theta_{n-1}) for one density,
+    kept as its radial and angular factors.
 
-    The radial rule carries the rho^(n-1) Jacobian, each polar angle
-    theta_j in (0, pi) carries sin^(n-1-j), and the azimuthal angle lives
-    on (0, 2pi).  For n = 1 the grid is the mirrored pair (+rho, -rho) so
-    odd test functions integrate correctly.  Integrating the constant 1
-    against the density must give 1 within 1e-7 (checked on demand via
-    ``mass``); expectations use mass-normalised weights.  Those sum to one
-    only up to roundoff, so variances are centred after shifting the data by
-    its value at ``anchor``, the node of largest probability weight (see
-    :func:`shifted_variance`): a function constant on the nodes then has
-    variance exactly 0.
+    The radial rule carries the rho^(n-1) Jacobian and the density and is
+    divided by ``mass``, so ``r_weights[j] * ang_weights[a]`` is the
+    probability weight of the node ``r_nodes[j] * unit[a]``.  Each polar
+    angle theta_j in (0, pi) carries sin^(n-1-j) and the azimuthal angle
+    lives on (0, 2pi); ``ang_weights`` is their product rule on the unit
+    sphere and ``tangents[i - 1]`` holds d u / d theta_i at its nodes.  For
+    n = 1 the sphere is the two directions +-1, each of angular weight 1, so
+    odd test functions integrate correctly.  ``points`` lists every node,
+    radial index major: rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
+
+    Integrating the constant 1 against the density gives ``mass``, which
+    must be 1 within 1e-7.  The normalised weights sum to one only up to
+    roundoff, so :func:`grid_moments` shifts a member by its value at
+    ``anchor``, the node of largest probability weight, before centring: a
+    function constant on the nodes then has zero data in every block, and
+    its variance is exactly 0 after the blocks are merged.
     """
 
     def __init__(self, density, angular_order=32, radial_order=12,
@@ -283,144 +290,82 @@ class HypersphericalGrid:
             raise ValueError("full tensor grids are limited to n <= 4")
         self.density = density
         self.n = n
-        i_plus = density.support_radius
-        self.r_nodes, self.r_weights = interval_rule(
-            0.0, i_plus, order=radial_order, levels=radial_levels,
+        self.r_nodes, r_rule = interval_rule(
+            0.0, density.support_radius, order=radial_order, levels=radial_levels,
             breakpoints=radial_breakpoints,
         )
-        # fold the radial Jacobian into the weights
-        self.r_weights = self.r_weights * self.r_nodes ** (n - 1)
-        self._build_angular(angular_order)
-        self._assemble()
+        self.unit, self.ang_weights, self.tangents = _angular_rule(n, angular_order)
+        r_mass = r_rule * self.r_nodes ** (n - 1) * density.eval(self.r_nodes)
+        self.mass = float(r_mass.sum() * self.ang_weights.sum())
+        self.r_weights = r_mass / self.mass
+        self.anchor = (int(np.argmax(self.r_weights)) * len(self.ang_weights)
+                       + int(np.argmax(self.ang_weights)))
+        self.points = (self.r_nodes[:, None, None] * self.unit[None]).reshape(-1, n)
 
-    def _build_angular(self, order):
-        n = self.n
-        xg, wg = leggauss(order)
-        self.theta_axes = []
-        self.theta_weights = []
-        if n == 1:
-            return
-        for j in range(1, n - 1):  # polar angles, Jacobian sin^(n-1-j)
-            t = (xg + 1.0) * 0.5 * math.pi
-            w = wg * 0.5 * math.pi * np.sin(t) ** (n - 1 - j)
-            self.theta_axes.append(t)
-            self.theta_weights.append(w)
-        t = (xg + 1.0) * math.pi  # azimuthal angle on (0, 2pi)
-        w = wg * math.pi
-        self.theta_axes.append(t)
-        self.theta_weights.append(w)
-
-    def _assemble(self):
-        n = self.n
-        J = len(self.r_nodes)
-        if n == 1:
-            # mirrored nodes: x = +-rho, each with the plain radial weight
-            self.points = np.concatenate([self.r_nodes, -self.r_nodes])[:, None]
-            self.rho = np.abs(self.points[:, 0])
-            self.weights = np.concatenate([self.r_weights, self.r_weights])
-            self.theta = np.zeros((2 * J, 0))
-            self.n_angular = 2
-            self._radial_tile = ("mirror", J)
-        else:
-            grids = np.meshgrid(*self.theta_axes, indexing="ij")
-            tw = self.theta_weights[0]
-            for w in self.theta_weights[1:]:
-                tw = np.multiply.outer(tw, w)
-            theta_flat = np.stack([g.ravel() for g in grids], axis=1)  # (A, n-1)
-            ang_w = tw.ravel()
-            A = len(ang_w)
-            self.theta = np.tile(theta_flat, (J, 1))
-            rho = np.repeat(self.r_nodes, A)
-            self.rho = rho
-            self.weights = np.repeat(self.r_weights, A) * np.tile(ang_w, J)
-            self.points = _hyperspherical_to_cartesian(rho, self.theta)
-            self.n_angular = A
-            self._radial_tile = ("repeat", J, A)
-
-        self.f_values = self.density.eval(self.rho)
-        self.r_density = self.density.eval(self.r_nodes)
-        self.mass = float(np.dot(self.weights, self.f_values))
-        self.prob_weights = self.weights * self.f_values / self.mass
-        self.anchor = int(np.argmax(self.prob_weights))
-
-    def radial_broadcast(self, fn):
-        """Evaluate a function of rho on the radial axis only, broadcast to
-        all nodes.  Nodes where the density underflows carry zero measure,
-        so the function is not evaluated there (quadrature-backed weights
-        are undefined past the numeric support)."""
+    def radial_values(self, fn):
+        """A function of rho on ``r_nodes``.  Nodes where the density
+        underflows carry zero measure, so the function is not evaluated
+        there (quadrature-backed weights are undefined past the numeric
+        support) and reads 0."""
         vals = np.zeros_like(self.r_nodes)
-        pos = self.r_density > 0.0
+        pos = self.r_weights > 0.0
         if np.any(pos):
             vals[pos] = np.asarray(fn(self.r_nodes[pos]), dtype=float)
-        if self._radial_tile[0] == "mirror":
-            return np.concatenate([vals, vals])
-        _, J, A = self._radial_tile
-        return np.repeat(vals, A)
-
-    def dx_dtheta(self, i):
-        """Coordinate tangent d x / d theta_i (1-based i) at every node.
-        Cached: the arrays are reused across corpus members."""
-        if self.n == 1:
-            raise ValueError("no angles in dimension 1")
-        cache = getattr(self, "_tangent_cache", None)
-        if cache is None:
-            cache = {}
-            self._tangent_cache = cache
-        if i not in cache:
-            cache[i] = _dx_dtheta(self.rho, self.theta, i)
-        return cache[i]
-
-    def sphere_points(self, radius):
-        """Cartesian points on the sphere |x| = radius using the angular nodes,
-        paired with the angular weights (measure dTheta including Jacobians)."""
-        if self.n == 1:
-            pts = np.array([[radius], [-radius]])
-            return pts, np.array([1.0, 1.0])
-        grids = np.meshgrid(*self.theta_axes, indexing="ij")
-        tw = self.theta_weights[0]
-        for w in self.theta_weights[1:]:
-            tw = np.multiply.outer(tw, w)
-        theta_flat = np.stack([g.ravel() for g in grids], axis=1)
-        rho = np.full(len(theta_flat), float(radius))
-        return _hyperspherical_to_cartesian(rho, theta_flat), tw.ravel()
+        return vals
 
 
-def _hyperspherical_to_cartesian(rho, theta):
-    """Map (rho, theta_1..theta_{n-1}) to Cartesian coordinates.
+def _angular_rule(n, order):
+    """Unit directions (A, n), angular weights (A,) including the sin-power
+    Jacobians, and tangents d u / d theta_i stacked as (n - 1, A, n)."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2), np.zeros((0, 2, 1))
+    xg, wg = leggauss(order)
+    axes, weights = [], []
+    for j in range(1, n - 1):  # polar angles, Jacobian sin^(n-1-j)
+        t = (xg + 1.0) * 0.5 * math.pi
+        axes.append(t)
+        weights.append(wg * 0.5 * math.pi * np.sin(t) ** (n - 1 - j))
+    axes.append((xg + 1.0) * math.pi)  # azimuthal angle on (0, 2pi)
+    weights.append(wg * math.pi)
+    theta = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    ang_w = weights[0]
+    for w in weights[1:]:
+        ang_w = np.multiply.outer(ang_w, w)
+    tangents = np.stack([_unit_tangent(theta, i) for i in range(1, n)])
+    return _unit_vector(theta), ang_w.ravel(), tangents
 
-    x_1 = rho cos t1, x_k = rho sin t1 .. sin t_{k-1} cos t_k,
-    x_n = rho sin t1 .. sin t_{n-1}.
-    """
+
+def _unit_vector(theta):
+    """Map angles (theta_1..theta_{n-1}) to the unit vector
+    u_1 = cos t1, u_k = sin t1 .. sin t_{k-1} cos t_k, u_n = sin t1 .. sin t_{n-1}."""
     m, k = theta.shape
-    n = k + 1
-    x = np.empty((m, n))
-    prefix = rho.copy()
+    u = np.empty((m, k + 1))
+    prefix = np.ones(m)
     for j in range(k):
-        x[:, j] = prefix * np.cos(theta[:, j])
+        u[:, j] = prefix * np.cos(theta[:, j])
         prefix = prefix * np.sin(theta[:, j])
-    x[:, n - 1] = prefix
-    return x
+    u[:, k] = prefix
+    return u
 
 
-def _dx_dtheta(rho, theta, i):
-    """Tangent vector d x / d theta_i (i in 1..n-1) at each node."""
+def _unit_tangent(theta, i):
+    """Tangent d u / d theta_i (i in 1..n-1) of the unit vector at each angle."""
     m, k = theta.shape
-    n = k + 1
-    out = np.zeros((m, n))
+    out = np.zeros((m, k + 1))
     sin = np.sin(theta)
     cos = np.cos(theta)
-    # prefix[:, j] = rho * sin t1 ... sin t_j  (prefix[:, 0] = rho)
-    prefix = np.empty((m, k + 1))
-    prefix[:, 0] = rho
+    # prefix[:, j] = sin t1 ... sin t_j  (prefix[:, 0] = 1)
+    prefix = np.ones((m, k + 1))
     for j in range(k):
         prefix[:, j + 1] = prefix[:, j] * sin[:, j]
     ii = i - 1
     # component i: factor cos t_i differentiates to -sin t_i
     out[:, ii] = -prefix[:, ii] * sin[:, ii]
-    # components k > i contain sin t_i; derivative swaps it for cos t_i
+    # components past i contain sin t_i; the derivative swaps it for cos t_i
+    ratio = cos[:, ii] / np.where(sin[:, ii] == 0, 1.0, sin[:, ii])
     for j in range(ii + 1, k):
-        out[:, j] = prefix[:, j] * cos[:, ii] / np.where(sin[:, ii] == 0, 1.0, sin[:, ii]) * cos[:, j]
-    out[:, n - 1] = prefix[:, k] * cos[:, ii] / np.where(sin[:, ii] == 0, 1.0, sin[:, ii])
+        out[:, j] = prefix[:, j] * ratio * cos[:, j]
+    out[:, k] = prefix[:, k] * ratio
     return out
 
 
@@ -438,14 +383,8 @@ def build_grid(density, phis=(), extra_breakpoints=(), angular_order=32,
 
 
 # ---------------------------------------------------------------------------
-# Expectations, variances, Dirichlet forms
+# Variances and Dirichlet forms
 # ---------------------------------------------------------------------------
-
-
-def expectation(density, phi, grid=None):
-    """E[phi(X)] for X distributed with the isotropic density."""
-    grid = grid or build_grid(density, [phi])
-    return float(np.dot(grid.prob_weights, phi(grid.points)))
 
 
 def shifted_variance(prob_weights, vals, anchor):
@@ -464,50 +403,86 @@ def shifted_variance(prob_weights, vals, anchor):
     return float(np.dot(prob_weights, dev))
 
 
-def variance(density, phi, grid=None):
-    """Var[phi(X)] on the hyperspherical grid, centred after shifting by
-    the value at the grid's anchor node (exactly 0 for a constant)."""
-    grid = grid or build_grid(density, [phi])
-    return shifted_variance(grid.prob_weights, phi(grid.points), grid.anchor)
+# Members are evaluated on blocks of whole radial shells with at most this
+# many nodes (at least one shell), which bounds the kernel's working memory.
+_BLOCK_NODES = 1 << 16
 
 
-def weighted_dirichlet(density, weight, phi, grid=None):
-    """E[w(|X|) |grad phi(X)|^2] on the hyperspherical grid."""
-    bp = getattr(weight, "breakpoints", ())
-    grid = grid or build_grid(density, [phi], extra_breakpoints=bp)
-    g = phi.grad(grid.points)
-    g2 = np.einsum("ij,ij->i", g, g)
-    w = grid.radial_broadcast(weight)
-    return float(np.dot(grid.prob_weights, w * g2))
+class GridMoments(NamedTuple):
+    """Moments of one member on a grid; see :func:`grid_moments`."""
+
+    variance: float
+    dirichlet: tuple  # E[w_k(rho) |grad phi|^2], one per radial weight
+    radial: float  # E[w(rho) (d phi / d rho)^2] for the split weight w
+    angular: tuple  # E[(d phi / d theta_i)^2] for i = 1 .. n-1
 
 
-def split_dirichlet_radial_angular(density, phi, radial_weight,
-                                   angular_bounds=(ANGULAR_POLAR_BOUND, ANGULAR_AZIMUTHAL_BOUND),
-                                   grid=None):
-    """The two addends of the product-decomposition bound.
+def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
+    """Variance and weighted Dirichlet forms of the member ``phi`` on ``grid``.
 
-    radial part: E[w(rho) |d phi/d rho|^2];
-    angular part: sum over polar angles of (pi^2/8) E[|d phi/d theta_i|^2]
-    plus (pi^2/2) E[|d phi/d theta_{n-1}|^2], with coordinate partials taken
-    in hyperspherical coordinates.  Their sum dominates the variance and is
-    itself dominated by the Dirichlet form with the composite weight.
+    Weights are given by their values on ``grid.r_nodes`` (see
+    :meth:`HypersphericalGrid.radial_values`).  Each of ``radial_weights``
+    gives one E[w_k(rho) |grad phi|^2].  With a ``split_weight`` w the
+    result also carries the radial part E[w(rho) (d phi / d rho)^2] and the
+    angular parts E[(d phi / d theta_i)^2] in hyperspherical coordinates;
+    without one they are nan and ().  ``affine = (u, H)`` evaluates phi and
+    its gradient at x = u + H x* for every grid node x*.
+
+    The grid is walked in blocks of whole radial shells; each block's values
+    are reshaped to (radial, angular) and contracted with the radial and the
+    angular weights.  Values are shifted by their value at ``grid.anchor``,
+    whose block is taken first, and the block variances are merged by the
+    pairwise update of Chan, Golub & LeVeque (1983).  A member constant on
+    the nodes thus has zero data in every block and variance exactly 0.
     """
-    grid = grid or build_grid(density, [phi])
-    g = phi.grad(grid.points)
-    pw = grid.prob_weights
-    if grid.n == 1:
-        sgn_x = np.sign(grid.points[:, 0])
-        d_rho = g[:, 0] * np.where(sgn_x == 0, 1.0, sgn_x)
-        radial = float(np.dot(pw, grid.radial_broadcast(radial_weight) * d_rho ** 2))
-        return radial, 0.0
-    e_rho = grid.points / np.where(grid.rho[:, None] == 0, 1.0, grid.rho[:, None])
-    d_rho = np.einsum("ij,ij->i", g, e_rho)
-    radial = float(np.dot(pw, grid.radial_broadcast(radial_weight) * d_rho ** 2))
-    polar_bound, azim_bound = angular_bounds
-    angular = 0.0
-    for i in range(1, grid.n):
-        tang = grid.dx_dtheta(i)
-        d_theta = np.einsum("ij,ij->i", g, tang)
-        bound = azim_bound if i == grid.n - 1 else polar_bound
-        angular += bound * float(np.dot(pw, d_theta ** 2))
-    return radial, angular
+    A = len(grid.ang_weights)
+    step = max(1, _BLOCK_NODES // A)
+    j_anchor = grid.anchor // A
+    starts = sorted(range(0, len(grid.r_nodes), step),
+                    key=lambda j0: not j0 <= j_anchor < j0 + step)
+    ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
+    weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
+    dirichlet = np.zeros(len(weights))
+    radial, angular = 0.0, np.zeros(len(grid.tangents))
+    shift = None
+    w_sum = mean = m2 = 0.0
+    for j0 in starts:
+        rows = slice(j0, j0 + step)
+        p = grid.r_weights[rows]
+        x = grid.points[j0 * A:(j0 + len(p)) * A]
+        if affine is not None:
+            x = affine[0] + x @ affine[1].T
+        vals = phi(x)
+        if shift is None:
+            shift = float(vals[grid.anchor - j0 * A])
+        w_b = float(p.sum()) * ang_total
+        if w_b > 0.0:
+            y = (vals - shift).reshape(len(p), A)
+            mean_b = float(p @ (y @ ang_w)) / w_b
+            y -= mean_b
+            np.multiply(y, y, out=y)
+            delta = mean_b - mean
+            w_new = w_sum + w_b
+            m2 += float(p @ (y @ ang_w)) + delta * delta * w_sum * w_b / w_new
+            mean += delta * w_b / w_new
+            w_sum = w_new
+        g = phi.grad(x).reshape(len(p), A, -1)
+        g2 = np.einsum("ban,ban->ba", g, g) @ ang_w
+        dirichlet += weights[:, rows] @ (p * g2)
+        if split_weight is not None:
+            d_rho = np.einsum("ban,an->ba", g, grid.unit)
+            radial += float((p * split_weight[rows]) @ ((d_rho * d_rho) @ ang_w))
+            # d phi / d theta_i = rho (grad phi . d u / d theta_i)
+            d_theta = np.einsum("ban,ian->iba", g, grid.tangents)
+            angular += ((d_theta * d_theta) @ ang_w) @ (p * grid.r_nodes[rows] ** 2)
+    if split_weight is None:
+        radial, angular = math.nan, ()
+    return GridMoments(m2, tuple(float(v) for v in dirichlet), radial,
+                       tuple(float(v) for v in angular))
+
+
+def sphere_dirichlet(grid, phi, radius):
+    """Integral of |grad phi|^2 over the sphere |x| = radius against the
+    grid's angular rule (the measure dTheta of the unit sphere)."""
+    g = phi.grad(radius * grid.unit)
+    return float(grid.ang_weights @ np.einsum("ij,ij->i", g, g))

@@ -6,7 +6,6 @@ from scipy.special import gamma as sp_gamma
 
 from isofp.densities import (
     density_mass,
-    eval_density,
     full_line_density,
     make_density,
     parse_density_spec,
@@ -17,7 +16,7 @@ from isofp.densities import (
     uniform_angle_density,
     closed_form_weight,
 )
-from isofp.quadrature import integrate_interval
+from isofp.quadrature import QuadratureError, integrate_interval
 from isofp.weights import steady_state_residual
 
 MASS_MATRIX = [
@@ -93,12 +92,12 @@ class TestMakeDensity:
 class TestEvalDensity:
     def test_std_normal_peak(self):
         d = make_density("gaussian", {"sigma": 1.0}, 1)
-        assert abs(eval_density(d, 0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
+        assert abs(d.eval(0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
 
     def test_vanishes_at_support_boundary(self):
         d = make_density("barenblatt", {"a": 1.0, "p": 2.0}, 1)
-        assert eval_density(d, 1.0) == 0.0
-        assert eval_density(d, 1.5) == 0.0
+        assert d.eval(1.0) == 0.0
+        assert d.eval(1.5) == 0.0
 
     def test_exponential_value(self):
         beta, n = 2.0, 3
@@ -106,7 +105,7 @@ class TestEvalDensity:
         expected = (beta ** n * math.gamma(n / 2.0)
                     / (2.0 * math.pi ** (n / 2.0) * math.gamma(n))
                     * math.exp(-beta))
-        assert abs(eval_density(d, 1.0) - expected) < 1e-15
+        assert abs(d.eval(1.0) - expected) < 1e-15
 
     def test_positive_inside_support(self):
         d = make_density("cauchy_type", {"beta": 2.0}, 2)
@@ -114,8 +113,8 @@ class TestEvalDensity:
 
     def test_inverse_gamma_vanishes_at_origin(self):
         d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
-        assert eval_density(d, 0.0) == 0.0
-        assert eval_density(d, 1.0) > 0.0
+        assert d.eval(0.0) == 0.0
+        assert d.eval(1.0) > 0.0
 
 
 class TestRadialMarginal:
@@ -150,6 +149,20 @@ class TestRadialMarginal:
         marg = radial_marginal(d)
         assert marg.sigma_n == 1.0
         assert abs(marg.eval(1.3) - d.eval(1.3)) < 1e-16
+
+    def test_divergent_mean_is_cached(self, monkeypatch):
+        # cauchy beta = 1.9 in n = 3: the marginal has no first moment
+        import isofp.densities as densities
+
+        f = radial_marginal(make_density("cauchy_type", {"beta": 1.9}, 3)).as_density1d()
+        with pytest.raises(QuadratureError):
+            f.mean
+        calls = []
+        monkeypatch.setattr(densities, "integrate_interval",
+                            lambda *a, **k: calls.append(a) or integrate_interval(*a, **k))
+        with pytest.raises(QuadratureError):
+            f.mean
+        assert calls == []
 
 
 class TestSteadyState:

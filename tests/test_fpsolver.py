@@ -9,7 +9,6 @@ from isofp.fpsolver import (
     FPState,
     SolverError,
     build_solver,
-    dissipation_I_theta,
     fit_decay_rate,
     functional_theta,
     make_radial_grid,
@@ -153,13 +152,6 @@ class TestFunctionals:
         broken = FPState(solver.grid, vals, 0.0)
         with pytest.raises(SolverError, match="F > 0"):
             functional_theta(broken, gaussian_1d, "entropy")
-
-    def test_dissipation_module_level(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=128)
-        state = perturbed_initial_state(solver, "shell", eps=0.1)
-        a = dissipation_I_theta(state, catalog_K(gaussian_1d), "chi2", gaussian_1d)
-        b = solver.dissipation(state, "chi2")
-        assert abs(a - b) < 1e-15 * max(1.0, abs(b))
 
 
 class TestDecay:

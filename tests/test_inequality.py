@@ -1,7 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+
+import isofp.inequality as inequality
+import isofp.quadrature as quadrature
 
 from isofp.corpus import (
     Fn1D,
@@ -31,7 +36,15 @@ from isofp.inequality import (
     summarize_reports,
     _factor_rule,
 )
-from isofp.quadrature import TestFunction, shifted_variance, weighted_dirichlet
+from isofp.quadrature import (
+    ANGULAR_AZIMUTHAL_BOUND,
+    ANGULAR_POLAR_BOUND,
+    TestFunction,
+    build_grid,
+    grid_moments,
+    interval_rule,
+    shifted_variance,
+)
 from isofp.weights import (
     WeightFunction,
     angular_weight_function,
@@ -50,6 +63,12 @@ def unit_weight():
 def identity_shape():
     return Fn1D("id", lambda x: np.asarray(x, dtype=float),
                 lambda x: np.ones_like(np.asarray(x, dtype=float)), bounded=False)
+
+
+def dirichlet_form(d, w, phi):
+    """E[w(|X|) |grad phi|^2] on a grid split at the knots of phi and w."""
+    grid = build_grid(d, [phi], extra_breakpoints=w.breakpoints)
+    return grid_moments(grid, phi, [grid.radial_values(w)]).dirichlet[0]
 
 
 def assert_all_pass(reports, tol=1e-6):
@@ -461,7 +480,7 @@ class TestHybrid:
         inner = WeightFunction(
             lambda rr: np.maximum(w(rr), np.asarray(rr, dtype=float) ** 2),
             "closed_form", (0.0, math.inf), breakpoints=(r1, r1 + wd))
-        direct = weighted_dirichlet(d, inner, phi)
+        direct = dirichlet_form(d, inner, phi)
         assert abs(r.details["volume_term"] - direct) < 1e-10 * max(direct, 1e-12)
 
     def test_outer_member_uses_K_only(self, setting):
@@ -471,7 +490,7 @@ class TestHybrid:
         reports = check_hybrid(d, w, K, R, [phi])
         r = reports[0]
         assert abs(r.details["surface_term"]) < 1e-14
-        direct = weighted_dirichlet(d, K, phi)
+        direct = dirichlet_form(d, K, phi)
         assert abs(r.details["volume_term"] - direct) < 1e-9 * max(direct, 1e-12)
 
     def test_straddling_members_have_finite_empirical_constant(self, setting):
@@ -533,3 +552,247 @@ class TestGaussianAnisotropic:
         with pytest.raises(ValueError, match="symmetric"):
             check_gaussian_anisotropic(np.array([[1.0, 0.5], [0.0, 1.0]]),
                                        np.zeros(2), [])
+
+
+def scaled(w, s):
+    return dataclasses.replace(w, fn=lambda r, fn=w.fn: s * fn(r))
+
+
+class TestNegativeControls:
+    """Each isotropic check can fail: with its bound shrunk by s = 1e-3,
+    members fail, and every ratio grows by exactly 1/s because the
+    right-hand side is linear in the weight."""
+
+    S = 1e-3
+
+    def assert_scaled(self, base, shrunk):
+        assert summarize_reports(shrunk)["failed"] > 0
+        ok = [(a, b) for a, b in zip(base, shrunk) if a.status == "ok"]
+        assert len(ok) >= 5
+        for a, b in ok:
+            assert a.witness == b.witness
+            assert abs(b.ratio - a.ratio / self.S) <= 1e-12 * b.ratio, a.witness
+
+    def test_wstar(self, monkeypatch):
+        # scaling w alone would leave the pi^2 rho^2 / 2 branch of W*
+        d = make_density("exponential_type", {"beta": 1.0}, 2)
+        w = gamma_radial_weight(1.0)
+        corpus = list(corpus_nd(2, seed=3))[::7]
+        base = check_isotropic_Wstar(d, corpus, w)
+        wstar = inequality.composite_Wstar
+        monkeypatch.setattr(inequality, "composite_Wstar",
+                            lambda d, w: scaled(wstar(d, w), self.S))
+        self.assert_scaled(base, check_isotropic_Wstar(d, corpus, w))
+
+    def test_refined(self):
+        d = make_density("exponential_type", {"beta": 1.0}, 2)
+        K = closed_form_weight(d)
+        R = 1.0 + math.sqrt(3.0)
+        corpus = list(corpus_outside_ball(2, R, seed=6))[:8]
+        base = check_refined_outside_ball(d, K, R, corpus)
+        self.assert_scaled(base, check_refined_outside_ball(d, scaled(K, self.S), R, corpus))
+
+    def test_hybrid(self, setting):
+        d, w, K, R = setting
+        corpus = list(corpus_nd(2, seed=31))[::7]
+        base = check_hybrid(d, w, K, R, corpus)
+        self.assert_scaled(base, check_hybrid(d, w, K, R, corpus, C_mult=self.S * 4.0))
+
+
+# ---------------------------------------------------------------------------
+# Full-node oracle: the per-node arrays the grid used to materialise
+# ---------------------------------------------------------------------------
+
+
+def _to_cartesian(rho, theta):
+    m, k = theta.shape
+    x = np.empty((m, k + 1))
+    prefix = rho.copy()
+    for j in range(k):
+        x[:, j] = prefix * np.cos(theta[:, j])
+        prefix = prefix * np.sin(theta[:, j])
+    x[:, k] = prefix
+    return x
+
+
+def _dx_dtheta(rho, theta, i):
+    m, k = theta.shape
+    out = np.zeros((m, k + 1))
+    sin, cos = np.sin(theta), np.cos(theta)
+    prefix = np.empty((m, k + 1))
+    prefix[:, 0] = rho
+    for j in range(k):
+        prefix[:, j + 1] = prefix[:, j] * sin[:, j]
+    ii = i - 1
+    out[:, ii] = -prefix[:, ii] * sin[:, ii]
+    for j in range(ii + 1, k):
+        out[:, j] = prefix[:, j] * cos[:, ii] / sin[:, ii] * cos[:, j]
+    out[:, k] = prefix[:, k] * cos[:, ii] / sin[:, ii]
+    return out
+
+
+class FullNodes:
+    """Node-sized arrays of a grid built with the default orders: radii,
+    probability weights, points, e_rho = x / |x| and the tangents
+    d x / d theta_i, each with one row per node."""
+
+    def __init__(self, density, breakpoints, order=32):
+        n = density.n
+        r, r_w = interval_rule(0.0, density.support_radius, order=12, levels=22,
+                               breakpoints=tuple(sorted(breakpoints)))
+        if n == 1:
+            self.theta, self.ang_w = np.zeros((2, 0)), np.ones(2)
+            signs = np.array([1.0, -1.0])
+        else:
+            xg, wg = leggauss(order)
+            axes = [(xg + 1.0) * 0.5 * math.pi] * (n - 2) + [(xg + 1.0) * math.pi]
+            ws = [wg * 0.5 * math.pi * np.sin(axes[0]) ** (n - 1 - j)
+                  for j in range(1, n - 1)] + [wg * math.pi]
+            self.theta = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                                  axis=1)
+            w = ws[0]
+            for wj in ws[1:]:
+                w = np.multiply.outer(w, wj)
+            self.ang_w = w.ravel()
+        A = len(self.ang_w)
+        self.r_nodes, self.density = r, density
+        self.rho = np.repeat(r, A)
+        weights = np.repeat(r_w * r ** (n - 1), A) * np.tile(self.ang_w, len(r))
+        f = density.eval(self.rho)
+        self.pw = weights * f / np.dot(weights, f)
+        self.anchor = int(np.argmax(self.pw))
+        if n == 1:
+            self.points = (self.rho * np.tile(signs, len(r)))[:, None]
+        else:
+            theta = np.tile(self.theta, (len(r), 1))
+            self.points = _to_cartesian(self.rho, theta)
+            self.tangents = [_dx_dtheta(self.rho, theta, i) for i in range(1, n)]
+        self.e_rho = self.points / self.rho[:, None]
+
+    def radial(self, fn):
+        vals = np.zeros_like(self.r_nodes)
+        pos = self.density.eval(self.r_nodes) > 0.0
+        vals[pos] = fn(self.r_nodes[pos])
+        return np.repeat(vals, len(self.ang_w))
+
+    def dirichlet(self, w_nodes, g):
+        return float(np.dot(self.pw, w_nodes * np.einsum("ij,ij->i", g, g)))
+
+
+def close(got, want, scale=0.0):
+    return abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+class TestFullNodeOracle:
+    """Each checker against the full-node formulas it used before the
+    kernel, on grids walked in at least two radial blocks."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The grids the checkers build, the breakpoints they split at, and
+        the sizes of the evaluations of a counting member."""
+        out = {"grids": [], "calls": []}
+        real = inequality.build_grid
+
+        def build(density, phis=(), extra_breakpoints=()):
+            bp = set(extra_breakpoints).union(*(p.radial_breakpoints for p in phis))
+            out["grids"].append((real(density, phis, extra_breakpoints), bp))
+            return out["grids"][-1][0]
+
+        monkeypatch.setattr(inequality, "build_grid", build)
+        return out
+
+    def counting(self, member, calls):
+        def ev(p):
+            calls.append(len(p))
+            return member(p)
+
+        return TestFunction(member.name, member.n, ev, member.grad, support=member.support,
+                            bounded=member.bounded,
+                            radial_breakpoints=member.radial_breakpoints, self_test=False)
+
+    def oracle(self, recorded, corpus):
+        (grid, bp), = recorded["grids"]
+        nodes = FullNodes(grid.density, bp)
+        assert np.array_equal(nodes.r_nodes, grid.r_nodes)
+        assert np.allclose(grid.points, nodes.points, rtol=0.0, atol=1e-13 * nodes.rho.max())
+        # the counting member is evaluated once per block, and the blocks
+        # tile the grid
+        A = len(grid.ang_weights)
+        blocks = [c for c in recorded["calls"] if c % A == 0]
+        assert sum(blocks) == len(nodes.points) and len(blocks) >= 2
+        return nodes, {m.name: m for m in corpus}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wstar(self, n, recorded, monkeypatch):
+        if n < 3:
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", 256)
+        d = make_density("cauchy_type", {"beta": 4.0}, n)
+        w = optimal_cauchy_weight(4.0, n)
+        members = list(corpus_nd(n, seed=2024))[::8]  # radial, angular and mixed
+        corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
+        reports = check_isotropic_Wstar(d, corpus, w)
+        assert n == 1 or sum(r.details["angular_part"] > 1e-3 for r in reports) >= 3
+        nodes, by_name = self.oracle(recorded, corpus)
+        wstar = nodes.radial(inequality.composite_Wstar(d, w))
+        w_rad = nodes.radial(w)
+        bounds = [ANGULAR_POLAR_BOUND] * (n - 2) + [ANGULAR_AZIMUTHAL_BOUND] * (n > 1)
+        for rep in reports:
+            phi = by_name[rep.witness]
+            g = phi.grad(nodes.points)
+            radial = float(np.dot(nodes.pw, w_rad * np.einsum("ij,ij->i", g, nodes.e_rho) ** 2))
+            angular = sum(b * float(np.dot(nodes.pw, np.einsum("ij,ij->i", g, t) ** 2))
+                          for b, t in zip(bounds, getattr(nodes, "tangents", [])))
+            assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
+            assert close(rep.rhs, nodes.dirichlet(wstar, g))
+            assert close(rep.details["radial_part"], radial)
+            assert close(rep.details["angular_part"], angular, radial + angular)
+
+    def test_refined(self, recorded):
+        d = make_density("gaussian", {"sigma": 1.0}, 3)
+        K = closed_form_weight(d)
+        members = list(corpus_outside_ball(3, 2.0, seed=5))[:5]
+        corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
+        reports = check_refined_outside_ball(d, K, 2.0, corpus)
+        nodes, by_name = self.oracle(recorded, corpus)
+        K_nodes = nodes.radial(K)
+        for rep in reports:
+            phi = by_name[rep.witness]
+            assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
+            assert close(rep.rhs, 2.0 * nodes.dirichlet(K_nodes, phi.grad(nodes.points)))
+
+    def test_hybrid(self, setting, recorded, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 256)
+        d, w, K, R = setting
+        members = [m for m in corpus_nd(2, seed=31) if m.bounded][::7]
+        corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
+        reports = check_hybrid(d, w, K, R, corpus)
+        nodes, by_name = self.oracle(recorded, corpus)
+        W_nodes = nodes.radial(inequality.hybrid_weight(d, w, K, R))
+        sphere = _to_cartesian(np.full(len(nodes.theta), R), nodes.theta)
+        f_R = float(d.eval(R))
+        assert any(r.details["surface_term"] > 1e-3 for r in reports)
+        for rep in reports:
+            phi = by_name[rep.witness]
+            volume = nodes.dirichlet(W_nodes, phi.grad(nodes.points))
+            gs = phi.grad(sphere)
+            surface = f_R * R ** (d.n - 1) * float(np.dot(nodes.ang_w, np.einsum("ij,ij->i", gs, gs)))
+            assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
+            assert close(rep.details["volume_term"], volume)
+            assert close(rep.details["surface_term"], surface, volume + surface)
+            assert close(rep.rhs, 4.0 * (volume + rep.details["c_R"] * surface))
+
+    def test_gaussian_anisotropic(self, recorded):
+        V = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 3.0]])
+        u = np.array([0.4, -0.7, 0.1])
+        members = list(corpus_anisotropic(V, u, seed=13))[::8]
+        corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
+        reports = check_gaussian_anisotropic(V, u, corpus)
+        nodes, by_name = self.oracle(recorded, corpus)
+        lam, Q = np.linalg.eigh(V)
+        pts_x = u[None, :] + nodes.points @ (Q @ np.diag(np.sqrt(lam))).T
+        ones = np.ones(len(nodes.pw))
+        for rep in reports:
+            phi = by_name[rep.witness]
+            assert close(rep.lhs, shifted_variance(nodes.pw, phi(pts_x), nodes.anchor))
+            assert close(rep.rhs, lam.max() * nodes.dirichlet(ones, phi.grad(pts_x)))
