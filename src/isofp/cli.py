@@ -147,26 +147,25 @@ def _sha256(path):
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_weight_column(d):
-    """Quadrature route matching the density's drift centre: the isotropic
-    integral map for m = 0, the 1-D integral weight for the inverse Gamma."""
+def _quadrature_weight_column(d, rho):
+    """The weight on the array ``rho`` by the quadrature route matching the
+    density's drift centre: the isotropic integral map for m = 0, the 1-D
+    integral weight about m for the inverse Gamma.  One call covers the
+    whole array."""
     if d.kind == "inverse_gamma_1d":
         f = radial_marginal(d).as_density1d()
-        return lambda r: wmod.p_weight_1d(f, 1.0, float(r))
-    return lambda r: wmod.weight_from_density(d, float(r))
+        return wmod.p_weight_1d(f, d.drift_mean, rho)
+    return wmod.weight_from_density(d, rho)
 
 
 def cmd_weights(args):
     d = parse_density_spec(args.density)
     K_closed = catalog_K(d)
-    quad_route = _quadrature_weight_column(d)
     i_plus = d.support_radius
     hi = i_plus if np.isfinite(i_plus) else 6.0
     rho = np.linspace(hi * 0.01, hi * 0.99, args.points)
     rows = []
-    for r in rho:
-        kc = float(K_closed(r))
-        kq = quad_route(r)
+    for r, kc, kq in zip(rho, K_closed(rho), _quadrature_weight_column(d, rho)):
         rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
         rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}",
                      density_label(d)])
@@ -386,13 +385,10 @@ def run_experiment(config, out_dir):
     for d in densities:
         lbl = density_label(d)
         K = catalog_K(d)
-        quad_route = _quadrature_weight_column(d)
         hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
         rho = np.linspace(hi * 0.02, hi * 0.98, 25)
         rows = []
-        for r in rho:
-            kc = float(K(r))
-            kq = quad_route(r)
+        for r, kc, kq in zip(rho, K(rho), _quadrature_weight_column(d, rho)):
             rel = abs(kq - kc) / abs(kc) if kc else 0.0
             rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}",
                          f"{rel:.3e}", lbl])

@@ -3,8 +3,9 @@
 The scheme is finite-volume in the quotient variable F = f / f_eq: the
 face flux is K f_eq dF/drho times the area factor, so the discretised
 equilibrium is an exact steady state and total mass telescopes exactly.
-Implicit Euler steps solve a tridiagonal M-matrix system whose inverse is
-a stochastic matrix in the equilibrium-weighted metric; the convex
+Implicit Euler steps solve a symmetric positive-definite tridiagonal
+M-matrix system, factored once per time step size, whose inverse is a
+stochastic matrix in the equilibrium-weighted metric; the convex
 functionals (chi-square, relative entropy, squared Hellinger) therefore
 decrease monotonically step by step, mirroring the continuum dissipation
 identity d Theta / dt = -I_Theta.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .weights import steady_state_residual
 
@@ -235,6 +236,7 @@ class Solver:
         self.face_coeff = grid.face_areas() * K_faces * f_eq_faces / dc
         self.face_coeff = np.maximum(self.face_coeff, 0.0)
         self.D = grid.cell_volumes * self.f_eq  # equilibrium-weighted cell masses
+        self._factored = None  # (dt, d, e) of the last implicit step size
         if check_steady:
             rho_probe = centers[(centers > 2e-3 * centers[-1])
                                 & (centers < 0.995 * centers[-1])][::7]
@@ -248,18 +250,22 @@ class Solver:
                     "weight is inconsistent with the density: steady-state "
                     f"residual {np.max(np.abs(res)) / scale:.2e} exceeds {steady_tol:.0e}")
 
-    # -- banded matrix for (D - dt A) F = D F_old --------------------------
+    # -- factor of (D - dt A) F = D F_old --------------------------------
 
-    def _banded(self, dt):
-        M = self.grid.cells
-        c = self.face_coeff
-        ab = np.zeros((3, M))
-        ab[0, 1:] = -dt * c            # upper diagonal
-        ab[2, :-1] = -dt * c           # lower diagonal
-        ab[1, :] = self.D
-        ab[1, :-1] += dt * c
-        ab[1, 1:] += dt * c
-        return ab
+    def _factor(self, dt):
+        """L D L^T factor of the symmetric positive-definite tridiagonal
+        D - dt A, computed the first time a step size is seen and kept
+        until another one is."""
+        if self._factored is None or self._factored[0] != dt:
+            c = self.face_coeff
+            diag = self.D.copy()
+            diag[:-1] += dt * c
+            diag[1:] += dt * c
+            d, e, info = dpttrf(diag, -dt * c)
+            if info != 0:
+                raise SolverError(f"implicit system is not positive definite (info {info})")
+            self._factored = (dt, d, e)
+        return self._factored[1:]
 
     def steady_state(self):
         """The discretised equilibrium as an FPState (mass = discrete mass)."""
@@ -284,9 +290,10 @@ class Solver:
             raise ValueError("dt must be positive")
         F = self.quotient(state)
         if method == "implicit":
-            ab = self._banded(dt)
-            rhs = self.D * F
-            F_new = solve_banded((1, 1), ab, rhs)
+            d, e = self._factor(dt)
+            F_new, info = dpttrs(d, e, self.D * F)
+            if info != 0:
+                raise SolverError(f"implicit solve failed (info {info})")
         elif method == "explicit":
             rate = np.zeros_like(F)
             rate[:-1] += self.face_coeff

@@ -129,16 +129,15 @@ def integrate_interval(g, lo, hi, integrator=None, breakpoints=()):
 # ---------------------------------------------------------------------------
 
 
-def _panel_edges(lo, hi, levels, breakpoints):
+def _panel_edges(lo, hi, levels, breakpoints, halved):
     width = hi - lo
-    edges = {lo, hi}
-    for k in range(1, levels + 1):
-        edges.add(lo + width * 0.5 ** k)
-        edges.add(hi - width * 0.5 ** k)
-    for p in breakpoints:
-        if lo < p < hi:
-            edges.add(p)
-    return np.array(sorted(edges))
+    grading = width * 0.5 ** np.arange(1, levels + 1)
+    bp = np.asarray(breakpoints, dtype=float).ravel()
+    edges = np.unique(np.concatenate([[lo, hi], lo + grading, hi - grading,
+                                      bp[(bp > lo) & (bp < hi)]]))
+    if halved:
+        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    return edges
 
 
 def _gauss_on_panels(edges, order):
@@ -150,23 +149,28 @@ def _gauss_on_panels(edges, order):
     return nodes, weights
 
 
-def interval_rule(lo, hi, order=12, levels=28, breakpoints=()):
+def interval_rule(lo, hi, order=12, levels=28, breakpoints=(), halved=False):
     """Fixed quadrature rule on (lo, hi); ``hi`` may be infinite.
 
     Composite Gauss-Legendre panels, dyadically refined toward both
     endpoints so that algebraic endpoint behaviour (Barenblatt supports,
     mapped heavy tails) is resolved.  Interior breakpoints become panel
     edges, which restores spectral accuracy for piecewise-smooth
-    integrands such as the C^2 bump test functions.
+    integrands such as the C^2 bump test functions.  Nodes run left to
+    right, ``order`` per panel, so ``nodes.reshape(-1, order)`` lists the
+    panels in order.  ``halved`` cuts every panel in two at its midpoint
+    (in the mapped variable for an infinite end): the finer rule whose
+    difference from this one estimates the quadrature error.
     """
     if np.isinf(hi):
         # map (lo, inf) -> t in (0, 1), r = lo + t/(1-t)
-        pts = [(p - lo) / (1.0 + p - lo) for p in breakpoints if np.isfinite(p) and p > lo]
-        t, wt = _gauss_on_panels(_panel_edges(0.0, 1.0, levels, pts), order)
+        bp = np.asarray(breakpoints, dtype=float).ravel()
+        bp = bp[np.isfinite(bp) & (bp > lo)]
+        t, wt = _gauss_on_panels(
+            _panel_edges(0.0, 1.0, levels, (bp - lo) / (1.0 + bp - lo), halved), order)
         u = 1.0 - t
         return lo + t / u, wt / (u * u)
-    nodes, weights = _gauss_on_panels(_panel_edges(lo, hi, levels, breakpoints), order)
-    return nodes, weights
+    return _gauss_on_panels(_panel_edges(lo, hi, levels, breakpoints, halved), order)
 
 
 # ---------------------------------------------------------------------------

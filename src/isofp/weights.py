@@ -24,12 +24,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .densities import sin_power_density
-from .quadrature import Integrator, QuadratureError, integrate_interval
+from .quadrature import QuadratureError, interval_rule
 
 __all__ = [
     "WeightFunction",
     "WeightError",
     "PQPair",
+    "cumulative_integral",
     "weight_from_density",
     "quadrature_weight_function",
     "p_weight_1d",
@@ -52,9 +53,6 @@ __all__ = [
 
 class WeightError(ValueError):
     pass
-
-
-_WEIGHT_INTEGRATOR = Integrator(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=400)
 
 
 @dataclass(frozen=True)
@@ -83,45 +81,105 @@ class WeightFunction:
 
 
 # ---------------------------------------------------------------------------
+# Cumulative integrals on a fixed rule
+# ---------------------------------------------------------------------------
+
+# Gauss order of the panels, and the dyadic grading of each point's gap
+# toward the point: the panel next to x spans 2^-10 of the gap to the next
+# point, so an integrand that decays within a small part of that gap (a
+# Gaussian tail seen from deep in the tail) is still resolved.  Points are
+# taken in blocks of at most 64, which bounds the working memory whatever
+# the number of points.
+_CUMULATIVE_ORDER = 12
+_GRADING = 0.5 ** np.arange(1, 11)
+_BLOCK_POINTS = 64
+
+
+def cumulative_integral(g, support, split, x, breakpoints=()):
+    """int_a^x g for x <= split and int_x^b g for x > split, for every x.
+
+    ``g`` is vectorised and nonnegative on the support (a, b), either end of
+    which may be infinite; ``split = -inf`` integrates every x to the right.
+    On each side of ``split`` the points cut the side into gaps, each
+    integrated by a composite Gauss rule (order 12, with the rational map
+    t/(1-t) of :func:`~isofp.quadrature.interval_rule` at an infinite end)
+    that is graded dyadically toward the point the gap starts from.  The gap
+    sums are cumulated from the far end of each side toward ``split``: left
+    to right for x <= split, right to left for x > split.  No branch
+    straddles ``split``, so for the integrands used here (|m - y| f(y) about
+    the mean m) no term cancels, and a point in a tail is integrated over
+    the tail itself.
+    """
+    a, b = support
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bp = np.asarray(breakpoints, dtype=float)
+    out = np.empty(xs.shape)
+    left = xs <= split
+    if np.any(left):
+        out[left] = _tail_integrals(lambda u: g(-u), -split, -a, -xs[left], -bp)
+    if not np.all(left):
+        out[~left] = _tail_integrals(g, max(a, split), b, xs[~left], bp)
+    return out.reshape(np.shape(x))
+
+
+def _tail_integrals(h, lo, hi, xs, breakpoints):
+    """int_x^hi h for every x in [lo, hi); ``hi`` may be infinite."""
+    pts, inverse = np.unique(xs, return_inverse=True)
+    ends = np.append(pts[1:], hi)  # each point's gap runs to the next point
+    if np.isinf(hi):  # grade in the mapped variable t = (r - lo) / (1 + r - lo)
+        t = (pts - lo) / (1.0 + pts - lo)
+        graded = t[:, None] + (np.append(t[1:], 1.0) - t)[:, None] * _GRADING
+        graded = lo + graded / (1.0 - graded)
+    else:
+        graded = pts[:, None] + (ends - pts)[:, None] * _GRADING
+    gaps = np.empty(len(pts))
+    for i in range(0, len(pts), _BLOCK_POINTS):
+        j = min(i + _BLOCK_POINTS, len(pts))
+        start, stop = pts[i], ends[j - 1]
+        inner = breakpoints[(breakpoints > start) & (breakpoints < stop)]
+        edges = np.concatenate([pts[i + 1:j], graded[i:j].ravel(), inner])
+        nodes, wts = interval_rule(start, stop, order=_CUMULATIVE_ORDER, breakpoints=edges)
+        panels = (wts * h(nodes)).reshape(-1, _CUMULATIVE_ORDER).sum(axis=1)
+        # each point is a panel edge, so its gap starts at the first panel
+        # whose first node lies right of it
+        first = nodes[::_CUMULATIVE_ORDER]
+        gaps[i:j] = np.add.reduceat(panels, np.searchsorted(first, pts[i:j]))
+    # tails summed from the far end inward, smallest terms first
+    return np.cumsum(gaps[::-1])[::-1][inverse]
+
+
+# ---------------------------------------------------------------------------
 # The density -> diffusion coefficient map
 # ---------------------------------------------------------------------------
 
 
-def weight_from_density(d, rho, integrator=None):
+def weight_from_density(d, rho):
     """Diffusion coefficient of the density at radius rho, by quadrature.
 
-    Evaluates int_{rho^2}^{i_+^2} f(sqrt(y)) dy / (2 f(rho)).  For infinite
-    supports the integral is split at rho^2 + 1 so the semi-infinite tail
-    is handled separately from the near field.
+    Evaluates int_{rho^2}^{i_+^2} f(sqrt(y)) dy / (2 f(rho)) for every rho
+    at once: one :func:`cumulative_integral` in y = rho^2, with every rho^2
+    a panel edge and the tail summed from i_+^2 inward.
     """
-    integrator = integrator or _WEIGHT_INTEGRATOR
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    r = np.asarray(rho, dtype=float)
     i_plus = d.support_radius
-    out = np.empty_like(rho_arr)
-    for idx, r in enumerate(rho_arr):
-        if not 0.0 <= r < i_plus:
-            raise WeightError(f"rho = {r} outside the open support [0, {i_plus})")
-        fr = float(d.eval(r))
-        if fr <= 0.0:
-            raise WeightError(f"density vanishes at rho = {r}; weight undefined")
-        lo = r * r
-        hi = i_plus ** 2 if np.isfinite(i_plus) else math.inf
-        g = lambda y: float(d.eval(math.sqrt(y)))
-        if np.isfinite(hi):
-            val, _ = integrate_interval(g, lo, hi, integrator)
-        else:
-            split = lo + 1.0
-            near, _ = integrate_interval(g, lo, split, integrator)
-            tail, _ = integrate_interval(g, split, math.inf, integrator)
-            val = near + tail
-        out[idx] = val / (2.0 * fr)
-    return out if np.ndim(rho) else float(out[0])
+    outside = ~((r >= 0.0) & (r < i_plus))
+    if np.any(outside):
+        raise WeightError(f"rho = {r[outside].flat[0]} outside the open support "
+                          f"[0, {i_plus})")
+    fr = np.asarray(d.eval(r), dtype=float)
+    if np.any(fr <= 0.0):
+        raise WeightError(f"density vanishes at rho = {r[fr <= 0.0].flat[0]}; "
+                          "weight undefined")
+    tail = cumulative_integral(lambda y: d.eval(np.sqrt(y)), (0.0, i_plus ** 2),
+                               -math.inf, r * r)
+    out = tail / (2.0 * fr)
+    return out if np.ndim(rho) else float(out)
 
 
-def quadrature_weight_function(d, integrator=None):
+def quadrature_weight_function(d):
     """The quadrature weight wrapped as a WeightFunction."""
     return WeightFunction(
-        lambda r: weight_from_density(d, r, integrator),
+        lambda r: weight_from_density(d, r),
         provenance="quadrature",
         domain=(0.0, d.support_radius),
     )
@@ -154,33 +212,30 @@ def steady_state_residual(d, K, rho_grid, h_rel=1e-3):
 # ---------------------------------------------------------------------------
 
 
-def p_weight_1d(f, m, x, integrator=None):
+def p_weight_1d(f, m, x):
     """Piecewise integral weight of a 1-D density with mean m.
 
     P(x) = int_a^x (m - y) f(y) dy / f(x) for x <= m, and
     P(x) = int_x^b (y - m) f(y) dy / f(x) for x > m.  The branches agree at
-    x = m because m is the mean.
+    x = m because m is the mean (``m = None`` computes it).  All x are
+    tabulated at once by one :func:`cumulative_integral` of |m - y| f(y)
+    split at m, so each x is integrated over its own side of the mean and
+    a point in a tail over that tail alone.
     """
-    integrator = integrator or _WEIGHT_INTEGRATOR
     if m is None:
         m = _finite_mean(f)
     a, b = f.support
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for idx, xv in enumerate(xs):
-        if not a < xv < b:
-            raise WeightError(f"x = {xv} outside the open support ({a}, {b})")
-        fx = float(f(xv))
-        if fx <= 0.0:
-            raise WeightError(f"density {f.name} vanishes at x = {xv}")
-        if xv <= m:
-            val, _ = integrate_interval(lambda y: (m - y) * float(f(y)), a, xv,
-                                        integrator, breakpoints=f.breakpoints)
-        else:
-            val, _ = integrate_interval(lambda y: (y - m) * float(f(y)), xv, b,
-                                        integrator, breakpoints=f.breakpoints)
-        out[idx] = val / fx
-    return out if np.ndim(x) else float(out[0])
+    xs = np.asarray(x, dtype=float)
+    outside = ~((a < xs) & (xs < b))
+    if np.any(outside):
+        raise WeightError(f"x = {xs[outside].flat[0]} outside the open support ({a}, {b})")
+    fx = np.asarray(f(xs), dtype=float)
+    if np.any(fx <= 0.0):
+        raise WeightError(f"density {f.name} vanishes at x = {xs[fx <= 0.0].flat[0]}")
+    num = cumulative_integral(lambda y: np.abs(m - y) * f(y), f.support, m, xs,
+                              f.breakpoints)
+    out = num / fx
+    return out if np.ndim(x) else float(out)
 
 
 def _finite_mean(f):
@@ -192,11 +247,11 @@ def _finite_mean(f):
                           f"does not converge ({exc})") from exc
 
 
-def p_weight_function(f, integrator=None):
+def p_weight_function(f):
     """P(x) of the density wrapped as a WeightFunction (linear-drift family)."""
     m = _finite_mean(f)
     return WeightFunction(
-        lambda x: p_weight_1d(f, m, x, integrator),
+        lambda x: p_weight_1d(f, m, x),
         provenance="pq_family",
         domain=f.support,
         params=(("drift", "linear"),),
@@ -431,7 +486,7 @@ def gamma_radial_weight(beta):
 # ---------------------------------------------------------------------------
 
 
-def angular_weight(i, n, theta, integrator=None):
+def angular_weight(i, n, theta):
     """One-dimensional weight of the i-th angular factor in dimension n.
 
     For i <= n-2 (polar): P_i(theta) from the integral formula applied to
@@ -448,7 +503,7 @@ def angular_weight(i, n, theta, integrator=None):
     if np.any(th <= 0.0) or np.any(th >= math.pi):
         raise WeightError("polar angle must lie in (0, pi)")
     f = sin_power_density(i)
-    return p_weight_1d(f, math.pi / 2.0, theta, integrator)
+    return p_weight_1d(f, math.pi / 2.0, theta)
 
 
 def angular_weight_function(i, n):

@@ -31,6 +31,18 @@ class TestWeightsCommand:
         assert len(rows) == 21
         assert all(float(r[3]) < 1e-6 for r in rows[1:])
 
+    def test_quadrature_column_is_one_call(self, tmp_path, monkeypatch):
+        from isofp import weights as wmod
+
+        calls = []
+        for name in ("p_weight_1d", "weight_from_density"):
+            monkeypatch.setattr(wmod, name, lambda *a, fn=getattr(wmod, name):
+                                calls.append(np.shape(a[-1])) or fn(*a))
+        for spec in ("cauchy:beta=3,n=2", "inverse_gamma:mu=2,n=1"):
+            assert main(["weights", "--density", spec, "--points", "30",
+                         "--out", str(tmp_path)]) == 0
+        assert calls == [(30,), (30,)]
+
     def test_unknown_density_exits_nonzero(self, tmp_path, capsys):
         code = main(["weights", "--density", "levy:alpha=1", "--out", str(tmp_path)])
         assert code == 2

@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
 
+from isofp.cli import catalog_K, marginal_weight
 from isofp.corpus import (
     Fn1D,
     SeparableMember,
@@ -18,8 +19,10 @@ from isofp.corpus import (
     corpus_product,
 )
 from isofp.densities import (
+    Density1D,
     full_line_density,
     make_density,
+    parse_density_spec,
     radial_marginal,
     sin_power_density,
     std_normal_1d,
@@ -39,9 +42,11 @@ from isofp.inequality import (
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
+    Integrator,
     TestFunction,
     build_grid,
     grid_moments,
+    integrate_interval,
     interval_rule,
     shifted_variance,
 )
@@ -156,6 +161,100 @@ class TestPoincare1D:
         r1 = check_poincare_1d(f, unit_weight(), [g])[0]
         r2 = check_poincare_1d(f, unit_weight(), [gs])[0]
         assert abs(r1.ratio - r2.ratio) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Nested-quadrature oracle: the adaptive path the 1-D check used to take
+# ---------------------------------------------------------------------------
+
+NESTED = Integrator(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400)
+
+
+def nested_poincare_1d(f, w, phi):
+    """(lhs, rhs) by three adaptive integrals with w inside the integrand."""
+    a, b = f.support
+    bp = tuple(set(phi.breakpoints) | set(f.breakpoints) | set(w.breakpoints))
+    shift = float(phi(inequality._shift_point(f)))
+    mean, _ = integrate_interval(lambda x: (float(phi(x)) - shift) * float(f(x)),
+                                 a, b, NESTED, bp)
+    lhs, _ = integrate_interval(lambda x: (float(phi(x)) - shift - mean) ** 2 * float(f(x)),
+                                a, b, NESTED, bp)
+
+    def rhs_integrand(x):
+        fv = float(f(x))
+        return 0.0 if fv <= 0.0 else float(w(x)) * float(phi.deriv(x)) ** 2 * fv
+
+    rhs, _ = integrate_interval(rhs_integrand, a, b, NESTED, bp)
+    return lhs, rhs
+
+
+def chi3_P(x):
+    """P(x) of the chi law with 3 degrees of freedom (the radial marginal of
+    the standard Gaussian in n = 3) in closed form, one point at a time."""
+    from scipy.special import erf, erfcx
+
+    m = 2.0 * math.sqrt(2.0 / math.pi)
+    c = math.sqrt(math.pi / 2.0)
+    if x <= m:
+        e = math.exp(-x * x / 2.0)
+        inner = m * (c * erf(x / math.sqrt(2.0)) - x * e) - (2.0 - (x * x + 2.0) * e)
+        return inner / (x * x * e)
+    return (x * x + 2.0 - m * (x + c * erfcx(x / math.sqrt(2.0)))) / (x * x)
+
+
+def line_problem(spec):
+    """The density and weight that ``reports_for_pair`` checks for ``spec``."""
+    d = parse_density_spec(spec)
+    if d.n == 1 and not d.half_line:
+        return full_line_density(d), catalog_K(d)
+    f = radial_marginal(d).as_density1d()
+    return f, (catalog_K(d) if d.half_line else marginal_weight(d))
+
+
+class TestPoincare1DAgainstNested:
+    """The fixed-rule check against the adaptive nested path it replaced,
+    on the seed-2024 corpora of the ``run`` densities."""
+
+    @pytest.mark.parametrize("spec", [
+        "gaussian:sigma=1,n=1",
+        "gaussian:sigma=1,n=3",
+        "inverse_gamma:mu=2,n=1",
+        "cauchy:beta=3,n=2",
+        "exponential:beta=1,n=2",
+        "barenblatt:a=1,p=2,n=2",
+    ])
+    def test_matches_nested_quadrature(self, spec):
+        f, w = line_problem(spec)
+        corpus = corpus_1d(f.support, seed=2024, include_linear=spec.startswith("gaussian"))
+        reports = {r.witness: r for r in check_poincare_1d(f, w, corpus)}
+        # the oracle takes P of the chi-3 marginal in closed form, so the
+        # check's tabulated P is compared as well
+        w_oracle = w
+        if spec == "gaussian:sigma=1,n=3":
+            w_oracle = WeightFunction(chi3_P, "closed_form", f.support)
+        for phi in corpus:
+            rep = reports[phi.name]
+            lhs, rhs = nested_poincare_1d(f, w_oracle, phi)
+            assert rep.status == "ok" and rep.passed, phi.name
+            assert abs(rep.lhs - lhs) <= 1e-9 * lhs, phi.name
+            assert abs(rep.rhs - rhs) <= 1e-9 * rhs, phi.name
+            assert abs(rep.ratio - lhs / rhs) <= 1e-9 * rep.ratio, phi.name
+            assert rep.details["order"] == 12 and rep.details["nodes"] > 100
+            assert rep.details["err_estimate"] <= 1e-9
+
+    def test_unresolved_member_is_inconclusive(self):
+        # cos(300 x) oscillates many times per panel: the halved rule
+        # disagrees, and the member is inconclusive, not failed
+        fast = Fn1D("cos300", lambda x: np.cos(300.0 * np.asarray(x, dtype=float)),
+                    lambda x: -300.0 * np.sin(300.0 * np.asarray(x, dtype=float)))
+        slow = Fn1D("tanh", lambda x: np.tanh(np.asarray(x, dtype=float)),
+                    lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2)
+        fast_rep, slow_rep = check_poincare_1d(std_normal_1d(), unit_weight(), [fast, slow])
+        assert fast_rep.status == "inconclusive" and not fast_rep.passed
+        assert fast_rep.details["err_estimate"] > 1e-6
+        assert slow_rep.status == "ok" and slow_rep.passed
+        s = summarize_reports([fast_rep, slow_rep])
+        assert (s["inconclusive"], s["failed"], s["passed"]) == (1, 0, 1)
 
 
 class TestProduct:
@@ -559,9 +658,9 @@ def scaled(w, s):
 
 
 class TestNegativeControls:
-    """Each isotropic check can fail: with its bound shrunk by s = 1e-3,
-    members fail, and every ratio grows by exactly 1/s because the
-    right-hand side is linear in the weight."""
+    """Each isotropic check and the 1-D check can fail: with its bound
+    shrunk by s = 1e-3, members fail, and every ratio grows by exactly 1/s
+    because the right-hand side is linear in the weight."""
 
     S = 1e-3
 
@@ -597,6 +696,22 @@ class TestNegativeControls:
         corpus = list(corpus_nd(2, seed=31))[::7]
         base = check_hybrid(d, w, K, R, corpus)
         self.assert_scaled(base, check_hybrid(d, w, K, R, corpus, C_mult=self.S * 4.0))
+
+    def test_poincare_1d(self):
+        # a Laplace law centred at its mean c, with the kink at c not listed
+        # among its breakpoints: only the rule's panel edge at the mean
+        # resolves it.  P(x) = 1 + |x - c| makes the linear member sharp.
+        c = 0.7
+        f = Density1D("laplace@0.7", (-math.inf, math.inf),
+                      lambda x: 0.5 * np.exp(-np.abs(np.asarray(x, dtype=float) - c)),
+                      mean=c)
+        w = p_weight_function(f)
+        corpus = corpus_1d(f.support, seed=3, include_linear=True)
+        corpus = corpus[:-1:5] + corpus[-1:]
+        base = check_poincare_1d(f, w, corpus)
+        linear = [r for r in base if r.witness == "linear"][0]
+        assert abs(linear.ratio - 1.0) < 1e-9
+        self.assert_scaled(base, check_poincare_1d(f, scaled(w, self.S), corpus))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from isofp.densities import (
     uniform_angle_density,
     closed_form_weight,
 )
+from isofp.quadrature import Integrator, integrate_interval
 from isofp.weights import (
     PQPair,
     WeightError,
@@ -129,6 +130,99 @@ class TestPWeight1D:
             p_weight_function(f)
         with pytest.raises(WeightError, match="finite mean"):
             p_weight_1d(f, None, 1.0)
+
+
+ORACLE = Integrator(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=500)
+
+
+def quadpack_P(f, m, x):
+    """P(x) one point at a time by adaptive quadrature, branch by branch."""
+    a, b = f.support
+    if x <= m:
+        val, _ = integrate_interval(lambda y: (m - y) * float(f(y)), a, x, ORACLE,
+                                    f.breakpoints)
+    else:
+        val, _ = integrate_interval(lambda y: (y - m) * float(f(y)), x, b, ORACLE,
+                                    f.breakpoints)
+    return val / float(f(x))
+
+
+def quadpack_K(d, rho):
+    """K(rho) one radius at a time by adaptive quadrature in y = rho^2."""
+    g = lambda y: float(d.eval(math.sqrt(y)))
+    val, _ = integrate_interval(g, rho * rho, d.support_radius ** 2, ORACLE)
+    return val / (2.0 * float(d.eval(rho)))
+
+
+def _marginal(kind, params, n):
+    return radial_marginal(make_density(kind, params, n)).as_density1d()
+
+
+# (density, mean, points): +-1e-9 around the mean, deep tails, unsorted, and
+# a duplicate of the first point
+P_CASES = {
+    "std_normal": (std_normal_1d, 0.0, [0.3, -8.0, -1e-9, 1e-9, 0.0, 6.5, -2.0, 8.5, 0.3]),
+    "sin1": (lambda: sin_power_density(1), math.pi / 2,
+             [2.5, 1e-4, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.pi - 1e-4, 0.1, 2.5]),
+    "sin2": (lambda: sin_power_density(2), math.pi / 2,
+             [1.0, 1e-3, math.pi / 2, math.pi / 2 + 1e-9, math.pi - 1e-3, 1.0]),
+    "gaussian_n3": (lambda: _marginal("gaussian", {"sigma": 1.0}, 3), None,
+                    [0.5, 1e-3, 8.0, 3.0, 10.0, 0.05, 0.5]),
+    "exponential_n2": (lambda: _marginal("exponential_type", {"beta": 1.0}, 2), None,
+                       [2.5, 1e-3, 60.0, 0.5, 30.0, 2.5]),
+    "inverse_gamma": (lambda: _marginal("inverse_gamma_1d", {"mu": 2.0}, 1), 1.0,
+                      [3.0, 0.02, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e3, 0.2, 3.0]),
+}
+
+
+class TestTabulatedWeights:
+    """P and K for a whole array in one fixed-rule pass, against adaptive
+    quadrature one point at a time."""
+
+    @pytest.mark.parametrize("case", sorted(P_CASES))
+    def test_P_matches_adaptive_oracle(self, case):
+        make, m, xs = P_CASES[case]
+        f = make()
+        m = f.mean if m is None else m
+        xs = np.array(xs)
+        got = p_weight_1d(f, m, xs)
+        ref = np.array([quadpack_P(f, m, x) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - ref) / ref) < 1e-10
+        assert got[0] == got[-1]  # a duplicate gets the same value
+        # a scalar gives a float; alone it gets its own rule
+        one = p_weight_1d(f, m, float(xs[0]))
+        assert isinstance(one, float) and abs(one - ref[0]) < 1e-10 * ref[0]
+
+    def test_inverse_gamma_closed_form(self):
+        mu = 2.0
+        f = _marginal("inverse_gamma_1d", {"mu": mu}, 1)
+        x = np.array(P_CASES["inverse_gamma"][2])
+        assert np.max(np.abs(p_weight_1d(f, 1.0, x) / (x * x / mu) - 1.0)) < 1e-10
+
+    def test_branches_meet_at_mean(self):
+        for make, m, _ in P_CASES.values():
+            f = make()
+            m = f.mean if m is None else m
+            left, right = p_weight_1d(f, m, np.array([m - 1e-9, m + 1e-9]))
+            assert abs(left - right) < 1e-8 * abs(right)
+
+    @pytest.mark.parametrize("kind,params,n", [
+        ("gaussian", {"sigma": 1.0}, 3),
+        ("exponential_type", {"beta": 1.0}, 2),
+        ("cauchy_type", {"beta": 3.0}, 2),
+        ("barenblatt", {"a": 1.0, "p": 3.0}, 2),
+    ])
+    def test_K_matches_adaptive_oracle(self, kind, params, n):
+        d = make_density(kind, params, n)
+        hi = d.support_radius if np.isfinite(d.support_radius) else 8.0
+        rho = np.array([0.5 * hi, 0.0, 0.999 * hi, 1e-3, 0.25 * hi, 0.5 * hi])
+        got = weight_from_density(d, rho)
+        ref = np.array([quadpack_K(d, r) for r in rho])
+        assert np.max(np.abs(got - ref) / ref) < 1e-10
+        assert got[0] == got[-1]
+        one = weight_from_density(d, float(rho[0]))
+        assert isinstance(one, float) and abs(one - ref[0]) < 1e-10 * ref[0]
 
 
 class TestPQFamily:
