@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -50,7 +51,7 @@ DEFAULT_CONFIG = {
     ],
     "theorems": list(THEOREMS),
     "corpus_seed": 2024,
-    "tolerances": {"ratio_tol": 1e-6, "quadrature_rel_tol": 1e-10},
+    "tolerances": {"ratio_tol": 1e-6},
     "solver": {"cells": 400, "t_final": 10.0, "dt": 1e-3,
                "truncation_mass": 1e-12, "eps": 0.1, "perturbation": "cosine"},
     "anisotropic_covariances": [
@@ -79,6 +80,16 @@ def catalog_K(d):
     return wmod.WeightFunction(
         lambda x: np.asarray(x, dtype=float) ** 2 / mu,
         provenance="closed_form", domain=(0.0, math.inf))
+
+
+def _even_weight(K):
+    """The weight x -> K(|x|) on the line, for an isotropic entry with n = 1;
+    it kinks at 0 and at +-b for every breakpoint b of K."""
+    bp = K.breakpoints
+    return dataclasses.replace(
+        K, fn=lambda x, fn=K.fn: fn(np.abs(np.asarray(x, dtype=float))),
+        domain=(-K.domain[1], K.domain[1]),
+        breakpoints=tuple(sorted({0.0, *bp, *(-b for b in bp)})))
 
 
 def marginal_weight(d):
@@ -195,7 +206,7 @@ def reports_for_pair(d, theorem, seed, tol):
             w = catalog_K(d)
         elif n == 1:
             f = full_line_density(d)
-            w = catalog_K(d)
+            w = _even_weight(catalog_K(d))
         else:
             f = radial_marginal(d).as_density1d()
             w = marginal_weight(d)

@@ -211,6 +211,7 @@ class TestCorpus:
 
 def _radial_u_member(name, n, sigma, dsigma, bounded=True, tags=()):
     """Member phi(x) = sigma(|x|^2); gradient 2 sigma'(|x|^2) x is smooth."""
+    profile = Fn1D(name, lambda r: sigma(r * r), lambda r: 2.0 * r * dsigma(r * r))
 
     def ev(pts):
         u = np.einsum("ij,ij->i", pts, pts)
@@ -220,7 +221,8 @@ def _radial_u_member(name, n, sigma, dsigma, bounded=True, tags=()):
         u = np.einsum("ij,ij->i", pts, pts)
         return 2.0 * dsigma(u)[:, None] * pts
 
-    return TestFunction(name, n, ev, gr, bounded=bounded, tags=("radial",) + tags)
+    return TestFunction(name, n, ev, gr, bounded=bounded, tags=("radial",) + tags,
+                        polar=(profile, (0,) * n))
 
 
 def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full", tags=()):
@@ -235,12 +237,18 @@ def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full", tags=()):
         return (ds(rho) / safe)[:, None] * pts
 
     return TestFunction(name, n, ev, gr, support=support,
-                        radial_breakpoints=breakpoints, tags=("radial",) + tags)
+                        radial_breakpoints=breakpoints, tags=("radial",) + tags,
+                        polar=(Fn1D(name, s, ds, breakpoints=breakpoints), (0,) * n))
 
 
 def _mono_gauss_member(name, n, exps, c):
-    """Member prod_j x_j^{e_j} * exp(-c |x|^2) with analytic gradient."""
+    """Member prod_j x_j^{e_j} * exp(-c |x|^2) with analytic gradient; in
+    polar form rho^k exp(-c rho^2) u^e with k = sum_j e_j."""
     exps = tuple(int(e) for e in exps)
+    k = sum(exps)
+    profile = Fn1D(name, lambda r: r ** k * np.exp(-c * r * r),
+                   lambda r: ((k * r ** (k - 1) if k else 0.0) - 2.0 * c * r ** (k + 1))
+                   * np.exp(-c * r * r))
 
     def _cols(pts):
         return [pts[:, j] ** e if e else None for j, e in enumerate(exps)]
@@ -278,8 +286,14 @@ def _mono_gauss_member(name, n, exps, c):
             out[:, j] = (dmono - 2.0 * c * pts[:, j] * mono) * damp
         return out
 
-    tags = ("angular",) if sum(exps) > 0 else ("radial",)
-    return TestFunction(name, n, ev, gr, tags=tags + ("poly_gauss",))
+    tags = ("angular",) if k > 0 else ("radial",)
+    return TestFunction(name, n, ev, gr, tags=tags + ("poly_gauss",),
+                        polar=(profile, exps))
+
+
+def _unit_exponents(n, axis):
+    """Exponents of the monomial u_axis."""
+    return tuple(int(j == axis) for j in range(n))
 
 
 def _bump_direction_member(name, n, r0, r1, w, axis=0):
@@ -301,9 +315,11 @@ def _bump_direction_member(name, n, r0, r1, w, axis=0):
         out -= (b * cosd / safe ** 2)[:, None] * pts
         return out
 
-    return TestFunction(name, n, ev, gr,
-                        radial_breakpoints=(r0 - w, r0, r1, r1 + w),
-                        tags=("mixed", "bump"))
+    knots = (r0 - w, r0, r1, r1 + w)
+    profile = Fn1D(name, lambda r: _bump(r, r0, r1, w, w),
+                   lambda r: _bump_deriv(r, r0, r1, w, w), breakpoints=knots)
+    return TestFunction(name, n, ev, gr, radial_breakpoints=knots,
+                        tags=("mixed", "bump"), polar=(profile, _unit_exponents(n, axis)))
 
 
 def _random_mixture_member(name, n, rng, terms=3, box=1.5):
@@ -337,8 +353,9 @@ def _linear_member(n, axis=0):
         out[:, axis] = 1.0
         return out
 
+    rho = Fn1D("rho", lambda r: r, np.ones_like, bounded=False)
     return TestFunction(f"linear_x{axis + 1}", n, ev, gr, bounded=False,
-                        tags=("linear",))
+                        tags=("linear",), polar=(rho, _unit_exponents(n, axis)))
 
 
 def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,

@@ -185,16 +185,25 @@ class TestFunction:
 
     ``eval_fn`` maps an (m, n) array of points to (m,) values and
     ``grad_fn`` to (m, n) gradients.  ``support`` is ``"full"``,
-    ``("outside_ball", R)`` or ``("inside_ball", R)``.  Construction runs a
-    finite-difference self-test of the gradient and checks the support
-    flag, so a corpus member with an inconsistent gradient never reaches
-    the inequality checkers.
+    ``("outside_ball", R)`` or ``("inside_ball", R)``.
+
+    ``polar = (s, e)`` declares that phi(x) = s(|x|) u^e with u = x / |x|:
+    ``s`` is a radial profile with ``s(rho)`` and ``s.deriv(rho)`` (an
+    :class:`~isofp.corpus.Fn1D`) and ``e`` a tuple of n exponents.
+    :func:`grid_moments` then reduces the member to moments of s on the
+    radial rule and of u^e on the angular rule.
+
+    Construction runs a finite-difference self-test of the gradient,
+    compares a declared s(rho) u^e and its gradient with ``eval_fn`` and
+    ``grad_fn``, and checks the support flag, so a corpus member with an
+    inconsistent gradient or factorisation never reaches the inequality
+    checkers.
     """
 
     __test__ = False  # not a pytest collection target
 
     def __init__(self, name, n, eval_fn, grad_fn, support="full", bounded=True,
-                 radial_breakpoints=(), tags=(), self_test=True):
+                 radial_breakpoints=(), tags=(), self_test=True, polar=None):
         self.name = name
         self.n = int(n)
         self._eval = eval_fn
@@ -203,6 +212,14 @@ class TestFunction:
         self.bounded = bool(bounded)
         self.radial_breakpoints = tuple(sorted(radial_breakpoints))
         self.tags = tuple(tags)
+        self.polar = None
+        if polar is not None:
+            s, exps = polar
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.n or min(exps) < 0:
+                raise ValueError(f"{name!r}: polar exponents {exps} are not {self.n} "
+                                 "nonnegative integers")
+            self.polar = (s, exps)
         if self_test:
             self._self_test()
 
@@ -249,6 +266,22 @@ class TestFunction:
             raise ValueError(
                 f"gradient self-test failed for {self.name!r}: fd mismatch {err:.2e}"
             )
+        if self.polar is not None:
+            # s(rho) u^e and its gradient are the member itself, to roundoff
+            s, exps = self.polar
+            rho = np.linalg.norm(pts, axis=1)
+            u = pts / rho[:, None]
+            a, grad_a = _sphere_monomial(u, exps)
+            s_vals = s(rho)
+            vals = s_vals * a
+            grads = (s.deriv(rho) * a)[:, None] * u + (s_vals / rho)[:, None] * grad_a
+            err = max(np.max(np.abs(vals - self(pts)) / np.maximum(1.0, np.abs(vals))),
+                      np.max(np.abs(grads - g) / scale))
+            if not err <= 1e-10:
+                raise ValueError(
+                    f"polar self-test failed for {self.name!r}: s(rho) u^{exps} "
+                    f"mismatch {err:.2e}"
+                )
         if isinstance(self.support, tuple) and self.support[0] == "outside_ball":
             R = self.support[1]
             inner = rng.uniform(-R, R, size=(64, self.n))
@@ -373,6 +406,19 @@ def _unit_tangent(theta, i):
     return out
 
 
+def _sphere_monomial(u, exps):
+    """The monomial a(u) = prod_j u_j^e_j at unit directions ``u`` (m, n),
+    and its surface gradient: the part of grad a tangent to the sphere."""
+    cols = [u[:, j] ** e for j, e in enumerate(exps)]
+    a = np.prod(cols, axis=0)
+    grad = np.zeros_like(u)
+    for j, e in enumerate(exps):
+        if e:
+            grad[:, j] = e * u[:, j] ** (e - 1) * np.prod(cols[:j] + cols[j + 1:], axis=0)
+    grad -= np.einsum("ij,ij->i", grad, u)[:, None] * u
+    return a, grad
+
+
 def build_grid(density, phis=(), extra_breakpoints=(), angular_order=32,
                radial_order=12, radial_levels=22):
     """Grid for ``density`` whose radial panels split at every knot of the
@@ -432,20 +478,34 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     without one they are nan and ().  ``affine = (u, H)`` evaluates phi and
     its gradient at x = u + H x* for every grid node x*.
 
-    The grid is walked in blocks of whole radial shells; each block's values
-    are reshaped to (radial, angular) and contracted with the radial and the
-    angular weights.  Values are shifted by their value at ``grid.anchor``,
-    whose block is taken first, and the block variances are merged by the
-    pairwise update of Chan, Golub & LeVeque (1983).  A member constant on
-    the nodes thus has zero data in every block and variance exactly 0.
+    A member that declares ``polar = (s, e)`` (phi = s(rho) a(u) with
+    a = u^e) and is not mapped by ``affine`` is never evaluated on the
+    grid.  With radial moments E_r on ``r_nodes`` and angular moments E_a
+    on ``unit``, and grad_S a the surface gradient of a:
+
+    - Var = Var_r[s] E_a[a^2] + E_r[s]^2 Var_a[a], each variance shifted at
+      its factor of ``grid.anchor`` (see :func:`shifted_variance`);
+    - E[w |grad phi|^2] = E_r[w s'^2] E_a[a^2] + E_r[w s^2 / rho^2] E_a[|grad_S a|^2];
+    - the radial part is E_r[w s'^2] E_a[a^2] and angular part i is
+      E_r[s^2] E_a[(grad_S a . d u / d theta_i)^2].
+
+    These are the grid's tensor sums, reordered.  Any other member is
+    walked over the grid in blocks of whole radial shells; each block's
+    values are reshaped to (radial, angular) and contracted with the radial
+    and the angular weights.  Values are shifted by their value at
+    ``grid.anchor``, whose block is taken first, and the block variances are
+    merged by the pairwise update of Chan, Golub & LeVeque (1983).  Either
+    way a member constant on the nodes has variance exactly 0.
     """
+    weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
+    if affine is None and getattr(phi, "polar", None) is not None:
+        return _polar_moments(grid, phi.polar, weights, split_weight)
     A = len(grid.ang_weights)
     step = max(1, _BLOCK_NODES // A)
     j_anchor = grid.anchor // A
     starts = sorted(range(0, len(grid.r_nodes), step),
                     key=lambda j0: not j0 <= j_anchor < j0 + step)
     ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
-    weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
     dirichlet = np.zeros(len(weights))
     radial, angular = 0.0, np.zeros(len(grid.tangents))
     shift = None
@@ -482,6 +542,33 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     if split_weight is None:
         radial, angular = math.nan, ()
     return GridMoments(m2, tuple(float(v) for v in dirichlet), radial,
+                       tuple(float(v) for v in angular))
+
+
+def _polar_moments(grid, polar, weights, split_weight):
+    """:func:`grid_moments` of s(rho) u^e from one radial and one angular
+    pass; ``weights`` holds the radial weights as rows."""
+    s_fn, exps = polar
+    r, p, ang_w = grid.r_nodes, grid.r_weights, grid.ang_weights
+    total = float(ang_w.sum())
+    j0, k0 = divmod(grid.anchor, len(ang_w))
+    s, ds = s_fn(r), s_fn.deriv(r)
+    a, grad_a = _sphere_monomial(grid.unit, exps)
+    a2 = float(ang_w @ (a * a))
+    # p_j ang_w_k is the node's probability weight; p * total and
+    # ang_w / total are the radial and angular probability weights
+    variance = (shifted_variance(p * total, s, j0) * a2 / total
+                + (total * float(p @ s)) ** 2 * shifted_variance(ang_w / total, a, k0))
+    # sum over the angular rule of |grad phi|^2 at each radius
+    g2 = ds * ds * a2 + (s / r) ** 2 * float(ang_w @ np.einsum("ij,ij->i", grad_a, grad_a))
+    dirichlet = weights @ (p * g2)
+    if split_weight is None:
+        radial, angular = math.nan, ()
+    else:
+        radial = float((p * split_weight) @ (ds * ds)) * a2
+        d_theta = np.einsum("an,ian->ia", grad_a, grid.tangents)
+        angular = float(p @ (s * s)) * ((d_theta * d_theta) @ ang_w)
+    return GridMoments(variance, tuple(float(v) for v in dirichlet), radial,
                        tuple(float(v) for v in angular))
 
 

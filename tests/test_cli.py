@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
+import isofp.cli as cli
 from isofp.cli import main, catalog_K, marginal_weight, reports_for_pair
-from isofp.densities import make_density, parse_density_spec
+from isofp.corpus import corpus_1d
+from isofp.densities import full_line_density, make_density, parse_density_spec
+from isofp.inequality import check_poincare_1d, summarize_reports
 
 
 TINY_CONFIG = {
@@ -201,3 +206,39 @@ class TestHelpers:
         d = make_density("cauchy_type", {"beta": 2.0}, 2)
         out = reports_for_pair(d, "refined_outside_ball", 1, 1e-6)
         assert isinstance(out, str) and "unsatisfiable" in out
+
+
+class TestLineEntries:
+    """The 1-D check of an isotropic n = 1 entry runs on the whole line with
+    the weight K(|x|)."""
+
+    SPEC = "exponential:beta=1,n=1"
+
+    def test_exponential_passes(self):
+        # the signed weight (1 + x) / beta is negative for x < -1
+        reports = reports_for_pair(parse_density_spec(self.SPEC), "poincare_1d", 2024, 1e-6)
+        s = summarize_reports(reports)
+        assert s["total"] == 41 and s["passed"] == 41
+
+    def test_exponential_fails_under_shrunk_weight(self, monkeypatch):
+        d = parse_density_spec(self.SPEC)
+        base = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
+        real = cli.catalog_K
+        monkeypatch.setattr(cli, "catalog_K", lambda d: dataclasses.replace(
+            real(d), fn=lambda r, fn=real(d).fn: 1e-3 * fn(r)))
+        shrunk = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
+        assert summarize_reports(shrunk)["failed"] > 0
+        ok = [(a, b) for a, b in zip(base, shrunk) if a.status == b.status == "ok"]
+        assert len(ok) >= 5
+        for a, b in ok:
+            assert abs(b.ratio - 1e3 * a.ratio) <= 1e-12 * b.ratio, a.witness
+
+    @pytest.mark.parametrize("spec", ["gaussian:sigma=1,n=1", "cauchy:beta=4,n=1"])
+    def test_even_weights_unchanged(self, spec):
+        # K is even for these entries, so K(|x|) changes no report
+        d = parse_density_spec(spec)
+        f = full_line_density(d)
+        corpus = corpus_1d(f.support, seed=2024, include_linear=d.kind == "gaussian")
+        signed = check_poincare_1d(f, catalog_K(d), corpus)
+        got = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
+        assert [dataclasses.asdict(r) for r in got] == [dataclasses.asdict(r) for r in signed]

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from isofp.densities import make_density, radial_marginal
+from isofp.corpus import Fn1D, corpus_nd, corpus_outside_ball
+from isofp.densities import closed_form_weight, make_density, radial_marginal
+import isofp.inequality as inequality
 import isofp.quadrature as quadrature
+from isofp.inequality import check_refined_outside_ball
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
@@ -17,7 +20,13 @@ from isofp.quadrature import (
     integrate_interval,
     interval_rule,
 )
-from isofp.weights import WeightFunction
+from isofp.weights import (
+    WeightFunction,
+    composite_Wstar,
+    critical_tail_radius,
+    hybrid_weight,
+    optimal_cauchy_weight,
+)
 
 
 def const_weight(c, hi=math.inf):
@@ -380,3 +389,151 @@ class TestSplit:
         radial, angular = grid_split(d, phi, w, grid=grid)
         full = grid_dirichlet(d, composite_Wstar(d, w), phi, grid=grid)
         assert radial + angular <= full * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Polar-separable members
+# ---------------------------------------------------------------------------
+
+
+def polar_families(n, R):
+    """One member of every polar family: the radial profiles in |x|^2 and
+    |x|, the radial bumps, monomials times a Gaussian, bump x u_k, the
+    linear members and the tail bumps, tail directions and tail mixtures."""
+    nd = list(corpus_nd(n, seed=2024, include_linear=True))
+    tail = list(corpus_outside_ball(n, R, seed=2024))
+    picks = ["exp_u", "cos_u_damped", "rho3_gauss", "bump[0,0.6]w0.5",
+             "bump[0.8,1.2]w0.4", "x100_c1", "x300_c0.25", "x110_c0.5",
+             "x020_c1", "bump_dir2", "linear_x1", "linear_x2"]
+    if n >= 3:
+        picks += ["x111_c1", "x001_c0.5"]
+    members = [m for m in nd if m.name in picks]
+    members += [m for m in tail if m.name in ("tail_bump3", "tail_dir4", "tail_random1")]
+    assert len(members) == len(picks) + 3
+    return members
+
+
+def stripped(phi):
+    """The same member without its factors: grid_moments walks the grid."""
+    return TestFunction(phi.name, phi.n, phi, phi.grad, self_test=False)
+
+
+def checker_grid(kind, n):
+    """The grid, radial weights and split weight of one isotropic checker
+    for cauchy beta = 4 (see :mod:`isofp.inequality`)."""
+    d = make_density("cauchy_type", {"beta": 4.0}, n)
+    w, K = optimal_cauchy_weight(4.0, n), closed_form_weight(d)
+    R = critical_tail_radius(d, K)
+    if kind == "Wstar":
+        W = composite_Wstar(d, w)
+        corpus, weights, split, bp = corpus_nd(n, seed=2024), [W, w], w, W.breakpoints
+    elif kind == "refined":
+        corpus, weights, split = corpus_outside_ball(n, R, seed=2024), [K], K
+        bp = (R, *K.breakpoints)
+    else:
+        W = hybrid_weight(d, w, K, R)
+        corpus, weights, split, bp = corpus_nd(n, seed=2024), [W], W, W.breakpoints
+    grid = build_grid(d, corpus, extra_breakpoints=bp)
+    return (grid, [grid.radial_values(v) for v in weights], grid.radial_values(split), R)
+
+
+class TestPolarMoments:
+    """Members that declare phi = s(rho) u^e take one radial and one
+    angular moment; the block walk over the grid is their oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["Wstar", "refined", "hybrid"])
+    def test_matches_block_walk(self, kind, n):
+        grid, weights, split, R = checker_grid(kind, n)
+        for phi in polar_families(n, R):
+            got = grid_moments(grid, phi, weights, split_weight=split)
+            want = grid_moments(grid, stripped(phi), weights, split_weight=split)
+            assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
+            for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
+                assert abs(x - y) <= 1e-12 * y, phi.name
+            assert abs(got.radial - want.radial) <= 1e-12 * want.radial, phi.name
+            total = want.radial + sum(want.angular)
+            assert len(got.angular) == n - 1
+            for x, y in zip(got.angular, want.angular, strict=True):
+                assert abs(x - y) <= 1e-12 * total, phi.name
+
+    def test_n1_two_directions(self):
+        # u = +-1: odd monomials flip sign, even ones are constant
+        d = make_density("gaussian", {"sigma": 1.0}, 1)
+        members = [m for m in corpus_nd(1, seed=2024, include_linear=True) if m.polar]
+        grid = build_grid(d, members)
+        w = [grid.radial_values(lambda r: 1.0 + r)]
+        for phi in members:
+            got = grid_moments(grid, phi, w, split_weight=w[0])
+            want = grid_moments(grid, stripped(phi), w, split_weight=w[0])
+            assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
+            assert abs(got.dirichlet[0] - want.dirichlet[0]) <= 1e-12 * want.dirichlet[0]
+            assert abs(got.radial - want.radial) <= 1e-12 * want.radial
+            assert got.angular == want.angular == ()
+
+    def test_affine_map_walks_the_grid(self):
+        d = make_density("gaussian", {"sigma": 1.0}, 2)
+        phi = [m for m in corpus_nd(2, seed=1, include_linear=True) if m.name == "linear_x1"][0]
+        grid = build_grid(d, [phi])
+        H = np.array([[2.0, 1.0], [0.0, 0.5]])
+        m = grid_moments(grid, phi, [np.ones_like(grid.r_nodes)],
+                         affine=(np.array([3.0, -1.0]), H))
+        assert abs(m.variance - 5.0) < 1e-10
+
+    def test_wrong_profile_is_caught(self):
+        # x_1 declared as rho^2 u_1 instead of rho u_1
+        lin = linear_test_function(2)
+        rho2 = Fn1D("rho2", lambda r: r * r, lambda r: 2.0 * r)
+        with pytest.raises(ValueError, match="polar self-test"):
+            TestFunction("bad_profile", 2, lin, lin.grad, polar=(rho2, (1, 0)))
+        rho = Fn1D("rho", lambda r: r, np.ones_like)
+        TestFunction("good", 2, lin, lin.grad, polar=(rho, (1, 0)))
+
+    def test_wrong_exponents_are_caught(self):
+        lin = linear_test_function(3)
+        rho = Fn1D("rho", lambda r: r, np.ones_like)
+        with pytest.raises(ValueError, match="polar self-test"):
+            TestFunction("bad_axis", 3, lin, lin.grad, polar=(rho, (0, 1, 0)))
+        with pytest.raises(ValueError, match="polar self-test"):
+            TestFunction("bad_degree", 3, lin, lin.grad, polar=(rho, (2, 0, 0)))
+        with pytest.raises(ValueError, match="exponents"):
+            TestFunction("bad_length", 3, lin, lin.grad, polar=(rho, (1, 0)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_profile_vanishes_at_the_origin(self, n):
+        # E_r[w s^2 / rho^2] needs s = O(rho) wherever u^e is not constant
+        members = (list(corpus_nd(n, seed=2024, include_linear=True))
+                   + list(corpus_outside_ball(n, 2.0, seed=2024)))
+        angular = [m for m in members if m.polar and any(m.polar[1])]
+        assert len(angular) >= 20
+        for phi in angular:
+            s = phi.polar[0]
+            assert abs(float(s(1e-8))) / 1e-8 <= 1.0 + 1e-12, phi.name
+
+    def test_refined_check_never_reaches_the_grid(self, monkeypatch):
+        d = make_density("gaussian", {"sigma": 1.0}, 3)
+        K = closed_form_weight(d)
+        corpus = corpus_outside_ball(3, 2.0, seed=5)
+        assert all(m.polar for m in corpus)
+        sizes, grids = [], []
+        real_build = inequality.build_grid
+
+        def build(*args, **kw):
+            grids.append(real_build(*args, **kw))
+            return grids[-1]
+
+        def counting(method):
+            def wrapper(self, x):
+                sizes.append(np.size(x, 0) if np.ndim(x) == 2 else np.size(x))
+                return method(self, x)
+            return wrapper
+
+        monkeypatch.setattr(inequality, "build_grid", build)
+        for cls, names in ((TestFunction, ("__call__", "grad")), (Fn1D, ("__call__", "deriv"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+        reports = check_refined_outside_ball(d, K, 2.0, corpus)
+        assert len(reports) == len(corpus) and all(r.passed for r in reports)
+        (grid,) = grids
+        largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
+        assert sizes and max(sizes) <= largest < len(grid.points)
