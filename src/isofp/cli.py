@@ -169,19 +169,27 @@ def _quadrature_weight_column(d, rho):
     return wmod.weight_from_density(d, rho)
 
 
+WEIGHT_HEADER = ["rho", "K_closed", "K_quadrature", "rel_err", "density"]
+
+
+def _weight_rows(d, rho):
+    """CSV rows comparing the catalog K with the quadrature weight on
+    ``rho``; rel_err is the absolute error where K_closed is 0."""
+    lbl = density_label(d)
+    rows = []
+    for r, kc, kq in zip(rho, catalog_K(d)(rho), _quadrature_weight_column(d, rho)):
+        rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
+        rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}", lbl])
+    return rows
+
+
 def cmd_weights(args):
     d = parse_density_spec(args.density)
-    K_closed = catalog_K(d)
     i_plus = d.support_radius
     hi = i_plus if np.isfinite(i_plus) else 6.0
-    rho = np.linspace(hi * 0.01, hi * 0.99, args.points)
-    rows = []
-    for r, kc, kq in zip(rho, K_closed(rho), _quadrature_weight_column(d, rho)):
-        rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
-        rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}",
-                     density_label(d)])
+    rows = _weight_rows(d, np.linspace(hi * 0.01, hi * 0.99, args.points))
     out = Path(args.out) / f"weights_{_slug(density_label(d))}.csv"
-    _write_csv(out, ["rho", "K_closed", "K_quadrature", "rel_err", "density"], rows)
+    _write_csv(out, WEIGHT_HEADER, rows)
     worst = max(float(r[3]) for r in rows)
     print(f"wrote {out} (max rel err {worst:.3e})")
     return 0 if worst < 1e-6 else 1
@@ -324,6 +332,10 @@ def run_evolution(d, cells=400, t_final=10.0, dt=1e-3, eps=0.1,
     return solver, trace
 
 
+TRACE_HEADER = ["t", "theta_chi2", "theta_entropy", "hellinger2",
+                "I_theta_chi2", "I_theta_entropy", "mass", "l1_dist"]
+
+
 def trace_rows(trace):
     rows = []
     for k in range(len(trace)):
@@ -343,10 +355,7 @@ def cmd_evolve(args):
                                   perturbation=args.perturbation)
     lbl = density_label(d)
     out_dir = Path(args.out)
-    _write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
-               ["t", "theta_chi2", "theta_entropy", "hellinger2",
-                "I_theta_chi2", "I_theta_entropy", "mass", "l1_dist"],
-               trace_rows(trace))
+    _write_csv(out_dir / f"trace_{_slug(lbl)}.csv", TRACE_HEADER, trace_rows(trace))
     c = _rate_constant_c(d)
     summary = {
         "density": lbl, "cells": args.cells, "dt": args.dt,
@@ -395,19 +404,13 @@ def run_experiment(config, out_dir):
     growth_stats = []
     for d in densities:
         lbl = density_label(d)
-        K = catalog_K(d)
         hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
-        rho = np.linspace(hi * 0.02, hi * 0.98, 25)
-        rows = []
-        for r, kc, kq in zip(rho, K(rho), _quadrature_weight_column(d, rho)):
-            rel = abs(kq - kc) / abs(kc) if kc else 0.0
-            rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}",
-                         f"{rel:.3e}", lbl])
+        rows = _weight_rows(d, np.linspace(hi * 0.02, hi * 0.98, 25))
         files.append(_write_csv(out_dir / f"weights_{_slug(lbl)}.csv",
-                                ["rho", "K_closed", "K_quadrature", "rel_err",
-                                 "density"], rows))
+                                WEIGHT_HEADER, rows))
         if not np.isfinite(d.support_radius) and d.kind != "inverse_gamma_1d":
             # log-log growth exponent of K at large radius (conjectured in [0, 2])
+            K = catalog_K(d)
             r1, r2 = 20.0, 40.0
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
             growth_stats.append({"density": lbl, "exponent": p})
@@ -470,10 +473,8 @@ def run_experiment(config, out_dir):
             eps=float(solver_cfg.get("eps", 0.1)),
             perturbation=solver_cfg.get("perturbation", "cosine"),
             tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
-        files.append(_write_csv(
-            out_dir / f"trace_{_slug(lbl)}.csv",
-            ["t", "theta_chi2", "theta_entropy", "hellinger2", "I_theta_chi2",
-             "I_theta_entropy", "mass", "l1_dist"], trace_rows(trace)))
+        files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
+                                TRACE_HEADER, trace_rows(trace)))
         c = _rate_constant_c(d)
         payload = {"density": lbl, "fitted_chi2_rate": trace.fitted_rate,
                    "rate_bound_2_over_c": 2.0 / c if c else None,

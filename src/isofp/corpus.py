@@ -15,10 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import TestFunction
+from .quadrature import TestFunction, _sphere_monomial
 
 __all__ = [
     "Fn1D",
+    "PolarMember",
     "SeparableMember",
     "TestCorpus",
     "corpus_1d",
@@ -91,10 +92,6 @@ class Fn1D:
         return np.asarray(self.df(np.asarray(x, dtype=float)))
 
 
-def _fn(name, f, df, **kw):
-    return Fn1D(name, f, df, **kw)
-
-
 def corpus_1d(support, seed=0, include_linear=False, size_random=14):
     """Test functions adapted to a 1-D support (a, b); ends may be infinite.
 
@@ -118,7 +115,7 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
     for d in range(4):
         for c0 in centers:
             cc = 1.0 / (2.0 * width ** 2)
-            members.append(_fn(
+            members.append(Fn1D(
                 f"poly{d}_gauss@{c0:.3g}",
                 lambda x, d=d, c0=c0, cc=cc: (x - c0) ** d * np.exp(-cc * (x - c0) ** 2),
                 lambda x, d=d, c0=c0, cc=cc: ((d * (x - c0) ** (d - 1) if d else 0.0)
@@ -133,7 +130,7 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
         return 4.0 * e / (1.0 + e) ** 2
 
     for c0 in centers:
-        members.append(_fn(
+        members.append(Fn1D(
             f"tanh@{c0:.3g}",
             lambda x, c0=c0, w=width: np.tanh((x - c0) / w),
             lambda x, c0=c0, w=width: _sech2((x - c0) / w) / w,
@@ -143,7 +140,7 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
     # oscillatory-damped members
     for k in (1.0, 2.0, 3.0):
         c0 = centers[0]
-        members.append(_fn(
+        members.append(Fn1D(
             f"cos{k:g}_damped",
             lambda x, k=k, c0=c0, w=width: np.cos(k * (x - c0) / w) * np.exp(-((x - c0) / (2 * w)) ** 2),
             lambda x, k=k, c0=c0, w=width: (-(k / w) * np.sin(k * (x - c0) / w)
@@ -157,7 +154,7 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
         for rel in (0.5, 1.0, 1.6):
             w = width * rel
             r0, r1 = c0 - 0.3 * w, c0 + 0.3 * w
-            members.append(_fn(
+            members.append(Fn1D(
                 f"bump@{c0:.3g}x{rel:g}",
                 lambda x, r0=r0, r1=r1, w=w: _bump(x, r0, r1, w, w),
                 lambda x, r0=r0, r1=r1, w=w: _bump_deriv(x, r0, r1, w, w),
@@ -180,12 +177,12 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
             x = np.asarray(x, dtype=float)[..., None]
             return np.sum(-2.0 * amps * bs * (x - cs) * np.exp(-bs * (x - cs) ** 2), axis=-1)
 
-        members.append(_fn(f"random{j}", f, df, tags=("random",)))
+        members.append(Fn1D(f"random{j}", f, df, tags=("random",)))
 
     if include_linear:
-        members.append(_fn("linear", lambda x: np.asarray(x, dtype=float),
-                           lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                           bounded=False, tags=("linear",)))
+        members.append(Fn1D("linear", lambda x: np.asarray(x, dtype=float),
+                            lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                            bounded=False, tags=("linear",)))
     return members
 
 
@@ -209,86 +206,82 @@ class TestCorpus:
         return len(self.members)
 
 
-def _radial_u_member(name, n, sigma, dsigma, bounded=True, tags=()):
+class PolarMember(TestFunction):
+    """phi(x) = s(rho) u^e with rho = |x| and u = x / |x|: a radial profile
+    ``s`` (an :class:`Fn1D`, whose breakpoints are the member's radial
+    knots) times the monomial u^e of the direction, for a tuple ``exps`` of
+    n nonnegative exponents.
+
+    Values and gradients come from (s, e) alone: phi = s(rho) u^e and
+    grad phi = s'(rho) u^e u + (s(rho) / rho) grad_S u^e, where grad_S is
+    the surface gradient on the unit sphere.  Where u^e is not constant
+    the profile must vanish at the origin (s = O(rho)); at x = 0 the
+    direction reads 0 and s / rho its limit s'(0), so grad phi(0) is
+    s'(0) e_k for s(rho) u_k and 0 for every other member.
+
+    ``polar = (s, e)`` lets :func:`~isofp.quadrature.grid_moments` reduce
+    the member to moments of s on the radial rule and of u^e on the
+    angular rule, without evaluating it on the grid.
+    """
+
+    def __init__(self, name, n, s, exps, support="full", bounded=True, tags=()):
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != int(n) or min(exps) < 0:
+            raise ValueError(f"{name!r}: polar exponents {exps} are not {n} "
+                             "nonnegative integers")
+        self.polar = (s, exps)
+        super().__init__(name, n, self._eval_points, self._grad_points,
+                         support=support, bounded=bounded,
+                         radial_breakpoints=s.breakpoints, tags=tags)
+
+    @staticmethod
+    def _radius(pts):
+        """|x|, and |x| with 0 read as 1 for dividing by."""
+        rho = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return rho, np.where(rho == 0.0, 1.0, rho)
+
+    def _eval_points(self, pts):
+        s, exps = self.polar
+        rho, safe = self._radius(pts)
+        vals = s(rho)
+        if any(exps):
+            vals = vals * _sphere_monomial(pts / safe[:, None], exps, gradient=False)
+        return vals
+
+    def _grad_points(self, pts):
+        s, exps = self.polar
+        rho, safe = self._radius(pts)
+        ds = s.deriv(rho)
+        if not any(exps):  # a = 1 and grad_S a = 0
+            return (ds / safe)[:, None] * pts
+        u = pts / safe[:, None]
+        a, grad = _sphere_monomial(u, exps)
+        grad *= np.where(rho == 0.0, ds, s(rho) / safe)[:, None]
+        u *= (ds * a)[:, None]
+        return np.add(grad, u, out=grad)
+
+
+def _radial_u_member(name, n, sigma, dsigma):
     """Member phi(x) = sigma(|x|^2); gradient 2 sigma'(|x|^2) x is smooth."""
     profile = Fn1D(name, lambda r: sigma(r * r), lambda r: 2.0 * r * dsigma(r * r))
-
-    def ev(pts):
-        u = np.einsum("ij,ij->i", pts, pts)
-        return sigma(u)
-
-    def gr(pts):
-        u = np.einsum("ij,ij->i", pts, pts)
-        return 2.0 * dsigma(u)[:, None] * pts
-
-    return TestFunction(name, n, ev, gr, bounded=bounded, tags=("radial",) + tags,
-                        polar=(profile, (0,) * n))
+    return PolarMember(name, n, profile, (0,) * n, tags=("radial",))
 
 
 def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full", tags=()):
     """Member phi(x) = s(|x|) for profiles with s'(0) = 0 (or support away from 0)."""
-
-    def ev(pts):
-        return s(np.linalg.norm(pts, axis=1))
-
-    def gr(pts):
-        rho = np.linalg.norm(pts, axis=1)
-        safe = np.where(rho == 0.0, 1.0, rho)
-        return (ds(rho) / safe)[:, None] * pts
-
-    return TestFunction(name, n, ev, gr, support=support,
-                        radial_breakpoints=breakpoints, tags=("radial",) + tags,
-                        polar=(Fn1D(name, s, ds, breakpoints=breakpoints), (0,) * n))
+    return PolarMember(name, n, Fn1D(name, s, ds, breakpoints=breakpoints), (0,) * n,
+                       support=support, tags=("radial",) + tags)
 
 
 def _mono_gauss_member(name, n, exps, c):
-    """Member prod_j x_j^{e_j} * exp(-c |x|^2) with analytic gradient; in
-    polar form rho^k exp(-c rho^2) u^e with k = sum_j e_j."""
-    exps = tuple(int(e) for e in exps)
+    """Member prod_j x_j^{e_j} * exp(-c |x|^2), in polar form
+    rho^k exp(-c rho^2) u^e with k = sum_j e_j."""
     k = sum(exps)
     profile = Fn1D(name, lambda r: r ** k * np.exp(-c * r * r),
                    lambda r: ((k * r ** (k - 1) if k else 0.0) - 2.0 * c * r ** (k + 1))
                    * np.exp(-c * r * r))
-
-    def _cols(pts):
-        return [pts[:, j] ** e if e else None for j, e in enumerate(exps)]
-
-    def _mono(cols, m):
-        out = np.ones(m)
-        for col in cols:
-            if col is not None:
-                out = out * col
-        return out
-
-    def ev(pts):
-        u = np.einsum("ij,ij->i", pts, pts)
-        return _mono(_cols(pts), len(pts)) * np.exp(-c * u)
-
-    def gr(pts):
-        m = len(pts)
-        u = np.einsum("ij,ij->i", pts, pts)
-        damp = np.exp(-c * u)
-        cols = _cols(pts)
-        k = len(exps)
-        prefix = [np.ones(m)]
-        for col in cols:
-            prefix.append(prefix[-1] * col if col is not None else prefix[-1])
-        suffix = [np.ones(m)] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * cols[j] if cols[j] is not None else suffix[j + 1]
-        mono = prefix[-1]
-        out = np.empty_like(pts)
-        for j, e in enumerate(exps):
-            if e == 0:
-                dmono = 0.0
-            else:
-                dmono = e * pts[:, j] ** (e - 1) * prefix[j] * suffix[j + 1]
-            out[:, j] = (dmono - 2.0 * c * pts[:, j] * mono) * damp
-        return out
-
     tags = ("angular",) if k > 0 else ("radial",)
-    return TestFunction(name, n, ev, gr, tags=tags + ("poly_gauss",),
-                        polar=(profile, exps))
+    return PolarMember(name, n, profile, exps, tags=tags + ("poly_gauss",))
 
 
 def _unit_exponents(n, axis):
@@ -296,30 +289,13 @@ def _unit_exponents(n, axis):
     return tuple(int(j == axis) for j in range(n))
 
 
-def _bump_direction_member(name, n, r0, r1, w, axis=0):
+def _bump_direction_member(name, n, r0, r1, w, axis=0, support="full"):
     """bump(|x|) * x_axis / |x|; the bump support stays away from the origin."""
-
-    def ev(pts):
-        rho = np.linalg.norm(pts, axis=1)
-        safe = np.where(rho == 0.0, 1.0, rho)
-        return _bump(rho, r0, r1, w, w) * pts[:, axis] / safe
-
-    def gr(pts):
-        rho = np.linalg.norm(pts, axis=1)
-        safe = np.where(rho == 0.0, 1.0, rho)
-        b = _bump(rho, r0, r1, w, w)
-        db = _bump_deriv(rho, r0, r1, w, w)
-        cosd = pts[:, axis] / safe
-        out = (db * cosd / safe)[:, None] * pts
-        out[:, axis] += b / safe
-        out -= (b * cosd / safe ** 2)[:, None] * pts
-        return out
-
-    knots = (r0 - w, r0, r1, r1 + w)
     profile = Fn1D(name, lambda r: _bump(r, r0, r1, w, w),
-                   lambda r: _bump_deriv(r, r0, r1, w, w), breakpoints=knots)
-    return TestFunction(name, n, ev, gr, radial_breakpoints=knots,
-                        tags=("mixed", "bump"), polar=(profile, _unit_exponents(n, axis)))
+                   lambda r: _bump_deriv(r, r0, r1, w, w),
+                   breakpoints=(r0 - w, r0, r1, r1 + w))
+    return PolarMember(name, n, profile, _unit_exponents(n, axis), support=support,
+                       tags=("mixed", "bump"))
 
 
 def _random_mixture_member(name, n, rng, terms=3, box=1.5):
@@ -345,17 +321,9 @@ def _random_mixture_member(name, n, rng, terms=3, box=1.5):
 
 
 def _linear_member(n, axis=0):
-    def ev(pts):
-        return pts[:, axis].copy()
-
-    def gr(pts):
-        out = np.zeros_like(pts)
-        out[:, axis] = 1.0
-        return out
-
     rho = Fn1D("rho", lambda r: r, np.ones_like, bounded=False)
-    return TestFunction(f"linear_x{axis + 1}", n, ev, gr, bounded=False,
-                        tags=("linear",), polar=(rho, _unit_exponents(n, axis)))
+    return PolarMember(f"linear_x{axis + 1}", n, rho, _unit_exponents(n, axis),
+                       bounded=False, tags=("linear",))
 
 
 def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,
@@ -481,9 +449,8 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
             support=("outside_ball", R), tags=("bump", "tail"),
         ))
         if n >= 2 and idx % 2 == 0:
-            m = _bump_direction_member(f"tail_dir{idx}", n, r0, r1, min(wu, wd))
-            m.support = ("outside_ball", R)
-            members.append(m)
+            members.append(_bump_direction_member(f"tail_dir{idx}", n, r0, r1, min(wu, wd),
+                                                  support=("outside_ball", R)))
 
     # random radial mixtures of lattice bumps
     for j in range(count_random):

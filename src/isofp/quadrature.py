@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -185,25 +187,19 @@ class TestFunction:
 
     ``eval_fn`` maps an (m, n) array of points to (m,) values and
     ``grad_fn`` to (m, n) gradients.  ``support`` is ``"full"``,
-    ``("outside_ball", R)`` or ``("inside_ball", R)``.
+    ``("outside_ball", R)`` or ``("inside_ball", R)``.  ``polar`` is None
+    here; :class:`~isofp.corpus.PolarMember` sets it to (s, e).
 
-    ``polar = (s, e)`` declares that phi(x) = s(|x|) u^e with u = x / |x|:
-    ``s`` is a radial profile with ``s(rho)`` and ``s.deriv(rho)`` (an
-    :class:`~isofp.corpus.Fn1D`) and ``e`` a tuple of n exponents.
-    :func:`grid_moments` then reduces the member to moments of s on the
-    radial rule and of u^e on the angular rule.
-
-    Construction runs a finite-difference self-test of the gradient,
-    compares a declared s(rho) u^e and its gradient with ``eval_fn`` and
-    ``grad_fn``, and checks the support flag, so a corpus member with an
-    inconsistent gradient or factorisation never reaches the inequality
-    checkers.
+    Construction runs a finite-difference self-test of the gradient and
+    checks the support flag, so a corpus member with an inconsistent
+    gradient never reaches the inequality checkers.
     """
 
     __test__ = False  # not a pytest collection target
+    polar = None
 
     def __init__(self, name, n, eval_fn, grad_fn, support="full", bounded=True,
-                 radial_breakpoints=(), tags=(), self_test=True, polar=None):
+                 radial_breakpoints=(), tags=(), self_test=True):
         self.name = name
         self.n = int(n)
         self._eval = eval_fn
@@ -212,14 +208,6 @@ class TestFunction:
         self.bounded = bool(bounded)
         self.radial_breakpoints = tuple(sorted(radial_breakpoints))
         self.tags = tuple(tags)
-        self.polar = None
-        if polar is not None:
-            s, exps = polar
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.n or min(exps) < 0:
-                raise ValueError(f"{name!r}: polar exponents {exps} are not {self.n} "
-                                 "nonnegative integers")
-            self.polar = (s, exps)
         if self_test:
             self._self_test()
 
@@ -266,22 +254,6 @@ class TestFunction:
             raise ValueError(
                 f"gradient self-test failed for {self.name!r}: fd mismatch {err:.2e}"
             )
-        if self.polar is not None:
-            # s(rho) u^e and its gradient are the member itself, to roundoff
-            s, exps = self.polar
-            rho = np.linalg.norm(pts, axis=1)
-            u = pts / rho[:, None]
-            a, grad_a = _sphere_monomial(u, exps)
-            s_vals = s(rho)
-            vals = s_vals * a
-            grads = (s.deriv(rho) * a)[:, None] * u + (s_vals / rho)[:, None] * grad_a
-            err = max(np.max(np.abs(vals - self(pts)) / np.maximum(1.0, np.abs(vals))),
-                      np.max(np.abs(grads - g) / scale))
-            if not err <= 1e-10:
-                raise ValueError(
-                    f"polar self-test failed for {self.name!r}: s(rho) u^{exps} "
-                    f"mismatch {err:.2e}"
-                )
         if isinstance(self.support, tuple) and self.support[0] == "outside_ball":
             R = self.support[1]
             inner = rng.uniform(-R, R, size=(64, self.n))
@@ -406,15 +378,21 @@ def _unit_tangent(theta, i):
     return out
 
 
-def _sphere_monomial(u, exps):
+def _sphere_monomial(u, exps, gradient=True):
     """The monomial a(u) = prod_j u_j^e_j at unit directions ``u`` (m, n),
-    and its surface gradient: the part of grad a tangent to the sphere."""
-    cols = [u[:, j] ** e for j, e in enumerate(exps)]
-    a = np.prod(cols, axis=0)
+    and with ``gradient`` also its surface gradient: the part of grad a
+    tangent to the sphere.  Factors with e_j = 0 are 1 and are left out of
+    every product."""
+    cols = {j: u[:, j] ** e for j, e in enumerate(exps) if e}
+    a = reduce(mul, cols.values()) if cols else np.ones(len(u))
+    if not gradient:
+        return a
     grad = np.zeros_like(u)
-    for j, e in enumerate(exps):
-        if e:
-            grad[:, j] = e * u[:, j] ** (e - 1) * np.prod(cols[:j] + cols[j + 1:], axis=0)
+    for j in cols:
+        others = [c for i, c in cols.items() if i != j]
+        d_others = reduce(mul, others) if others else 1.0
+        e = exps[j]
+        grad[:, j] = d_others if e == 1 else e * u[:, j] ** (e - 1) * d_others
     grad -= np.einsum("ij,ij->i", grad, u)[:, None] * u
     return a, grad
 
@@ -478,9 +456,9 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     without one they are nan and ().  ``affine = (u, H)`` evaluates phi and
     its gradient at x = u + H x* for every grid node x*.
 
-    A member that declares ``polar = (s, e)`` (phi = s(rho) a(u) with
-    a = u^e) and is not mapped by ``affine`` is never evaluated on the
-    grid.  With radial moments E_r on ``r_nodes`` and angular moments E_a
+    A member whose ``polar`` is (s, e), so phi = s(rho) a(u) with a = u^e
+    (a :class:`~isofp.corpus.PolarMember`), and that is not mapped by
+    ``affine`` is never evaluated on the grid.  With radial moments E_r on ``r_nodes`` and angular moments E_a
     on ``unit``, and grad_S a the surface gradient of a:
 
     - Var = Var_r[s] E_a[a^2] + E_r[s]^2 Var_a[a], each variance shifted at
@@ -498,7 +476,7 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     way a member constant on the nodes has variance exactly 0.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
-    if affine is None and getattr(phi, "polar", None) is not None:
+    if affine is None and phi.polar is not None:
         return _polar_moments(grid, phi.polar, weights, split_weight)
     A = len(grid.ang_weights)
     step = max(1, _BLOCK_NODES // A)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isofp.corpus import Fn1D, corpus_nd, corpus_outside_ball
+from isofp.corpus import (
+    Fn1D,
+    PolarMember,
+    _bump,
+    _bump_deriv,
+    corpus_nd,
+    corpus_outside_ball,
+)
 from isofp.densities import closed_form_weight, make_density, radial_marginal
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
@@ -480,25 +487,6 @@ class TestPolarMoments:
                          affine=(np.array([3.0, -1.0]), H))
         assert abs(m.variance - 5.0) < 1e-10
 
-    def test_wrong_profile_is_caught(self):
-        # x_1 declared as rho^2 u_1 instead of rho u_1
-        lin = linear_test_function(2)
-        rho2 = Fn1D("rho2", lambda r: r * r, lambda r: 2.0 * r)
-        with pytest.raises(ValueError, match="polar self-test"):
-            TestFunction("bad_profile", 2, lin, lin.grad, polar=(rho2, (1, 0)))
-        rho = Fn1D("rho", lambda r: r, np.ones_like)
-        TestFunction("good", 2, lin, lin.grad, polar=(rho, (1, 0)))
-
-    def test_wrong_exponents_are_caught(self):
-        lin = linear_test_function(3)
-        rho = Fn1D("rho", lambda r: r, np.ones_like)
-        with pytest.raises(ValueError, match="polar self-test"):
-            TestFunction("bad_axis", 3, lin, lin.grad, polar=(rho, (0, 1, 0)))
-        with pytest.raises(ValueError, match="polar self-test"):
-            TestFunction("bad_degree", 3, lin, lin.grad, polar=(rho, (2, 0, 0)))
-        with pytest.raises(ValueError, match="exponents"):
-            TestFunction("bad_length", 3, lin, lin.grad, polar=(rho, (1, 0)))
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_profile_vanishes_at_the_origin(self, n):
         # E_r[w s^2 / rho^2] needs s = O(rho) wherever u^e is not constant
@@ -537,3 +525,168 @@ class TestPolarMoments:
         (grid,) = grids
         largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
         assert sizes and max(sizes) <= largest < len(grid.points)
+
+
+# ---------------------------------------------------------------------------
+# Polar members against their Cartesian formulas
+# ---------------------------------------------------------------------------
+
+
+def _cartesian_mono_gauss(exps, c):
+    """prod_j x_j^e_j exp(-c |x|^2) and its gradient, coordinate by coordinate."""
+    exps = np.asarray(exps)
+
+    def ev(x):
+        return np.prod(x ** exps, axis=1) * np.exp(-c * np.sum(x * x, axis=1))
+
+    def gr(x):
+        damp = np.exp(-c * np.sum(x * x, axis=1))
+        mono = np.prod(x ** exps, axis=1)
+        out = np.empty_like(x)
+        for j, e in enumerate(exps):
+            others = np.prod(np.delete(x, j, axis=1) ** np.delete(exps, j), axis=1)
+            dmono = e * x[:, j] ** (e - 1) * others if e else 0.0
+            out[:, j] = (dmono - 2.0 * c * x[:, j] * mono) * damp
+        return out
+
+    return ev, gr
+
+
+def _cartesian_bump_direction(r0, r1, w, axis):
+    """bump(|x|) x_axis / |x| and its gradient; both read 0 at the origin."""
+
+    def parts(x):
+        rho = np.linalg.norm(x, axis=1)
+        safe = np.where(rho == 0.0, 1.0, rho)
+        return safe, _bump(rho, r0, r1, w, w), _bump_deriv(rho, r0, r1, w, w)
+
+    def ev(x):
+        safe, b, _ = parts(x)
+        return b * x[:, axis] / safe
+
+    def gr(x):
+        safe, b, db = parts(x)
+        cosd = x[:, axis] / safe
+        out = (db * cosd / safe)[:, None] * x
+        out[:, axis] += b / safe
+        out -= (b * cosd / safe ** 2)[:, None] * x
+        return out
+
+    return ev, gr
+
+
+def _cartesian_rho3_gauss():
+    def ev(x):
+        rho = np.linalg.norm(x, axis=1)
+        return rho ** 3 * np.exp(-rho ** 2)
+
+    def gr(x):
+        rho = np.linalg.norm(x, axis=1)
+        return ((3.0 * rho - 2.0 * rho ** 3) * np.exp(-rho ** 2))[:, None] * x
+
+    return ev, gr
+
+
+def _cartesian_exp_u():
+    def ev(x):
+        return np.exp(-np.sum(x * x, axis=1))
+
+    def gr(x):
+        return (-2.0 * np.exp(-np.sum(x * x, axis=1)))[:, None] * x
+
+    return ev, gr
+
+
+def _cartesian_linear(axis):
+    def gr(x):
+        out = np.zeros_like(x)
+        out[:, axis] = 1.0
+        return out
+
+    return (lambda x: x[:, axis].copy()), gr
+
+
+def cartesian_references(n, R):
+    """Member name -> (value, gradient) from the Cartesian formulas, for the
+    default-scale corpus_nd(n) and corpus_outside_ball(n, R)."""
+    refs = {
+        "x110_c0.5": _cartesian_mono_gauss((1, 1, 0)[:n], 0.5),
+        "x300_c0.25": _cartesian_mono_gauss((3,) + (0,) * (n - 1), 0.25),
+        "bump_dir2": _cartesian_bump_direction(0.6, 1.0, 0.3, axis=1),
+        "rho3_gauss": _cartesian_rho3_gauss(),
+        "exp_u": _cartesian_exp_u(),
+        "linear_x2": _cartesian_linear(1),
+    }
+    if n >= 3:
+        refs["x111_c1"] = _cartesian_mono_gauss((1, 1, 1), 1.0)
+    # tail_dir4 is bump(|x|) x_1 / |x| on the knots (r0 - w, r0, r1, r1 + w)
+    tail = {m.name: m for m in corpus_outside_ball(n, R, seed=2024)}
+    lo, r0, r1, hi = tail["tail_dir4"].radial_breakpoints
+    refs["tail_dir4"] = _cartesian_bump_direction(r0, r1, r0 - lo, axis=0)
+    return refs, tail
+
+
+def assert_close(got, want, tol, label):
+    err = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    assert err <= tol, f"{label}: {err:.2e}"
+
+
+class TestPolarMember:
+    """A :class:`PolarMember` is defined by (s, e) alone; its values and
+    gradients match the Cartesian formulas of the same member."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_cartesian_formulas(self, n):
+        R = 2.0
+        refs, tail = cartesian_references(n, R)
+        members = {m.name: m for m in corpus_nd(n, seed=2024, include_linear=True)}
+        members.update(tail)
+        rng = np.random.default_rng(11)
+        bulk = rng.uniform(-4.0, 4.0, size=(64, n))
+        dirs = rng.normal(size=(8, n))
+        tiny = 1e-8 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = np.vstack([bulk, tiny, np.zeros((1, n))])
+        assert len(refs) == (8 if n >= 3 else 7)
+        for name, (ev, gr) in refs.items():
+            phi = members[name]
+            assert isinstance(phi, PolarMember), name
+            assert_close(phi(pts), ev(pts), 1e-12, name)
+            assert_close(phi.grad(pts), gr(pts), 1e-12, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_origin(self, n):
+        members = {m.name: m for m in corpus_nd(n, seed=2024, include_linear=True)}
+        zero = np.zeros((1, n))
+        e1 = np.eye(n)[:1]
+        assert np.array_equal(members["linear_x1"].grad(zero), e1)
+        assert np.array_equal(members["x100_c1"].grad(zero), e1)
+        radial = [m for m in members.values() if "radial" in m.tags]
+        assert len(radial) >= 18
+        for phi in radial:
+            assert np.all(phi.grad(zero) == 0.0), phi.name
+            assert phi(zero)[0] == phi.polar[0](0.0), phi.name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_smooth_member_is_polar(self, n):
+        # only the random mixtures may reach the block walk over the grid
+        nd = corpus_nd(n, seed=2024, include_linear=True)
+        generic = [m.name for m in nd if not isinstance(m, PolarMember)]
+        assert generic and all(name.startswith("random") for name in generic)
+        tail = corpus_outside_ball(n, 2.0, seed=2024)
+        assert all(isinstance(m, PolarMember) for m in tail)
+        assert all(m.support == ("outside_ball", 2.0) for m in tail)
+
+    def test_wrong_exponent_count_is_rejected(self):
+        rho = Fn1D("rho", lambda r: r, np.ones_like)
+        with pytest.raises(ValueError, match="exponents"):
+            PolarMember("bad_length", 3, rho, (1, 0))
+        with pytest.raises(ValueError, match="exponents"):
+            PolarMember("bad_sign", 2, rho, (1, -1))
+
+    def test_outside_ball_support_is_checked(self):
+        # a bump on (0.3, 1.3) declared to vanish on |x| <= 2
+        s = Fn1D("bump", lambda r: _bump(r, 0.6, 1.0, 0.3, 0.3),
+                 lambda r: _bump_deriv(r, 0.6, 1.0, 0.3, 0.3), breakpoints=(0.3, 0.6, 1.0, 1.3))
+        with pytest.raises(ValueError, match="does not vanish inside"):
+            PolarMember("leaky", 2, s, (1, 0), support=("outside_ball", 2.0))
+        PolarMember("tight", 2, s, (1, 0), support=("outside_ball", 0.25))
