@@ -206,7 +206,17 @@ def _slug(label):
 
 
 def reports_for_pair(d, theorem, seed, tol):
-    """Reports for one (density, theorem) pair, or a skip reason string."""
+    """Reports for one (density, theorem) pair, or a skip reason string.
+
+    A density outside the hypotheses of a weight the check needs (the
+    weight raises :class:`~isofp.weights.WeightError`) is a skip reason."""
+    try:
+        return _pair_reports(d, theorem, seed, tol)
+    except wmod.WeightError as exc:
+        return f"weight hypothesis not met: {exc}"
+
+
+def _pair_reports(d, theorem, seed, tol):
     n = d.n
     if theorem == "poincare_1d":
         if d.kind == "inverse_gamma_1d":

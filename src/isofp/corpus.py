@@ -19,6 +19,7 @@ from .quadrature import TestFunction, _sphere_monomial
 
 __all__ = [
     "Fn1D",
+    "GaussianMixture",
     "PolarMember",
     "SeparableMember",
     "TestCorpus",
@@ -298,26 +299,47 @@ def _bump_direction_member(name, n, r0, r1, w, axis=0, support="full"):
                        tags=("mixed", "bump"))
 
 
+class GaussianMixture(TestFunction):
+    """phi(x) = sum_k a_k exp(-b_k |x - c_k|^2) for amplitudes ``amps``,
+    centres ``centres`` (one row of n coordinates per term) and rates
+    ``widths`` b_k > 0; grad phi = sum_k -2 a_k b_k exp(-b_k |x - c_k|^2) (x - c_k).
+
+    Values and gradients come from the parameters alone.  ``mixture =
+    (amps, centres, widths)`` lets :func:`~isofp.quadrature.grid_moments`
+    build the member shell by shell from the grid's radii and directions,
+    without reading the grid's node rows.
+    """
+
+    def __init__(self, name, n, amps, centres, widths, tags=()):
+        amps = np.asarray(amps, dtype=float)
+        centres = np.asarray(centres, dtype=float).reshape(len(amps), int(n))
+        self.mixture = (amps, centres, np.asarray(widths, dtype=float))
+        super().__init__(name, n, self._eval_points, self._grad_points, tags=tags)
+
+    def _terms(self, pts):
+        """(a_k, b_k, x - c_k, exp(-b_k |x - c_k|^2)) for each term."""
+        for a, c, b in zip(*self.mixture):
+            d = pts - c[None, :]
+            yield a, b, d, np.exp(-b * np.einsum("ij,ij->i", d, d))
+
+    def _eval_points(self, pts):
+        out = np.zeros(len(pts))
+        for a, _, _, e in self._terms(pts):
+            out += a * e
+        return out
+
+    def _grad_points(self, pts):
+        out = np.zeros_like(pts)
+        for a, b, d, e in self._terms(pts):
+            out += (-2.0 * a * b * e)[:, None] * d
+        return out
+
+
 def _random_mixture_member(name, n, rng, terms=3, box=1.5):
     amps = rng.uniform(-1.0, 1.0, terms)
     cs = rng.uniform(-box, box, (terms, n))
     bs = rng.uniform(0.3, 1.2, terms)
-
-    def ev(pts):
-        out = np.zeros(len(pts))
-        for a, c0, b0 in zip(amps, cs, bs):
-            d = pts - c0[None, :]
-            out += a * np.exp(-b0 * np.einsum("ij,ij->i", d, d))
-        return out
-
-    def gr(pts):
-        out = np.zeros_like(pts)
-        for a, c0, b0 in zip(amps, cs, bs):
-            d = pts - c0[None, :]
-            out += (-2.0 * a * b0 * np.exp(-b0 * np.einsum("ij,ij->i", d, d)))[:, None] * d
-        return out
-
-    return TestFunction(name, n, ev, gr, tags=("mixed", "random"))
+    return GaussianMixture(name, n, amps, cs, bs, tags=("mixed", "random"))
 
 
 def _linear_member(n, axis=0):

@@ -187,8 +187,10 @@ class TestFunction:
 
     ``eval_fn`` maps an (m, n) array of points to (m,) values and
     ``grad_fn`` to (m, n) gradients.  ``support`` is ``"full"``,
-    ``("outside_ball", R)`` or ``("inside_ball", R)``.  ``polar`` is None
-    here; :class:`~isofp.corpus.PolarMember` sets it to (s, e).
+    ``("outside_ball", R)`` or ``("inside_ball", R)``.  ``polar`` and
+    ``mixture`` are None here; :class:`~isofp.corpus.PolarMember` sets
+    ``polar`` to (s, e) and :class:`~isofp.corpus.GaussianMixture` sets
+    ``mixture`` to (amps, centres, widths).
 
     Construction runs a finite-difference self-test of the gradient and
     checks the support flag, so a corpus member with an inconsistent
@@ -197,6 +199,7 @@ class TestFunction:
 
     __test__ = False  # not a pytest collection target
     polar = None
+    mixture = None
 
     def __init__(self, name, n, eval_fn, grad_fn, support="full", bounded=True,
                  radial_breakpoints=(), tags=(), self_test=True):
@@ -242,12 +245,16 @@ class TestFunction:
         if len(pts) == 0:
             return
         g = self.grad(pts)
+        # central differences at h and h / 2 along each axis, all in one
+        # call, Richardson-extrapolated: O(h^4), so a probe on a steep
+        # C^2 rise does not pass its O(h^2) error off as a wrong gradient
         h = 1e-5
-        fd = np.empty_like(g)
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = h
-            fd[:, j] = (self(pts + e) - self(pts - e)) / (2.0 * h)
+        steps = np.multiply.outer([h, -h, 0.5 * h, -0.5 * h], np.eye(self.n))
+        shifted = (pts[None, None] + steps[:, :, None]).reshape(-1, self.n)
+        f = self(shifted).reshape(4, self.n, len(pts))
+        d_h = (f[0] - f[1]) / (2.0 * h)
+        d_half = (f[2] - f[3]) / h
+        fd = ((4.0 * d_half - d_h) / 3.0).T
         scale = np.maximum(1.0, np.abs(g))
         err = np.max(np.abs(fd - g) / scale)
         if err > rel_tol:
@@ -458,8 +465,9 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
 
     A member whose ``polar`` is (s, e), so phi = s(rho) a(u) with a = u^e
     (a :class:`~isofp.corpus.PolarMember`), and that is not mapped by
-    ``affine`` is never evaluated on the grid.  With radial moments E_r on ``r_nodes`` and angular moments E_a
-    on ``unit``, and grad_S a the surface gradient of a:
+    ``affine`` is never evaluated on the grid.  With radial moments E_r on
+    ``r_nodes`` and angular moments E_a on ``unit``, and grad_S a the
+    surface gradient of a:
 
     - Var = Var_r[s] E_a[a^2] + E_r[s]^2 Var_a[a], each variance shifted at
       its factor of ``grid.anchor`` (see :func:`shifted_variance`);
@@ -467,39 +475,96 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     - the radial part is E_r[w s'^2] E_a[a^2] and angular part i is
       E_r[s^2] E_a[(grad_S a . d u / d theta_i)^2].
 
-    These are the grid's tensor sums, reordered.  Any other member is
-    walked over the grid in blocks of whole radial shells; each block's
-    values are reshaped to (radial, angular) and contracted with the radial
-    and the angular weights.  Values are shifted by their value at
-    ``grid.anchor``, whose block is taken first, and the block variances are
-    merged by the pairwise update of Chan, Golub & LeVeque (1983).  Either
-    way a member constant on the nodes has variance exactly 0.
+    These are the grid's tensor sums, reordered.  Every other member is
+    taken in blocks of whole radial shells, as (radial, angular) arrays of
+    its values and of each gradient component.  A member whose ``mixture``
+    is (a, c, b), so phi = sum_k a_k exp(-b_k |x - c_k|^2) (a
+    :class:`~isofp.corpus.GaussianMixture`), and that is not mapped by
+    ``affine`` is built from ``r_nodes`` and ``unit``: at x = rho u each
+    term is exp(2 b rho (c . u) - b (rho^2 + |c|^2)) and grad phi =
+    x sum_k q_k - sum_k q_k c_k with q_k = -2 a_k b_k exp(...).  Any other
+    member is evaluated on the block's rows of ``grid.points``.  Either
+    way each block is contracted with the radial and the angular weights;
+    values are shifted by their value at ``grid.anchor``, whose block is
+    taken first, and the block variances are merged by the pairwise update
+    of Chan, Golub & LeVeque (1983), so a member constant on the nodes has
+    variance exactly 0.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
     if affine is None and phi.polar is not None:
         return _polar_moments(grid, phi.polar, weights, split_weight)
-    A = len(grid.ang_weights)
+    if affine is None and phi.mixture is not None:
+        blocks = _mixture_blocks(grid, phi.mixture)
+    else:
+        blocks = _node_blocks(grid, phi, affine)
+    return _block_moments(grid, blocks, weights, split_weight)
+
+
+def _shell_blocks(grid):
+    """Slices of whole radial shells with at most ``_BLOCK_NODES`` nodes
+    (at least one shell), the one that holds ``grid.anchor`` first."""
+    J, A = len(grid.r_nodes), len(grid.ang_weights)
     step = max(1, _BLOCK_NODES // A)
     j_anchor = grid.anchor // A
-    starts = sorted(range(0, len(grid.r_nodes), step),
-                    key=lambda j0: not j0 <= j_anchor < j0 + step)
+    starts = sorted(range(0, J, step), key=lambda j0: not j0 <= j_anchor < j0 + step)
+    return [slice(j0, min(j0 + step, J)) for j0 in starts]
+
+
+def _node_blocks(grid, phi, affine):
+    """(rows, values, gradient) of ``phi`` on each block's node rows, the
+    gradient as its n components of shape (radial, angular)."""
+    A = len(grid.ang_weights)
+    for rows in _shell_blocks(grid):
+        x = grid.points[rows.start * A:rows.stop * A]
+        if affine is not None:
+            x = affine[0] + x @ affine[1].T
+        shape = (rows.stop - rows.start, A)
+        yield rows, phi(x).reshape(shape), np.moveaxis(phi.grad(x).reshape(*shape, -1), -1, 0)
+
+
+def _mixture_blocks(grid, mixture):
+    """:func:`_node_blocks` of a Gaussian mixture from its parameters,
+    each term an outer sum over (radius, direction)."""
+    amps, centres, widths = mixture
+    c_u = centres @ grid.unit.T  # (terms, A)
+    c_sq = np.einsum("kn,kn->k", centres, centres)
+    unit_t = np.ascontiguousarray(grid.unit.T)
+    for rows in _shell_blocks(grid):
+        r = grid.r_nodes[rows]
+        e = np.empty((len(amps), len(r), len(grid.ang_weights)))
+        for k, b in enumerate(widths):
+            np.multiply.outer(2.0 * b * r, c_u[k], out=e[k])
+            e[k] -= (b * (r * r + c_sq[k]))[:, None]
+        np.exp(e, out=e)
+        vals = np.tensordot(amps, e, 1)
+        e *= (-2.0 * amps * widths)[:, None, None]  # q_k
+        grad = np.tensordot(-centres.T, e, 1)
+        r_q = e.sum(axis=0)
+        r_q *= r[:, None]
+        for g_i, u_i in zip(grad, unit_t):
+            g_i += r_q * u_i
+        yield rows, vals, grad
+
+
+def _block_moments(grid, blocks, weights, split_weight):
+    """Merge the blocks of one member into its :class:`GridMoments`;
+    ``weights`` holds the radial weights as rows."""
+    A = len(grid.ang_weights)
     ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
+    # directions and tangents with the angular axis innermost
+    unit_t = np.ascontiguousarray(grid.unit.T)
+    tangents_t = np.ascontiguousarray(grid.tangents.transpose(0, 2, 1))
     dirichlet = np.zeros(len(weights))
     radial, angular = 0.0, np.zeros(len(grid.tangents))
     shift = None
     w_sum = mean = m2 = 0.0
-    for j0 in starts:
-        rows = slice(j0, j0 + step)
+    for rows, vals, g in blocks:
         p = grid.r_weights[rows]
-        x = grid.points[j0 * A:(j0 + len(p)) * A]
-        if affine is not None:
-            x = affine[0] + x @ affine[1].T
-        vals = phi(x)
         if shift is None:
-            shift = float(vals[grid.anchor - j0 * A])
+            shift = float(vals.flat[grid.anchor - rows.start * A])
         w_b = float(p.sum()) * ang_total
         if w_b > 0.0:
-            y = (vals - shift).reshape(len(p), A)
+            y = vals - shift
             mean_b = float(p @ (y @ ang_w)) / w_b
             y -= mean_b
             np.multiply(y, y, out=y)
@@ -508,14 +573,13 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
             m2 += float(p @ (y @ ang_w)) + delta * delta * w_sum * w_b / w_new
             mean += delta * w_b / w_new
             w_sum = w_new
-        g = phi.grad(x).reshape(len(p), A, -1)
-        g2 = np.einsum("ban,ban->ba", g, g) @ ang_w
+        g2 = np.einsum("iba,iba->ba", g, g) @ ang_w
         dirichlet += weights[:, rows] @ (p * g2)
         if split_weight is not None:
-            d_rho = np.einsum("ban,an->ba", g, grid.unit)
+            d_rho = np.einsum("iba,ia->ba", g, unit_t)
             radial += float((p * split_weight[rows]) @ ((d_rho * d_rho) @ ang_w))
             # d phi / d theta_i = rho (grad phi . d u / d theta_i)
-            d_theta = np.einsum("ban,ian->iba", g, grid.tangents)
+            d_theta = np.einsum("jba,ija->iba", g, tangents_t)
             angular += ((d_theta * d_theta) @ ang_w) @ (p * grid.r_nodes[rows] ** 2)
     if split_weight is None:
         radial, angular = math.nan, ()

@@ -75,6 +75,15 @@ class TestCheckCommand:
         fb = next((tmp_path / "b").glob("check_*.json"))
         assert fa.read_bytes() == fb.read_bytes()
 
+    def test_steep_tail_bump_passes_its_self_test(self, tmp_path):
+        # a probe of tail_bump4 lands in a rise of width 0.061, where the
+        # O(h^2) error of a plain central difference exceeds the tolerance
+        code = main(["check", "--theorem", "refined_outside_ball",
+                     "--density", "barenblatt:a=2,p=1.5,n=2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
+        assert payload["summary"]["passed"] == payload["summary"]["total"] == 43
+
     def test_skip_reason_for_inapplicable_pair(self, tmp_path, capsys):
         code = main(["check", "--theorem", "isotropic_Wstar",
                      "--density", "gaussian:sigma=1,n=1", "--out", str(tmp_path)])
@@ -174,6 +183,28 @@ class TestRunCommand:
         assert [r[2] for r in rows] == ["unchecked"]
         rates = json.loads(next(tmp_path.glob("rates_*.json")).read_text())
         assert rates["fitted_chi2_rate"] is None
+
+    def test_density_outside_the_marginal_weight_is_skipped(self, tmp_path):
+        # beta = 1.5 > n / 2 is a valid density, but the optimal Cauchy
+        # marginal weight needs beta > (n + 1) / 2
+        from isofp.cli import run_experiment
+
+        cfg = dict(TINY_CONFIG, densities=["cauchy:beta=1.5,n=2"],
+                   theorems=["poincare_1d", "product", "isotropic_Wstar",
+                             "refined_outside_ball", "hybrid"],
+                   evolve_densities=[])
+        code, _, rows = run_experiment(cfg, tmp_path)
+        assert code == 0
+        reasons = {theorem: reason for _, theorem, verdict, reason in rows
+                   if verdict == "skipped"}
+        assert len(reasons) == len(rows) == 5
+        weight = "weight hypothesis not met: requires beta > (n+1)/2"
+        for theorem in ("poincare_1d", "product", "isotropic_Wstar"):
+            assert reasons[theorem].startswith(weight), theorem
+        for theorem in ("refined_outside_ball", "hybrid"):
+            assert reasons[theorem].startswith("tail condition unsatisfiable"), theorem
+        summary = (tmp_path / "summary.md").read_text()
+        assert summary.count("| skipped | ") == 5
 
     def test_unknown_density_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

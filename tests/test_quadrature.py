@@ -5,6 +5,7 @@ import pytest
 
 from isofp.corpus import (
     Fn1D,
+    GaussianMixture,
     PolarMember,
     _bump,
     _bump_deriv,
@@ -14,7 +15,11 @@ from isofp.corpus import (
 from isofp.densities import closed_form_weight, make_density, radial_marginal
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
-from isofp.inequality import check_refined_outside_ball
+from isofp.inequality import (
+    check_hybrid,
+    check_isotropic_Wstar,
+    check_refined_outside_ball,
+)
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
@@ -225,6 +230,13 @@ class TestTestFunction:
             TestFunction("broken", 2,
                          lambda p: np.einsum("ij,ij->i", p, p),
                          lambda p: 3.0 * p)  # should be 2 p
+
+    def test_gradient_self_test_catches_small_error(self):
+        # a 2e-6 relative error is twice the self-test's tolerance
+        with pytest.raises(ValueError, match="self-test"):
+            TestFunction("slightly_off", 2,
+                         lambda p: np.einsum("ij,ij->i", p, p),
+                         lambda p: 2.0 * (1.0 + 2e-6) * p)
 
     def test_support_flag_checked(self):
         def ev(p):
@@ -503,28 +515,35 @@ class TestPolarMoments:
         K = closed_form_weight(d)
         corpus = corpus_outside_ball(3, 2.0, seed=5)
         assert all(m.polar for m in corpus)
-        sizes, grids = [], []
-        real_build = inequality.build_grid
-
-        def build(*args, **kw):
-            grids.append(real_build(*args, **kw))
-            return grids[-1]
-
-        def counting(method):
-            def wrapper(self, x):
-                sizes.append(np.size(x, 0) if np.ndim(x) == 2 else np.size(x))
-                return method(self, x)
-            return wrapper
-
-        monkeypatch.setattr(inequality, "build_grid", build)
-        for cls, names in ((TestFunction, ("__call__", "grad")), (Fn1D, ("__call__", "deriv"))):
-            for name in names:
-                monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+        sizes, grids = count_member_calls(monkeypatch)
         reports = check_refined_outside_ball(d, K, 2.0, corpus)
         assert len(reports) == len(corpus) and all(r.passed for r in reports)
         (grid,) = grids
         largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
         assert sizes and max(sizes) <= largest < len(grid.points)
+
+
+def count_member_calls(monkeypatch):
+    """Record the number of points of every member and profile evaluation,
+    and every grid an inequality check builds."""
+    sizes, grids = [], []
+    real_build = inequality.build_grid
+
+    def build(*args, **kw):
+        grids.append(real_build(*args, **kw))
+        return grids[-1]
+
+    def counting(method):
+        def wrapper(self, x):
+            sizes.append(np.size(x, 0) if np.ndim(x) == 2 else np.size(x))
+            return method(self, x)
+        return wrapper
+
+    monkeypatch.setattr(inequality, "build_grid", build)
+    for cls, names in ((TestFunction, ("__call__", "grad")), (Fn1D, ("__call__", "deriv"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    return sizes, grids
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +687,7 @@ class TestPolarMember:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_smooth_member_is_polar(self, n):
-        # only the random mixtures may reach the block walk over the grid
+        # only the random mixtures are not polar (see TestShellKernels)
         nd = corpus_nd(n, seed=2024, include_linear=True)
         generic = [m.name for m in nd if not isinstance(m, PolarMember)]
         assert generic and all(name.startswith("random") for name in generic)
@@ -690,3 +709,103 @@ class TestPolarMember:
         with pytest.raises(ValueError, match="does not vanish inside"):
             PolarMember("leaky", 2, s, (1, 0), support=("outside_ball", 2.0))
         PolarMember("tight", 2, s, (1, 0), support=("outside_ball", 0.25))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian mixtures
+# ---------------------------------------------------------------------------
+
+
+def _cartesian_mixture(amps, centres, widths):
+    """sum_k a_k exp(-b_k |x - c_k|^2) and its gradient, term by term."""
+
+    def ev(x):
+        out = np.zeros(len(x))
+        for a, c, b in zip(amps, centres, widths):
+            out += a * np.exp(-b * np.sum((x - c) ** 2, axis=1))
+        return out
+
+    def gr(x):
+        out = np.zeros_like(x)
+        for a, c, b in zip(amps, centres, widths):
+            out += (-2.0 * a * b * np.exp(-b * np.sum((x - c) ** 2, axis=1)))[:, None] * (x - c)
+        return out
+
+    return ev, gr
+
+
+def random_members(n):
+    members = [m for m in corpus_nd(n, seed=2024) if m.name.startswith("random")]
+    assert len(members) == 14
+    return members
+
+
+class TestMixtureMoments:
+    """A :class:`GaussianMixture` is built shell by shell from the grid's
+    radii and directions; the block walk over the node rows is its oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["Wstar", "hybrid"])
+    def test_matches_block_walk(self, kind, n):
+        grid, weights, split, _ = checker_grid(kind, n)
+        for phi in random_members(n):
+            got = grid_moments(grid, phi, weights, split_weight=split)
+            want = grid_moments(grid, stripped(phi), weights, split_weight=split)
+            assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
+            assert len(got.dirichlet) == len(weights)
+            for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
+                assert abs(x - y) <= 1e-12 * y, phi.name
+            assert abs(got.radial - want.radial) <= 1e-12 * want.radial, phi.name
+            total = want.radial + sum(want.angular)
+            assert len(got.angular) == n - 1
+            for x, y in zip(got.angular, want.angular, strict=True):
+                assert abs(x - y) <= 1e-12 * total, phi.name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_cartesian_formulas(self, n):
+        rng = np.random.default_rng(12)
+        members = random_members(n)
+        centres = np.vstack([m.mixture[1] for m in members])
+        pts = np.vstack([rng.uniform(-4.0, 4.0, size=(64, n)), np.zeros((1, n)),
+                         centres + 1e-3 * rng.normal(size=centres.shape)])
+        for phi in members:
+            assert isinstance(phi, GaussianMixture) and phi.polar is None
+            ev, gr = _cartesian_mixture(*phi.mixture)
+            assert_close(phi(pts), ev(pts), 1e-12, phi.name)
+            assert_close(phi.grad(pts), gr(pts), 1e-12, phi.name)
+
+    def test_affine_map_walks_the_grid(self, monkeypatch):
+        d = make_density("gaussian", {"sigma": 1.0}, 2)
+        phi = random_members(2)[0]
+        grid = build_grid(d, [phi])
+        sizes, _ = count_member_calls(monkeypatch)
+        ones = [np.ones_like(grid.r_nodes)]
+        grid_moments(grid, phi, ones)
+        assert sizes == []
+        grid_moments(grid, phi, ones, affine=(np.zeros(2), np.eye(2)))
+        assert sum(sizes) == 2 * len(grid.points)
+
+
+class TestShellKernels:
+    """Every default member reaches the grid through its factors, so no
+    isotropic check walks the node rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_member_has_a_shell_kernel(self, n):
+        for phi in corpus_nd(n, seed=2024, include_linear=True):
+            assert isinstance(phi, (PolarMember, GaussianMixture)), phi.name
+
+    @pytest.mark.parametrize("kind", ["Wstar", "hybrid"])
+    def test_isotropic_checks_never_reach_the_grid(self, kind, monkeypatch):
+        d = make_density("cauchy_type", {"beta": 4.0}, 3)
+        w, K = optimal_cauchy_weight(4.0, 3), closed_form_weight(d)
+        corpus = corpus_nd(3, seed=2024)
+        sizes, grids = count_member_calls(monkeypatch)
+        if kind == "Wstar":
+            reports = check_isotropic_Wstar(d, corpus, w)
+        else:
+            reports = check_hybrid(d, w, K, critical_tail_radius(d, K), corpus)
+        assert len(reports) == len(corpus) and all(r.passed for r in reports)
+        (grid,) = grids
+        largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
+        assert sizes and max(sizes) <= largest < len(grid.points)
