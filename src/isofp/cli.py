@@ -274,8 +274,7 @@ def _pair_reports(d, theorem, seed, tol):
         if d.kind != "gaussian":
             return "anisotropic Gaussian check applies to Gaussian entries"
         V = d.param("sigma") * np.eye(n)
-        corpus = corpus_anisotropic(V, seed=seed)
-        return check_gaussian_anisotropic(V, np.zeros(n), corpus, tol=tol)
+        return check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
 
     raise ValueError(f"unknown theorem {theorem!r}")
 
@@ -451,8 +450,7 @@ def run_experiment(config, out_dir):
         for idx, spec in enumerate(config.get("anisotropic_covariances", [])):
             V = np.asarray(spec["V"], dtype=float)
             u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
-            corpus = corpus_anisotropic(V, u, seed=seed)
-            reports = check_gaussian_anisotropic(V, u, corpus, tol=tol)
+            reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
             s = summarize_reports(reports)
             lbl = f"gaussianV{idx}"
             payload = {"covariance": _plain(V), "mean": _plain(u),

@@ -506,58 +506,42 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
 # ---------------------------------------------------------------------------
 
 
-def _composed_member(m, G, u):
-    """m composed with the whitening map y = G (x - u); gradient G^T grad."""
+def _linear_form_member(name, b):
+    b = np.asarray(b, dtype=float)
 
     def ev(pts):
-        return m((np.asarray(pts, dtype=float) - u[None, :]) @ G.T)
+        return pts @ b
 
     def gr(pts):
-        y = (np.asarray(pts, dtype=float) - u[None, :]) @ G.T
-        return m.grad(y) @ G
+        return np.broadcast_to(b, pts.shape).copy()
 
-    out = TestFunction(m.name + "@whitened", m.n, ev, gr, bounded=m.bounded,
-                       radial_breakpoints=m.radial_breakpoints,
-                       tags=m.tags + ("whitened",), self_test=False)
-    return out
+    return TestFunction(name, len(b), ev, gr, bounded=False, tags=("linear",))
 
 
-def _linear_form_member(name, a, bounded=False):
-    a = np.asarray(a, dtype=float)
+def corpus_anisotropic(V, seed=0):
+    """Corpus for the anisotropic Gaussian inequality under N(u, V), in
+    whitened coordinates y = H^{-1} (x - u) with H = Q sqrt(D) from
+    V = Q D Q^T (see :func:`~isofp.inequality.check_gaussian_anisotropic`).
 
-    def ev(pts):
-        return pts @ a
-
-    def gr(pts):
-        return np.broadcast_to(a, pts.shape).copy()
-
-    return TestFunction(name, len(a), ev, gr, bounded=bounded, tags=("linear",))
-
-
-def corpus_anisotropic(V, u=None, seed=0, include_linear=True, label="anisotropic"):
-    """Corpus for the anisotropic Gaussian inequality.
-
-    Smooth members are the default corpus composed with the whitening map,
-    so their radial structure lives in the whitened radius and stays
-    aligned with the quadrature grid; linear forms along the coordinate
-    axes and the covariance eigenvectors supply the sharp witnesses.
+    The smooth members are the bounded members of :func:`corpus_nd`, read
+    in y, so their radial structure lives in the whitened radius and they
+    keep their shell kernels on the standard-normal grid; their names carry
+    ``@whitened``.  The sharp witnesses are linear forms a . x along the
+    first two coordinate axes and the top and bottom eigenvectors of V; up
+    to the constant a . u they are b . y with b = H^T a.
     """
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
-    u = np.zeros(n) if u is None else np.asarray(u, dtype=float)
     lam, Q = np.linalg.eigh(V)
-    H = Q @ np.diag(np.sqrt(lam))
-    G = np.linalg.inv(H)
-    base = corpus_nd(n, seed=seed)
-    members = [_composed_member(m, G, u) for m in base if m.bounded]
-    if include_linear:
-        for axis in range(min(n, 2)):
-            e = np.zeros(n)
-            e[axis] = 1.0
-            members.append(_linear_form_member(f"linear_x{axis + 1}", e))
-        members.append(_linear_form_member("linear_top_eigvec", Q[:, -1]))
-        members.append(_linear_form_member("linear_bottom_eigvec", Q[:, 0]))
-    return TestCorpus(members, seed, label=label)
+    H = Q * np.sqrt(lam)
+    members = list(corpus_nd(n, seed=seed))
+    for m in members:
+        m.name += "@whitened"
+        m.tags += ("whitened",)
+    forms = {f"linear_x{i + 1}": np.eye(n)[i] for i in range(min(n, 2))}
+    forms.update(linear_top_eigvec=Q[:, -1], linear_bottom_eigvec=Q[:, 0])
+    members += [_linear_form_member(name, H.T @ a) for name, a in forms.items()]
+    return TestCorpus(members, seed, label="anisotropic")
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ class SolverError(RuntimeError):
     pass
 
 
+_MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
+
+
 # ---------------------------------------------------------------------------
 # Grid
 # ---------------------------------------------------------------------------
@@ -370,11 +373,10 @@ class Solver:
 
     # -- evolution -----------------------------------------------------------
 
-    def evolve(self, state, t_final, dt, sample_every=None, method="implicit",
-               mass_tol=1e-10):
-        """March to t_final, sampling the decay functionals.
+    def evolve(self, state, t_final, dt, sample_every=None):
+        """March to t_final by implicit steps, sampling the decay functionals.
 
-        Raises if the relative mass drift ever exceeds ``mass_tol``.
+        Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``.
         Returns a DecayTrace with the chi-square rate fitted on the
         standard window.
         """
@@ -398,11 +400,11 @@ class Solver:
 
         record(state)
         for k in range(1, n_steps + 1):
-            state = self.step(state, dt, method=method)
-            if abs(state.mass - mass0) > mass_tol * abs(mass0):
+            state = self.step(state, dt)
+            if abs(state.mass - mass0) > _MASS_DRIFT_TOL * abs(mass0):
                 raise SolverError(
                     f"mass drift {abs(state.mass - mass0) / abs(mass0):.3e} "
-                    f"exceeds {mass_tol:.0e} at t = {state.t:.4g}")
+                    f"exceeds {_MASS_DRIFT_TOL:.0e} at t = {state.t:.4g}")
             if k % stride == 0 or k == n_steps:
                 record(state)
 

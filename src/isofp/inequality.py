@@ -367,31 +367,33 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
     return _sorted(reports)
 
 
-def check_gaussian_anisotropic(V, u, corpus, tol=DEFAULT_RATIO_TOL):
-    """Var_G[phi] <= (max eigenvalue of V) E_G[|grad phi|^2] for the
-    multivariate Gaussian with covariance V and mean u.
+def check_gaussian_anisotropic(V, corpus, tol=DEFAULT_RATIO_TOL):
+    """Var[phi] <= (max eigenvalue of V) E[|grad phi|^2] under the Gaussian
+    N(u, V), for members given in whitened coordinates.
 
-    Expectations are computed in whitened coordinates x = u + H x* with
-    H = Q sqrt(D) from the eigendecomposition V = Q D Q^T, so the reference
-    measure on the grid is the standard normal.
+    With V = Q D Q^T (``eigh`` order) and H = Q sqrt(D), X = u + H Y for a
+    standard normal Y.  Each member is psi(y), the test function phi(x) =
+    psi(H^{-1} (x - u)) read in y (see
+    :func:`~isofp.corpus.corpus_anisotropic`).  Since grad_x phi =
+    H^{-T} grad psi and H^{-1} H^{-T} = D^{-1}, both sides are moments of
+    psi on the standard-normal grid: Var[phi] = Var[psi(Y)] and
+    lambda_max E[|grad_x phi|^2] = E[sum_i c_i (d psi / d y_i)^2] with c_i =
+    lambda_max / lambda_i.  The mean u drops out of both.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise ValueError("V must be a square matrix")
     if not np.allclose(V, V.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(V).max())):
         raise ValueError("V must be symmetric")
-    lam, Q = np.linalg.eigh(V)
+    lam = np.linalg.eigvalsh(V)
     if np.any(lam <= 0.0):
         raise ValueError("V must be positive definite")
-    n = V.shape[0]
-    u = np.zeros(n) if u is None else np.asarray(u, dtype=float)
-    H = Q @ np.diag(np.sqrt(lam))
     lam_max = float(lam.max())
-    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, n), corpus)
+    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, len(V)), corpus)
     ones = np.ones_like(grid.r_nodes)
     reports = []
     for phi in corpus:
-        m = grid_moments(grid, phi, [ones], affine=(u, H))
+        m = grid_moments(grid, phi, [ones], axis_weights=lam_max / lam)
         reports.append(_make_report("gaussian_anisotropic", phi.name, m.variance,
-                                    lam_max * m.dirichlet[0], tol, lambda_max=lam_max))
+                                    m.dirichlet[0], tol, lambda_max=lam_max))
     return _sorted(reports)

@@ -404,17 +404,13 @@ def _sphere_monomial(u, exps, gradient=True):
     return a, grad
 
 
-def build_grid(density, phis=(), extra_breakpoints=(), angular_order=32,
-               radial_order=12, radial_levels=22):
+def build_grid(density, phis=(), extra_breakpoints=()):
     """Grid for ``density`` whose radial panels split at every knot of the
     given test functions (plus any extra breakpoints such as weight kinks)."""
     bp = set(extra_breakpoints)
     for phi in phis:
         bp.update(phi.radial_breakpoints)
-    return HypersphericalGrid(
-        density, angular_order=angular_order, radial_order=radial_order,
-        radial_levels=radial_levels, radial_breakpoints=tuple(sorted(bp)),
-    )
+    return HypersphericalGrid(density, radial_breakpoints=tuple(sorted(bp)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +448,29 @@ class GridMoments(NamedTuple):
     angular: tuple  # E[(d phi / d theta_i)^2] for i = 1 .. n-1
 
 
-def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
+def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=None):
     """Variance and weighted Dirichlet forms of the member ``phi`` on ``grid``.
 
     Weights are given by their values on ``grid.r_nodes`` (see
     :meth:`HypersphericalGrid.radial_values`).  Each of ``radial_weights``
-    gives one E[w_k(rho) |grad phi|^2].  With a ``split_weight`` w the
+    gives one E[w_k(rho) |grad phi|_c^2], |v|_c^2 = sum_i c_i v_i^2 for the
+    ``axis_weights`` c (default all ones).  With a ``split_weight`` w the
     result also carries the radial part E[w(rho) (d phi / d rho)^2] and the
     angular parts E[(d phi / d theta_i)^2] in hyperspherical coordinates;
-    without one they are nan and ().  ``affine = (u, H)`` evaluates phi and
-    its gradient at x = u + H x* for every grid node x*.
+    without one they are nan and ().
 
     A member whose ``polar`` is (s, e), so phi = s(rho) a(u) with a = u^e
-    (a :class:`~isofp.corpus.PolarMember`), and that is not mapped by
-    ``affine`` is never evaluated on the grid.  With radial moments E_r on
-    ``r_nodes`` and angular moments E_a on ``unit``, and grad_S a the
-    surface gradient of a:
+    (a :class:`~isofp.corpus.PolarMember`), is never evaluated on the grid.
+    Its gradient is s' a u + (s / rho) grad_S a, with grad_S a the surface
+    gradient of a.  With radial moments E_r on ``r_nodes`` and angular
+    moments E_a on ``unit``:
 
     - Var = Var_r[s] E_a[a^2] + E_r[s]^2 Var_a[a], each variance shifted at
       its factor of ``grid.anchor`` (see :func:`shifted_variance`);
-    - E[w |grad phi|^2] = E_r[w s'^2] E_a[a^2] + E_r[w s^2 / rho^2] E_a[|grad_S a|^2];
+    - E[w |grad phi|_c^2] = E_r[w s'^2] E_a[a^2 |u|_c^2]
+      + 2 E_r[w s s' / rho] E_a[a sum_i c_i u_i (grad_S a)_i]
+      + E_r[w s^2 / rho^2] E_a[|grad_S a|_c^2], which for c = 1 is
+      E_r[w s'^2] E_a[a^2] + E_r[w s^2 / rho^2] E_a[|grad_S a|^2];
     - the radial part is E_r[w s'^2] E_a[a^2] and angular part i is
       E_r[s^2] E_a[(grad_S a . d u / d theta_i)^2].
 
@@ -479,25 +478,24 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, affine=None):
     taken in blocks of whole radial shells, as (radial, angular) arrays of
     its values and of each gradient component.  A member whose ``mixture``
     is (a, c, b), so phi = sum_k a_k exp(-b_k |x - c_k|^2) (a
-    :class:`~isofp.corpus.GaussianMixture`), and that is not mapped by
-    ``affine`` is built from ``r_nodes`` and ``unit``: at x = rho u each
-    term is exp(2 b rho (c . u) - b (rho^2 + |c|^2)) and grad phi =
-    x sum_k q_k - sum_k q_k c_k with q_k = -2 a_k b_k exp(...).  Any other
-    member is evaluated on the block's rows of ``grid.points``.  Either
-    way each block is contracted with the radial and the angular weights;
-    values are shifted by their value at ``grid.anchor``, whose block is
-    taken first, and the block variances are merged by the pairwise update
-    of Chan, Golub & LeVeque (1983), so a member constant on the nodes has
-    variance exactly 0.
+    :class:`~isofp.corpus.GaussianMixture`), is built from ``r_nodes`` and
+    ``unit``: at x = rho u each term is exp(2 b rho (c . u) - b (rho^2 +
+    |c|^2)) and grad phi = x sum_k q_k - sum_k q_k c_k with q_k = -2 a_k b_k
+    exp(...).  Any other member is evaluated on the block's rows of
+    ``grid.points``.  Either way each block is contracted with the radial
+    and the angular weights; values are shifted by their value at
+    ``grid.anchor``, whose block is taken first, and the block variances are
+    merged by the pairwise update of Chan, Golub & LeVeque (1983), so a
+    member constant on the nodes has variance exactly 0.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
-    if affine is None and phi.polar is not None:
-        return _polar_moments(grid, phi.polar, weights, split_weight)
-    if affine is None and phi.mixture is not None:
+    if phi.polar is not None:
+        return _polar_moments(grid, phi.polar, weights, split_weight, axis_weights)
+    if phi.mixture is not None:
         blocks = _mixture_blocks(grid, phi.mixture)
     else:
-        blocks = _node_blocks(grid, phi, affine)
-    return _block_moments(grid, blocks, weights, split_weight)
+        blocks = _node_blocks(grid, phi)
+    return _block_moments(grid, blocks, weights, split_weight, axis_weights)
 
 
 def _shell_blocks(grid):
@@ -510,14 +508,12 @@ def _shell_blocks(grid):
     return [slice(j0, min(j0 + step, J)) for j0 in starts]
 
 
-def _node_blocks(grid, phi, affine):
+def _node_blocks(grid, phi):
     """(rows, values, gradient) of ``phi`` on each block's node rows, the
     gradient as its n components of shape (radial, angular)."""
     A = len(grid.ang_weights)
     for rows in _shell_blocks(grid):
         x = grid.points[rows.start * A:rows.stop * A]
-        if affine is not None:
-            x = affine[0] + x @ affine[1].T
         shape = (rows.stop - rows.start, A)
         yield rows, phi(x).reshape(shape), np.moveaxis(phi.grad(x).reshape(*shape, -1), -1, 0)
 
@@ -546,7 +542,7 @@ def _mixture_blocks(grid, mixture):
         yield rows, vals, grad
 
 
-def _block_moments(grid, blocks, weights, split_weight):
+def _block_moments(grid, blocks, weights, split_weight, axis_weights):
     """Merge the blocks of one member into its :class:`GridMoments`;
     ``weights`` holds the radial weights as rows."""
     A = len(grid.ang_weights)
@@ -554,6 +550,7 @@ def _block_moments(grid, blocks, weights, split_weight):
     # directions and tangents with the angular axis innermost
     unit_t = np.ascontiguousarray(grid.unit.T)
     tangents_t = np.ascontiguousarray(grid.tangents.transpose(0, 2, 1))
+    c = None if axis_weights is None else np.reshape(axis_weights, (-1, 1, 1))
     dirichlet = np.zeros(len(weights))
     radial, angular = 0.0, np.zeros(len(grid.tangents))
     shift = None
@@ -573,7 +570,7 @@ def _block_moments(grid, blocks, weights, split_weight):
             m2 += float(p @ (y @ ang_w)) + delta * delta * w_sum * w_b / w_new
             mean += delta * w_b / w_new
             w_sum = w_new
-        g2 = np.einsum("iba,iba->ba", g, g) @ ang_w
+        g2 = np.einsum("iba,iba->ba", g if c is None else c * g, g) @ ang_w
         dirichlet += weights[:, rows] @ (p * g2)
         if split_weight is not None:
             d_rho = np.einsum("iba,ia->ba", g, unit_t)
@@ -587,7 +584,7 @@ def _block_moments(grid, blocks, weights, split_weight):
                        tuple(float(v) for v in angular))
 
 
-def _polar_moments(grid, polar, weights, split_weight):
+def _polar_moments(grid, polar, weights, split_weight, axis_weights):
     """:func:`grid_moments` of s(rho) u^e from one radial and one angular
     pass; ``weights`` holds the radial weights as rows."""
     s_fn, exps = polar
@@ -601,8 +598,17 @@ def _polar_moments(grid, polar, weights, split_weight):
     # ang_w / total are the radial and angular probability weights
     variance = (shifted_variance(p * total, s, j0) * a2 / total
                 + (total * float(p @ s)) ** 2 * shifted_variance(ang_w / total, a, k0))
-    # sum over the angular rule of |grad phi|^2 at each radius
-    g2 = ds * ds * a2 + (s / r) ** 2 * float(ang_w @ np.einsum("ij,ij->i", grad_a, grad_a))
+    # sum over the angular rule of |grad phi|_c^2 at each radius
+    if axis_weights is None:
+        uu, ug, gg = a2, 0.0, float(ang_w @ np.einsum("ij,ij->i", grad_a, grad_a))
+    else:
+        cu = grid.unit * axis_weights
+        uu, ug, gg = (float(ang_w @ v) for v in (
+            a * a * np.einsum("ij,ij->i", cu, grid.unit),
+            a * np.einsum("ij,ij->i", cu, grad_a),
+            np.einsum("ij,ij->i", grad_a * axis_weights, grad_a)))
+    s_r = s / r
+    g2 = ds * ds * uu + 2.0 * ug * ds * s_r + s_r * s_r * gg
     dirichlet = weights @ (p * g2)
     if split_weight is None:
         radial, angular = math.nan, ()

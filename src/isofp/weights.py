@@ -470,11 +470,11 @@ def optimal_barenblatt_weight(p, n, a):
 
 
 def gamma_radial_weight(beta):
-    """Weight w(rho) = beta rho for the Gamma radial marginal of the
-    exponential-type density (adopted from the generalized-Gamma result and
-    verified through the inequality checks, not re-derived here)."""
+    """Weight w(rho) = rho / beta for the radial marginal of the
+    exponential-type density exp(-beta rho), the Gamma(n, rate beta) law:
+    its P weight (Stein kernel), sharp for phi = rho (Var = n / beta^2)."""
     return WeightFunction(
-        lambda r: beta * np.asarray(r, dtype=float),
+        lambda r: np.asarray(r, dtype=float) / beta,
         provenance="closed_form",
         domain=(0.0, math.inf),
         params=(("beta", beta),),

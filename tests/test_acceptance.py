@@ -85,11 +85,10 @@ SOUNDNESS_DENSITIES = [
     "inverse_gamma:mu=2,n=1",
 ]
 
-ANISO_CASES = [
-    (np.eye(2), np.zeros(2)),
-    (np.diag([1.0, 4.0]), np.zeros(2)),
-    (np.array([[1.75, -1.299038105676658], [-1.299038105676658, 3.25]]),
-     np.array([0.3, -0.2])),
+ANISO_COVARIANCES = [
+    np.eye(2),
+    np.diag([1.0, 4.0]),
+    np.array([[1.75, -1.299038105676658], [-1.299038105676658, 3.25]]),
 ]
 
 
@@ -114,8 +113,8 @@ def test_criterion_03_inequality_soundness():
                 lin = [r for r in result if r.witness == "linear"]
                 if lin:
                     sharp.append(lin[0].ratio)
-    for V, u in ANISO_CASES:
-        reports = check_gaussian_anisotropic(V, u, corpus_anisotropic(V, u, seed=SEED),
+    for V in ANISO_COVARIANCES:
+        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=SEED),
                                              tol=RATIO_TOL)
         min_members = min(min_members, len(reports))
         for r in reports:

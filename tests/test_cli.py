@@ -65,6 +65,14 @@ class TestCheckCommand:
         assert payload["summary"]["passed"] >= 40
         assert next(tmp_path.glob("check_*.csv")) is not None
 
+    def test_exponential_gamma_weight_passes(self, tmp_path):
+        # the radial marginal weight is rho / beta; beta rho fails for beta < 1
+        code = main(["check", "--theorem", "poincare_1d",
+                     "--density", "exponential:beta=0.5,n=2", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
+        assert payload["summary"]["passed"] == payload["summary"]["total"] == 41
+
     def test_seed_determinism_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             code = main(["check", "--theorem", "poincare_1d",

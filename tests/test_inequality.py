@@ -425,7 +425,7 @@ class TestConstantMembers:
 
     @pytest.mark.parametrize("c", [2.5, 1000.0])
     def test_gaussian_anisotropic(self, c):
-        reports = check_gaussian_anisotropic(np.diag([1.0, 2.0, 3.0]), np.zeros(3),
+        reports = check_gaussian_anisotropic(np.diag([1.0, 2.0, 3.0]),
                                              [constant_member(3, c)])
         assert_exact_zero(reports[0])
 
@@ -469,8 +469,7 @@ class TestShiftHidesNoVariance:
     and the sharp Gaussian witnesses stay at ratio 1."""
 
     def test_gaussian_anisotropic_sharp(self):
-        reports = check_gaussian_anisotropic(np.eye(3), np.zeros(3),
-                                             [offset_linear_member(3)])
+        reports = check_gaussian_anisotropic(np.eye(3), [offset_linear_member(3)])
         assert abs(reports[0].lhs - 1e-12) < 1e-8 * 1e-12
         assert abs(reports[0].ratio - 1.0) < 1e-6
 
@@ -614,43 +613,51 @@ class TestHybrid:
 class TestGaussianAnisotropic:
     def test_identity_sharp(self):
         V = np.eye(2)
-        corpus = corpus_anisotropic(V, seed=11)
-        reports = check_gaussian_anisotropic(V, np.zeros(2), corpus)
+        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=11))
         assert_all_pass(reports)
         lin = [r for r in reports if r.witness == "linear_x1"][0]
         assert abs(lin.ratio - 1.0) < 1e-6
 
     def test_diagonal_second_axis_sharp(self):
         V = np.diag([1.0, 4.0])
-        corpus = corpus_anisotropic(V, seed=12)
-        reports = check_gaussian_anisotropic(V, np.zeros(2), corpus)
+        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=12))
         assert_all_pass(reports)
         lin = [r for r in reports if r.witness == "linear_x2"][0]
         assert abs(lin.lhs - 4.0) < 1e-8
         assert abs(lin.rhs - 4.0) < 1e-8
 
     def test_rotated_with_mean(self):
+        # the whitened check has no mean: u drops out of both sides
+        # (TestFullNodeOracle compares with the sums in x at u != 0)
         th = math.radians(30.0)
         Q = np.array([[math.cos(th), -math.sin(th)],
                       [math.sin(th), math.cos(th)]])
         V = Q @ np.diag([1.0, 4.0]) @ Q.T
-        u = np.array([0.4, -0.7])
-        corpus = corpus_anisotropic(V, u, seed=13)
-        reports = check_gaussian_anisotropic(V, u, corpus)
-        s = assert_all_pass(reports)
+        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=13))
+        assert_all_pass(reports)
         top = [r for r in reports if r.witness == "linear_top_eigvec"][0]
         assert abs(top.ratio - 1.0) < 1e-6
         bottom = [r for r in reports if r.witness == "linear_bottom_eigvec"][0]
         assert abs(bottom.ratio - 0.25) < 1e-8
 
+    def test_rotated_n3(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        V = Q @ np.diag([0.5, 2.0, 3.5]) @ Q.T
+        corpus = corpus_anisotropic(V, seed=14)
+        reports = check_gaussian_anisotropic(V, corpus)
+        assert len(reports) == len(corpus) >= 40
+        assert_all_pass(reports)
+        by_name = {r.witness: r for r in reports}
+        assert abs(by_name["linear_top_eigvec"].ratio - 1.0) < 1e-10
+        assert abs(by_name["linear_bottom_eigvec"].ratio - 0.5 / 3.5) < 1e-10
+
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
-            check_gaussian_anisotropic(np.diag([1.0, -2.0]), np.zeros(2), [])
+            check_gaussian_anisotropic(np.diag([1.0, -2.0]), [])
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            check_gaussian_anisotropic(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                       np.zeros(2), [])
+            check_gaussian_anisotropic(np.array([[1.0, 0.5], [0.0, 1.0]]), [])
 
 
 def scaled(w, s):
@@ -898,16 +905,25 @@ class TestFullNodeOracle:
             assert close(rep.rhs, 4.0 * (volume + rep.details["c_R"] * surface))
 
     def test_gaussian_anisotropic(self, recorded):
+        # each member psi(y) is the test function phi(x) = psi(G (x - u)),
+        # G = H^-1, and the report is Var[phi] <= lambda_max E[|grad phi|^2]
+        # under N(u, V), summed over the nodes x = u + H y
         V = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 3.0]])
         u = np.array([0.4, -0.7, 0.1])
-        members = list(corpus_anisotropic(V, u, seed=13))[::8]
+        members = list(corpus_anisotropic(V, seed=13))[::8]
+        # polar members, a mixture and a linear witness
+        assert {"exp_u@whitened", "random6@whitened", "linear_x1"} <= {m.name for m in members}
         corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
-        reports = check_gaussian_anisotropic(V, u, corpus)
+        reports = check_gaussian_anisotropic(V, corpus)
         nodes, by_name = self.oracle(recorded, corpus)
         lam, Q = np.linalg.eigh(V)
-        pts_x = u[None, :] + nodes.points @ (Q @ np.diag(np.sqrt(lam))).T
+        H = Q @ np.diag(np.sqrt(lam))
+        G = np.linalg.inv(H)
+        pts_x = u[None, :] + nodes.points @ H.T
+        pts_y = (pts_x - u[None, :]) @ G.T
         ones = np.ones(len(nodes.pw))
         for rep in reports:
-            phi = by_name[rep.witness]
-            assert close(rep.lhs, shifted_variance(nodes.pw, phi(pts_x), nodes.anchor))
-            assert close(rep.rhs, lam.max() * nodes.dirichlet(ones, phi.grad(pts_x)))
+            psi = by_name[rep.witness]
+            grad_x = psi.grad(pts_y) @ G
+            assert close(rep.lhs, shifted_variance(nodes.pw, psi(pts_y), nodes.anchor))
+            assert close(rep.rhs, lam.max() * nodes.dirichlet(ones, grad_x))

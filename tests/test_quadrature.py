@@ -9,6 +9,7 @@ from isofp.corpus import (
     PolarMember,
     _bump,
     _bump_deriv,
+    corpus_anisotropic,
     corpus_nd,
     corpus_outside_ball,
 )
@@ -16,6 +17,7 @@ from isofp.densities import closed_form_weight, make_density, radial_marginal
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
 from isofp.inequality import (
+    check_gaussian_anisotropic,
     check_hybrid,
     check_isotropic_Wstar,
     check_refined_outside_ball,
@@ -188,16 +190,19 @@ class TestGridMoments:
         assert m.dirichlet == () and math.isnan(m.radial) and m.angular == ()
         assert abs(m.variance - 1.0) < 1e-10
 
-    def test_affine_map(self):
-        # x = u + H x* with x* standard normal: Var[x_1] = (H H^T)_11
+    def test_axis_weights(self):
+        # phi = x_1 + 2 x_2: E[w (c_1 + 4 c_2)] for each radial weight w; the
+        # variance and the radial and angular parts do not see c
         d = make_density("gaussian", {"sigma": 1.0}, 2)
-        phi = linear_test_function(2)
+        phi = TestFunction("x1+2x2", 2, lambda p: p @ [1.0, 2.0],
+                           lambda p: np.tile([1.0, 2.0], (len(p), 1)))
         grid = build_grid(d, [phi])
-        H = np.array([[2.0, 1.0], [0.0, 0.5]])
-        m = grid_moments(grid, phi, [np.ones_like(grid.r_nodes)],
-                         affine=(np.array([3.0, -1.0]), H))
-        assert abs(m.variance - 5.0) < 1e-10
-        assert abs(m.dirichlet[0] - 1.0) < 1e-10
+        w = [np.ones_like(grid.r_nodes), 1.0 + grid.r_nodes]
+        plain = grid_moments(grid, phi, w, split_weight=w[0])
+        m = grid_moments(grid, phi, w, split_weight=w[0], axis_weights=[2.0, 0.25])
+        assert abs(plain.dirichlet[0] - 5.0) < 1e-10 and abs(m.dirichlet[0] - 3.0) < 1e-10
+        assert abs(m.dirichlet[1] - 0.6 * plain.dirichlet[1]) < 1e-10
+        assert (m.variance, m.radial, m.angular) == (plain.variance, plain.radial, plain.angular)
 
 
 def radial_test_function(n, sigma=1.0):
@@ -456,6 +461,21 @@ def checker_grid(kind, n):
     return (grid, [grid.radial_values(v) for v in weights], grid.radial_values(split), R)
 
 
+def assert_axis_weights_match_block_walk(n, members, seed):
+    """Axis-weighted Dirichlet forms of ``members`` on the standard-normal
+    grid against the block walk of the same members without factors."""
+    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, n), members)
+    c = np.random.default_rng(seed).uniform(0.2, 5.0, n)
+    w = [np.ones_like(grid.r_nodes), 1.0 + grid.r_nodes]
+    for phi in members:
+        got = grid_moments(grid, phi, w, axis_weights=c)
+        want = grid_moments(grid, stripped(phi), w, axis_weights=c)
+        assert got.dirichlet != grid_moments(grid, phi, w).dirichlet, phi.name
+        assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
+        for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
+            assert abs(x - y) <= 1e-12 * y, phi.name
+
+
 class TestPolarMoments:
     """Members that declare phi = s(rho) u^e take one radial and one
     angular moment; the block walk over the grid is their oracle."""
@@ -490,14 +510,11 @@ class TestPolarMoments:
             assert abs(got.radial - want.radial) <= 1e-12 * want.radial
             assert got.angular == want.angular == ()
 
-    def test_affine_map_walks_the_grid(self):
-        d = make_density("gaussian", {"sigma": 1.0}, 2)
-        phi = [m for m in corpus_nd(2, seed=1, include_linear=True) if m.name == "linear_x1"][0]
-        grid = build_grid(d, [phi])
-        H = np.array([[2.0, 1.0], [0.0, 0.5]])
-        m = grid_moments(grid, phi, [np.ones_like(grid.r_nodes)],
-                         affine=(np.array([3.0, -1.0]), H))
-        assert abs(m.variance - 5.0) < 1e-10
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_axis_weights_match_block_walk(self, n):
+        # the anisotropic check's standard-normal grid, random axis weights
+        members = polar_families(n, 2.0)
+        assert_axis_weights_match_block_walk(n, members, seed=n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_profile_vanishes_at_the_origin(self, n):
@@ -523,9 +540,10 @@ class TestPolarMoments:
         assert sizes and max(sizes) <= largest < len(grid.points)
 
 
-def count_member_calls(monkeypatch):
+def count_member_calls(monkeypatch, names=None):
     """Record the number of points of every member and profile evaluation,
-    and every grid an inequality check builds."""
+    and every grid an inequality check builds; with a list ``names`` also
+    the name of the member or profile of each evaluation."""
     sizes, grids = [], []
     real_build = inequality.build_grid
 
@@ -536,13 +554,15 @@ def count_member_calls(monkeypatch):
     def counting(method):
         def wrapper(self, x):
             sizes.append(np.size(x, 0) if np.ndim(x) == 2 else np.size(x))
+            if names is not None:
+                names.append(self.name)
             return method(self, x)
         return wrapper
 
     monkeypatch.setattr(inequality, "build_grid", build)
-    for cls, names in ((TestFunction, ("__call__", "grad")), (Fn1D, ("__call__", "deriv"))):
-        for name in names:
-            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    for cls, methods in ((TestFunction, ("__call__", "grad")), (Fn1D, ("__call__", "deriv"))):
+        for method in methods:
+            monkeypatch.setattr(cls, method, counting(getattr(cls, method)))
     return sizes, grids
 
 
@@ -774,16 +794,9 @@ class TestMixtureMoments:
             assert_close(phi(pts), ev(pts), 1e-12, phi.name)
             assert_close(phi.grad(pts), gr(pts), 1e-12, phi.name)
 
-    def test_affine_map_walks_the_grid(self, monkeypatch):
-        d = make_density("gaussian", {"sigma": 1.0}, 2)
-        phi = random_members(2)[0]
-        grid = build_grid(d, [phi])
-        sizes, _ = count_member_calls(monkeypatch)
-        ones = [np.ones_like(grid.r_nodes)]
-        grid_moments(grid, phi, ones)
-        assert sizes == []
-        grid_moments(grid, phi, ones, affine=(np.zeros(2), np.eye(2)))
-        assert sum(sizes) == 2 * len(grid.points)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_axis_weights_match_block_walk(self, n):
+        assert_axis_weights_match_block_walk(n, random_members(n)[::3], seed=10 + n)
 
 
 class TestShellKernels:
@@ -794,6 +807,23 @@ class TestShellKernels:
     def test_every_member_has_a_shell_kernel(self, n):
         for phi in corpus_nd(n, seed=2024, include_linear=True):
             assert isinstance(phi, (PolarMember, GaussianMixture)), phi.name
+
+    def test_anisotropic_check_walks_only_linear_witnesses(self, monkeypatch):
+        Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+        V = Q @ np.diag([0.5, 2.0, 3.5]) @ Q.T
+        corpus = corpus_anisotropic(V, seed=2024)
+        linear = {m.name for m in corpus if "linear" in m.tags}
+        assert len(linear) == 4
+        names = []
+        sizes, grids = count_member_calls(monkeypatch, names)
+        reports = check_gaussian_anisotropic(V, corpus)
+        assert len(reports) == len(corpus) and all(r.passed for r in reports)
+        (grid,) = grids
+        largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * 3)
+        calls = list(zip(names, sizes, strict=True))
+        assert {name for name, k in calls if k > largest} == linear
+        # each linear witness: values and gradients once on every node
+        assert sum(k for name, k in calls if name in linear) == 2 * 4 * len(grid.points)
 
     @pytest.mark.parametrize("kind", ["Wstar", "hybrid"])
     def test_isotropic_checks_never_reach_the_grid(self, kind, monkeypatch):

@@ -225,6 +225,19 @@ class TestTabulatedWeights:
         assert isinstance(one, float) and abs(one - ref[0]) < 1e-10 * ref[0]
 
 
+class TestGammaRadialWeight:
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_the_P_weight_of_the_marginal(self, beta, n):
+        # the radial marginal of exp(-beta rho) is Gamma(n, rate beta), whose
+        # P weight is rho / beta
+        f = _marginal("exponential_type", {"beta": beta}, n)
+        rho = np.array([0.05, 0.5, 1.0, 2.0, 5.0, 10.0]) / beta
+        got = gamma_radial_weight(beta)(rho)
+        ref = p_weight_1d(f, None, rho)
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+
 class TestPQFamily:
     def test_linear_drift_returns_p(self):
         # Q(x) = x - m implies Q' = 1 and w = P
@@ -371,11 +384,11 @@ class TestCompositeWstar:
         beta = 1.0
         d = make_density("exponential_type", {"beta": beta}, 2)
         w = composite_Wstar(d, gamma_radial_weight(beta))
-        crossover = 2.0 * beta / math.pi ** 2
+        crossover = 2.0 / (beta * math.pi ** 2)
         assert any(abs(b - crossover) < 1e-10 for b in w.breakpoints)
         below = 0.5 * crossover
         above = 2.0 * crossover
-        assert abs(w(below) - beta * below) < 1e-14
+        assert abs(w(below) - below / beta) < 1e-14
         assert abs(w(above) - math.pi ** 2 / 2.0 * above ** 2) < 1e-12
 
     def test_cauchy_envelope(self):
