@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -76,13 +77,14 @@ class IsotropicDensity:
         """Centre m of the linear drift (x - m) in the Fokker-Planck form."""
         return 1.0 if self.half_line else 0.0
 
-    @property
+    @cached_property
     def geometry_factor(self):
         """Area factor multiplying rho^(n-1) in the radial volume element."""
         return 1.0 if self.half_line else surface_measure(self.n)
 
     def _profile(self, rho):
-        """Unnormalised radial profile, zero outside the support."""
+        """Unnormalised radial profile at points inside the support (rho > 0
+        for the half-line entry)."""
         rho = np.asarray(rho, dtype=float)
         kind = self.kind
         if kind == "gaussian":
@@ -98,10 +100,7 @@ class IsotropicDensity:
             return base ** expo
         if kind == "inverse_gamma_1d":
             mu = self.param("mu")
-            with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(rho > 0.0, np.exp(-mu / np.where(rho > 0, rho, 1.0))
-                               * np.where(rho > 0, rho, 1.0) ** (-(2.0 + mu)), 0.0)
-            return out
+            return np.exp(-mu / rho) * rho ** (-(2.0 + mu))
         raise ValueError(f"unknown kind {kind!r}")
 
     def eval(self, rho):
@@ -110,7 +109,8 @@ class IsotropicDensity:
         inside = (rho >= 0.0) & (rho <= self.support_radius)
         if self.half_line:
             inside &= rho > 0.0
-        vals = np.where(inside, self._profile(np.where(inside, rho, 0.0)), 0.0)
+        vals = np.zeros(rho.shape)
+        vals[inside] = self._profile(rho[inside])
         return self.norm_const * vals
 
     __call__ = eval

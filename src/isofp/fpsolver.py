@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,37 +51,43 @@ _MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Finite-volume cells 0 = r_0 < ... < r_M = r_max.
 
     ``cell_volumes`` integrates the geometric factor over each cell
     (sigma_n (r_{i+1}^n - r_i^n) / n in radial geometry, the plain width
-    for the 1-D half-line entry)."""
+    for the 1-D half-line entry).  ``centers``, ``widths`` and
+    ``cell_volumes`` are computed once, on first use, and are read-only."""
 
     n: int
     edges: np.ndarray
     geometry: str  # "radial" | "line"
 
-    @property
+    @cached_property
     def centers(self):
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return _read_only(0.5 * (self.edges[:-1] + self.edges[1:]))
 
-    @property
+    @cached_property
     def widths(self):
-        return np.diff(self.edges)
+        return _read_only(np.diff(self.edges))
 
     @property
     def cells(self):
         return len(self.edges) - 1
 
-    @property
+    @cached_property
     def cell_volumes(self):
         if self.geometry == "line":
             return self.widths
         from .densities import surface_measure
         sn = surface_measure(self.n)
-        return sn * np.diff(self.edges ** self.n) / self.n
+        return _read_only(sn * np.diff(self.edges ** self.n) / self.n)
 
     def face_areas(self):
         """Geometric area factor at interior faces r_1 .. r_{M-1}."""
@@ -108,12 +115,17 @@ def _truncation_radius(d, tail_mass=1e-12):
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise SolverError("could not truncate the domain: tail too heavy")
-    for _ in range(60):
+    # bisect until lo and hi are adjacent floats; further midpoints round
+    # onto an endpoint whose side is already known
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if tail(mid) > tail_mass:
             lo = mid
         else:
             hi = mid
+    # the one endpoint never tested is the starting lo = 1.0
+    if lo == 1.0 and tail(lo) <= tail_mass:
+        return lo
     return hi
 
 
@@ -132,8 +144,8 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12, grading=None):
     first cell centre stays where the density is numerically positive."""
     if r_max is None:
         r_max = _truncation_radius(d, tail_mass)
-    if grading is None and d.half_line and r_max > 100.0 * _lower_positive_radius(d):
-        target = _lower_positive_radius(d)
+    target = _lower_positive_radius(d) if grading is None and d.half_line else None
+    if target is not None and r_max > 100.0 * target:
 
         def first_center(g):
             return r_max * math.sinh(g * 0.5 / cells) / math.sinh(g)
@@ -153,7 +165,7 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12, grading=None):
     else:
         edges = r_max * u
     geometry = "line" if d.half_line else "radial"
-    return RadialGrid(n=d.n, edges=edges, geometry=geometry)
+    return RadialGrid(n=d.n, edges=_read_only(edges), geometry=geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +321,9 @@ class Solver:
             raise ValueError(f"unknown method {method!r}")
         values = F_new * self.f_eq
         neg = values.min()
-        if neg < -1e-14 * max(1.0, values.max()):
-            raise SolverError(f"negative density {neg:.3e} produced by a step")
         if neg < 0.0:
+            if neg < -1e-14 * max(1.0, values.max()):
+                raise SolverError(f"negative density {neg:.3e} produced by a step")
             clipped = np.clip(values, 0.0, None)
             total = np.dot(clipped, self.grid.cell_volumes)
             if total > 0.0:

@@ -117,6 +117,68 @@ class TestEvalDensity:
         assert d.eval(1.0) > 0.0
 
 
+def where_eval(d, rho):
+    """f(rho) by the np.where formula of each profile over the whole input:
+    the oracle of the evaluation restricted to the support."""
+    rho = np.asarray(rho, dtype=float)
+    inside = (rho >= 0.0) & (rho <= d.support_radius)
+    if d.half_line:
+        inside &= rho > 0.0
+    r = np.where(inside, rho, 0.0)
+    p = dict(d.params)
+    if d.kind == "gaussian":
+        prof = np.exp(-(r ** 2) / (2.0 * p["sigma"]))
+    elif d.kind == "cauchy_type":
+        prof = (1.0 + r ** 2) ** (-p["beta"])
+    elif d.kind == "exponential_type":
+        prof = np.exp(-p["beta"] * r)
+    elif d.kind == "barenblatt":
+        prof = np.clip(p["a"] ** 2 - r ** 2, 0.0, None) ** (1.0 / (p["p"] - 1.0))
+    else:
+        mu = p["mu"]
+        with np.errstate(divide="ignore", over="ignore"):
+            prof = np.where(r > 0.0, np.exp(-mu / np.where(r > 0, r, 1.0))
+                            * np.where(r > 0, r, 1.0) ** (-(2.0 + mu)), 0.0)
+    return d.norm_const * np.where(inside, prof, 0.0)
+
+
+EVAL_CASES = [
+    ("gaussian", {"sigma": 1.0}, 1),
+    ("gaussian", {"sigma": 2.5}, 3),
+    ("cauchy_type", {"beta": 4.0}, 3),
+    ("exponential_type", {"beta": 1.0}, 2),
+    ("barenblatt", {"a": 1.0, "p": 2.0}, 2),
+    ("barenblatt", {"a": 2.0, "p": 3.0}, 3),
+    ("inverse_gamma_1d", {"mu": 2.0}, 1),
+    ("inverse_gamma_1d", {"mu": 0.7}, 1),
+]
+
+
+class TestEvalInsideSupport:
+    @pytest.mark.parametrize("kind,params,n", EVAL_CASES)
+    def test_matches_where_formula(self, kind, params, n):
+        d = make_density(kind, params, n)
+        edge = d.support_radius if math.isfinite(d.support_radius) else 1e4
+        points = [0.0, -0.0, -1.0, -1e-300, 1e-60, 1e-3, 0.37, 1.0, 2.5,
+                  30.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf),
+                  1.5 * edge, math.inf, -math.inf]
+        for rho in points + [np.float64(0.5), np.array(0.5), 2]:
+            got, want = d.eval(rho), where_eval(d, rho)
+            assert type(got) is type(want) and np.shape(got) == ()
+            assert got == want, rho
+        for rho in (np.array(points), np.array(points).reshape(4, 4), np.array([])):
+            got, want = d.eval(rho), where_eval(d, rho)
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.xfail(raises=(AssertionError, RuntimeWarning), strict=True,
+                       reason="exp(-mu/rho) rho^-(2+mu) is 0 * inf = nan where "
+                              "the power overflows")
+    def test_inverse_gamma_vanishes_near_the_origin(self):
+        d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
+        assert d.eval(1e-100) == 0.0
+
+
 class TestRadialMarginal:
     @pytest.mark.parametrize("kind,params,n", MASS_MATRIX)
     def test_marginal_mass(self, kind, params, n):

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrs
 
+from isofp import quadrature
 from isofp.cli import catalog_K
-from isofp.densities import make_density, closed_form_weight
+from isofp.densities import (
+    closed_form_weight,
+    make_density,
+    parse_density_spec,
+    surface_measure,
+)
 from isofp.fpsolver import (
     FPState,
     SolverError,
+    _truncation_radius,
     build_solver,
     fit_decay_rate,
     functional_theta,
@@ -47,6 +55,95 @@ class TestRadialGrid:
             lambda r: d.radial_weight(r) * float(d.eval(r)),
             grid.edges[-1], math.inf)
         assert tail < 1e-12
+
+
+def bisection_60(d, tail_mass=1e-12):
+    """The truncation radius by a fixed 60 rounds of bisection: the oracle
+    the early-stopping bisection must reproduce float for float."""
+    if np.isfinite(d.support_radius):
+        return d.support_radius
+
+    def tail(R):
+        return quadrature.integrate_interval(
+            lambda r: d.radial_weight(r) * d.eval(r), R, math.inf)[0]
+
+    lo, hi = 1.0, 2.0
+    while tail(hi) > tail_mass:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if tail(mid) > tail_mass:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestTruncationRadius:
+    @pytest.mark.parametrize("spec,saved", [
+        ("gaussian:sigma=1,n=1", 8),
+        ("cauchy:beta=4,n=1", 8),
+        ("cauchy:beta=4,n=3", 8),
+        ("inverse_gamma:mu=2,n=1", 8),
+        # the tail at the starting lo = 1.0 is already below the target,
+        # so the fixed rounds end by testing lo itself
+        ("gaussian:sigma=0.01,n=1", 7),
+    ])
+    def test_same_float_as_fixed_rounds(self, spec, saved, monkeypatch):
+        d = parse_density_spec(spec)
+        calls = [0]
+        integrate = quadrature.integrate_interval
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_interval", counting)
+        got = _truncation_radius(d)
+        n_got = calls[0]
+        want = bisection_60(d)
+        n_oracle = calls[0] - n_got
+        assert got == want
+        assert n_oracle - n_got == saved
+
+
+def formula_volumes(grid):
+    e = grid.edges
+    if grid.geometry == "line":
+        return np.diff(e)
+    return surface_measure(grid.n) * np.diff(e ** grid.n) / grid.n
+
+
+class TestGridGeometry:
+    # a radial grid and a line grid
+    @pytest.mark.parametrize("spec", ["cauchy:beta=4,n=3", "inverse_gamma:mu=2,n=1"])
+    def test_cached_geometry_is_the_formula(self, spec):
+        grid = make_radial_grid(parse_density_spec(spec), 400)
+        e = grid.edges
+        for name, want in (("centers", 0.5 * (e[:-1] + e[1:])),
+                           ("widths", np.diff(e)),
+                           ("cell_volumes", formula_volumes(grid))):
+            got = getattr(grid, name)
+            assert np.array_equal(got, want)
+            assert getattr(grid, name) is got
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.edges[0] = 1.0
+
+    @pytest.mark.parametrize("spec", ["cauchy:beta=4,n=3", "inverse_gamma:mu=2,n=1"])
+    def test_mass_after_100_steps(self, spec):
+        d = parse_density_spec(spec)
+        solver = build_solver(d, catalog_K(d), cells=400)
+        state = perturbed_initial_state(solver, "cosine", eps=0.1)
+        values = state.values
+        for _ in range(100):
+            state = solver.step(state, 1e-3)
+            # the implicit step written out; no value goes negative here
+            dd, e = solver._factor(1e-3)
+            values = dpttrs(dd, e, solver.D * (values / solver.f_eq))[0] * solver.f_eq
+        assert np.array_equal(state.values, values)
+        assert state.mass == float(np.dot(values, formula_volumes(solver.grid)))
 
 
 class TestBuildSolver:
