@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import TestFunction, _sphere_monomial
+from .quadrature import TestFunction, _sphere_polynomial
 
 __all__ = [
     "Fn1D",
@@ -208,29 +208,30 @@ class TestCorpus:
 
 
 class PolarMember(TestFunction):
-    """phi(x) = s(rho) u^e with rho = |x| and u = x / |x|: a radial profile
+    """phi(x) = s(rho) a(u) with rho = |x| and u = x / |x|: a radial profile
     ``s`` (an :class:`Fn1D`, whose breakpoints are the member's radial
-    knots) times the monomial u^e of the direction, for a tuple ``exps`` of
-    n nonnegative exponents.
+    knots) times a polynomial a(u) = sum_t c_t u^e_t of the direction, given
+    as ``terms``, pairs (c_t, e_t) of a coefficient and n exponents >= 0.
 
-    Values and gradients come from (s, e) alone: phi = s(rho) u^e and
-    grad phi = s'(rho) u^e u + (s(rho) / rho) grad_S u^e, where grad_S is
-    the surface gradient on the unit sphere.  Where u^e is not constant
-    the profile must vanish at the origin (s = O(rho)); at x = 0 the
-    direction reads 0 and s / rho its limit s'(0), so grad phi(0) is
-    s'(0) e_k for s(rho) u_k and 0 for every other member.
+    Values and gradients come from (s, terms) alone: phi = s(rho) a(u) and
+    grad phi = s'(rho) a(u) u + (s(rho) / rho) grad_S a, where grad_S is
+    the surface gradient on the unit sphere.  Where a is not constant the
+    profile must vanish at the origin (s = O(rho)); at x = 0 the direction
+    reads 0 and s / rho its limit s'(0), so grad phi(0) is s'(0) b for a
+    linear a(u) = b . u and 0 for every other member.
 
-    ``polar = (s, e)`` lets :func:`~isofp.quadrature.grid_moments` reduce
-    the member to moments of s on the radial rule and of u^e on the
+    ``polar = (s, terms)`` lets :func:`~isofp.quadrature.grid_moments`
+    reduce the member to moments of s on the radial rule and of a on the
     angular rule, without evaluating it on the grid.
     """
 
-    def __init__(self, name, n, s, exps, support="full", bounded=True, tags=()):
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != int(n) or min(exps) < 0:
-            raise ValueError(f"{name!r}: polar exponents {exps} are not {n} "
-                             "nonnegative integers")
-        self.polar = (s, exps)
+    def __init__(self, name, n, s, terms, support="full", bounded=True, tags=()):
+        terms = tuple((float(c), tuple(int(e) for e in exps)) for c, exps in terms)
+        if not terms or any(len(e) != int(n) or min(e) < 0 for _, e in terms):
+            raise ValueError(f"{name!r}: polar exponents {[e for _, e in terms]} are "
+                             f"not {n} nonnegative integers")
+        self.polar = (s, terms)
+        self._radial = terms == ((1.0, (0,) * int(n)),)  # a = 1
         super().__init__(name, n, self._eval_points, self._grad_points,
                          support=support, bounded=bounded,
                          radial_breakpoints=s.breakpoints, tags=tags)
@@ -242,21 +243,18 @@ class PolarMember(TestFunction):
         return rho, np.where(rho == 0.0, 1.0, rho)
 
     def _eval_points(self, pts):
-        s, exps = self.polar
+        s, terms = self.polar
         rho, safe = self._radius(pts)
-        vals = s(rho)
-        if any(exps):
-            vals = vals * _sphere_monomial(pts / safe[:, None], exps, gradient=False)
-        return vals
+        return s(rho) * _sphere_polynomial(pts / safe[:, None], terms)[0]
 
     def _grad_points(self, pts):
-        s, exps = self.polar
+        s, terms = self.polar
         rho, safe = self._radius(pts)
         ds = s.deriv(rho)
-        if not any(exps):  # a = 1 and grad_S a = 0
+        if self._radial:  # a = 1 and grad_S a = 0
             return (ds / safe)[:, None] * pts
         u = pts / safe[:, None]
-        a, grad = _sphere_monomial(u, exps)
+        a, grad = _sphere_polynomial(u, terms)
         grad *= np.where(rho == 0.0, ds, s(rho) / safe)[:, None]
         u *= (ds * a)[:, None]
         return np.add(grad, u, out=grad)
@@ -265,13 +263,13 @@ class PolarMember(TestFunction):
 def _radial_u_member(name, n, sigma, dsigma):
     """Member phi(x) = sigma(|x|^2); gradient 2 sigma'(|x|^2) x is smooth."""
     profile = Fn1D(name, lambda r: sigma(r * r), lambda r: 2.0 * r * dsigma(r * r))
-    return PolarMember(name, n, profile, (0,) * n, tags=("radial",))
+    return PolarMember(name, n, profile, [(1.0, (0,) * n)], tags=("radial",))
 
 
 def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full", tags=()):
     """Member phi(x) = s(|x|) for profiles with s'(0) = 0 (or support away from 0)."""
-    return PolarMember(name, n, Fn1D(name, s, ds, breakpoints=breakpoints), (0,) * n,
-                       support=support, tags=("radial",) + tags)
+    return PolarMember(name, n, Fn1D(name, s, ds, breakpoints=breakpoints),
+                       [(1.0, (0,) * n)], support=support, tags=("radial",) + tags)
 
 
 def _mono_gauss_member(name, n, exps, c):
@@ -282,12 +280,12 @@ def _mono_gauss_member(name, n, exps, c):
                    lambda r: ((k * r ** (k - 1) if k else 0.0) - 2.0 * c * r ** (k + 1))
                    * np.exp(-c * r * r))
     tags = ("angular",) if k > 0 else ("radial",)
-    return PolarMember(name, n, profile, exps, tags=tags + ("poly_gauss",))
+    return PolarMember(name, n, profile, [(1.0, exps)], tags=tags + ("poly_gauss",))
 
 
-def _unit_exponents(n, axis):
-    """Exponents of the monomial u_axis."""
-    return tuple(int(j == axis) for j in range(n))
+def _unit_term(n, axis, coef=1.0):
+    """The angular term coef * u_axis."""
+    return coef, tuple(int(j == axis) for j in range(n))
 
 
 def _bump_direction_member(name, n, r0, r1, w, axis=0, support="full"):
@@ -295,7 +293,7 @@ def _bump_direction_member(name, n, r0, r1, w, axis=0, support="full"):
     profile = Fn1D(name, lambda r: _bump(r, r0, r1, w, w),
                    lambda r: _bump_deriv(r, r0, r1, w, w),
                    breakpoints=(r0 - w, r0, r1, r1 + w))
-    return PolarMember(name, n, profile, _unit_exponents(n, axis), support=support,
+    return PolarMember(name, n, profile, [_unit_term(n, axis)], support=support,
                        tags=("mixed", "bump"))
 
 
@@ -342,10 +340,12 @@ def _random_mixture_member(name, n, rng, terms=3, box=1.5):
     return GaussianMixture(name, n, amps, cs, bs, tags=("mixed", "random"))
 
 
-def _linear_member(n, axis=0):
+def _linear_member(name, b):
+    """The unbounded linear form b . x = |x| (b . u), without its zero terms."""
+    n = len(b)
     rho = Fn1D("rho", lambda r: r, np.ones_like, bounded=False)
-    return PolarMember(f"linear_x{axis + 1}", n, rho, _unit_exponents(n, axis),
-                       bounded=False, tags=("linear",))
+    terms = [_unit_term(n, j, c) for j, c in enumerate(b) if c != 0.0]
+    return PolarMember(name, n, rho, terms, bounded=False, tags=("linear",))
 
 
 def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,
@@ -425,9 +425,7 @@ def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,
         members.append(_random_mixture_member(f"random{j}", n, rng, box=1.5 * scale))
 
     if include_linear:
-        members.append(_linear_member(n, axis=0))
-        if n >= 2:
-            members.append(_linear_member(n, axis=1))
+        members += [_linear_member(f"linear_x{i + 1}", np.eye(n)[i]) for i in range(min(n, 2))]
 
     return TestCorpus(members, seed, label=label)
 
@@ -506,18 +504,6 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
 # ---------------------------------------------------------------------------
 
 
-def _linear_form_member(name, b):
-    b = np.asarray(b, dtype=float)
-
-    def ev(pts):
-        return pts @ b
-
-    def gr(pts):
-        return np.broadcast_to(b, pts.shape).copy()
-
-    return TestFunction(name, len(b), ev, gr, bounded=False, tags=("linear",))
-
-
 def corpus_anisotropic(V, seed=0):
     """Corpus for the anisotropic Gaussian inequality under N(u, V), in
     whitened coordinates y = H^{-1} (x - u) with H = Q sqrt(D) from
@@ -528,7 +514,7 @@ def corpus_anisotropic(V, seed=0):
     keep their shell kernels on the standard-normal grid; their names carry
     ``@whitened``.  The sharp witnesses are linear forms a . x along the
     first two coordinate axes and the top and bottom eigenvectors of V; up
-    to the constant a . u they are b . y with b = H^T a.
+    to the constant a . u they are the polar members b . y = |y| (b . u).
     """
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
@@ -540,7 +526,7 @@ def corpus_anisotropic(V, seed=0):
         m.tags += ("whitened",)
     forms = {f"linear_x{i + 1}": np.eye(n)[i] for i in range(min(n, 2))}
     forms.update(linear_top_eigvec=Q[:, -1], linear_bottom_eigvec=Q[:, 0])
-    members += [_linear_form_member(name, H.T @ a) for name, a in forms.items()]
+    members += [_linear_member(name, H.T @ a) for name, a in forms.items()]
     return TestCorpus(members, seed, label="anisotropic")
 
 

@@ -100,6 +100,8 @@ class IsotropicDensity:
             return base ** expo
         if kind == "inverse_gamma_1d":
             mu = self.param("mu")
+            # exp(-mu/rho) is 0 below mu/746: clamp there, or 0 * inf is nan
+            rho = np.maximum(rho, mu / 746.0)
             return np.exp(-mu / rho) * rho ** (-(2.0 + mu))
         raise ValueError(f"unknown kind {kind!r}")
 

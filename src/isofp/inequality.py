@@ -175,14 +175,13 @@ def _shift_point(f):
     return b - 1.0 if np.isfinite(b) else 0.0
 
 
-def _factor_rule(f, extra_breakpoints=(), order=12, levels=14, halved=False):
+def _factor_rule(f, extra_breakpoints=(), order=12, halved=False):
     """Nodes, probability-normalised weights and density values for one
-    1-D factor; ``halved`` cuts every panel in two (see
-    :func:`~isofp.quadrature.interval_rule`)."""
+    1-D factor, graded over 14 levels (7 on a finite interval); ``halved``
+    cuts every panel in two (see :func:`~isofp.quadrature.interval_rule`)."""
     a, b = f.support
     bp = tuple(set(f.breakpoints) | set(extra_breakpoints))
-    if np.isfinite(a) and np.isfinite(b):
-        levels = max(4, levels // 2)
+    levels = 7 if np.isfinite(a) and np.isfinite(b) else 14
     rule = functools.partial(interval_rule, order=order, levels=levels, halved=halved)
     if np.isinf(a) and np.isinf(b):
         x1, w1 = rule(0.0, math.inf, breakpoints=[p for p in bp if p > 0])
@@ -222,13 +221,10 @@ def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
         if len(getattr(phi, "shapes", ())) != n:
             raise ValueError(f"member {phi.name!r} has no {n} factor shapes; "
                              "the product check needs separable members")
-    # beyond two factors the order-8 rules stay: a finer rule would move
-    # n = 3 ratios by up to 4e-7
-    order, levels = (12, 14) if n <= 2 else (8, 8)
     rules = []
     for i, f in enumerate(densities):
         knots = set().union(*(phi.shapes[i].breakpoints for phi in corpus))
-        nodes, pw, dens = _factor_rule(f, knots, order=order, levels=levels)
+        nodes, pw, dens = _factor_rule(f, knots)
         # weights are only needed (and may only be defined) where the factor
         # density is numerically positive
         pos = dens > 0.0

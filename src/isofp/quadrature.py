@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -189,7 +189,7 @@ class TestFunction:
     ``grad_fn`` to (m, n) gradients.  ``support`` is ``"full"``,
     ``("outside_ball", R)`` or ``("inside_ball", R)``.  ``polar`` and
     ``mixture`` are None here; :class:`~isofp.corpus.PolarMember` sets
-    ``polar`` to (s, e) and :class:`~isofp.corpus.GaussianMixture` sets
+    ``polar`` to (s, terms) and :class:`~isofp.corpus.GaussianMixture` sets
     ``mixture`` to (amps, centres, widths).
 
     Construction runs a finite-difference self-test of the gradient and
@@ -277,6 +277,10 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
+# The grid's rules: radial Gauss order and dyadic levels, points per angle.
+_RADIAL_ORDER, _RADIAL_LEVELS, _ANGULAR_ORDER = 12, 22, 32
+
+
 class HypersphericalGrid:
     """Tensor quadrature grid (rho, theta_1..theta_{n-1}) for one density,
     kept as its radial and angular factors.
@@ -288,8 +292,9 @@ class HypersphericalGrid:
     lives on (0, 2pi); ``ang_weights`` is their product rule on the unit
     sphere and ``tangents[i - 1]`` holds d u / d theta_i at its nodes.  For
     n = 1 the sphere is the two directions +-1, each of angular weight 1, so
-    odd test functions integrate correctly.  ``points`` lists every node,
-    radial index major: rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
+    odd test functions integrate correctly.  No array with one row per node
+    is stored: ``points`` builds the node list on access, radial index
+    major, so rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
 
     Integrating the constant 1 against the density gives ``mass``, which
     must be 1 within 1e-7.  The normalised weights sum to one only up to
@@ -299,24 +304,31 @@ class HypersphericalGrid:
     its variance is exactly 0 after the blocks are merged.
     """
 
-    def __init__(self, density, angular_order=32, radial_order=12,
-                 radial_levels=22, radial_breakpoints=()):
+    def __init__(self, density, radial_breakpoints=()):
         n = density.n
         if n > 4:
             raise ValueError("full tensor grids are limited to n <= 4")
         self.density = density
         self.n = n
         self.r_nodes, r_rule = interval_rule(
-            0.0, density.support_radius, order=radial_order, levels=radial_levels,
+            0.0, density.support_radius, order=_RADIAL_ORDER, levels=_RADIAL_LEVELS,
             breakpoints=radial_breakpoints,
         )
-        self.unit, self.ang_weights, self.tangents = _angular_rule(n, angular_order)
+        self.unit, self.ang_weights, self.tangents = _angular_rule(n, _ANGULAR_ORDER)
         r_mass = r_rule * self.r_nodes ** (n - 1) * density.eval(self.r_nodes)
         self.mass = float(r_mass.sum() * self.ang_weights.sum())
         self.r_weights = r_mass / self.mass
         self.anchor = (int(np.argmax(self.r_weights)) * len(self.ang_weights)
                        + int(np.argmax(self.ang_weights)))
-        self.points = (self.r_nodes[:, None, None] * self.unit[None]).reshape(-1, n)
+
+    def _shell_points(self, rows):
+        """The nodes of the radial shells ``rows`` (a slice), one per row."""
+        return (self.r_nodes[rows, None, None] * self.unit).reshape(-1, self.n)
+
+    @property
+    def points(self):
+        """Every node, radial index major, built on each access."""
+        return self._shell_points(slice(None))
 
     def radial_values(self, fn):
         """A function of rho on ``r_nodes``.  Nodes where the density
@@ -385,23 +397,26 @@ def _unit_tangent(theta, i):
     return out
 
 
-def _sphere_monomial(u, exps, gradient=True):
-    """The monomial a(u) = prod_j u_j^e_j at unit directions ``u`` (m, n),
-    and with ``gradient`` also its surface gradient: the part of grad a
-    tangent to the sphere.  Factors with e_j = 0 are 1 and are left out of
-    every product."""
-    cols = {j: u[:, j] ** e for j, e in enumerate(exps) if e}
-    a = reduce(mul, cols.values()) if cols else np.ones(len(u))
-    if not gradient:
-        return a
-    grad = np.zeros_like(u)
-    for j in cols:
-        others = [c for i, c in cols.items() if i != j]
-        d_others = reduce(mul, others) if others else 1.0
-        e = exps[j]
-        grad[:, j] = d_others if e == 1 else e * u[:, j] ** (e - 1) * d_others
+def _sphere_polynomial(u, terms):
+    """The polynomial a(u) = sum_t c_t prod_j u_j^e_tj at unit directions
+    ``u`` (m, n), for ``terms`` a tuple of (c_t, e_t), and its surface
+    gradient: the part of grad a tangent to the sphere, projected once
+    after the terms are summed.  Factors with e_j = 0 are 1 and are left
+    out of every product."""
+    values, grads = [], []
+    for coef, exps in terms:
+        cols = {j: u[:, j] ** e for j, e in enumerate(exps) if e}
+        values.append(coef * (reduce(mul, cols.values()) if cols else np.ones(len(u))))
+        grad = np.zeros_like(u)
+        for j in cols:
+            others = [c for i, c in cols.items() if i != j]
+            d_others = reduce(mul, others) if others else 1.0
+            e = exps[j]
+            grad[:, j] = d_others if e == 1 else e * u[:, j] ** (e - 1) * d_others
+        grads.append(coef * grad)
+    grad = reduce(add, grads)
     grad -= np.einsum("ij,ij->i", grad, u)[:, None] * u
-    return a, grad
+    return reduce(add, values), grad
 
 
 def build_grid(density, phis=(), extra_breakpoints=()):
@@ -459,11 +474,11 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
     angular parts E[(d phi / d theta_i)^2] in hyperspherical coordinates;
     without one they are nan and ().
 
-    A member whose ``polar`` is (s, e), so phi = s(rho) a(u) with a = u^e
-    (a :class:`~isofp.corpus.PolarMember`), is never evaluated on the grid.
-    Its gradient is s' a u + (s / rho) grad_S a, with grad_S a the surface
-    gradient of a.  With radial moments E_r on ``r_nodes`` and angular
-    moments E_a on ``unit``:
+    A member whose ``polar`` is (s, terms), so phi = s(rho) a(u) with a the
+    polynomial sum_t c_t u^e_t (a :class:`~isofp.corpus.PolarMember`), is
+    never evaluated on the grid.  Its gradient is s' a u + (s / rho) grad_S
+    a, with grad_S a the surface gradient of a.  With radial moments E_r on
+    ``r_nodes`` and angular moments E_a on ``unit``:
 
     - Var = Var_r[s] E_a[a^2] + E_r[s]^2 Var_a[a], each variance shifted at
       its factor of ``grid.anchor`` (see :func:`shifted_variance`);
@@ -481,12 +496,13 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
     :class:`~isofp.corpus.GaussianMixture`), is built from ``r_nodes`` and
     ``unit``: at x = rho u each term is exp(2 b rho (c . u) - b (rho^2 +
     |c|^2)) and grad phi = x sum_k q_k - sum_k q_k c_k with q_k = -2 a_k b_k
-    exp(...).  Any other member is evaluated on the block's rows of
-    ``grid.points``.  Either way each block is contracted with the radial
-    and the angular weights; values are shifted by their value at
-    ``grid.anchor``, whose block is taken first, and the block variances are
-    merged by the pairwise update of Chan, Golub & LeVeque (1983), so a
-    member constant on the nodes has variance exactly 0.
+    exp(...).  Any other member (none in the corpora: this is the tests'
+    reference) is evaluated on the nodes of the block's shells.  Either way
+    each block is contracted with the radial and the angular weights;
+    values are shifted by their value at ``grid.anchor``, whose block is
+    taken first, and the block variances are merged by the pairwise update
+    of Chan, Golub & LeVeque (1983), so a member constant on the nodes has
+    variance exactly 0.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
     if phi.polar is not None:
@@ -509,12 +525,11 @@ def _shell_blocks(grid):
 
 
 def _node_blocks(grid, phi):
-    """(rows, values, gradient) of ``phi`` on each block's node rows, the
+    """(rows, values, gradient) of ``phi`` on the nodes of each block, the
     gradient as its n components of shape (radial, angular)."""
-    A = len(grid.ang_weights)
     for rows in _shell_blocks(grid):
-        x = grid.points[rows.start * A:rows.stop * A]
-        shape = (rows.stop - rows.start, A)
+        x = grid._shell_points(rows)
+        shape = (rows.stop - rows.start, len(grid.ang_weights))
         yield rows, phi(x).reshape(shape), np.moveaxis(phi.grad(x).reshape(*shape, -1), -1, 0)
 
 
@@ -585,14 +600,14 @@ def _block_moments(grid, blocks, weights, split_weight, axis_weights):
 
 
 def _polar_moments(grid, polar, weights, split_weight, axis_weights):
-    """:func:`grid_moments` of s(rho) u^e from one radial and one angular
+    """:func:`grid_moments` of s(rho) a(u) from one radial and one angular
     pass; ``weights`` holds the radial weights as rows."""
-    s_fn, exps = polar
+    s_fn, terms = polar
     r, p, ang_w = grid.r_nodes, grid.r_weights, grid.ang_weights
     total = float(ang_w.sum())
     j0, k0 = divmod(grid.anchor, len(ang_w))
     s, ds = s_fn(r), s_fn.deriv(r)
-    a, grad_a = _sphere_monomial(grid.unit, exps)
+    a, grad_a = _sphere_polynomial(grid.unit, terms)
     a2 = float(ang_w @ (a * a))
     # p_j ang_w_k is the node's probability weight; p * total and
     # ang_w / total are the radial and angular probability weights

@@ -300,11 +300,10 @@ class TestProduct:
         f = std_normal_1d()
         member = SeparableMember("sum_x", [identity_shape()] * 5, "sum", bounded=False)
         rep = check_product([f] * 5, [unit_weight()] * 5, [member])[0]
-        # rhs is five factor masses; lhs carries the order-8 factor rule's
-        # 7.5e-9 relative error in E[x^2] on each factor
+        # rhs is five factor masses and lhs five factor variances E[x^2]
         assert abs(rep.rhs - 5.0) < 1e-12
-        assert abs(rep.lhs - 5.0) < 1e-7
-        assert abs(rep.ratio - 1.0) < 1e-7
+        assert abs(rep.lhs - 5.0) < 1e-11
+        assert abs(rep.ratio - 1.0) < 1e-11
 
     def test_rejects_member_without_factor_shapes(self):
         f = std_normal_1d()
@@ -384,6 +383,14 @@ class TestWstar:
         inflated = check_isotropic_Wstar(d, corpus, doubled)
         for rb, ri in zip(base, inflated):
             assert ri.rhs >= rb.rhs * (1.0 - 1e-12)
+
+    def test_gaussian_n4(self):
+        # the polar members and one mixture on the n = 4 grid of 24M nodes
+        d = parse_density_spec("gaussian:sigma=2.5,n=4")
+        corpus = [m for m in corpus_nd(4, seed=2024) if m.polar or m.name == "random0"]
+        reports = check_isotropic_Wstar(d, corpus, marginal_weight(d))
+        assert len(reports) == len(corpus) == 51
+        assert_all_pass(reports)
 
 
 def constant_member(n, c):
@@ -650,6 +657,19 @@ class TestGaussianAnisotropic:
         by_name = {r.witness: r for r in reports}
         assert abs(by_name["linear_top_eigvec"].ratio - 1.0) < 1e-10
         assert abs(by_name["linear_bottom_eigvec"].ratio - 0.5 / 3.5) < 1e-10
+
+    def test_diagonal_n4(self):
+        # each witness a . x has the ratio a^T V a / (lambda_max |a|^2)
+        V = np.diag([1.0, 2.0, 3.0, 4.0])
+        corpus = [m for m in corpus_anisotropic(V, seed=2024) if m.polar]
+        reports = check_gaussian_anisotropic(V, corpus)
+        assert len(reports) == len(corpus) >= 50
+        assert_all_pass(reports)
+        by_name = {r.witness: r.ratio for r in reports}
+        exact = {"linear_x1": 0.25, "linear_x2": 0.5,
+                 "linear_top_eigvec": 1.0, "linear_bottom_eigvec": 0.25}
+        for name, ratio in exact.items():
+            assert abs(by_name[name] - ratio) < 1e-6, name
 
     def test_non_spd_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):

@@ -136,7 +136,7 @@ class TestHypersphericalGrid:
 
     def test_unit_mass_n4(self):
         d = make_density("gaussian", {"sigma": 1.0}, 4)
-        grid = HypersphericalGrid(d, angular_order=12, radial_levels=10)
+        grid = HypersphericalGrid(d)
         assert abs(grid.mass - 1.0) < 1e-7
 
     def test_rejects_n5(self):
@@ -156,10 +156,13 @@ class TestHypersphericalGrid:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_only_points_is_node_sized(self, n):
+        # the node list is built on access; no stored array has J * A rows
         grid = HypersphericalGrid(make_density("cauchy_type", {"beta": 4.0}, n))
+        J, A = len(grid.r_nodes), len(grid.ang_weights)
         arrays = {k: v for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
-        node_sized = [k for k, v in arrays.items() if v.shape[:1] == grid.points.shape[:1]]
-        assert node_sized == ["points"]
+        assert {"r_nodes", "r_weights", "unit", "ang_weights", "tangents"} <= set(arrays)
+        assert [k for k, v in arrays.items() if J * A in v.shape] == []
+        assert len(grid.points) == J * A and "points" not in vars(grid)
         assert len(grid.tangents) == n - 1
 
 
@@ -437,6 +440,18 @@ def polar_families(n, R):
     return members
 
 
+def linear_witness(n):
+    """``linear_x1`` of the anisotropic corpus under a rotated V, and its b:
+    the linear form b . y with b = H^T e_1, H = Q sqrt(D), every b_i nonzero."""
+    Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(n, n)))
+    V = Q @ np.diag(np.arange(1.0, n + 1.0)) @ Q.T
+    lam, Qv = np.linalg.eigh(V)
+    b = (Qv * np.sqrt(lam))[0]
+    (phi,) = [m for m in corpus_anisotropic(V, seed=2024) if m.name == "linear_x1"]
+    assert isinstance(phi, PolarMember) and len(phi.polar[1]) == n
+    return phi, b
+
+
 def stripped(phi):
     """The same member without its factors: grid_moments walks the grid."""
     return TestFunction(phi.name, phi.n, phi, phi.grad, self_test=False)
@@ -513,7 +528,7 @@ class TestPolarMoments:
     @pytest.mark.parametrize("n", [2, 3])
     def test_axis_weights_match_block_walk(self, n):
         # the anisotropic check's standard-normal grid, random axis weights
-        members = polar_families(n, 2.0)
+        members = polar_families(n, 2.0) + [linear_witness(n)[0]]
         assert_axis_weights_match_block_walk(n, members, seed=n)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -521,7 +536,8 @@ class TestPolarMoments:
         # E_r[w s^2 / rho^2] needs s = O(rho) wherever u^e is not constant
         members = (list(corpus_nd(n, seed=2024, include_linear=True))
                    + list(corpus_outside_ball(n, 2.0, seed=2024)))
-        angular = [m for m in members if m.polar and any(m.polar[1])]
+        angular = [m for m in members
+                   if m.polar and any(any(e) for _, e in m.polar[1])]
         assert len(angular) >= 20
         for phi in angular:
             s = phi.polar[0]
@@ -680,12 +696,14 @@ class TestPolarMember:
         refs, tail = cartesian_references(n, R)
         members = {m.name: m for m in corpus_nd(n, seed=2024, include_linear=True)}
         members.update(tail)
+        members["witness"], b = linear_witness(n)
+        refs["witness"] = (lambda x: x @ b), (lambda x: np.broadcast_to(b, x.shape))
         rng = np.random.default_rng(11)
         bulk = rng.uniform(-4.0, 4.0, size=(64, n))
         dirs = rng.normal(size=(8, n))
         tiny = 1e-8 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = np.vstack([bulk, tiny, np.zeros((1, n))])
-        assert len(refs) == (8 if n >= 3 else 7)
+        assert len(refs) == (9 if n >= 3 else 8)
         for name, (ev, gr) in refs.items():
             phi = members[name]
             assert isinstance(phi, PolarMember), name
@@ -718,17 +736,17 @@ class TestPolarMember:
     def test_wrong_exponent_count_is_rejected(self):
         rho = Fn1D("rho", lambda r: r, np.ones_like)
         with pytest.raises(ValueError, match="exponents"):
-            PolarMember("bad_length", 3, rho, (1, 0))
+            PolarMember("bad_length", 3, rho, [(1.0, (1, 0))])
         with pytest.raises(ValueError, match="exponents"):
-            PolarMember("bad_sign", 2, rho, (1, -1))
+            PolarMember("bad_sign", 2, rho, [(1.0, (1, -1))])
 
     def test_outside_ball_support_is_checked(self):
         # a bump on (0.3, 1.3) declared to vanish on |x| <= 2
         s = Fn1D("bump", lambda r: _bump(r, 0.6, 1.0, 0.3, 0.3),
                  lambda r: _bump_deriv(r, 0.6, 1.0, 0.3, 0.3), breakpoints=(0.3, 0.6, 1.0, 1.3))
         with pytest.raises(ValueError, match="does not vanish inside"):
-            PolarMember("leaky", 2, s, (1, 0), support=("outside_ball", 2.0))
-        PolarMember("tight", 2, s, (1, 0), support=("outside_ball", 0.25))
+            PolarMember("leaky", 2, s, [(1.0, (1, 0))], support=("outside_ball", 2.0))
+        PolarMember("tight", 2, s, [(1.0, (1, 0))], support=("outside_ball", 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -801,40 +819,34 @@ class TestMixtureMoments:
 
 class TestShellKernels:
     """Every default member reaches the grid through its factors, so no
-    isotropic check walks the node rows."""
+    n-D check walks the grid's nodes."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_member_has_a_shell_kernel(self, n):
-        for phi in corpus_nd(n, seed=2024, include_linear=True):
-            assert isinstance(phi, (PolarMember, GaussianMixture)), phi.name
+        V = np.diag(np.arange(1.0, n + 1.0))
+        for corpus in (corpus_nd(n, seed=2024, include_linear=True),
+                       corpus_outside_ball(n, 2.0, seed=2024),
+                       corpus_anisotropic(V, seed=2024)):
+            for phi in corpus:
+                assert isinstance(phi, (PolarMember, GaussianMixture)), phi.name
 
-    def test_anisotropic_check_walks_only_linear_witnesses(self, monkeypatch):
-        Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
-        V = Q @ np.diag([0.5, 2.0, 3.5]) @ Q.T
-        corpus = corpus_anisotropic(V, seed=2024)
-        linear = {m.name for m in corpus if "linear" in m.tags}
-        assert len(linear) == 4
-        names = []
-        sizes, grids = count_member_calls(monkeypatch, names)
-        reports = check_gaussian_anisotropic(V, corpus)
-        assert len(reports) == len(corpus) and all(r.passed for r in reports)
-        (grid,) = grids
-        largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * 3)
-        calls = list(zip(names, sizes, strict=True))
-        assert {name for name, k in calls if k > largest} == linear
-        # each linear witness: values and gradients once on every node
-        assert sum(k for name, k in calls if name in linear) == 2 * 4 * len(grid.points)
-
-    @pytest.mark.parametrize("kind", ["Wstar", "hybrid"])
+    @pytest.mark.parametrize("kind", ["Wstar", "hybrid", "anisotropic"])
     def test_isotropic_checks_never_reach_the_grid(self, kind, monkeypatch):
         d = make_density("cauchy_type", {"beta": 4.0}, 3)
         w, K = optimal_cauchy_weight(4.0, 3), closed_form_weight(d)
         corpus = corpus_nd(3, seed=2024)
+        if kind == "anisotropic":
+            Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+            V = Q @ np.diag([0.5, 2.0, 3.5]) @ Q.T
+            corpus = corpus_anisotropic(V, seed=2024)
+            assert sum("linear" in m.tags for m in corpus) == 4
         sizes, grids = count_member_calls(monkeypatch)
         if kind == "Wstar":
             reports = check_isotropic_Wstar(d, corpus, w)
-        else:
+        elif kind == "hybrid":
             reports = check_hybrid(d, w, K, critical_tail_radius(d, K), corpus)
+        else:
+            reports = check_gaussian_anisotropic(V, corpus)
         assert len(reports) == len(corpus) and all(r.passed for r in reports)
         (grid,) = grids
         largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
