@@ -73,7 +73,6 @@ from .fpsolver import (
     SolverError,
     build_solver,
     fit_decay_rate,
-    functional_theta,
     make_radial_grid,
     perturbed_initial_state,
     verify_hellinger_decay,

@@ -31,6 +31,11 @@ __all__ = [
     "quintic_step_deriv",
 ]
 
+# seeded random members per corpus, and the number of radii in the lattice
+# the knots of the outside-ball corpus are drawn from
+_RANDOM_MEMBERS = 14
+_LATTICE_SIZE = 16
+
 
 # ---------------------------------------------------------------------------
 # C^2 quintic smoothstep
@@ -93,7 +98,7 @@ class Fn1D:
         return np.asarray(self.df(np.asarray(x, dtype=float)))
 
 
-def corpus_1d(support, seed=0, include_linear=False, size_random=14):
+def corpus_1d(support, seed=0, include_linear=False):
     """Test functions adapted to a 1-D support (a, b); ends may be infinite.
 
     Bounded smooth members by default; ``include_linear`` adds the identity
@@ -164,7 +169,7 @@ def corpus_1d(support, seed=0, include_linear=False, size_random=14):
             ))
 
     # seeded random smooth mixtures
-    for j in range(size_random):
+    for j in range(_RANDOM_MEMBERS):
         na = 3
         amps = rng.uniform(-1.0, 1.0, na)
         cs = rng.uniform(min(centers) - width, max(centers) + width, na)
@@ -198,7 +203,6 @@ class TestCorpus:
 
     members: list
     seed: int
-    label: str = "default"
 
     def __iter__(self):
         return iter(self.members)
@@ -348,8 +352,7 @@ def _linear_member(name, b):
     return PolarMember(name, n, rho, terms, bounded=False, tags=("linear",))
 
 
-def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,
-              label="default"):
+def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
     """Default corpus on R^n: >= 40 bounded smooth members spanning radial,
     angular and mixed derivative behaviour, plus seeded random mixtures.
 
@@ -421,17 +424,16 @@ def corpus_nd(n, seed=0, include_linear=False, scale=1.0, size_random=14,
         members.append(_bump_direction_member("bump_dir1", n, 0.8 * scale, 1.3 * scale, 0.4 * scale, axis=0))
         members.append(_bump_direction_member("bump_dir2", n, 0.6 * scale, 1.0 * scale, 0.3 * scale, axis=1))
 
-    for j in range(size_random):
+    for j in range(_RANDOM_MEMBERS):
         members.append(_random_mixture_member(f"random{j}", n, rng, box=1.5 * scale))
 
     if include_linear:
         members += [_linear_member(f"linear_x{i + 1}", np.eye(n)[i]) for i in range(min(n, 2))]
 
-    return TestCorpus(members, seed, label=label)
+    return TestCorpus(members, seed)
 
 
-def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
-                        lattice_size=16, label="outside_ball"):
+def corpus_outside_ball(n, R, r_max=None, seed=0):
     """Corpus of members vanishing (with their gradients) on |x| <= R.
 
     Bumps are placed in (R, R + span); ``r_max`` caps the span for densities
@@ -442,7 +444,7 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
     """
     rng = np.random.default_rng(seed)
     span = (r_max - R) if r_max is not None and np.isfinite(r_max) else max(2.0, R)
-    lattice = R + span * np.linspace(0.02, 0.94, lattice_size)
+    lattice = R + span * np.linspace(0.02, 0.94, _LATTICE_SIZE)
     members = []
 
     def bump_from_indices(idx4):
@@ -452,11 +454,11 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
         return r0, r1, wu, wd
 
     specs = []
-    for i0 in range(lattice_size - 3):
+    for i0 in range(_LATTICE_SIZE - 3):
         specs.append((i0, i0 + 1, i0 + 2, i0 + 3))
-    for i0 in range(0, lattice_size - 6, 3):
+    for i0 in range(0, _LATTICE_SIZE - 6, 3):
         specs.append((i0, i0 + 2, i0 + 4, i0 + 6))
-    for i0 in range(0, lattice_size - 8, 4):
+    for i0 in range(0, _LATTICE_SIZE - 8, 4):
         specs.append((i0, i0 + 1, i0 + 7, i0 + 8))
 
     for idx, idx4 in enumerate(specs):
@@ -473,13 +475,13 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
                                                   support=("outside_ball", R)))
 
     # random radial mixtures of lattice bumps
-    for j in range(count_random):
+    for j in range(_RANDOM_MEMBERS):
         ncomp = 3
         amps = rng.uniform(-1.0, 1.0, ncomp)
         comp = []
         bps = set()
         for _ in range(ncomp):
-            idx4 = np.sort(rng.choice(lattice_size, size=4, replace=False))
+            idx4 = np.sort(rng.choice(_LATTICE_SIZE, size=4, replace=False))
             r0, r1, wu, wd = bump_from_indices(idx4)
             comp.append((r0, r1, wu, wd))
             bps |= {r0 - wu, r0, r1, r1 + wd}
@@ -496,7 +498,7 @@ def corpus_outside_ball(n, R, r_max=None, seed=0, count_random=14,
             f"tail_random{j}", n, s, ds, breakpoints=tuple(sorted(bps)),
             support=("outside_ball", R), tags=("random", "tail"),
         ))
-    return TestCorpus(members, seed, label=label)
+    return TestCorpus(members, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +529,7 @@ def corpus_anisotropic(V, seed=0):
     forms = {f"linear_x{i + 1}": np.eye(n)[i] for i in range(min(n, 2))}
     forms.update(linear_top_eigvec=Q[:, -1], linear_bottom_eigvec=Q[:, 0])
     members += [_linear_member(name, H.T @ a) for name, a in forms.items()]
-    return TestCorpus(members, seed, label="anisotropic")
+    return TestCorpus(members, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +569,13 @@ class SeparableMember(TestFunction):
         return out
 
 
-def corpus_product(supports, seed=0, include_bilinear=False, bump_axes=(0,),
-                   label="product"):
+def corpus_product(supports, seed=0, include_bilinear=False):
     """Corpus on a product box prod_i (a_i, b_i); >= 40 members.
 
     Members are :class:`SeparableMember` products and sums of seeded draws
     from the 1-D shapes adapted to each factor; each shape carries its own
     C^2 knots, where the factor rules of the product check split.  Shapes
-    with knots are drawn only along ``bump_axes``, which keeps the other
+    with knots are drawn only along the first axis, which keeps the other
     factor rules free of extra panels.  ``include_bilinear`` adds the
     unbounded x_1 x_2 witness for light-tailed factors.
     """
@@ -587,7 +588,7 @@ def corpus_product(supports, seed=0, include_bilinear=False, bump_axes=(0,),
                  lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
     def draw(i):
-        pool = per_coord[i] if i in bump_axes else smooth_coord[i]
+        pool = per_coord[i] if i == 0 else smooth_coord[i]
         return pool[rng.integers(0, len(pool))]
 
     members = []
@@ -613,4 +614,4 @@ def corpus_product(supports, seed=0, include_bilinear=False, bump_axes=(0,),
         shapes = [ident, ident] + [const] * (n - 2)
         members.append(SeparableMember("bilinear_x1x2", shapes, "product",
                                        bounded=False, tags=("bilinear",)))
-    return TestCorpus(members, seed, label=label)
+    return TestCorpus(members, seed)

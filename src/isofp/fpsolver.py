@@ -31,7 +31,6 @@ __all__ = [
     "SolverError",
     "make_radial_grid",
     "build_solver",
-    "functional_theta",
     "fit_decay_rate",
     "verify_hellinger_decay",
     "perturbed_initial_state",
@@ -44,6 +43,9 @@ class SolverError(RuntimeError):
 
 
 _MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
+# relative steady-state residual above which a weight is inconsistent with
+# the density
+_STEADY_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +139,15 @@ def _lower_positive_radius(d):
     return x
 
 
-def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12, grading=None):
-    """Grid for a density: uniform by default, sinh-graded toward the origin
+def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
+    """Grid for a density: uniform, except sinh-graded toward the origin
     for heavy-tailed half-line domains where the truncation radius is much
     larger than the core scale.  The grading strength is solved so the
     first cell centre stays where the density is numerically positive."""
     if r_max is None:
         r_max = _truncation_radius(d, tail_mass)
-    target = _lower_positive_radius(d) if grading is None and d.half_line else None
+    grading = 0.0
+    target = _lower_positive_radius(d) if d.half_line else None
     if target is not None and r_max > 100.0 * target:
 
         def first_center(g):
@@ -158,7 +161,6 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12, grading=None):
             else:
                 hi = mid
         grading = lo
-    grading = grading or 0.0
     u = np.linspace(0.0, 1.0, cells + 1)
     if grading > 1e-5:
         edges = r_max * np.sinh(grading * u) / math.sinh(grading)
@@ -214,12 +216,11 @@ def _entropy_bregman(r):
 
 
 _THETA_FUNCS = {
-    "chi2": (lambda r: (r - 1.0) ** 2, lambda r: 2.0 * np.ones_like(r)),
+    "chi2": lambda r: (r - 1.0) ** 2,
     # r log r, split into the positive Bregman part plus the linear part
     # (r - 1) whose weighted sum is the conserved mass difference
-    "entropy": (lambda r: _entropy_bregman(r) + (r - 1.0), lambda r: 1.0 / r),
-    "hellinger2": (lambda r: (np.sqrt(r) - 1.0) ** 2,
-                   lambda r: 0.5 * r ** (-1.5)),
+    "entropy": lambda r: _entropy_bregman(r) + (r - 1.0),
+    "hellinger2": lambda r: (np.sqrt(r) - 1.0) ** 2,
 }
 
 
@@ -229,9 +230,12 @@ _THETA_FUNCS = {
 
 
 class Solver:
-    """Finite-volume operator for one density and diffusion weight."""
+    """Finite-volume operator for one density and diffusion weight.
 
-    def __init__(self, density, K, grid, check_steady=True, steady_tol=1e-5):
+    Construction checks that the weight is consistent with the density: the
+    steady-state residual must stay below ``_STEADY_TOL`` relative."""
+
+    def __init__(self, density, K, grid):
         self.density = density
         self.K = K
         self.grid = grid
@@ -252,18 +256,17 @@ class Solver:
         self.face_coeff = np.maximum(self.face_coeff, 0.0)
         self.D = grid.cell_volumes * self.f_eq  # equilibrium-weighted cell masses
         self._factored = None  # (dt, d, e) of the last implicit step size
-        if check_steady:
-            rho_probe = centers[(centers > 2e-3 * centers[-1])
-                                & (centers < 0.995 * centers[-1])][::7]
-            if density.half_line:
-                rho_probe = rho_probe[rho_probe > 1e-2]
-            res = steady_state_residual(density, K, rho_probe)
-            scale = np.max(np.abs((rho_probe - density.drift_mean)
-                                  * density.eval(rho_probe)))
-            if np.max(np.abs(res)) > steady_tol * max(scale, 1e-300):
-                raise SolverError(
-                    "weight is inconsistent with the density: steady-state "
-                    f"residual {np.max(np.abs(res)) / scale:.2e} exceeds {steady_tol:.0e}")
+        rho_probe = centers[(centers > 2e-3 * centers[-1])
+                            & (centers < 0.995 * centers[-1])][::7]
+        if density.half_line:
+            rho_probe = rho_probe[rho_probe > 1e-2]
+        res = steady_state_residual(density, K, rho_probe)
+        scale = np.max(np.abs((rho_probe - density.drift_mean)
+                              * density.eval(rho_probe)))
+        if np.max(np.abs(res)) > _STEADY_TOL * max(scale, 1e-300):
+            raise SolverError(
+                "weight is inconsistent with the density: steady-state "
+                f"residual {np.max(np.abs(res)) / scale:.2e} exceeds {_STEADY_TOL:.0e}")
 
     # -- factor of (D - dt A) F = D F_old --------------------------------
 
@@ -297,28 +300,16 @@ class Solver:
         out[1:] -= flux
         return out
 
-    def step(self, state, dt, method="implicit"):
-        """One time step; implicit Euler (any dt) or explicit Euler under a
-        CFL restriction.  Mass is conserved to roundoff; values below
-        -1e-14 raise, tinier negatives are clamped mass-preservingly."""
+    def step(self, state, dt):
+        """One implicit Euler step, for any dt > 0.  Mass is conserved to
+        roundoff; values below -1e-14 raise, tinier negatives are clamped
+        mass-preservingly."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        F = self.quotient(state)
-        if method == "implicit":
-            d, e = self._factor(dt)
-            F_new, info = dpttrs(d, e, self.D * F)
-            if info != 0:
-                raise SolverError(f"implicit solve failed (info {info})")
-        elif method == "explicit":
-            rate = np.zeros_like(F)
-            rate[:-1] += self.face_coeff
-            rate[1:] += self.face_coeff
-            dt_max = np.min(self.D / np.maximum(rate, 1e-300))
-            if dt > dt_max:
-                raise SolverError(f"explicit step violates the CFL bound {dt_max:.3e}")
-            F_new = F + dt * self.apply_flux_divergence(F) / self.D
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        d, e = self._factor(dt)
+        F_new, info = dpttrs(d, e, self.D * self.quotient(state))
+        if info != 0:
+            raise SolverError(f"implicit solve failed (info {info})")
         values = F_new * self.f_eq
         neg = values.min()
         if neg < 0.0:
@@ -334,15 +325,12 @@ class Solver:
     # -- functionals ---------------------------------------------------------
 
     def theta(self, state, kind):
-        """Theta(F) = sum f_eq phi(F) dV for a convex phi (or a callable)."""
+        """Theta(F) = sum f_eq phi(F) dV for the convex phi of ``kind``:
+        chi2 ((F - 1)^2), entropy (F log F) or hellinger2 ((sqrt F - 1)^2)."""
         F = self.quotient(state)
-        if callable(kind):
-            phi = kind
-        else:
-            phi = _THETA_FUNCS[kind][0]
-        if not callable(kind) and kind == "entropy" and np.any(F <= 0.0):
+        if kind == "entropy" and np.any(F <= 0.0):
             raise SolverError("entropy functional requires F > 0 on the grid")
-        return float(np.dot(self.D, phi(F)))
+        return float(np.dot(self.D, _THETA_FUNCS[kind](F)))
 
     def dissipation(self, state, kind):
         """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face).
@@ -354,9 +342,6 @@ class Solver:
         """
         F = self.quotient(state)
         dF = np.diff(F)
-        if callable(kind):
-            F_face = 0.5 * (F[1:] + F[:-1])
-            return float(np.dot(self.face_coeff, dF ** 2 * kind(F_face)))
         if kind == "chi2":
             return 2.0 * float(np.dot(self.face_coeff, dF ** 2))
         if kind == "entropy":
@@ -437,48 +422,14 @@ class Solver:
         return trace
 
 
-def build_solver(d, K, cells=400, r_max=None, tail_mass=1e-12, grid=None,
-                 check_steady=True):
+def build_solver(d, K, cells=400, tail_mass=1e-12):
     """Finite-volume solver for the density with diffusion weight K.
 
-    The weight must be consistent with the density (the steady-state
-    residual check runs unless disabled); boundary fluxes vanish at both
-    ends, so any multiple of the equilibrium is an exact fixed point.
+    The weight must be consistent with the density (see :class:`Solver`);
+    boundary fluxes vanish at both ends, so any multiple of the equilibrium
+    is an exact fixed point.
     """
-    grid = grid or make_radial_grid(d, cells, r_max=r_max, tail_mass=tail_mass)
-    return Solver(d, K, grid, check_steady=check_steady)
-
-
-# ---------------------------------------------------------------------------
-# Module-level functionals (equilibrium passed explicitly)
-# ---------------------------------------------------------------------------
-
-
-def _eq_cells(state, eq):
-    f_eq = np.asarray(eq.eval(state.grid.centers), dtype=float)
-    if np.any(f_eq <= 0.0):
-        raise SolverError("equilibrium vanishes on a grid cell")
-    return f_eq
-
-
-def functional_theta(state, eq, kind):
-    """Theta functional of a state against an equilibrium density.
-
-    ``kind`` is chi2 ((F-1)^2), entropy (F log F), hellinger2
-    ((sqrt F - 1)^2) or a custom convex callable phi(F); convexity of a
-    custom phi is the caller's responsibility."""
-    f_eq = _eq_cells(state, eq)
-    F = state.values / f_eq
-    if callable(kind):
-        phi = kind
-    else:
-        if kind not in _THETA_FUNCS:
-            raise ValueError(f"unknown functional kind {kind!r}")
-        if kind == "entropy" and np.any(F <= 0.0):
-            raise SolverError("entropy functional requires F > 0 on the grid")
-        phi = _THETA_FUNCS[kind][0]
-    vols = state.grid.cell_volumes
-    return float(np.dot(vols * f_eq, phi(F)))
+    return Solver(d, K, make_radial_grid(d, cells, tail_mass=tail_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +526,7 @@ def perturbed_initial_state(solver, name="cosine", eps=0.1):
     if not 0.0 < eps <= 0.2:
         raise ValueError("eps must lie in (0, 0.2] to respect the bounded-quotient hypothesis")
     grid = solver.grid
-    fn = PERTURBATIONS[name] if isinstance(name, str) else name
-    g = np.asarray(fn(grid.centers, grid.edges[-1]), dtype=float)
+    g = np.asarray(PERTURBATIONS[name](grid.centers, grid.edges[-1]), dtype=float)
     if np.max(np.abs(g)) > 0:
         g = g / np.max(np.abs(g))
     w = solver.D

@@ -18,11 +18,9 @@ from .densities import make_density
 from .quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
-    QuadratureError,
     build_grid,
     grid_moments,
     interval_rule,
-    shifted_variance,
     sphere_dirichlet,
 )
 from .weights import hybrid_weight, composite_Wstar
@@ -105,94 +103,24 @@ def summarize_reports(reports):
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional checks
+# One-dimensional and product checks: moments on 1-D factor rules
 # ---------------------------------------------------------------------------
+
+# Gauss order of the factor rules' panels
+_FACTOR_ORDER = 12
 
 
 def check_poincare_1d(f, w, corpus, tol=DEFAULT_RATIO_TOL):
     """Var[phi(X)] <= E[w(X) phi'(X)^2] for X with 1-D density f.
 
-    One fixed rule serves the whole corpus: :func:`_factor_rule` split at
-    the breakpoints of f and w, at every member's knots and at x0 =
-    :func:`_shift_point` (the mean where it is finite), together with the
-    same rule with every panel halved.  Nodes where f underflows carry no
-    mass and are dropped, and w is evaluated once, on the nodes of both
-    rules, so a tabulated weight such as P(x) costs one call per check.
-    Each member then takes three dot products per rule: the mean and the
-    variance of the shifted member psi = phi - phi(x0), which gives a
-    constant member variance exactly 0, and E[w phi'^2].
-
-    The report gives the base rule's values; its details carry the
-    rule's ``nodes`` and ``order`` and ``err_estimate``, the difference of
-    the ratio between the halved rule and the base rule.  A member whose
-    ``err_estimate`` exceeds ``tol`` is inconclusive, never failed.
+    The one-factor case of :func:`check_product`: each member is a single
+    shape, so both sides are its variance and E[w phi'^2] on one fixed
+    rule, split at the knots of f, w and every member, and w is evaluated
+    once per corpus.  The details carry the density's name beside those
+    of :func:`_factor_reports`.
     """
-    corpus = list(corpus)
-    x0 = _shift_point(f)
-    knots = {x0, *getattr(w, "breakpoints", ())}.union(*(phi.breakpoints for phi in corpus))
-    order = 12
-    rules = []
-    for halved in (False, True):
-        nodes, pw, dens = _factor_rule(f, knots, order=order, halved=halved)
-        keep = dens > 0.0
-        rules.append((nodes[keep], pw[keep]))
-    w_vals = np.asarray(w(np.concatenate([r[0] for r in rules])), dtype=float)
-    w_vals = np.split(w_vals, [len(rules[0][0])])
-    reports = []
-    for phi in corpus:
-        shift = float(phi(x0))
-        moments = []
-        for (nodes, pw), w_rule in zip(rules, w_vals):
-            psi = phi(nodes) - shift
-            mean = float(np.dot(pw, psi))
-            dev = psi - mean
-            moments.append((mean, float(np.dot(pw, dev * dev)),
-                            float(np.dot(pw, w_rule * phi.deriv(nodes) ** 2))))
-        (mean, lhs, rhs), (_, lhs_h, rhs_h) = moments
-        rep = _make_report("poincare_1d", phi.name, lhs, rhs, tol, density=f.name,
-                           mean=shift + mean, nodes=len(rules[0][0]), order=order)
-        refined = _ratio(max(lhs_h, 0.0), rhs_h)
-        err = 0.0 if refined == rep.ratio else abs(refined - rep.ratio)
-        rep.details["err_estimate"] = err
-        if not err <= tol:
-            rep.status, rep.passed = "inconclusive", False
-        reports.append(rep)
-    return _sorted(reports)
-
-
-def _shift_point(f):
-    """A point inside the support of f: its mean where that is finite, else
-    one unit inside the finite end of a heavy-tailed half-line."""
-    a, b = f.support
-    try:
-        x0 = float(f.mean)
-    except QuadratureError:  # the first moment diverges
-        x0 = math.nan
-    if a < x0 < b:
-        return x0
-    if np.isfinite(a):
-        return min(a + 1.0, 0.5 * (a + b))
-    return b - 1.0 if np.isfinite(b) else 0.0
-
-
-def _factor_rule(f, extra_breakpoints=(), order=12, halved=False):
-    """Nodes, probability-normalised weights and density values for one
-    1-D factor, graded over 14 levels (7 on a finite interval); ``halved``
-    cuts every panel in two (see :func:`~isofp.quadrature.interval_rule`)."""
-    a, b = f.support
-    bp = tuple(set(f.breakpoints) | set(extra_breakpoints))
-    levels = 7 if np.isfinite(a) and np.isfinite(b) else 14
-    rule = functools.partial(interval_rule, order=order, levels=levels, halved=halved)
-    if np.isinf(a) and np.isinf(b):
-        x1, w1 = rule(0.0, math.inf, breakpoints=[p for p in bp if p > 0])
-        x2, w2 = rule(0.0, math.inf, breakpoints=[-p for p in bp if p < 0])
-        nodes = np.concatenate([x1, -x2])
-        wts = np.concatenate([w1, w2])
-    else:
-        nodes, wts = rule(a, b, breakpoints=bp)
-    dens = np.asarray(f(nodes), dtype=float)
-    pw = wts * dens
-    return nodes, pw / pw.sum(), dens
+    members = [(phi.name, (phi,), "product") for phi in corpus]
+    return _factor_reports("poincare_1d", [f], [w], members, tol, density=f.name)
 
 
 def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
@@ -202,16 +130,8 @@ def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
     Every member must be a :class:`~isofp.corpus.SeparableMember`, a
     product prod_i g_i(x_i) or a sum sum_i g_i(x_i); any other member is
     rejected with a ``ValueError``.  Both sides then reduce exactly to 1-D
-    moments on the factor rules: with m_i = E_i[g_i], S_i = E_i[g_i^2],
-    V_i = Var_i[g_i] and D_i = E_i[w_i g_i'^2],
-
-    - a sum has Var = sum_i V_i and axis terms D_i;
-    - a product has axis terms D_i prod_{j != i} S_j and the telescoped
-      Var = sum_k V_k prod_{j < k} m_j^2 prod_{j > k} S_j.
-
-    Every term is nonnegative, so nothing cancels, and a constant member
-    gets lhs exactly 0.  Factor rules split at the knots of the members'
-    shapes on that axis.
+    moments on the factor rules (see :func:`_combine`).  The details carry
+    the factor densities' names beside those of :func:`_factor_reports`.
     """
     n = len(densities)
     if n != len(weights):
@@ -221,38 +141,115 @@ def check_product(densities, weights, corpus, tol=DEFAULT_RATIO_TOL):
         if len(getattr(phi, "shapes", ())) != n:
             raise ValueError(f"member {phi.name!r} has no {n} factor shapes; "
                              "the product check needs separable members")
-    rules = []
-    for i, f in enumerate(densities):
-        knots = set().union(*(phi.shapes[i].breakpoints for phi in corpus))
-        nodes, pw, dens = _factor_rule(f, knots)
-        # weights are only needed (and may only be defined) where the factor
-        # density is numerically positive
-        pos = dens > 0.0
-        w_vals = np.zeros_like(nodes)
-        if np.any(pos):
-            w_vals[pos] = np.asarray(weights[i](nodes[pos]), dtype=float)
-        rules.append((nodes, pw, int(np.argmax(pw)), w_vals))
-
-    reports = []
-    for phi in corpus:
-        m, S, V, D = [], [], [], []
-        for g, (nodes, pw, anchor, w_vals) in zip(phi.shapes, rules):
-            vals = g(nodes)
-            m.append(float(np.dot(pw, vals)))
-            S.append(float(np.dot(pw, vals * vals)))
-            V.append(shifted_variance(pw, vals, anchor))
-            D.append(float(np.dot(pw, w_vals * g.deriv(nodes) ** 2)))
-        if phi.combine == "sum":
-            lhs, per_axis = sum(V), D
-        else:
-            lhs = sum(V[k] * math.prod(mj * mj for mj in m[:k]) * math.prod(S[k + 1:])
-                      for k in range(n))
-            per_axis = [D[i] * math.prod(S[:i] + S[i + 1:]) for i in range(n)]
-        rep = _make_report("product", phi.name, lhs, sum(per_axis), tol,
-                           per_axis=per_axis,
+    members = [(phi.name, phi.shapes, phi.combine) for phi in corpus]
+    return _factor_reports("product", densities, weights, members, tol,
                            factors=[f.name for f in densities])
+
+
+def _factor_reports(theorem, densities, weights, members, tol, **details):
+    """Reports for members (name, shapes, combine) of the product of the
+    1-D ``densities``, one shape per factor.
+
+    Each factor has a base and a halved rule (:func:`_factor_rules`), and
+    each shape takes its four moments on both (:func:`_shape_moments`).
+    The report gives the base rules' values; its details carry E[phi],
+    the ``per_axis`` terms of the right-hand side, the ``nodes`` of each
+    factor's base rule, their ``order`` and ``err_estimate``, the change
+    of the ratio when every panel of every factor is halved.  A member
+    whose ``err_estimate`` exceeds ``tol`` is inconclusive, never failed.
+    """
+    rules = [_factor_rules(f, w, set().union(*(shapes[i].breakpoints
+                                               for _, shapes, _ in members)))
+             for i, (f, w) in enumerate(zip(densities, weights))]
+    nodes = [len(base[0]) for base, _ in rules]
+    reports = []
+    for name, shapes, combine in members:
+        (mean, lhs, per_axis), (_, lhs_h, per_axis_h) = (
+            _combine(combine, [_shape_moments(g, r[k]) for g, r in zip(shapes, rules)])
+            for k in (0, 1))
+        rep = _make_report(theorem, name, lhs, sum(per_axis), tol, **details, mean=mean,
+                           per_axis=per_axis, nodes=nodes, order=_FACTOR_ORDER)
+        refined = _ratio(max(lhs_h, 0.0), sum(per_axis_h))
+        err = 0.0 if refined == rep.ratio else abs(refined - rep.ratio)
+        rep.details["err_estimate"] = err
+        if not err <= tol:
+            rep.status, rep.passed = "inconclusive", False
         reports.append(rep)
     return _sorted(reports)
+
+
+def _factor_rules(f, w, knots):
+    """The base and the halved rule of one 1-D factor, each as (nodes,
+    probability weights, anchor, values of w).
+
+    Composite Gauss rules of order 12 graded over 14 levels (7 on a finite
+    interval) split at the breakpoints of f and w and at ``knots``; the
+    halved rule cuts every panel in two (see
+    :func:`~isofp.quadrature.interval_rule`).  Nodes where f underflows
+    carry no mass and are dropped, so w is only needed (and may only be
+    defined) where f is positive; it is evaluated once, on the nodes of both
+    rules, so a tabulated weight such as P(x) costs one call per factor.
+    The anchor is the node of largest weight.
+    """
+    a, b = f.support
+    bp = tuple(set(f.breakpoints) | set(getattr(w, "breakpoints", ())) | set(knots))
+    levels = 7 if np.isfinite(a) and np.isfinite(b) else 14
+    rules = []
+    for halved in (False, True):
+        rule = functools.partial(interval_rule, order=_FACTOR_ORDER, levels=levels,
+                                 halved=halved)
+        if np.isinf(a) and np.isinf(b):
+            x1, w1 = rule(0.0, math.inf, breakpoints=[p for p in bp if p > 0])
+            x2, w2 = rule(0.0, math.inf, breakpoints=[-p for p in bp if p < 0])
+            nodes, wts = np.concatenate([x1, -x2]), np.concatenate([w1, w2])
+        else:
+            nodes, wts = rule(a, b, breakpoints=bp)
+        dens = np.asarray(f(nodes), dtype=float)
+        pw = wts * dens
+        keep = dens > 0.0
+        rules.append((nodes[keep], pw[keep] / pw.sum()))
+    w_vals = np.asarray(w(np.concatenate([x for x, _ in rules])), dtype=float)
+    w_vals = np.split(w_vals, [len(rules[0][0])])
+    return [(x, pw, int(np.argmax(pw)), wv) for (x, pw), wv in zip(rules, w_vals)]
+
+
+def _shape_moments(g, rule):
+    """(E[g], E[g^2], Var[g], E[w g'^2]) of one shape on one factor rule.
+
+    The values are shifted by their value at the rule's anchor before they
+    are centred (see :func:`~isofp.quadrature.shifted_variance`), so a
+    constant shape has its value as mean and variance exactly 0, and
+    E[g^2] = Var[g] + E[g]^2 is a sum of nonnegative terms.
+    """
+    nodes, pw, anchor, w_vals = rule
+    vals = g(nodes)
+    shift = float(vals[anchor])
+    dev = vals - shift
+    mean = float(np.dot(pw, dev))
+    dev -= mean
+    var = float(np.dot(pw, dev * dev))
+    mean += shift
+    return mean, var + mean * mean, var, float(np.dot(pw, w_vals * g.deriv(nodes) ** 2))
+
+
+def _combine(combine, moments):
+    """(E[phi], Var[phi], per-axis Dirichlet terms) of phi = sum_i g_i or
+    prod_i g_i over independent factors, from each shape's (m_i, S_i, V_i,
+    D_i) = (E[g_i], E[g_i^2], Var[g_i], E[w_i g_i'^2]):
+
+    - a sum has Var = sum_i V_i and axis terms D_i;
+    - a product has axis terms D_i prod_{j != i} S_j and the telescoped
+      Var = sum_k V_k prod_{j < k} m_j^2 prod_{j > k} S_j.
+
+    Every term is nonnegative, so nothing cancels, and a constant member
+    gets variance exactly 0.
+    """
+    m, S, V, D = zip(*moments)
+    if combine == "sum":
+        return sum(m), sum(V), list(D)
+    var = sum(V[k] * math.prod(mj * mj for mj in m[:k]) * math.prod(S[k + 1:])
+              for k in range(len(m)))
+    return math.prod(m), var, [D[i] * math.prod(S[:i] + S[i + 1:]) for i in range(len(m))]
 
 
 # ---------------------------------------------------------------------------

@@ -248,13 +248,16 @@ def _finite_mean(f):
 
 
 def p_weight_function(f):
-    """P(x) of the density wrapped as a WeightFunction (linear-drift family)."""
+    """P(x) of the density wrapped as a WeightFunction (linear-drift family).
+
+    P is built piecewise at the mean m, so m is its breakpoint."""
     m = _finite_mean(f)
     return WeightFunction(
         lambda x: p_weight_1d(f, m, x),
         provenance="pq_family",
         domain=f.support,
         params=(("drift", "linear"),),
+        breakpoints=(m,),
     )
 
 
@@ -612,7 +615,7 @@ def critical_tail_radius(d, K, scan=4000, tail_check=2000):
         rs = np.linspace(i_plus * 1e-4, min(r_hi, i_plus * (1.0 - 1e-9)), scan)
     else:
         rs = np.geomspace(1e-4, r_hi, scan)
-    vals = np.array([g(r) for r in rs])
+    vals = (n - 1) * K(rs) / rs ** 2 - 0.5
     if vals[-1] > 0.0:
         raise WeightError(
             "tail condition (n-1) K / r^2 <= 1/2 is never satisfied on the support"

@@ -19,7 +19,6 @@ from isofp.fpsolver import (
     _truncation_radius,
     build_solver,
     fit_decay_rate,
-    functional_theta,
     make_radial_grid,
     perturbed_initial_state,
     verify_hellinger_decay,
@@ -150,7 +149,7 @@ class TestBuildSolver:
     def test_rejects_nonpositive_K(self):
         d = make_density("gaussian", {"sigma": 1.0}, 1)
         with pytest.raises(SolverError, match="nonpositive"):
-            build_solver(d, bad_weight(), cells=64, check_steady=False)
+            build_solver(d, bad_weight(), cells=64)
 
     def test_rejects_inconsistent_weight(self):
         d = make_density("gaussian", {"sigma": 1.0}, 1)
@@ -200,17 +199,6 @@ class TestFixedPointAndConservation:
             state = solver.step(state, 0.01)
             assert abs(state.mass - m0) < 1e-12 * m0
 
-    def test_explicit_method_cfl(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=100)
-        state = perturbed_initial_state(solver, "cosine", eps=0.1)
-        with pytest.raises(SolverError, match="CFL"):
-            solver.step(state, 1.0, method="explicit")
-        # a tiny explicit step agrees with the implicit one to O(dt^2)
-        dt = 1e-6
-        imp = solver.step(state, dt).values
-        exp = solver.step(state, dt, method="explicit").values
-        assert np.max(np.abs(imp - exp)) < 1e-10 * np.max(state.values)
-
 
 def banded_step(solver, state, dt):
     """Implicit Euler values by a banded solve of (D - dt A) F = D F_old."""
@@ -242,7 +230,7 @@ class TestFunctionals:
         solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=128)
         state = solver.steady_state()
         for kind in ("chi2", "entropy", "hellinger2"):
-            assert abs(functional_theta(state, gaussian_1d, kind)) < 1e-14
+            assert abs(solver.theta(state, kind)) < 1e-14
             assert abs(solver.dissipation(state, kind)) < 1e-14
 
     def test_two_level_split_gives_eps_squared(self, gaussian_1d):
@@ -256,16 +244,8 @@ class TestFunctionals:
         vals[:k + 1] *= 1.0 + eps
         vals[k + 1:] *= 1.0 - eps
         split = FPState(solver.grid, vals, 0.0)
-        chi2 = functional_theta(split, gaussian_1d, "chi2")
+        chi2 = solver.theta(split, "chi2")
         assert abs(chi2 - eps ** 2 * state.mass) < 1e-12
-
-    def test_custom_convex_functional(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=128)
-        state = perturbed_initial_state(solver, "cosine", eps=0.1)
-        quartic = functional_theta(state, gaussian_1d, lambda r: (r - 1.0) ** 4)
-        assert quartic > 0.0
-        chi2 = functional_theta(state, gaussian_1d, "chi2")
-        assert quartic <= 0.1 ** 2 * chi2 + 1e-15  # (r-1)^4 <= eps^2 (r-1)^2
 
     def test_entropy_requires_positive_quotient(self, gaussian_1d):
         solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=64)
@@ -274,7 +254,7 @@ class TestFunctionals:
         vals[3] = 0.0
         broken = FPState(solver.grid, vals, 0.0)
         with pytest.raises(SolverError, match="F > 0"):
-            functional_theta(broken, gaussian_1d, "entropy")
+            solver.theta(broken, "entropy")
 
 
 class TestDecay:

@@ -37,7 +37,7 @@ from isofp.inequality import (
     check_product,
     check_refined_outside_ball,
     summarize_reports,
-    _factor_rule,
+    _factor_rules,
 )
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
@@ -63,6 +63,11 @@ from isofp.weights import (
 def unit_weight():
     return WeightFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                           "closed_form", (-math.inf, math.inf))
+
+
+def one_shape():
+    return Fn1D("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def identity_shape():
@@ -174,7 +179,7 @@ def nested_poincare_1d(f, w, phi):
     """(lhs, rhs) by three adaptive integrals with w inside the integrand."""
     a, b = f.support
     bp = tuple(set(phi.breakpoints) | set(f.breakpoints) | set(w.breakpoints))
-    shift = float(phi(inequality._shift_point(f)))
+    shift = float(phi(f.mean))
     mean, _ = integrate_interval(lambda x: (float(phi(x)) - shift) * float(f(x)),
                                  a, b, NESTED, bp)
     lhs, _ = integrate_interval(lambda x: (float(phi(x)) - shift - mean) ** 2 * float(f(x)),
@@ -239,7 +244,7 @@ class TestPoincare1DAgainstNested:
             assert abs(rep.lhs - lhs) <= 1e-9 * lhs, phi.name
             assert abs(rep.rhs - rhs) <= 1e-9 * rhs, phi.name
             assert abs(rep.ratio - lhs / rhs) <= 1e-9 * rep.ratio, phi.name
-            assert rep.details["order"] == 12 and rep.details["nodes"] > 100
+            assert rep.details["order"] == 12 and rep.details["nodes"][0] > 100
             assert rep.details["err_estimate"] <= 1e-9
 
     def test_unresolved_member_is_inconclusive(self):
@@ -268,21 +273,32 @@ class TestProduct:
         assert abs(bil.rhs - 2.0) < 1e-9
 
     def test_single_coordinate_consistency(self):
-        # a member depending on x_1 only reproduces the 1-D report
-        from isofp.corpus import Fn1D
-
-        f = std_normal_1d()
+        # a member of x_1 alone reproduces the 1-D report of its shape
+        f, w = std_normal_1d(), unit_weight()
         g = Fn1D("gauss", lambda x: np.exp(-(np.asarray(x, dtype=float) - 0.5) ** 2),
                  lambda x: -2.0 * (np.asarray(x, dtype=float) - 0.5)
                  * np.exp(-(np.asarray(x, dtype=float) - 0.5) ** 2))
-        r1d = check_poincare_1d(f, unit_weight(), [g])[0]
-        corpus = [m for m in corpus_product([f.support] * 2, seed=4)
-                  if m.name.startswith("only_x1")]
-        reports = check_product([f, f], [unit_weight()] * 2, corpus)
-        # the only_x1 members use the same shape family; compare the matching one
-        match = [r for r in reports if "poly0_gauss" in r.witness]
-        assert match, "expected an only_x1 gaussian-bump member"
-        assert match[0].passed
+        r1d = check_poincare_1d(f, w, [g])[0]
+        member = SeparableMember("only_g", [g, one_shape()], "product")
+        rep = check_product([f, f], [w, w], [member])[0]
+        for got, want in ((rep.lhs, r1d.lhs), (rep.rhs, r1d.rhs), (rep.ratio, r1d.ratio)):
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_unresolved_member_is_inconclusive(self):
+        # cos(300 x_1) is not resolved by the factor rule, tanh(x_2) is
+        f = std_normal_1d()
+        fast = Fn1D("cos300", lambda x: np.cos(300.0 * np.asarray(x, dtype=float)),
+                    lambda x: -300.0 * np.sin(300.0 * np.asarray(x, dtype=float)))
+        slow = Fn1D("tanh", lambda x: np.tanh(np.asarray(x, dtype=float)),
+                    lambda x: 1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2)
+        members = [SeparableMember("cos300_x1", [fast, one_shape()], "product"),
+                   SeparableMember("tanh_x2", [one_shape(), slow], "product")]
+        fast_rep, slow_rep = check_product([f, f], [unit_weight()] * 2, members)
+        assert fast_rep.status == "inconclusive" and not fast_rep.passed
+        assert fast_rep.details["err_estimate"] > 1e-6
+        assert slow_rep.status == "ok" and slow_rep.passed
+        s = summarize_reports([fast_rep, slow_rep])
+        assert (s["inconclusive"], s["failed"], s["passed"]) == (1, 0, 1)
 
     def test_spherical_factorization(self):
         d = make_density("gaussian", {"sigma": 1.0}, 3)
@@ -320,17 +336,12 @@ class TestProduct:
         corpus = list(corpus_product([f.support for f in factors], seed=2024))
         reports = check_product(factors, weights, corpus)
 
-        rules = [_factor_rule(f, set().union(*(m.shapes[i].breakpoints for m in corpus)))
-                 for i, f in enumerate(factors)]
+        rules = [_factor_rules(f, w, set().union(*(m.shapes[i].breakpoints for m in corpus)))[0]
+                 for i, (f, w) in enumerate(zip(factors, weights))]
         pts = np.stack([x.ravel() for x in
                         np.meshgrid(*(r[0] for r in rules), indexing="ij")], axis=1)
         pw = np.multiply.outer(rules[0][1], rules[1][1]).ravel()
-        w_cols = []
-        for w, (x, _, dens) in zip(weights, rules):
-            vals = np.zeros_like(x)
-            vals[dens > 0.0] = w(x[dens > 0.0])
-            w_cols.append(vals)
-        w_mesh = [m.ravel() for m in np.meshgrid(*w_cols, indexing="ij")]
+        w_mesh = [m.ravel() for m in np.meshgrid(*(r[3] for r in rules), indexing="ij")]
         anchor = int(np.argmax(pw))
 
         def close(got, want):
@@ -685,9 +696,9 @@ def scaled(w, s):
 
 
 class TestNegativeControls:
-    """Each isotropic check and the 1-D check can fail: with its bound
-    shrunk by s = 1e-3, members fail, and every ratio grows by exactly 1/s
-    because the right-hand side is linear in the weight."""
+    """Each isotropic check, the 1-D check and the product check can fail:
+    with its bound shrunk by s = 1e-3, members fail, and every ratio grows
+    by exactly 1/s because the right-hand side is linear in the weight."""
 
     S = 1e-3
 
@@ -724,10 +735,20 @@ class TestNegativeControls:
         base = check_hybrid(d, w, K, R, corpus)
         self.assert_scaled(base, check_hybrid(d, w, K, R, corpus, C_mult=self.S * 4.0))
 
+    def test_product(self):
+        d = make_density("cauchy_type", {"beta": 3.0}, 2)
+        factors = [radial_marginal(d).as_density1d(), uniform_angle_density()]
+        weights = [optimal_cauchy_weight(3.0, 2), angular_weight_function(1, 2)]
+        corpus = list(corpus_product([f.support for f in factors], seed=5))[::4]
+        base = check_product(factors, weights, corpus)
+        shrunk = check_product(factors, [scaled(w, self.S) for w in weights], corpus)
+        self.assert_scaled(base, shrunk)
+
     def test_poincare_1d(self):
         # a Laplace law centred at its mean c, with the kink at c not listed
-        # among its breakpoints: only the rule's panel edge at the mean
-        # resolves it.  P(x) = 1 + |x - c| makes the linear member sharp.
+        # among its breakpoints: only P's breakpoint at the mean, a panel
+        # edge of the rule, resolves it.  P(x) = 1 + |x - c| makes the
+        # linear member sharp.
         c = 0.7
         f = Density1D("laplace@0.7", (-math.inf, math.inf),
                       lambda x: 0.5 * np.exp(-np.abs(np.asarray(x, dtype=float) - c)),

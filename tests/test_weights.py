@@ -412,7 +412,46 @@ class TestCompositeWstar:
         assert w(0.0) == 1.0
 
 
+def scalar_scan_radius(d, K, scan=4000):
+    """R by the scan of one scalar K call per point, with the same bracket
+    and root finder as :func:`critical_tail_radius`."""
+    from scipy.optimize import brentq
+
+    from isofp.weights import _numeric_support
+
+    def g(r):
+        return (d.n - 1) * float(K(r)) / r ** 2 - 0.5
+
+    r_hi = min(_numeric_support(d) * 0.98, 1e6)
+    a = d.support_radius
+    if np.isfinite(a):
+        rs = np.linspace(a * 1e-4, min(r_hi, a * (1.0 - 1e-9)), scan)
+    else:
+        rs = np.geomspace(1e-4, r_hi, scan)
+    pos = np.nonzero(np.array([g(r) for r in rs]) > 0.0)[0]
+    if len(pos) == 0:
+        return 0.0
+    return brentq(g, rs[pos[-1]], rs[pos[-1] + 1], xtol=1e-13, rtol=1e-13)
+
+
 class TestCriticalRadius:
+    @pytest.mark.parametrize("kind,params,n", [
+        ("gaussian", {"sigma": 1.0}, 2),
+        ("gaussian", {"sigma": 1.0}, 3),
+        ("gaussian", {"sigma": 2.5}, 4),
+        ("cauchy_type", {"beta": 3.0}, 2),
+        ("cauchy_type", {"beta": 4.0}, 3),
+        ("cauchy_type", {"beta": 5.0}, 4),
+        ("exponential_type", {"beta": 1.0}, 2),
+        ("exponential_type", {"beta": 2.0}, 3),
+        ("barenblatt", {"a": 1.0, "p": 2.0}, 2),
+    ])
+    def test_same_radius_as_scalar_scan(self, kind, params, n):
+        # the scan takes K on all points at once; R is the same float
+        d = make_density(kind, params, n)
+        K = closed_form_weight(d)
+        assert critical_tail_radius(d, K) == scalar_scan_radius(d, K)
+
     def test_gaussian_algebraic(self):
         # (n-1) sigma / r^2 = 1/2 at r = sqrt(2 (n-1) sigma)
         d = make_density("gaussian", {"sigma": 1.0}, 3)
