@@ -6,7 +6,6 @@ from .densities import (
     IsotropicDensity,
     RadialMarginal,
     closed_form_weight,
-    density_mass,
     full_line_density,
     make_density,
     parse_density_spec,

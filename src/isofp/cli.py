@@ -29,7 +29,7 @@ from .densities import (full_line_density, parse_density_spec,
                         radial_marginal, sin_power_density,
                         uniform_angle_density, closed_form_weight,
                         density_label)
-from .fpsolver import (build_solver, perturbed_initial_state,
+from .fpsolver import (SolverError, build_solver, perturbed_initial_state,
                        verify_hellinger_decay)
 from .inequality import (check_gaussian_anisotropic, check_hybrid,
                          check_isotropic_Wstar, check_poincare_1d,
@@ -474,13 +474,17 @@ def run_experiment(config, out_dir):
     for spec in config.get("evolve_densities", []):
         d = parse_density_spec(spec)
         lbl = density_label(d)
-        solver, trace = run_evolution(
-            d, cells=int(solver_cfg.get("cells", 400)),
-            t_final=float(solver_cfg.get("t_final", 10.0)),
-            dt=float(solver_cfg.get("dt", 1e-3)),
-            eps=float(solver_cfg.get("eps", 0.1)),
-            perturbation=solver_cfg.get("perturbation", "cosine"),
-            tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
+        try:
+            solver, trace = run_evolution(
+                d, cells=int(solver_cfg.get("cells", 400)),
+                t_final=float(solver_cfg.get("t_final", 10.0)),
+                dt=float(solver_cfg.get("dt", 1e-3)),
+                eps=float(solver_cfg.get("eps", 0.1)),
+                perturbation=solver_cfg.get("perturbation", "cosine"),
+                tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
+        except SolverError as exc:
+            summary_rows.append((lbl, "relaxation_rate", "unchecked", f"no solver: {exc}"))
+            continue
         files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
                                 TRACE_HEADER, trace_rows(trace)))
         c = _rate_constant_c(d)
@@ -616,7 +620,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Catalog of isotropic probability densities and their radial marginals.
 
 Each entry is a radial profile f(rho) on R^n together with its
-normalisation constant, support radius and the drift centre of the
-Fokker-Planck equation it solves.  The one-dimensional wealth equilibrium
-(inverse Gamma on the half line) is carried as a 1-D catalog entry with
-unit geometry factor and drift centred at its mean 1.
+normalisation constant, the mean of its radial marginal, its support radius
+and the drift centre of the Fokker-Planck equation it solves.  Every
+constant is a closed form in Gamma functions; no integral is evaluated
+here.  The one-dimensional wealth equilibrium (inverse Gamma on the half
+line) is carried as a 1-D catalog entry with unit geometry factor and
+drift centred at its mean 1.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .quadrature import Integrator, QuadratureError, integrate_interval
-
 __all__ = [
     "IsotropicDensity",
     "RadialMarginal",
@@ -27,7 +27,6 @@ __all__ = [
     "radial_marginal",
     "closed_form_weight",
     "surface_measure",
-    "density_mass",
     "parse_density_spec",
     "density_label",
     "std_normal_1d",
@@ -38,12 +37,15 @@ __all__ = [
 
 KINDS = ("gaussian", "cauchy_type", "exponential_type", "barenblatt", "inverse_gamma_1d")
 
-_NORM_INTEGRATOR = Integrator(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
-
 
 def surface_measure(n):
     """Surface measure of the unit sphere in R^n, 2 pi^(n/2) / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _gamma_ratio(x, y):
+    """Gamma(x) / Gamma(y) for x, y > 0."""
+    return math.exp(gammaln(x) - gammaln(y))
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,9 @@ class IsotropicDensity:
 
     ``norm_const`` multiplies the raw radial profile so the total mass is
     one.  ``support_radius`` is the radius i+ of the (possibly infinite)
-    supporting ball.  Immutable and hashable; safe to share across workers.
+    supporting ball.  ``radial_mean`` is E|X|, the mean of the radial
+    marginal, and ``math.inf`` when it diverges.  Immutable and hashable;
+    safe to share across workers.
     """
 
     kind: str
@@ -60,6 +64,7 @@ class IsotropicDensity:
     params: tuple  # sorted (name, value) pairs
     support_radius: float
     norm_const: float
+    radial_mean: float
 
     def param(self, name):
         for key, val in self.params:
@@ -163,44 +168,41 @@ def _validate(kind, params, n):
 
 
 def make_density(kind, params, n):
-    """Build a catalog density with its normalisation constant.
+    """Build a catalog density with its normalisation constant and the mean
+    E|X| of its radial marginal, both closed forms in Gamma functions.
 
-    Gaussian, exponential and inverse Gamma constants are the standard
-    closed forms; the Cauchy-type and Barenblatt constants are computed by
-    adaptive quadrature so the total mass is one.
+    The radial marginal of a Cauchy-type density has a finite mean only for
+    beta > (n+1)/2; otherwise ``radial_mean`` is ``math.inf``.
     """
     _validate(kind, params, n)
     params = tuple(sorted((str(k), float(v)) for k, v in dict(params).items()))
     p = dict(params)
+    support = math.inf
+    half = _gamma_ratio((n + 1) / 2.0, n / 2.0)  # E|Z| / sqrt(2), Z ~ N(0, I_n)
     if kind == "gaussian":
-        support = math.inf
-        norm = (2.0 * math.pi * p["sigma"]) ** (-n / 2.0)
+        sigma = p["sigma"]
+        norm = (2.0 * math.pi * sigma) ** (-n / 2.0)
+        mean = math.sqrt(2.0 * sigma) * half
+    elif kind == "cauchy_type":
+        beta = p["beta"]
+        norm = _gamma_ratio(beta, beta - n / 2.0) / math.pi ** (n / 2.0)
+        mean = (half * _gamma_ratio(beta - (n + 1) / 2.0, beta - n / 2.0)
+                if beta > (n + 1) / 2.0 else math.inf)
     elif kind == "exponential_type":
-        support = math.inf
         beta = p["beta"]
         norm = beta ** n * math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0) * math.gamma(n))
-    elif kind == "inverse_gamma_1d":
-        support = math.inf
+        mean = n / beta
+    elif kind == "barenblatt":
+        a, q = p["a"], 1.0 / (p["p"] - 1.0)
+        support = a
+        norm = (_gamma_ratio(q + 1.0 + n / 2.0, q + 1.0)
+                / (math.pi ** (n / 2.0) * a ** (n + 2.0 * q)))
+        mean = a * half * _gamma_ratio(q + 1.0 + n / 2.0, q + 1.0 + (n + 1) / 2.0)
+    else:
         mu = p["mu"]
         norm = math.exp((1.0 + mu) * math.log(mu) - gammaln(1.0 + mu))
-    else:
-        support = p["a"] if kind == "barenblatt" else math.inf
-        probe = IsotropicDensity(kind, int(n), params, support, 1.0)
-        raw_mass, _ = integrate_interval(
-            lambda r: probe.radial_weight(r) * probe._profile(r),
-            0.0, support, integrator=_NORM_INTEGRATOR,
-        )
-        norm = 1.0 / raw_mass
-    return IsotropicDensity(kind, int(n), params, support, norm)
-
-
-def density_mass(d, integrator=None):
-    """Total mass of the density over its support (should be 1)."""
-    val, _ = integrate_interval(
-        lambda r: d.radial_weight(r) * d.eval(r), 0.0, d.support_radius,
-        integrator=integrator or _NORM_INTEGRATOR,
-    )
-    return val
+        mean = 1.0
+    return IsotropicDensity(kind, int(n), params, support, norm, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +211,21 @@ def density_mass(d, integrator=None):
 
 
 class Density1D:
-    """A one-dimensional probability density on an interval (a, b).
-
-    The mean is computed by quadrature on first use.  A divergent first
-    moment is remembered too: every later access re-raises the same
-    :class:`QuadratureError` without integrating again.  These are the
-    inputs of the one-dimensional Poincare checks and of the integral
+    """A one-dimensional probability density on an interval (a, b) with its
+    mean, which is ``math.inf`` when the first moment diverges.  These are
+    the inputs of the one-dimensional Poincare checks and of the integral
     weight formula P(x).
     """
 
-    def __init__(self, name, support, pdf, mean=None, breakpoints=()):
+    def __init__(self, name, support, pdf, mean, breakpoints=()):
         self.name = name
         self.support = (float(support[0]), float(support[1]))
         self.pdf = pdf
-        self._mean = mean
+        self.mean = mean
         self.breakpoints = tuple(breakpoints)
 
     def __call__(self, x):
         return np.asarray(self.pdf(np.asarray(x, dtype=float)))
-
-    @property
-    def mean(self):
-        if self._mean is None:
-            a, b = self.support
-            try:
-                self._mean, _ = integrate_interval(
-                    lambda x: x * float(self.pdf(x)), a, b,
-                    integrator=_NORM_INTEGRATOR, breakpoints=self.breakpoints)
-            except QuadratureError as exc:  # the first moment diverges
-                self._mean = exc
-        if isinstance(self._mean, QuadratureError):
-            raise self._mean
-        return self._mean
-
-    def mass(self, integrator=None):
-        a, b = self.support
-        val, _ = integrate_interval(lambda x: float(self.pdf(x)), a, b,
-                                    integrator=integrator or _NORM_INTEGRATOR,
-                                    breakpoints=self.breakpoints)
-        return val
 
     def __repr__(self):
         return f"Density1D({self.name!r}, support={self.support})"
@@ -271,6 +249,7 @@ class RadialMarginal:
             f"radial[{self.base.label()}]",
             (lo, self.base.support_radius),
             self.eval,
+            self.base.radial_mean,
         )
 
 
@@ -299,7 +278,7 @@ def uniform_angle_density():
 
 def sin_power_density(i):
     """Polar angle density sin^i(theta) / int_0^pi sin^i on (0, pi)."""
-    norm, _ = integrate_interval(lambda t: math.sin(t) ** i, 0.0, math.pi)
+    norm = math.sqrt(math.pi) * _gamma_ratio((i + 1) / 2.0, i / 2.0 + 1.0)
     return Density1D(f"sin^{i}", (0.0, math.pi),
                      lambda t: np.sin(np.asarray(t, dtype=float)) ** i / norm,
                      mean=math.pi / 2.0)

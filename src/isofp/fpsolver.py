@@ -102,14 +102,17 @@ class RadialGrid:
 
 def _truncation_radius(d, tail_mass=1e-12):
     """Radius beyond which the equilibrium mass is below ``tail_mass``."""
-    from .quadrature import integrate_interval
+    from .quadrature import QuadratureError, integrate_interval
 
     if np.isfinite(d.support_radius):
         return d.support_radius
 
     def tail(R):
-        val, _ = integrate_interval(lambda r: d.radial_weight(r) * d.eval(r),
-                                    R, math.inf)
+        try:
+            val, _ = integrate_interval(lambda r: d.radial_weight(r) * d.eval(r),
+                                        R, math.inf)
+        except QuadratureError as exc:
+            raise SolverError("could not truncate the domain: tail too heavy") from exc
         return val
 
     lo, hi = 1.0, 2.0

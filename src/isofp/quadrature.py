@@ -1,11 +1,14 @@
-"""Adaptive interval integration and hyperspherical tensor quadrature.
+"""Fixed interval rules, hyperspherical tensor quadrature and an adaptive
+oracle.
 
-Provides the two integration backends used everywhere else: an adaptive
-Gauss-Kronrod wrapper for 1-D integrals (semi-infinite domains are mapped
-onto (0, 1) by the rational substitution r = t/(1-t)), and fixed tensor
-grids in hyperspherical coordinates, kept as radial and angular factors,
-with one kernel for the variance and weighted Dirichlet forms of a test
-function on such a grid.
+Every weight and inequality check integrates with fixed composite
+Gauss-Legendre rules: interval rules, and tensor grids in hyperspherical
+coordinates kept as radial and angular factors, with one kernel for the
+variance and weighted Dirichlet forms of a test function on such a grid.
+The adaptive Gauss-Kronrod wrapper ``integrate_interval`` (semi-infinite
+domains are mapped onto (0, 1) by the rational substitution r = t/(1-t))
+serves only the truncation radius of the Fokker-Planck domain and the
+tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -297,8 +300,9 @@ class HypersphericalGrid:
     major, so rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
 
     Integrating the constant 1 against the density gives ``mass``, which
-    must be 1 within 1e-7.  The normalised weights sum to one only up to
-    roundoff, so :func:`grid_moments` shifts a member by its value at
+    must be 1 within 1e-7, or the grid raises ``ValueError``.  The
+    normalised weights sum to one only up to roundoff, so
+    :func:`grid_moments` shifts a member by its value at
     ``anchor``, the node of largest probability weight, before centring: a
     function constant on the nodes then has zero data in every block, and
     its variance is exactly 0 after the blocks are merged.
@@ -317,6 +321,9 @@ class HypersphericalGrid:
         self.unit, self.ang_weights, self.tangents = _angular_rule(n, _ANGULAR_ORDER)
         r_mass = r_rule * self.r_nodes ** (n - 1) * density.eval(self.r_nodes)
         self.mass = float(r_mass.sum() * self.ang_weights.sum())
+        if abs(self.mass - 1.0) > 1e-7:
+            raise ValueError(f"the density integrates to {self.mass!r} on the grid, "
+                             "not to 1 within 1e-7")
         self.r_weights = r_mass / self.mass
         self.anchor = (int(np.argmax(self.r_weights)) * len(self.ang_weights)
                        + int(np.argmax(self.ang_weights)))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .densities import sin_power_density
-from .quadrature import QuadratureError, interval_rule
+from .quadrature import interval_rule
 
 __all__ = [
     "WeightFunction",
@@ -240,11 +240,10 @@ def p_weight_1d(f, m, x):
 
 def _finite_mean(f):
     """The mean of f; P(x) is defined only for densities with a finite mean."""
-    try:
-        return f.mean
-    except QuadratureError as exc:
+    if not math.isfinite(f.mean):
         raise WeightError(f"P(x) needs a finite mean, and the mean of {f.name} "
-                          f"does not converge ({exc})") from exc
+                          f"diverges")
+    return f.mean
 
 
 def p_weight_function(f):

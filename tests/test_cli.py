@@ -92,6 +92,19 @@ class TestCheckCommand:
         payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
         assert payload["summary"]["passed"] == payload["summary"]["total"] == 43
 
+    @pytest.mark.parametrize("theorem", ["poincare_1d", "product", "isotropic_Wstar",
+                                         "refined_outside_ball", "hybrid"])
+    def test_cauchy_near_the_integrability_edge_is_skipped(self, theorem, tmp_path,
+                                                           capsys):
+        # beta = 1.01 > n/2 is a density; its normalisation is a closed form,
+        # and every check skips it for an unmet weight or tail hypothesis
+        code = main(["check", "--theorem", theorem,
+                     "--density", "cauchy:beta=1.01,n=2", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("skipped: ")
+        payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
+        assert payload["skipped"]
+
     def test_skip_reason_for_inapplicable_pair(self, tmp_path, capsys):
         code = main(["check", "--theorem", "isotropic_Wstar",
                      "--density", "gaussian:sigma=1,n=1", "--out", str(tmp_path)])
@@ -117,6 +130,15 @@ class TestEvolveCommand:
         rates = json.loads(next(tmp_path.glob("rates_*.json")).read_text())
         assert rates["fitted_chi2_rate"] >= 1.95
         assert rates["hellinger_decay"]["passed"]
+
+    def test_untruncatable_domain_is_an_error(self, tmp_path, capsys):
+        # the n = 1 Cauchy tail ~ rho^-1.8 defeats the truncation quadrature
+        code = main(["evolve", "--density", "cauchy:beta=0.9,n=1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: could not truncate the domain: tail too heavy\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCommand:
@@ -191,6 +213,17 @@ class TestRunCommand:
         assert [r[2] for r in rows] == ["unchecked"]
         rates = json.loads(next(tmp_path.glob("rates_*.json")).read_text())
         assert rates["fitted_chi2_rate"] is None
+
+    def test_evolution_without_a_solver_is_unchecked(self, tmp_path):
+        from isofp.cli import run_experiment
+
+        cfg = dict(TINY_CONFIG, densities=[], theorems=[],
+                   evolve_densities=["cauchy:beta=0.9,n=1"])
+        code, _, rows = run_experiment(cfg, tmp_path)
+        assert code == 0
+        assert rows == [("cauchy_type(beta=0.9,n=1)", "relaxation_rate", "unchecked",
+                         "no solver: could not truncate the domain: tail too heavy")]
+        assert list(tmp_path.glob("trace_*")) == list(tmp_path.glob("rates_*")) == []
 
     def test_density_outside_the_marginal_weight_is_skipped(self, tmp_path):
         # beta = 1.5 > n / 2 is a valid density, but the optimal Cauchy

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import gamma as sp_gamma
 
 from isofp.densities import (
-    density_mass,
     full_line_density,
     make_density,
     parse_density_spec,
@@ -16,8 +15,27 @@ from isofp.densities import (
     uniform_angle_density,
     closed_form_weight,
 )
-from isofp.quadrature import QuadratureError, integrate_interval
+from isofp.quadrature import Integrator, integrate_interval
 from isofp.weights import steady_state_residual
+
+# adaptive QUADPACK is the oracle of every closed-form constant; 1e-12 is
+# the tightest tolerance it meets on the heavy Cauchy tails below
+ORACLE = Integrator(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=500)
+
+
+def oracle_mass(d):
+    """Total mass of an isotropic density over its support."""
+    val, _ = integrate_interval(lambda r: d.radial_weight(r) * d.eval(r),
+                                0.0, d.support_radius, ORACLE)
+    return val
+
+
+def oracle_moment_1d(f, k=0):
+    """int x^k f(x) dx over the support of a 1-D density."""
+    a, b = f.support
+    val, _ = integrate_interval(lambda x: x ** k * float(f(x)), a, b, ORACLE,
+                                f.breakpoints)
+    return val
 
 MASS_MATRIX = [
     ("gaussian", {"sigma": 1.0}, 1),
@@ -38,7 +56,7 @@ class TestMakeDensity:
     @pytest.mark.parametrize("kind,params,n", MASS_MATRIX)
     def test_unit_mass(self, kind, params, n):
         d = make_density(kind, params, n)
-        assert abs(density_mass(d) - 1.0) < 1e-8
+        assert abs(oracle_mass(d) - 1.0) < 1e-8
 
     def test_gaussian_closed_form(self):
         d = make_density("gaussian", {"sigma": 1.0}, 3)
@@ -184,7 +202,7 @@ class TestRadialMarginal:
     def test_marginal_mass(self, kind, params, n):
         d = make_density(kind, params, n)
         f = radial_marginal(d).as_density1d()
-        assert abs(f.mass() - 1.0) < 1e-8
+        assert abs(oracle_moment_1d(f) - 1.0) < 1e-8
 
     def test_exponential_marginal_is_gamma(self):
         beta, n = 2.0, 3
@@ -212,19 +230,49 @@ class TestRadialMarginal:
         assert marg.sigma_n == 1.0
         assert abs(marg.eval(1.3) - d.eval(1.3)) < 1e-16
 
-    def test_divergent_mean_is_cached(self, monkeypatch):
-        # cauchy beta = 1.9 in n = 3: the marginal has no first moment
-        import isofp.densities as densities
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cauchy_mean_diverges_up_to_half_n_plus_one(self, n):
+        # the marginal rho^(n-1) (1 + rho^2)^-beta has a first moment only
+        # for beta > (n + 1) / 2
+        edge = (n + 1) / 2.0
+        for beta, finite in ((n / 2.0 + 0.2, False), (edge, False),
+                             (np.nextafter(edge, math.inf), True), (edge + 0.2, True)):
+            d = make_density("cauchy_type", {"beta": beta}, n)
+            f = radial_marginal(d).as_density1d()
+            assert f.mean == d.radial_mean
+            assert math.isfinite(f.mean) is finite, beta
 
-        f = radial_marginal(make_density("cauchy_type", {"beta": 1.9}, 3)).as_density1d()
-        with pytest.raises(QuadratureError):
-            f.mean
-        calls = []
-        monkeypatch.setattr(densities, "integrate_interval",
-                            lambda *a, **k: calls.append(a) or integrate_interval(*a, **k))
-        with pytest.raises(QuadratureError):
-            f.mean
-        assert calls == []
+
+def closed_form_cases():
+    cases = [("inverse_gamma_1d", {"mu": mu}, 1) for mu in (0.7, 2.0)]
+    for n in (1, 2, 3, 4):
+        cases += [("gaussian", {"sigma": s}, n) for s in (0.5, 1.0, 2.5)]
+        cases += [("cauchy_type", {"beta": b}, n)
+                  for b in (n / 2.0 + 0.2, (n + 1) / 2.0 + 0.2, n / 2.0 + 1.0, 4.0)]
+        cases += [("exponential_type", {"beta": b}, n) for b in (0.5, 2.0)]
+        cases += [("barenblatt", {"a": a, "p": p}, n)
+                  for a, p in ((1.0, 2.0), (2.0, 3.0), (1.5, 1.5))]
+    return cases
+
+
+class TestClosedForms:
+    """The Gamma-function constants against adaptive quadrature."""
+
+    @pytest.mark.parametrize("kind,params,n", closed_form_cases())
+    def test_norm_and_marginal_mean(self, kind, params, n):
+        d = make_density(kind, params, n)
+        assert abs(oracle_mass(d) - 1.0) < 1e-12
+        if math.isfinite(d.radial_mean):
+            f = radial_marginal(d).as_density1d()
+            assert abs(oracle_moment_1d(f, 1) / d.radial_mean - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("i", range(7))
+    def test_sin_power_constant(self, i):
+        # the density at pi / 2 is 1 / int_0^pi sin^i
+        val, _ = integrate_interval(lambda t: math.sin(t) ** i, 0.0, math.pi, ORACLE)
+        f = sin_power_density(i)
+        assert abs(val * float(f(math.pi / 2.0)) - 1.0) < 1e-12
+        assert abs(oracle_moment_1d(f, 1) - f.mean) < 1e-12
 
 
 class TestSteadyState:
@@ -263,22 +311,22 @@ class TestHelpers:
 
     def test_std_normal_density(self):
         f = std_normal_1d()
-        assert abs(f.mass() - 1.0) < 1e-10
+        assert abs(oracle_moment_1d(f) - 1.0) < 1e-10
         assert f.mean == 0.0
 
     def test_uniform_angle(self):
         f = uniform_angle_density()
-        assert abs(f.mass() - 1.0) < 1e-12
+        assert abs(oracle_moment_1d(f) - 1.0) < 1e-12
         assert abs(f.mean - math.pi) < 1e-14
 
     def test_sin_power(self):
         f = sin_power_density(2)
-        assert abs(f.mass() - 1.0) < 1e-10
+        assert abs(oracle_moment_1d(f) - 1.0) < 1e-10
 
     def test_full_line_density(self):
         d = make_density("cauchy_type", {"beta": 4.0}, 1)
         f = full_line_density(d)
-        assert abs(f.mass() - 1.0) < 1e-9
+        assert abs(oracle_moment_1d(f) - 1.0) < 1e-9
         with pytest.raises(ValueError):
             full_line_density(make_density("gaussian", {"sigma": 1.0}, 2))
 

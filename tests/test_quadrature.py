@@ -139,6 +139,13 @@ class TestHypersphericalGrid:
         grid = HypersphericalGrid(d)
         assert abs(grid.mass - 1.0) < 1e-7
 
+    def test_rejects_a_density_without_unit_mass(self):
+        # cauchy beta = 1.2 in n = 2 has a tail ~ rho^-1.4 that the radial
+        # rule misses by 1.6e-4; renormalising r_weights would hide that
+        d = make_density("cauchy_type", {"beta": 1.2}, 2)
+        with pytest.raises(ValueError, match="within 1e-7"):
+            HypersphericalGrid(d)
+
     def test_rejects_n5(self):
         d = make_density("gaussian", {"sigma": 1.0}, 5)
         with pytest.raises(ValueError):
