@@ -70,6 +70,7 @@ from .fpsolver import (
     RadialGrid,
     Solver,
     SolverError,
+    TruncationError,
     build_solver,
     fit_decay_rate,
     make_radial_grid,

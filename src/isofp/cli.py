@@ -29,8 +29,8 @@ from .densities import (full_line_density, parse_density_spec,
                         radial_marginal, sin_power_density,
                         uniform_angle_density, closed_form_weight,
                         density_label)
-from .fpsolver import (SolverError, build_solver, perturbed_initial_state,
-                       verify_hellinger_decay)
+from .fpsolver import (SolverError, TruncationError, build_solver,
+                       perturbed_initial_state, verify_hellinger_decay)
 from .inequality import (check_gaussian_anisotropic, check_hybrid,
                          check_isotropic_Wstar, check_poincare_1d,
                          check_product, check_refined_outside_ball,
@@ -482,7 +482,7 @@ def run_experiment(config, out_dir):
                 eps=float(solver_cfg.get("eps", 0.1)),
                 perturbation=solver_cfg.get("perturbation", "cosine"),
                 tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
-        except SolverError as exc:
+        except TruncationError as exc:
             summary_rows.append((lbl, "relaxation_rate", "unchecked", f"no solver: {exc}"))
             continue
         files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",

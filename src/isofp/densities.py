@@ -54,9 +54,7 @@ class IsotropicDensity:
 
     ``norm_const`` multiplies the raw radial profile so the total mass is
     one.  ``support_radius`` is the radius i+ of the (possibly infinite)
-    supporting ball.  ``radial_mean`` is E|X|, the mean of the radial
-    marginal, and ``math.inf`` when it diverges.  Immutable and hashable;
-    safe to share across workers.
+    supporting ball.  Immutable and hashable; safe to share across workers.
     """
 
     kind: str
@@ -64,7 +62,6 @@ class IsotropicDensity:
     params: tuple  # sorted (name, value) pairs
     support_radius: float
     norm_const: float
-    radial_mean: float
 
     def param(self, name):
         for key, val in self.params:
@@ -86,6 +83,25 @@ class IsotropicDensity:
     def geometry_factor(self):
         """Area factor multiplying rho^(n-1) in the radial volume element."""
         return 1.0 if self.half_line else surface_measure(self.n)
+
+    @cached_property
+    def radial_mean(self):
+        """E|X|, the mean of the radial marginal, in closed form; ``math.inf``
+        for a Cauchy-type density with beta <= (n+1)/2, where it diverges."""
+        n, kind, p = self.n, self.kind, dict(self.params)
+        half = _gamma_ratio((n + 1) / 2.0, n / 2.0)  # E|Z| / sqrt(2), Z ~ N(0, I_n)
+        if kind == "gaussian":
+            return math.sqrt(2.0 * p["sigma"]) * half
+        if kind == "cauchy_type":
+            beta = p["beta"]
+            return (half * _gamma_ratio(beta - (n + 1) / 2.0, beta - n / 2.0)
+                    if beta > (n + 1) / 2.0 else math.inf)
+        if kind == "exponential_type":
+            return n / p["beta"]
+        if kind == "barenblatt":
+            q = 1.0 / (p["p"] - 1.0)
+            return p["a"] * half * _gamma_ratio(q + 1.0 + n / 2.0, q + 1.0 + (n + 1) / 2.0)
+        return 1.0
 
     def _profile(self, rho):
         """Unnormalised radial profile at points inside the support (rho > 0
@@ -168,41 +184,27 @@ def _validate(kind, params, n):
 
 
 def make_density(kind, params, n):
-    """Build a catalog density with its normalisation constant and the mean
-    E|X| of its radial marginal, both closed forms in Gamma functions.
-
-    The radial marginal of a Cauchy-type density has a finite mean only for
-    beta > (n+1)/2; otherwise ``radial_mean`` is ``math.inf``.
-    """
+    """Build a catalog density with its closed-form normalisation constant."""
     _validate(kind, params, n)
     params = tuple(sorted((str(k), float(v)) for k, v in dict(params).items()))
     p = dict(params)
     support = math.inf
-    half = _gamma_ratio((n + 1) / 2.0, n / 2.0)  # E|Z| / sqrt(2), Z ~ N(0, I_n)
     if kind == "gaussian":
-        sigma = p["sigma"]
-        norm = (2.0 * math.pi * sigma) ** (-n / 2.0)
-        mean = math.sqrt(2.0 * sigma) * half
+        norm = (2.0 * math.pi * p["sigma"]) ** (-n / 2.0)
     elif kind == "cauchy_type":
         beta = p["beta"]
         norm = _gamma_ratio(beta, beta - n / 2.0) / math.pi ** (n / 2.0)
-        mean = (half * _gamma_ratio(beta - (n + 1) / 2.0, beta - n / 2.0)
-                if beta > (n + 1) / 2.0 else math.inf)
     elif kind == "exponential_type":
-        beta = p["beta"]
-        norm = beta ** n * math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0) * math.gamma(n))
-        mean = n / beta
+        norm = p["beta"] ** n * math.gamma(n / 2.0) / (2.0 * math.pi ** (n / 2.0) * math.gamma(n))
     elif kind == "barenblatt":
         a, q = p["a"], 1.0 / (p["p"] - 1.0)
         support = a
         norm = (_gamma_ratio(q + 1.0 + n / 2.0, q + 1.0)
                 / (math.pi ** (n / 2.0) * a ** (n + 2.0 * q)))
-        mean = a * half * _gamma_ratio(q + 1.0 + n / 2.0, q + 1.0 + (n + 1) / 2.0)
     else:
         mu = p["mu"]
         norm = math.exp((1.0 + mu) * math.log(mu) - gammaln(1.0 + mu))
-        mean = 1.0
-    return IsotropicDensity(kind, int(n), params, support, norm, mean)
+    return IsotropicDensity(kind, int(n), params, support, norm)
 
 
 # ---------------------------------------------------------------------------

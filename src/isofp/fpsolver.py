@@ -29,6 +29,7 @@ __all__ = [
     "DecayTrace",
     "Solver",
     "SolverError",
+    "TruncationError",
     "make_radial_grid",
     "build_solver",
     "fit_decay_rate",
@@ -40,6 +41,10 @@ __all__ = [
 
 class SolverError(RuntimeError):
     pass
+
+
+class TruncationError(SolverError):
+    """The equilibrium tail is too heavy to truncate the domain."""
 
 
 _MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
@@ -112,14 +117,14 @@ def _truncation_radius(d, tail_mass=1e-12):
             val, _ = integrate_interval(lambda r: d.radial_weight(r) * d.eval(r),
                                         R, math.inf)
         except QuadratureError as exc:
-            raise SolverError("could not truncate the domain: tail too heavy") from exc
+            raise TruncationError("could not truncate the domain: tail too heavy") from exc
         return val
 
     lo, hi = 1.0, 2.0
     while tail(hi) > tail_mass:
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
-            raise SolverError("could not truncate the domain: tail too heavy")
+            raise TruncationError("could not truncate the domain: tail too heavy")
     # bisect until lo and hi are adjacent floats; further midpoints round
     # onto an endpoint whose side is already known
     while lo < 0.5 * (lo + hi) < hi:

@@ -217,7 +217,7 @@ def p_weight_1d(f, m, x):
 
     P(x) = int_a^x (m - y) f(y) dy / f(x) for x <= m, and
     P(x) = int_x^b (y - m) f(y) dy / f(x) for x > m.  The branches agree at
-    x = m because m is the mean (``m = None`` computes it).  All x are
+    x = m because m is the mean (``m = None`` uses ``f.mean``).  All x are
     tabulated at once by one :func:`cumulative_integral` of |m - y| f(y)
     split at m, so each x is integrated over its own side of the mean and
     a point in a tail over that tail alone.
@@ -242,7 +242,7 @@ def _finite_mean(f):
     """The mean of f; P(x) is defined only for densities with a finite mean."""
     if not math.isfinite(f.mean):
         raise WeightError(f"P(x) needs a finite mean, and the mean of {f.name} "
-                          f"diverges")
+                          f"is {f.mean}")
     return f.mean
 
 

@@ -225,6 +225,22 @@ class TestRunCommand:
                          "no solver: could not truncate the domain: tail too heavy")]
         assert list(tmp_path.glob("trace_*")) == list(tmp_path.glob("rates_*")) == []
 
+    def test_solver_failure_during_evolution_fails_the_run(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # a built solver whose step fails is a failed run, not an unchecked rate
+        from isofp.fpsolver import Solver, SolverError
+
+        def failing_step(self, state, dt):
+            raise SolverError("negative density -1.000e-03 produced by a step")
+
+        monkeypatch.setattr(Solver, "step", failing_step)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, densities=[], theorems=[])))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code != 0
+        assert capsys.readouterr().err == (
+            "error: negative density -1.000e-03 produced by a step\n")
+
     def test_density_outside_the_marginal_weight_is_skipped(self, tmp_path):
         # beta = 1.5 > n / 2 is a valid density, but the optimal Cauchy
         # marginal weight needs beta > (n + 1) / 2
