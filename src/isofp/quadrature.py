@@ -5,6 +5,13 @@ Every weight and inequality check integrates with fixed composite
 Gauss-Legendre rules: interval rules, and tensor grids in hyperspherical
 coordinates kept as radial and angular factors, with one kernel for the
 variance and weighted Dirichlet forms of a test function on such a grid.
+The kernel reorders the tensor sums of a polar member s(rho) a(u) into
+one radial and one angular pass.  A Gaussian mixture is exact in angle:
+its variance, Dirichlet forms, radial part and sphere integrals are sums
+over term pairs on the radial nodes of modified Bessel functions (the von
+Mises-Fisher normaliser and its first two moments), and only the angular
+parts of its gradient, which are not rotation invariant, take a pass over
+the angular rule.
 The adaptive Gauss-Kronrod wrapper ``integrate_interval`` (semi-infinite
 domains are mapped onto (0, 1) by the rational substitution r = t/(1-t))
 serves only the truncation radius of the Fokker-Planck domain and the
@@ -22,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import ive
 
 __all__ = [
     "Integrator",
@@ -496,29 +504,35 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
     - the radial part is E_r[w s'^2] E_a[a^2] and angular part i is
       E_r[s^2] E_a[(grad_S a . d u / d theta_i)^2].
 
-    These are the grid's tensor sums, reordered.  Every other member is
-    taken in blocks of whole radial shells, as (radial, angular) arrays of
-    its values and of each gradient component.  A member whose ``mixture``
-    is (a, c, b), so phi = sum_k a_k exp(-b_k |x - c_k|^2) (a
-    :class:`~isofp.corpus.GaussianMixture`), is built from ``r_nodes`` and
-    ``unit``: at x = rho u each term is exp(2 b rho (c . u) - b (rho^2 +
-    |c|^2)) and grad phi = x sum_k q_k - sum_k q_k c_k with q_k = -2 a_k b_k
-    exp(...).  Any other member (none in the corpora: this is the tests'
-    reference) is evaluated on the nodes of the block's shells.  Either way
-    each block is contracted with the radial and the angular weights;
-    values are shifted by their value at ``grid.anchor``, whose block is
-    taken first, and the block variances are merged by the pairwise update
-    of Chan, Golub & LeVeque (1983), so a member constant on the nodes has
-    variance exactly 0.
+    These are the grid's tensor sums, reordered.
+
+    A member whose ``mixture`` is (a, c, b), so phi = sum_k a_k exp(-b_k
+    |x - c_k|^2) (a :class:`~isofp.corpus.GaussianMixture`), is exact in
+    angle: on the shell |x| = rho each product of terms is exp(alpha + Z .
+    u) with Z = 2 rho sum b_k c_k, and the sphere average of exp(Z . u) and
+    of its first and second moments in u are modified Bessel functions of
+    |Z| (see :func:`_mixture_shells`).  So the variance, every E[w_k
+    |grad phi|_c^2] and the radial part are sums over term pairs on
+    ``r_nodes``, and the variance is taken shell by shell: the mean of the
+    within-shell variances plus the variance of the shell means, shifted at
+    the shell of ``grid.anchor``.  The angular parts are not rotation
+    invariant and stay on the angular rule (:func:`_mixture_angular`).
+
+    Any other member (none in the corpora: this is the tests' reference) is
+    evaluated on the nodes of blocks of whole radial shells, as (radial,
+    angular) arrays of its values and of each gradient component.  Each
+    block is contracted with the radial and the angular weights; values are
+    shifted by their value at ``grid.anchor``, whose block is taken first,
+    and the block variances are merged by the pairwise update of Chan, Golub
+    & LeVeque (1983), so a member constant on the nodes has variance exactly
+    0.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
     if phi.polar is not None:
         return _polar_moments(grid, phi.polar, weights, split_weight, axis_weights)
     if phi.mixture is not None:
-        blocks = _mixture_blocks(grid, phi.mixture)
-    else:
-        blocks = _node_blocks(grid, phi)
-    return _block_moments(grid, blocks, weights, split_weight, axis_weights)
+        return _mixture_moments(grid, phi.mixture, weights, split_weight, axis_weights)
+    return _node_moments(grid, phi, weights, split_weight, axis_weights)
 
 
 def _shell_blocks(grid):
@@ -531,42 +545,10 @@ def _shell_blocks(grid):
     return [slice(j0, min(j0 + step, J)) for j0 in starts]
 
 
-def _node_blocks(grid, phi):
-    """(rows, values, gradient) of ``phi`` on the nodes of each block, the
-    gradient as its n components of shape (radial, angular)."""
-    for rows in _shell_blocks(grid):
-        x = grid._shell_points(rows)
-        shape = (rows.stop - rows.start, len(grid.ang_weights))
-        yield rows, phi(x).reshape(shape), np.moveaxis(phi.grad(x).reshape(*shape, -1), -1, 0)
-
-
-def _mixture_blocks(grid, mixture):
-    """:func:`_node_blocks` of a Gaussian mixture from its parameters,
-    each term an outer sum over (radius, direction)."""
-    amps, centres, widths = mixture
-    c_u = centres @ grid.unit.T  # (terms, A)
-    c_sq = np.einsum("kn,kn->k", centres, centres)
-    unit_t = np.ascontiguousarray(grid.unit.T)
-    for rows in _shell_blocks(grid):
-        r = grid.r_nodes[rows]
-        e = np.empty((len(amps), len(r), len(grid.ang_weights)))
-        for k, b in enumerate(widths):
-            np.multiply.outer(2.0 * b * r, c_u[k], out=e[k])
-            e[k] -= (b * (r * r + c_sq[k]))[:, None]
-        np.exp(e, out=e)
-        vals = np.tensordot(amps, e, 1)
-        e *= (-2.0 * amps * widths)[:, None, None]  # q_k
-        grad = np.tensordot(-centres.T, e, 1)
-        r_q = e.sum(axis=0)
-        r_q *= r[:, None]
-        for g_i, u_i in zip(grad, unit_t):
-            g_i += r_q * u_i
-        yield rows, vals, grad
-
-
-def _block_moments(grid, blocks, weights, split_weight, axis_weights):
-    """Merge the blocks of one member into its :class:`GridMoments`;
-    ``weights`` holds the radial weights as rows."""
+def _node_moments(grid, phi, weights, split_weight, axis_weights):
+    """:func:`grid_moments` of ``phi`` from its values and gradient on the
+    nodes, merged block by block; ``weights`` holds the radial weights as
+    rows."""
     A = len(grid.ang_weights)
     ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
     # directions and tangents with the angular axis innermost
@@ -577,7 +559,11 @@ def _block_moments(grid, blocks, weights, split_weight, axis_weights):
     radial, angular = 0.0, np.zeros(len(grid.tangents))
     shift = None
     w_sum = mean = m2 = 0.0
-    for rows, vals, g in blocks:
+    for rows in _shell_blocks(grid):
+        x = grid._shell_points(rows)
+        vals = phi(x).reshape(-1, A)
+        # the gradient as its n components of shape (radial, angular)
+        g = np.moveaxis(phi.grad(x).reshape(*vals.shape, -1), -1, 0)
         p = grid.r_weights[rows]
         if shift is None:
             shift = float(vals.flat[grid.anchor - rows.start * A])
@@ -642,8 +628,164 @@ def _polar_moments(grid, polar, weights, split_weight, axis_weights):
                        tuple(float(v) for v in angular))
 
 
+# Exponents below this underflow exp to 0 (or to its smallest subnormal).
+_EXP_FLOOR = -745.0
+# Sphere averages take their power series, in this many terms, up to
+# _SERIES_Z, and scipy's ``ive`` above it.
+_SERIES_Z, _SERIES_TERMS = 1.0, 12
+
+
+def _sphere_series(n, m, z, first=0):
+    """Gamma(n/2) sum_(i >= first) (z^2/4)^i / (i! Gamma(n/2 + m + i)) for
+    z <= _SERIES_Z: the power series of Gamma(n/2) (z/2)^(1-n/2-m)
+    I_(n/2-1+m)(z) without its first ``first`` terms."""
+    coefs = [math.gamma(0.5 * n) / (math.factorial(i) * math.gamma(0.5 * n + m + i))
+             for i in range(first, _SERIES_TERMS)]
+    q = 0.25 * z * z
+    acc = np.full_like(z, coefs[-1])
+    for coef in reversed(coefs[:-1]):
+        acc *= q
+        acc += coef
+    return acc * q ** first
+
+
+def _sphere_average(n, m, z, expo):
+    """exp(expo - z) Gamma(n/2) (z/2)^(1-n/2-m) I_(n/2-1+m)(z) for z >= 0,
+    and exactly 0 where ``expo`` < _EXP_FLOOR.
+
+    With m = 0 and expo = z this is the average of exp(Z . u) over the unit
+    sphere S^(n-1) for |Z| = z, the von Mises-Fisher normaliser (Mardia &
+    Jupp, *Directional Statistics*, 2000): cosh z for n = 1.  Its first and
+    second moments in u are m = 1 and m = 2 (see :func:`_mixture_shells`).
+    Entries below the floor are never passed to ``ive``, which returns nan
+    for z beyond about 1e9.
+    """
+    out = np.zeros_like(z)
+    live = expo >= _EXP_FLOOR
+    small, big = live & (z <= _SERIES_Z), live & (z > _SERIES_Z)
+    out[small] = np.exp(expo[small] - z[small]) * _sphere_series(n, m, z[small])
+    nu, zb = 0.5 * n - 1.0 + m, z[big]
+    out[big] = np.exp(expo[big]) * math.gamma(0.5 * n) * (0.5 * zb) ** -nu * ive(nu, zb)
+    return out
+
+
+def _mixture_moments(grid, mixture, weights, split_weight, axis_weights):
+    """:func:`grid_moments` of a Gaussian mixture from its shell averages
+    (:func:`_mixture_shells`); ``weights`` holds the radial weights as
+    rows."""
+    P = grid.r_weights * float(grid.ang_weights.sum())  # radial probability weights
+    mean, within, grad2, d_rho = _mixture_shells(grid.n, mixture, grid.r_nodes, axis_weights)
+    variance = float(P @ within) + shifted_variance(P, mean, grid.anchor // len(grid.ang_weights))
+    dirichlet = weights @ (P * grad2)
+    if split_weight is None:
+        radial, angular = math.nan, ()
+    else:
+        radial, angular = float((P * split_weight) @ d_rho), _mixture_angular(grid, mixture)
+    return GridMoments(variance, tuple(float(v) for v in dirichlet), radial,
+                       tuple(float(v) for v in angular))
+
+
+def _mixture_shells(n, mixture, r, axis_weights=None):
+    """Averages over the spheres |x| = ``r`` of phi = sum_k a_k exp(-b_k
+    |x - c_k|^2): its mean and variance, |grad phi|_c^2 and (d phi / d
+    rho)^2, each an array over ``r``.
+
+    At x = rho u term k is exp(alpha_k + z_k . u), alpha_k = -b_k (rho^2 +
+    |c_k|^2) and z_k = 2 rho b_k c_k, and the product of terms k and l is
+    exp(alpha_k + alpha_l + Z . u) with Z = z_k + z_l.  With F, h, g the
+    m = 0, 1, 2 values of :func:`_sphere_average` at |Z| (times 1, 1/2 and
+    1/4) the sphere averages of exp(Z . u) times 1, u and u u^T are F, h Z
+    and h I + g Z Z^T (Funk-Hecke; Atkinson & Han, LNM 2044, 2012).  So
+    for grad phi = sum_k q_k e_k (x - c_k), q_k = -2 a_k b_k, and C =
+    diag(c) for the axis weights c:
+
+    - E_u[e_k e_l (x - c_k)^T C (x - c_l)] = rho^2 (h tr C + g Z^T C Z)
+      - rho h Z^T C (c_k + c_l) + F c_k^T C c_l;
+    - E_u[e_k e_l (rho - c_k . u)(rho - c_l . u)] = rho^2 F - rho h Z . (c_k
+      + c_l) + h c_k . c_l + g (Z . c_k)(Z . c_l).
+
+    Z = 2 rho B with B = b_k c_k + b_l c_l, so each is a multiple of a power
+    of rho per pair k <= l.  The covariance of terms k and l on a sphere is
+    F - f_k f_l, with f_k the average of term k; where |Z| and both |z_k|,
+    |z_l| are at most _SERIES_Z it is taken from the series without their
+    constant terms, so a nearly constant member keeps its digits.
+    """
+    amps, centres, widths = mixture
+    r2 = r * r
+    c = np.ones(n) if axis_weights is None else np.asarray(axis_weights, dtype=float)
+    alpha = -widths[:, None] * (r2 + np.einsum("kn,kn->k", centres, centres)[:, None])
+    z1 = 2.0 * np.linalg.norm(widths[:, None] * centres, axis=1)[:, None] * r
+    f = _sphere_average(n, 0, z1, alpha + z1)
+    k, l = np.triu_indices(len(amps))
+    ck, cl = centres[k], centres[l]
+    B = widths[k, None] * ck + widths[l, None] * cl
+    z = 2.0 * np.linalg.norm(B, axis=1)[:, None] * r
+    F, h, g = (_sphere_average(n, m, z, alpha[k] + alpha[l] + z) / 2.0 ** m
+               for m in range(3))
+
+    cov = F - f[k] * f[l]
+    small = (z <= _SERIES_Z) & (z1[k] <= _SERIES_Z) & (z1[l] <= _SERIES_Z)
+    fz, fk, fl = (_sphere_series(n, 0, v[small], first=1) for v in (z, z1[k], z1[l]))
+    cov[small] = np.exp((alpha[k] + alpha[l])[small]) * (fz - fk - fl - fk * fl)
+    pair = np.where(k == l, 1.0, 2.0)  # a pair k < l stands for (l, k) too
+    within = (pair * amps[k] * amps[l]) @ cov
+
+    def dot(u, v, w=np.ones(n)):
+        """u^T diag(w) v for each pair, as a column."""
+        return np.einsum("pn,n,pn->p", u, w, v)[:, None]
+
+    q = -2.0 * amps * widths
+    pair *= q[k] * q[l]
+    grad2 = pair @ (r2 * h * (c.sum() - 2.0 * dot(B, ck + cl, c))
+                    + 4.0 * r2 * r2 * g * dot(B, B, c) + F * dot(ck, cl, c))
+    d_rho = pair @ (r2 * (F - 2.0 * h * dot(B, ck + cl)) + h * dot(ck, cl)
+                    + 4.0 * r2 * g * dot(B, ck) * dot(B, cl))
+    return amps @ f, within, grad2, d_rho
+
+
+def _mixture_angular(grid, mixture):
+    """E[(d phi / d theta_i)^2], i = 1 .. n-1, of a Gaussian mixture on the
+    angular rule.
+
+    Since u . d u / d theta_i = 0, d phi / d theta_i = 2 rho sum_k a_k b_k
+    e_k (c_k . d u / d theta_i), so a block of shells needs only the term
+    exponentials e_k and n - 1 contractions over the terms.  Shells where
+    every term underflows are skipped, and every block reuses one exponent
+    and one output buffer.
+    """
+    amps, centres, widths = mixture
+    r, ang_w = grid.r_nodes, grid.ang_weights
+    c_sq = np.einsum("kn,kn->k", centres, centres)
+    # the largest exponent of each term on a shell is -b (rho - |c|)^2
+    top = np.max(-widths[:, None] * (r - np.sqrt(c_sq)[:, None]) ** 2, axis=0)
+    rows = np.flatnonzero((top >= _EXP_FLOOR) & (grid.r_weights > 0.0))
+    c_u = centres @ grid.unit.T
+    coef = np.einsum("k,kn,ian->ika", 2.0 * amps * widths, centres, grid.tangents)
+    step = max(1, _BLOCK_NODES // len(ang_w))
+    e = np.empty((len(amps), min(step, len(rows)), len(ang_w)))
+    d = np.empty(e.shape[1:])
+    angular = np.zeros(len(coef))
+    for start in range(0, len(rows), step):
+        idx = rows[start:start + step]
+        rho = r[idx]
+        e_b, d_b = e[:, :len(idx)], d[:len(idx)]
+        for e_k, c_uk, b, c2 in zip(e_b, c_u, widths, c_sq):
+            np.multiply.outer(2.0 * b * rho, c_uk, out=e_k)
+            e_k -= (b * (rho * rho + c2))[:, None]
+        np.exp(e_b, out=e_b)
+        for i, coef_i in enumerate(coef):
+            np.einsum("ka,kja->ja", coef_i, e_b, out=d_b)
+            np.multiply(d_b, d_b, out=d_b)
+            angular[i] += (grid.r_weights[idx] * rho * rho) @ (d_b @ ang_w)
+    return angular
+
+
 def sphere_dirichlet(grid, phi, radius):
     """Integral of |grad phi|^2 over the sphere |x| = radius against the
-    grid's angular rule (the measure dTheta of the unit sphere)."""
+    grid's angular rule (the measure dTheta of the unit sphere), exact in
+    angle for a Gaussian mixture (:func:`_mixture_shells`)."""
+    if phi.mixture is not None:
+        grad2 = _mixture_shells(grid.n, phi.mixture, np.array([float(radius)]))[2]
+        return float(grid.ang_weights.sum() * grad2[0])
     g = phi.grad(radius * grid.unit)
     return float(grid.ang_weights @ np.einsum("ij,ij->i", g, g))

@@ -49,6 +49,7 @@ from isofp.quadrature import (
     integrate_interval,
     interval_rule,
     shifted_variance,
+    sphere_dirichlet,
 )
 from isofp.weights import (
     WeightFunction,
@@ -848,7 +849,9 @@ def close(got, want, scale=0.0):
 
 class TestFullNodeOracle:
     """Each checker against the full-node formulas it used before the
-    kernel, on grids walked in at least two radial blocks."""
+    kernel, on grids walked in at least two radial blocks.  A Gaussian
+    mixture's variance and Dirichlet forms are exact in angle, so theirs
+    come from the walk on a 64-point angular rule (:meth:`fine_walk`)."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -886,6 +889,21 @@ class TestFullNodeOracle:
         assert sum(blocks) == len(nodes.points) and len(blocks) >= 2
         return nodes, {m.name: m for m in corpus}
 
+    def fine_walk(self, recorded, phi, monkeypatch, weight, split=None, radius=None):
+        """The moments of ``phi`` walked over the checker's grid rebuilt
+        with a 64-point angular rule, and with a ``radius`` also its
+        :func:`sphere_dirichlet` there on that rule.  The 32-point rule
+        misses a mixture's Dirichlet forms by up to 4e-6 and its sphere
+        integrals by up to 2e-4."""
+        (grid, bp), = recorded["grids"]
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_ANGULAR_ORDER", 64)
+            fine = quadrature.HypersphericalGrid(grid.density, tuple(sorted(bp)))
+        walker = TestFunction(phi.name, phi.n, phi, phi.grad, self_test=False)
+        split = None if split is None else fine.radial_values(split)
+        m = grid_moments(fine, walker, [fine.radial_values(weight)], split_weight=split)
+        return m if radius is None else (m, sphere_dirichlet(fine, walker, radius))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_wstar(self, n, recorded, monkeypatch):
         if n < 3:
@@ -906,8 +924,14 @@ class TestFullNodeOracle:
             radial = float(np.dot(nodes.pw, w_rad * np.einsum("ij,ij->i", g, nodes.e_rho) ** 2))
             angular = sum(b * float(np.dot(nodes.pw, np.einsum("ij,ij->i", g, t) ** 2))
                           for b, t in zip(bounds, getattr(nodes, "tangents", [])))
-            assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
-            assert close(rep.rhs, nodes.dirichlet(wstar, g))
+            lhs = shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor)
+            rhs = nodes.dirichlet(wstar, g)
+            if phi.mixture is not None:
+                m = self.fine_walk(recorded, phi, monkeypatch,
+                                   inequality.composite_Wstar(d, w), w)
+                lhs, (rhs,), radial = m.variance, m.dirichlet, m.radial
+            assert close(rep.lhs, lhs)
+            assert close(rep.rhs, rhs)
             assert close(rep.details["radial_part"], radial)
             assert close(rep.details["angular_part"], angular, radial + angular)
 
@@ -938,9 +962,15 @@ class TestFullNodeOracle:
         for rep in reports:
             phi = by_name[rep.witness]
             volume = nodes.dirichlet(W_nodes, phi.grad(nodes.points))
+            lhs = shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor)
             gs = phi.grad(sphere)
-            surface = f_R * R ** (d.n - 1) * float(np.dot(nodes.ang_w, np.einsum("ij,ij->i", gs, gs)))
-            assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
+            on_sphere = float(np.dot(nodes.ang_w, np.einsum("ij,ij->i", gs, gs)))
+            if phi.mixture is not None:
+                m, on_sphere = self.fine_walk(recorded, phi, monkeypatch,
+                                              inequality.hybrid_weight(d, w, K, R), radius=R)
+                lhs, (volume,) = m.variance, m.dirichlet
+            surface = f_R * R ** (d.n - 1) * on_sphere
+            assert close(rep.lhs, lhs)
             assert close(rep.details["volume_term"], volume)
             assert close(rep.details["surface_term"], surface, volume + surface)
             assert close(rep.rhs, 4.0 * (volume + rep.details["c_R"] * surface))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from isofp.quadrature import (
     grid_moments,
     integrate_interval,
     interval_rule,
+    sphere_dirichlet,
 )
 from isofp.weights import (
     WeightFunction,
@@ -483,15 +485,27 @@ def checker_grid(kind, n):
     return (grid, [grid.radial_values(v) for v in weights], grid.radial_values(split), R)
 
 
-def assert_axis_weights_match_block_walk(n, members, seed):
+def with_angular_order(monkeypatch, order, build, *args):
+    """``build(*args)`` with every grid built on ``order`` points per angle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_ANGULAR_ORDER", order)
+        return build(*args)
+
+
+def assert_axis_weights_match_block_walk(n, members, seed, monkeypatch=None, order=None):
     """Axis-weighted Dirichlet forms of ``members`` on the standard-normal
-    grid against the block walk of the same members without factors."""
-    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, n), members)
+    grid against the block walk of the same members without factors, on
+    the same grid or, with an ``order``, on its rebuild at that angular
+    order."""
+    d = make_density("gaussian", {"sigma": 1.0}, n)
+    grid = build_grid(d, members)
+    oracle = grid if order is None else with_angular_order(monkeypatch, order, build_grid,
+                                                            d, members)
     c = np.random.default_rng(seed).uniform(0.2, 5.0, n)
     w = [np.ones_like(grid.r_nodes), 1.0 + grid.r_nodes]
     for phi in members:
         got = grid_moments(grid, phi, w, axis_weights=c)
-        want = grid_moments(grid, stripped(phi), w, axis_weights=c)
+        want = grid_moments(oracle, stripped(phi), w, axis_weights=c)
         assert got.dirichlet != grid_moments(grid, phi, w).dirichlet, phi.name
         assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
         for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
@@ -785,26 +799,106 @@ def random_members(n):
     return members
 
 
+def assert_moments_close(got, want, tol, label):
+    """Variance, every Dirichlet form and the radial part within ``tol``
+    relative."""
+    assert abs(got.variance - want.variance) <= tol * want.variance, label
+    for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
+        assert abs(x - y) <= tol * y, label
+    assert abs(got.radial - want.radial) <= tol * want.radial, label
+
+
+def assert_angular_close(got, want, label):
+    total = want.radial + sum(want.angular)
+    assert len(got.angular) == len(want.angular)
+    for x, y in zip(got.angular, want.angular, strict=True):
+        assert abs(x - y) <= 1e-12 * total, label
+
+
 class TestMixtureMoments:
-    """A :class:`GaussianMixture` is built shell by shell from the grid's
-    radii and directions; the block walk over the node rows is its oracle."""
+    """A :class:`GaussianMixture` is exact in angle, except for its angular
+    parts.  The block walk over the node rows is its oracle: on the grid
+    itself at n = 1, where the two directions are exact, and on the grid
+    rebuilt with a 64-point angular rule at n = 2, 3, since the 32-point
+    rule is off by up to 4e-6 in a Dirichlet form.  The angular parts stay
+    on the grid's rule and keep its walk as their oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["Wstar", "hybrid"])
-    def test_matches_block_walk(self, kind, n):
+    def test_matches_block_walk(self, kind, n, monkeypatch):
         grid, weights, split, _ = checker_grid(kind, n)
-        for phi in random_members(n):
+        members, fine = random_members(n), (grid, weights, split)
+        if n > 1:
+            fine = with_angular_order(monkeypatch, 64, checker_grid, kind, n)[:3]
+            assert np.array_equal(fine[0].r_nodes, grid.r_nodes)
+        if n == 3:
+            members = members[::3]  # the 64-point walk takes 0.7 s a member
+        for phi in members:
             got = grid_moments(grid, phi, weights, split_weight=split)
-            want = grid_moments(grid, stripped(phi), weights, split_weight=split)
-            assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
+            want = grid_moments(fine[0], stripped(phi), fine[1], split_weight=fine[2])
             assert len(got.dirichlet) == len(weights)
-            for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
-                assert abs(x - y) <= 1e-12 * y, phi.name
-            assert abs(got.radial - want.radial) <= 1e-12 * want.radial, phi.name
-            total = want.radial + sum(want.angular)
-            assert len(got.angular) == n - 1
-            for x, y in zip(got.angular, want.angular, strict=True):
-                assert abs(x - y) <= 1e-12 * total, phi.name
+            assert_moments_close(got, want, 1e-12, phi.name)
+            if n > 1:
+                want = grid_moments(grid, stripped(phi), split_weight=split)
+            assert_angular_close(got, want, phi.name)
+
+    def test_n4_against_the_grid(self, monkeypatch):
+        # the 32-point rule is the oracle, off by 1.06e-8 in the Dirichlet
+        # form, 3.4e-9 in the radial part and 2.1e-9 in the variance of
+        # random0; both sides share a coarse radial rule, which keeps the
+        # walk over 6M nodes near 2 s
+        monkeypatch.setattr(quadrature, "_RADIAL_LEVELS", 8)
+        (phi,) = [m for m in corpus_nd(4, seed=2024) if m.name == "random0"]
+        grid = build_grid(make_density("gaussian", {"sigma": 1.0}, 4), [phi])
+        w = [grid.radial_values(lambda r: 1.0 + r)]
+        got = grid_moments(grid, phi, w, split_weight=w[0])
+        want = grid_moments(grid, stripped(phi), w, split_weight=w[0])
+        assert_moments_close(got, want, 2e-8, phi.name)
+        assert_angular_close(got, want, phi.name)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nearly_constant_mixture(self, n, monkeypatch):
+        # rates near 1e-4: phi varies by ~1e-4 of its size, so E[phi^2] -
+        # E[phi]^2 would keep only about 9 digits (4e-10 relative); the
+        # shell-by-shell variance matches the 64-point walk to 2e-14
+        rng = np.random.default_rng(7)
+        phi = GaussianMixture("flat", n, [0.7, -0.4, 1.1], rng.uniform(-1.5, 1.5, (3, n)),
+                              rng.uniform(0.5e-4, 2e-4, 3))
+        d = make_density("gaussian", {"sigma": 1.0}, n)
+        grid = build_grid(d, [phi])
+        fine = with_angular_order(monkeypatch, 64, build_grid, d, [phi])
+        w = [grid.radial_values(lambda r: 1.0 + r)]
+        got = grid_moments(grid, phi, w, split_weight=w[0])
+        want = grid_moments(fine, stripped(phi), w, split_weight=w[0])
+        assert 0.0 < got.variance < 1e-6
+        assert_moments_close(got, want, 1e-12, phi.name)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_finite_on_the_cauchy_grid(self, n):
+        # radii up to 4.5e8 put |Z| = 2 rho |b_k c_k + b_l c_l| past 1e9,
+        # where scipy's ive returns nan; such pairs have underflowed and
+        # are skipped
+        grid, weights, split, _ = checker_grid("Wstar", n)
+        assert grid.r_nodes.max() > 4e8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for phi in random_members(n):
+                m = grid_moments(grid, phi, weights, split_weight=split)
+                assert np.all(np.isfinite([m.variance, *m.dirichlet, m.radial, *m.angular]))
+                assert m.variance > 0.0, phi.name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_dirichlet_matches_a_finer_rule(self, n, monkeypatch):
+        # the hybrid check's surface integral; the 32-point rule misses it
+        # by up to 1.8e-4, the 64-point rule by up to 5e-12 at radius 6
+        d = make_density("exponential_type", {"beta": 1.0}, n)
+        grid = HypersphericalGrid(d)
+        fine = with_angular_order(monkeypatch, 96, HypersphericalGrid, d)
+        for phi in random_members(n):
+            for radius in (0.5, 2.7, 6.0):
+                got = sphere_dirichlet(grid, phi, radius)
+                want = sphere_dirichlet(fine, stripped(phi), radius)
+                assert abs(got - want) <= 1e-12 * want, (phi.name, radius)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_cartesian_formulas(self, n):
@@ -820,8 +914,9 @@ class TestMixtureMoments:
             assert_close(phi.grad(pts), gr(pts), 1e-12, phi.name)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_axis_weights_match_block_walk(self, n):
-        assert_axis_weights_match_block_walk(n, random_members(n)[::3], seed=10 + n)
+    def test_axis_weights_match_block_walk(self, n, monkeypatch):
+        assert_axis_weights_match_block_walk(n, random_members(n)[::3], seed=10 + n,
+                                             monkeypatch=monkeypatch, order=64)
 
 
 class TestShellKernels:
@@ -848,6 +943,14 @@ class TestShellKernels:
             corpus = corpus_anisotropic(V, seed=2024)
             assert sum("linear" in m.tags for m in corpus) == 4
         sizes, grids = count_member_calls(monkeypatch)
+        passes = []
+        real_angular = quadrature._mixture_angular
+
+        def angular(grid, mixture):
+            passes.append(mixture)
+            return real_angular(grid, mixture)
+
+        monkeypatch.setattr(quadrature, "_mixture_angular", angular)
         if kind == "Wstar":
             reports = check_isotropic_Wstar(d, corpus, w)
         elif kind == "hybrid":
@@ -855,6 +958,11 @@ class TestShellKernels:
         else:
             reports = check_gaussian_anisotropic(V, corpus)
         assert len(reports) == len(corpus) and all(r.passed for r in reports)
+        # only Wstar's angular parts take a pass over the mixture's nodes
+        mixtures = [m.mixture for m in corpus if m.mixture is not None]
+        assert len(mixtures) == 14
+        assert len(passes) == (len(mixtures) if kind == "Wstar" else 0)
+        assert all(p is m for p, m in zip(passes, mixtures))
         (grid,) = grids
         largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
         assert sizes and max(sizes) <= largest < len(grid.points)
