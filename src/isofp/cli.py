@@ -30,7 +30,8 @@ from .densities import (full_line_density, parse_density_spec,
                         uniform_angle_density, closed_form_weight,
                         density_label)
 from .fpsolver import (SolverError, TruncationError, build_solver,
-                       perturbed_initial_state, verify_hellinger_decay)
+                       check_march, perturbed_initial_state,
+                       verify_hellinger_decay)
 from .inequality import (check_gaussian_anisotropic, check_hybrid,
                          check_isotropic_Wstar, check_poincare_1d,
                          check_product, check_refined_outside_ball,
@@ -399,11 +400,20 @@ def run_experiment(config, out_dir):
     stop the run.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = int(config.get("corpus_seed", 2024))
     tol = float(config.get("tolerances", {}).get("ratio_tol", 1e-6))
     densities = [parse_density_spec(s) for s in config["densities"]]
     theorems = list(config.get("theorems", THEOREMS))
+    # the solver block is checked before any work is done
+    solver_cfg = config.get("solver", {})
+    evolution = dict(cells=int(solver_cfg.get("cells", 400)),
+                     t_final=float(solver_cfg.get("t_final", 10.0)),
+                     dt=float(solver_cfg.get("dt", 1e-3)),
+                     eps=float(solver_cfg.get("eps", 0.1)),
+                     perturbation=solver_cfg.get("perturbation", "cosine"),
+                     tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
+    check_march(evolution["t_final"], evolution["dt"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     summary_rows = []
     any_failed = False
@@ -470,18 +480,11 @@ def run_experiment(config, out_dir):
                             ["density", "theorem", "witness", "lhs", "rhs",
                              "ratio", "status", "verdict"], all_reports_csv))
 
-    solver_cfg = config.get("solver", {})
     for spec in config.get("evolve_densities", []):
         d = parse_density_spec(spec)
         lbl = density_label(d)
         try:
-            solver, trace = run_evolution(
-                d, cells=int(solver_cfg.get("cells", 400)),
-                t_final=float(solver_cfg.get("t_final", 10.0)),
-                dt=float(solver_cfg.get("dt", 1e-3)),
-                eps=float(solver_cfg.get("eps", 0.1)),
-                perturbation=solver_cfg.get("perturbation", "cosine"),
-                tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
+            solver, trace = run_evolution(d, **evolution)
         except TruncationError as exc:
             summary_rows.append((lbl, "relaxation_rate", "unchecked", f"no solver: {exc}"))
             continue

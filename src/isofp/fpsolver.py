@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .weights import steady_state_residual
+from .weights import bisect, steady_state_residual
 
 __all__ = [
     "RadialGrid",
@@ -32,6 +32,7 @@ __all__ = [
     "TruncationError",
     "make_radial_grid",
     "build_solver",
+    "check_march",
     "fit_decay_rate",
     "verify_hellinger_decay",
     "perturbed_initial_state",
@@ -112,10 +113,15 @@ def _truncation_radius(d, tail_mass=1e-12):
     if np.isfinite(d.support_radius):
         return d.support_radius
 
+    def mass_density(r):
+        # f(r) times the volume element at one radius; every r > R >= 1 lies
+        # inside the unbounded support, so the profile is taken unmasked
+        x = np.array([r])
+        return (d.radial_weight(x) * (d.norm_const * d._profile(x)))[0]
+
     def tail(R):
         try:
-            val, _ = integrate_interval(lambda r: d.radial_weight(r) * d.eval(r),
-                                        R, math.inf)
+            val, _ = integrate_interval(mass_density, R, math.inf)
         except QuadratureError as exc:
             raise TruncationError("could not truncate the domain: tail too heavy") from exc
         return val
@@ -125,14 +131,7 @@ def _truncation_radius(d, tail_mass=1e-12):
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise TruncationError("could not truncate the domain: tail too heavy")
-    # bisect until lo and hi are adjacent floats; further midpoints round
-    # onto an endpoint whose side is already known
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > tail_mass:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda r: tail(r) <= tail_mass, lo, hi)
     # the one endpoint never tested is the starting lo = 1.0
     if lo == 1.0 and tail(lo) <= tail_mass:
         return lo
@@ -161,14 +160,7 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
         def first_center(g):
             return r_max * math.sinh(g * 0.5 / cells) / math.sinh(g)
 
-        lo, hi = 1e-6, 30.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if first_center(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        grading = lo
+        grading = bisect(lambda g: first_center(g) <= target, 1e-6, 30.0)[0]
     u = np.linspace(0.0, 1.0, cells + 1)
     if grading > 1e-5:
         edges = r_max * np.sinh(grading * u) / math.sinh(grading)
@@ -381,10 +373,12 @@ class Solver:
     def evolve(self, state, t_final, dt, sample_every=None):
         """March to t_final by implicit steps, sampling the decay functionals.
 
-        Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``.
-        Returns a DecayTrace with the chi-square rate fitted on the
-        standard window.
+        Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``,
+        and before the first step unless :func:`check_march` accepts
+        ``t_final`` and ``dt``.  Returns a DecayTrace with the chi-square
+        rate fitted on the standard window.
         """
+        check_march(t_final, dt)
         sample_every = sample_every or max(dt, t_final / 400.0)
         n_steps = int(round(t_final / dt))
         stride = max(1, int(round(sample_every / dt)))
@@ -428,6 +422,15 @@ class Solver:
         except ValueError:
             trace.fitted_rate = None
         return trace
+
+
+def check_march(t_final, dt):
+    """Raise ValueError unless dt is finite and positive and t_final is
+    finite and nonnegative."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
 
 
 def build_solver(d, K, cells=400, tail_mass=1e-12):

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import ive
 
 __all__ = [
@@ -79,6 +78,10 @@ DEFAULT_INTEGRATOR = Integrator()
 
 
 def _quad_finite(g, lo, hi, integrator, points):
+    # imported on first use: only the truncation radius and the tests call
+    # QUADPACK, whose import costs a fresh process ~0.2 s and ~20 MB
+    from scipy.integrate import quad
+
     pts = sorted(p for p in points if lo < p < hi)
     out = quad(
         g,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .densities import sin_power_density
 from .quadrature import interval_rule
@@ -48,6 +47,7 @@ __all__ = [
     "hybrid_weight",
     "critical_tail_radius",
     "steady_state_residual",
+    "bisect",
 ]
 
 
@@ -522,16 +522,29 @@ def angular_weight_function(i, n):
 # ---------------------------------------------------------------------------
 
 
+def bisect(holds, lo, hi):
+    """Adjacent floats lo < hi with ``holds`` false at lo and true at hi, as
+    it is assumed, untested, at the given ends.  Midpoints are tested until
+    they round onto an endpoint.  Returns Python floats."""
+    lo, hi = float(lo), float(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _crossovers(f, g, lo, hi, scan=4000):
-    """Radii where f - g changes sign (kinks of max(f, g))."""
+    """Radii where f - g changes sign (kinks of max(f, g)): for each sign
+    change on the scan, the first float on the far side of it."""
     r = np.linspace(lo + 1e-9, hi - 1e-9, scan)
     diff = np.asarray(f(r)) - np.asarray(g(r))
     sign = np.sign(diff)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = []
-    for k in idx:
-        roots.append(brentq(lambda x: float(f(x) - g(x)), r[k], r[k + 1], xtol=1e-14))
-    return tuple(roots)
+    return tuple(bisect(lambda x, s=sign[k + 1]: np.sign(float(f(x) - g(x))) == s,
+                        r[k], r[k + 1])[1] for k in idx)
 
 
 def composite_Wstar(d, w_radial):
@@ -581,13 +594,7 @@ def _numeric_support(d):
         lo, hi = hi, hi * 2.0
     if hi >= 1e8:
         return 1e8
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(d.eval(mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(lambda r: float(d.eval(r)) <= 0.0, lo, hi)[0]
 
 
 def critical_tail_radius(d, K, scan=4000, tail_check=2000):
@@ -599,15 +606,13 @@ def critical_tail_radius(d, K, scan=4000, tail_check=2000):
     grid is capped where the density stays numerically representable, so
     quadrature-backed weights remain evaluable.  Raises WeightError when
     the condition is never satisfiable, e.g. for Cauchy-type densities
-    with beta <= n where the ratio limit exceeds 1/2.
+    with beta <= n where the ratio limit exceeds 1/2.  R is the first
+    float past the scan's last sign change at which the condition holds,
+    with K taken at one point at a time.
     """
     n = d.n
     if n == 1:
         return 0.0
-
-    def g(r):
-        return (n - 1) * float(K(r)) / r ** 2 - 0.5
-
     i_plus = d.support_radius
     r_hi = min(_numeric_support(d) * 0.98, 1e6)
     if np.isfinite(i_plus):
@@ -624,7 +629,7 @@ def critical_tail_radius(d, K, scan=4000, tail_check=2000):
         R = 0.0
     else:
         k = pos[-1]
-        R = brentq(g, rs[k], rs[k + 1], xtol=1e-13, rtol=1e-13)
+        R = bisect(lambda r: (n - 1) * float(K(r)) / r ** 2 <= 0.5, rs[k], rs[k + 1])[1]
     tail = np.linspace(R, rs[-1], tail_check) if R < rs[-1] else np.array([R])
     tail_vals = (n - 1) * K(tail) / np.maximum(tail, 1e-300) ** 2
     if np.any(tail_vals > 0.5 + 1e-12):

@@ -140,6 +140,20 @@ class TestEvolveCommand:
             "error: could not truncate the domain: tail too heavy\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dt", "0", "dt must be finite and positive, got 0.0"),
+        ("--dt", "-0.001", "dt must be finite and positive, got -0.001"),
+        ("--dt", "nan", "dt must be finite and positive, got nan"),
+        ("--t-final", "-1", "t_final must be finite and nonnegative, got -1.0"),
+        ("--t-final", "inf", "t_final must be finite and nonnegative, got inf"),
+    ])
+    def test_bad_time_step_is_an_error(self, flag, value, message, tmp_path, capsys):
+        code = main(["evolve", "--density", "gaussian:sigma=1,n=1", "--cells", "50",
+                     flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCommand:
     def test_tiny_config(self, tmp_path, capsys):
@@ -262,6 +276,24 @@ class TestRunCommand:
             assert reasons[theorem].startswith("tail condition unsatisfiable"), theorem
         summary = (tmp_path / "summary.md").read_text()
         assert summary.count("| skipped | ") == 5
+
+    @pytest.mark.parametrize("solver,message", [
+        ({"dt": 0.0}, "dt must be finite and positive, got 0.0"),
+        ({"dt": -1e-3}, "dt must be finite and positive, got -0.001"),
+        ({"t_final": -1.0}, "t_final must be finite and nonnegative, got -1.0"),
+    ])
+    def test_bad_solver_block_fails_before_any_check(self, solver, message, tmp_path,
+                                                     capsys, monkeypatch):
+        checked = []
+        monkeypatch.setattr(cli, "reports_for_pair", lambda *a: checked.append(a))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG,
+                                       solver=dict(TINY_CONFIG["solver"], **solver))))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert checked == [] and not out.exists()
 
     def test_unknown_density_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -18,6 +18,7 @@ from isofp.weights import (
     WeightFunction,
     angular_weight,
     barenblatt_pq,
+    bisect,
     cauchy_pq,
     composite_Wstar,
     critical_tail_radius,
@@ -391,6 +392,23 @@ class TestCompositeWstar:
         assert abs(w(below) - below / beta) < 1e-14
         assert abs(w(above) - math.pi ** 2 / 2.0 * above ** 2) < 1e-12
 
+    @pytest.mark.parametrize("spec", ["exponential:beta=1,n=2", "cauchy:beta=3,n=2",
+                                      "barenblatt:a=1,p=2,n=2", "gaussian:sigma=1,n=3"])
+    def test_kinks_follow_the_sign_change(self, spec):
+        # each kink is the first float at which w - pi^2 rho^2 / 2 has the
+        # sign of the far side of its change
+        from isofp.cli import marginal_weight
+        from isofp.densities import parse_density_spec
+
+        d = parse_density_spec(spec)
+        w0 = marginal_weight(d)
+        kinks = composite_Wstar(d, w0).breakpoints
+        assert kinks
+        for k in kinks:
+            before = math.nextafter(k, 0.0)
+            diff = [float(w0(r)) - math.pi ** 2 / 2.0 * r * r for r in (before, k)]
+            assert diff[1] != 0.0 and np.sign(diff[0]) != np.sign(diff[1])
+
     def test_cauchy_envelope(self):
         # the pointwise max is dominated by the clean multiple of (1+rho^2)
         # quoted as the Cauchy conclusion, and matches it asymptotically
@@ -415,8 +433,6 @@ class TestCompositeWstar:
 def scalar_scan_radius(d, K, scan=4000):
     """R by the scan of one scalar K call per point, with the same bracket
     and root finder as :func:`critical_tail_radius`."""
-    from scipy.optimize import brentq
-
     from isofp.weights import _numeric_support
 
     def g(r):
@@ -431,7 +447,32 @@ def scalar_scan_radius(d, K, scan=4000):
     pos = np.nonzero(np.array([g(r) for r in rs]) > 0.0)[0]
     if len(pos) == 0:
         return 0.0
-    return brentq(g, rs[pos[-1]], rs[pos[-1] + 1], xtol=1e-13, rtol=1e-13)
+    return bisect(lambda r: g(r) <= 0.0, rs[pos[-1]], rs[pos[-1] + 1])[1]
+
+
+class TestBisect:
+    @pytest.mark.parametrize("holds,lo,hi", [
+        (lambda x: x * x >= 2.0, 1.0, 2.0),
+        (lambda x: math.exp(-x) <= 1e-12, np.float64(1.0), np.float64(64.0)),
+        (lambda x: x >= 1e-300, 0.0, 1.0),
+        (lambda x: x > -0.3, -1.0, 0.5),
+    ])
+    def test_brackets_the_change_between_adjacent_floats(self, holds, lo, hi):
+        lo, hi = bisect(holds, lo, hi)
+        assert type(lo) is float and type(hi) is float
+        assert math.nextafter(lo, math.inf) == hi
+        assert not holds(lo) and holds(hi)
+
+    def test_ends_are_not_tested(self):
+        seen = []
+
+        def holds(x):
+            seen.append(x)
+            return x >= 0.75
+
+        lo, hi = bisect(holds, 0.0, 1.0)
+        assert 0.0 not in seen and 1.0 not in seen
+        assert (lo, hi) == (math.nextafter(0.75, 0.0), 0.75)
 
 
 class TestCriticalRadius:
@@ -453,9 +494,10 @@ class TestCriticalRadius:
         assert critical_tail_radius(d, K) == scalar_scan_radius(d, K)
 
     def test_gaussian_algebraic(self):
-        # (n-1) sigma / r^2 = 1/2 at r = sqrt(2 (n-1) sigma)
+        # (n-1) sigma / r^2 = 1/2 at r = sqrt(2 (n-1) sigma) = 2, which the
+        # float condition meets exactly
         d = make_density("gaussian", {"sigma": 1.0}, 3)
-        assert abs(critical_tail_radius(d, closed_form_weight(d)) - 2.0) < 1e-9
+        assert critical_tail_radius(d, closed_form_weight(d)) == 2.0
 
     def test_dimension_one_vacuous(self):
         d = make_density("gaussian", {"sigma": 1.0}, 1)
@@ -464,7 +506,8 @@ class TestCriticalRadius:
     def test_exponential_quadratic_root(self):
         d = make_density("exponential_type", {"beta": 1.0}, 2)
         R = critical_tail_radius(d, closed_form_weight(d))
-        assert abs(R - (1.0 + math.sqrt(3.0))) < 1e-9
+        # (1 + r) / r^2 = 1/2 at r = 1 + sqrt(3)
+        assert abs(R - (1.0 + math.sqrt(3.0))) <= math.ulp(R)
 
     def test_unsatisfiable_raises(self):
         d = make_density("cauchy_type", {"beta": 2.0}, 2)
@@ -475,6 +518,7 @@ class TestCriticalRadius:
         d = make_density("cauchy_type", {"beta": 4.0}, 3)
         K = closed_form_weight(d)
         R = critical_tail_radius(d, K)
-        assert abs(R - math.sqrt(2.0)) < 1e-8
+        # (1 + r^2) / (3 r^2) = 1/2 at r = sqrt(2)
+        assert abs(R - math.sqrt(2.0)) <= math.ulp(R)
         r = np.linspace(R, 50.0, 1000)
         assert np.all((d.n - 1) * K(r) / r ** 2 <= 0.5 + 1e-12)
