@@ -16,9 +16,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 
 import numpy as np
 
@@ -392,13 +394,47 @@ def cmd_evolve(args):
 # ---------------------------------------------------------------------------
 
 
+def _anisotropic_reports(V, seed, tol):
+    return check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
+
+
+def _evolve_trace(d, evolution):
+    """An evolution's decay trace, or its TruncationError if no solver exists."""
+    try:
+        return run_evolution(d, **evolution)[1]
+    except TruncationError as exc:
+        return exc
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0, os.getpid()
+
+
+def _in_workers(tasks):
+    """``[_timed(*task) for task in tasks]`` in forked workers, one per CPU of the
+    affinity mask up to len(tasks), longest (evolutions) first, and the worker count."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    pool = ProcessPoolExecutor(max(workers, 1), mp_context=get_context("fork"))
+    try:
+        order = sorted(range(len(tasks)), key=lambda i: tasks[i][0] is not _evolve_trace)
+        futures = {i: pool.submit(_timed, *tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))], workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(config, out_dir):
     """Execute the full density x theorem matrix plus evolutions.
 
     Returns (exit_code, manifest_files, summary_lines).  Inapplicable
     pairs are recorded with explicit skip reasons; partial failures do not
-    stop the run.
+    stop the run.  Files are written in config order, whatever the worker count.
     """
+    start = time.perf_counter()
     out_dir = Path(out_dir)
     seed = int(config.get("corpus_seed", 2024))
     tol = float(config.get("tolerances", {}).get("ratio_tol", 1e-6))
@@ -413,11 +449,23 @@ def run_experiment(config, out_dir):
                      perturbation=solver_cfg.get("perturbation", "cosine"),
                      tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
     check_march(evolution["t_final"], evolution["dt"])
+    # (label, check, payload head, task) of every check, then of every evolution
+    checks = [(density_label(d), theorem, {"density": density_label(d)},
+               (reports_for_pair, d, theorem, seed, tol))
+              for d in densities for theorem in theorems
+              if theorem != "gaussian_anisotropic"]
+    if "gaussian_anisotropic" in theorems:
+        for idx, spec in enumerate(config.get("anisotropic_covariances", [])):
+            V = np.asarray(spec["V"], dtype=float)
+            u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
+            checks.append((f"gaussianV{idx}", "gaussian_anisotropic",
+                           {"covariance": _plain(V), "mean": _plain(u)},
+                           (_anisotropic_reports, V, seed, tol)))
+    jobs = checks + [(density_label(d), "relaxation_rate", d, (_evolve_trace, d, evolution))
+                     for d in map(parse_density_spec, config.get("evolve_densities", []))]
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    summary_rows = []
+    files, summary_rows, all_reports_csv = [], [], []
     any_failed = False
-    all_reports_csv = []
 
     # weight CSVs and the growth-exponent observational statistic
     growth_stats = []
@@ -434,59 +482,28 @@ def run_experiment(config, out_dir):
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
             growth_stats.append({"density": lbl, "exponent": p})
 
-    for d in densities:
-        lbl = density_label(d)
-        for theorem in theorems:
-            if theorem == "gaussian_anisotropic":
-                continue  # handled from configured covariance list below
-            result = reports_for_pair(d, theorem, seed, tol)
-            if isinstance(result, str):
-                summary_rows.append((lbl, theorem, "skipped", result))
-                continue
-            s = summarize_reports(result)
-            payload = {"density": lbl, "theorem": theorem, "tol": tol,
-                       "corpus_seed": seed, "summary": s,
-                       "reports": [r.to_dict() for r in result]}
-            files.append(_write_json(
-                out_dir / f"check_{theorem}_{_slug(lbl)}.json", payload))
-            all_reports_csv.extend(_report_rows(lbl, theorem, result))
-            verdict = "pass" if s["failed"] == 0 else "FAIL"
-            any_failed |= s["failed"] > 0
-            summary_rows.append(
-                (lbl, theorem, verdict,
-                 f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"))
-
-    if "gaussian_anisotropic" in theorems:
-        for idx, spec in enumerate(config.get("anisotropic_covariances", [])):
-            V = np.asarray(spec["V"], dtype=float)
-            u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
-            reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
-            s = summarize_reports(reports)
-            lbl = f"gaussianV{idx}"
-            payload = {"covariance": _plain(V), "mean": _plain(u),
-                       "theorem": "gaussian_anisotropic", "tol": tol,
-                       "corpus_seed": seed, "summary": s,
-                       "reports": [r.to_dict() for r in reports]}
-            files.append(_write_json(
-                out_dir / f"check_gaussian_anisotropic_{lbl}.json", payload))
-            all_reports_csv.extend(_report_rows(lbl, "gaussian_anisotropic", reports))
-            verdict = "pass" if s["failed"] == 0 else "FAIL"
-            any_failed |= s["failed"] > 0
-            summary_rows.append(
-                (lbl, "gaussian_anisotropic", verdict,
-                 f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"))
+    done, workers = _in_workers([job[3] for job in jobs])
+    for (lbl, theorem, head, _), (result, _, _) in zip(checks, done):
+        if isinstance(result, str):
+            summary_rows.append((lbl, theorem, "skipped", result))
+            continue
+        s = summarize_reports(result)
+        payload = dict(head, theorem=theorem, tol=tol, corpus_seed=seed, summary=s,
+                       reports=[r.to_dict() for r in result])
+        files.append(_write_json(out_dir / f"check_{theorem}_{_slug(lbl)}.json", payload))
+        all_reports_csv.extend(_report_rows(lbl, theorem, result))
+        verdict = "pass" if s["failed"] == 0 else "FAIL"
+        any_failed |= s["failed"] > 0
+        summary_rows.append((lbl, theorem, verdict,
+                             f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"))
 
     files.append(_write_csv(out_dir / "check_summary.csv",
                             ["density", "theorem", "witness", "lhs", "rhs",
                              "ratio", "status", "verdict"], all_reports_csv))
 
-    for spec in config.get("evolve_densities", []):
-        d = parse_density_spec(spec)
-        lbl = density_label(d)
-        try:
-            solver, trace = run_evolution(d, **evolution)
-        except TruncationError as exc:
-            summary_rows.append((lbl, "relaxation_rate", "unchecked", f"no solver: {exc}"))
+    for (lbl, check, d, _), (trace, _, _) in zip(jobs[len(checks):], done[len(checks):]):
+        if isinstance(trace, TruncationError):
+            summary_rows.append((lbl, check, "unchecked", f"no solver: {trace}"))
             continue
         files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
                                 TRACE_HEADER, trace_rows(trace)))
@@ -507,7 +524,7 @@ def run_experiment(config, out_dir):
             verdict = "pass" if trace.fitted_rate >= bound else "FAIL"
             detail = f"rate {trace.fitted_rate:.4f} >= {bound:.4f}"
         any_failed |= verdict == "FAIL"
-        summary_rows.append((lbl, "relaxation_rate", verdict, detail))
+        summary_rows.append((lbl, check, verdict, detail))
 
     # markdown summary
     lines = ["# Verification summary", "",
@@ -537,6 +554,12 @@ def run_experiment(config, out_dir):
     _write_json(out_dir / "metadata.json",
                 {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                  "argv": sys.argv})
+    peak_kb = max(getrusage(who).ru_maxrss for who in (RUSAGE_SELF, RUSAGE_CHILDREN))
+    _write_json(out_dir / "profile.json", {  # timings stay out of the manifest too
+        "tasks": [{"name": f"{job[0]} {job[1]}", "wall_s": wall, "pid": pid}
+                  for job, (_, wall, pid) in zip(jobs, done)],
+        "workers": workers, "wall_s": time.perf_counter() - start,
+        "peak_rss_mb": peak_kb / 1024.0})
     return (1 if any_failed else 0), files, summary_rows
 
 

@@ -260,6 +260,13 @@ class Solver:
                             & (centers < 0.995 * centers[-1])][::7]
         if density.half_line:
             rho_probe = rho_probe[rho_probe > 1e-2]
+        # keep the probes whose residual stencil, 2h = 2e-3 max(rho, 1) each side,
+        # fits inside the support
+        reach = 2e-3 * np.maximum(rho_probe, 1.0)
+        inside = (rho_probe > reach) & (rho_probe + reach < density.support_radius)
+        if not inside.any():
+            raise SolverError("no steady-state probe lies 2h inside the support")
+        rho_probe = rho_probe[inside]
         res = steady_state_residual(density, K, rho_probe)
         scale = np.max(np.abs((rho_probe - density.drift_mean)
                               * density.eval(rho_probe)))

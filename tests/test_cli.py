@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -11,6 +13,18 @@ from isofp.corpus import corpus_1d
 from isofp.densities import full_line_density, make_density, parse_density_spec
 from isofp.inequality import check_poincare_1d, summarize_reports
 
+
+# a 1-D pair, a product pair, an n-D pair, skipped pairs, one covariance,
+# one evolution and one evolution with no solver (a tail too heavy)
+MIXED_CONFIG = {
+    "densities": ["gaussian:sigma=1,n=1", "gaussian:sigma=1,n=2"],
+    "theorems": ["poincare_1d", "product", "isotropic_Wstar", "gaussian_anisotropic"],
+    "corpus_seed": 7,
+    "tolerances": {"ratio_tol": 1e-6},
+    "solver": {"cells": 120, "t_final": 4.0, "dt": 5e-3},
+    "anisotropic_covariances": [{"V": [[1.0, 0.0], [0.0, 4.0]], "u": [0.0, 0.0]}],
+    "evolve_densities": ["gaussian:sigma=1,n=1", "cauchy:beta=0.9,n=1"],
+}
 
 TINY_CONFIG = {
     "densities": ["gaussian:sigma=1,n=1"],
@@ -130,6 +144,12 @@ class TestEvolveCommand:
         rates = json.loads(next(tmp_path.glob("rates_*.json")).read_text())
         assert rates["fitted_chi2_rate"] >= 1.95
         assert rates["hellinger_decay"]["passed"]
+
+    def test_barenblatt_with_small_support(self, tmp_path):
+        # the steady-state check once probed within 2h of the origin and exited 2
+        assert main(["evolve", "--density", "barenblatt:a=0.5,p=3,n=1",
+                     "--t-final", "1", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("rates_*.json"))) == 1
 
     def test_untruncatable_domain_is_an_error(self, tmp_path, capsys):
         # the n = 1 Cauchy tail ~ rho^-1.8 defeats the truncation quadrature
@@ -254,6 +274,7 @@ class TestRunCommand:
         assert code != 0
         assert capsys.readouterr().err == (
             "error: negative density -1.000e-03 produced by a step\n")
+        assert multiprocessing.active_children() == []
 
     def test_density_outside_the_marginal_weight_is_skipped(self, tmp_path):
         # beta = 1.5 > n / 2 is a valid density, but the optimal Cauchy
@@ -284,8 +305,10 @@ class TestRunCommand:
     ])
     def test_bad_solver_block_fails_before_any_check(self, solver, message, tmp_path,
                                                      capsys, monkeypatch):
+        # a task runs in a worker, whose calls never reach this list, so the
+        # count is taken where the parent hands the tasks to the workers
         checked = []
-        monkeypatch.setattr(cli, "reports_for_pair", lambda *a: checked.append(a))
+        monkeypatch.setattr(cli, "_in_workers", lambda *a: checked.append(a))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(TINY_CONFIG,
                                        solver=dict(TINY_CONFIG["solver"], **solver))))
@@ -294,6 +317,44 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert checked == [] and not out.exists()
+
+    def test_artifacts_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        digests, workers = [], []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"out{len(cpus)}"
+            code, _, rows = cli.run_experiment(MIXED_CONFIG, out)
+            assert code == 0
+            assert multiprocessing.active_children() == []
+            digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in out.iterdir()
+                            if p.name not in ("metadata.json", "profile.json")})
+            workers.append(json.loads((out / "profile.json").read_text())["workers"])
+        assert workers == [1, 2]
+        assert digests[0] == digests[1]
+        verdicts = {(lbl, check): verdict for lbl, check, verdict, _ in rows}
+        assert verdicts == {
+            ("gaussian(sigma=1,n=1)", "poincare_1d"): "pass",
+            ("gaussian(sigma=1,n=1)", "product"): "skipped",
+            ("gaussian(sigma=1,n=1)", "isotropic_Wstar"): "skipped",
+            ("gaussian(sigma=1,n=2)", "poincare_1d"): "pass",
+            ("gaussian(sigma=1,n=2)", "product"): "pass",
+            ("gaussian(sigma=1,n=2)", "isotropic_Wstar"): "pass",
+            ("gaussianV0", "gaussian_anisotropic"): "pass",
+            ("gaussian(sigma=1,n=1)", "relaxation_rate"): "pass",
+            ("cauchy_type(beta=0.9,n=1)", "relaxation_rate"): "unchecked",
+        }
+
+    def test_profile_lists_every_task_outside_the_manifest(self, tmp_path):
+        code, _, rows = cli.run_experiment(MIXED_CONFIG, tmp_path)
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "profile.json" not in {e["path"] for e in manifest["files"]}
+        profile = json.loads((tmp_path / "profile.json").read_text())
+        assert [t["name"] for t in profile["tasks"]] == [f"{r[0]} {r[1]}" for r in rows]
+        assert all(t["wall_s"] >= 0.0 and t["pid"] > 0 for t in profile["tasks"])
+        assert profile["workers"] == min(len(cli.os.sched_getaffinity(0)), len(rows))
+        assert profile["wall_s"] > 0.0 and profile["peak_rss_mb"] > 0.0
 
     def test_unknown_density_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -159,6 +159,21 @@ class TestBuildSolver:
         with pytest.raises(SolverError, match="inconsistent"):
             build_solver(d, wrong, cells=64)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_barenblatt_with_small_support_evolves(self, n):
+        # support radius 0.5: the first probe of the steady-state check lies
+        # within 2h = 2e-3 of the origin, and the check must skip it
+        d = parse_density_spec(f"barenblatt:a=0.5,p=3,n={n}")
+        solver = build_solver(d, catalog_K(d), cells=400)
+        trace = solver.evolve(perturbed_initial_state(solver, "cosine", eps=0.1), 1.0, 1e-3)
+        assert np.all(np.diff(trace.theta_chi2) <= 1e-9)
+        assert trace.theta_chi2[-1] < 1e-2 * trace.theta_chi2[0]
+
+    def test_support_too_small_for_any_probe(self):
+        d = parse_density_spec("barenblatt:a=0.002,p=3,n=1")
+        with pytest.raises(SolverError, match="no steady-state probe lies 2h inside"):
+            build_solver(d, catalog_K(d), cells=400)
+
     def test_barenblatt_boundary_flux_vanishes(self):
         d = make_density("barenblatt", {"a": 1.0, "p": 2.0}, 2)
         K = closed_form_weight(d)
