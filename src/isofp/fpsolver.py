@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .weights import bisect, steady_state_residual
+from .weights import bisect, residual_step, steady_state_residual
 
 __all__ = [
     "RadialGrid",
@@ -260,9 +260,9 @@ class Solver:
                             & (centers < 0.995 * centers[-1])][::7]
         if density.half_line:
             rho_probe = rho_probe[rho_probe > 1e-2]
-        # keep the probes whose residual stencil, 2h = 2e-3 max(rho, 1) each side,
-        # fits inside the support
-        reach = 2e-3 * np.maximum(rho_probe, 1.0)
+        # keep the probes whose residual stencil, 2h each side, fits inside
+        # the support
+        reach = 2.0 * residual_step(density, rho_probe)
         inside = (rho_probe > reach) & (rho_probe + reach < density.support_radius)
         if not inside.any():
             raise SolverError("no steady-state probe lies 2h inside the support")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class InequalityReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = asdict(self)
-        return d
+        # the fields as they are: the JSON writer copies nested containers
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _ratio(lhs, rhs):
@@ -261,7 +261,10 @@ def check_isotropic_Wstar(d, corpus, w_radial, tol=DEFAULT_RATIO_TOL):
     """Var[phi] <= E[W*(|X|) |grad phi|^2] with W* = max(w, pi^2 rho^2 / 2).
 
     The report also carries the sharper radial/angular split of the
-    product decomposition, and which of the two terms dominates.
+    product decomposition, and which of the two terms dominates.  The
+    angular part is the one number of the report that depends on the
+    angular rule; ``angular_err`` is its difference from the same sum on
+    the azimuth halved (``grid.ang_halved``), which estimates that error.
     """
     wstar = composite_Wstar(d, w_radial)
     grid = build_grid(d, corpus, extra_breakpoints=wstar.breakpoints)
@@ -271,8 +274,10 @@ def check_isotropic_Wstar(d, corpus, w_radial, tol=DEFAULT_RATIO_TOL):
     for phi in corpus:
         m = grid_moments(grid, phi, [w_nodes], split_weight=w_rad_nodes)
         angular_part = float(np.dot(bounds, m.angular))
+        angular_err = abs(angular_part - float(np.dot(bounds, m.angular_halved)))
         rep = _make_report("isotropic_Wstar", phi.name, m.variance, m.dirichlet[0], tol,
                            radial_part=m.radial, angular_part=angular_part,
+                           angular_err=angular_err,
                            dominant="radial" if m.radial >= angular_part else "angular")
         reports.append(rep)
     return _sorted(reports)

@@ -3,7 +3,8 @@ oracle.
 
 Every weight and inequality check integrates with fixed composite
 Gauss-Legendre rules: interval rules, and tensor grids in hyperspherical
-coordinates kept as radial and angular factors, with one kernel for the
+coordinates kept as radial and angular factors (the periodic azimuth takes
+the trapezoid rule instead), with one kernel for the
 variance and weighted Dirichlet forms of a test function on such a grid.
 The kernel reorders the tensor sums of a polar member s(rho) a(u) into
 one radial and one angular pass.  A Gaussian mixture is exact in angle:
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 from typing import NamedTuple
 
@@ -291,8 +292,9 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
-# The grid's rules: radial Gauss order and dyadic levels, points per angle.
-_RADIAL_ORDER, _RADIAL_LEVELS, _ANGULAR_ORDER = 12, 22, 32
+# The grid's rules: radial Gauss order and dyadic levels, points per angle
+# (even, so that the azimuth's even nodes form a rule of their own).
+_RADIAL_ORDER, _RADIAL_LEVELS, _ANGULAR_ORDER = 12, 22, 24
 
 
 class HypersphericalGrid:
@@ -302,11 +304,16 @@ class HypersphericalGrid:
     The radial rule carries the rho^(n-1) Jacobian and the density and is
     divided by ``mass``, so ``r_weights[j] * ang_weights[a]`` is the
     probability weight of the node ``r_nodes[j] * unit[a]``.  Each polar
-    angle theta_j in (0, pi) carries sin^(n-1-j) and the azimuthal angle
-    lives on (0, 2pi); ``ang_weights`` is their product rule on the unit
-    sphere and ``tangents[i - 1]`` holds d u / d theta_i at its nodes.  For
-    n = 1 the sphere is the two directions +-1, each of angular weight 1, so
-    odd test functions integrate correctly.  No array with one row per node
+    angle theta_j in (0, pi) carries sin^(n-1-j) and takes Gauss-Legendre,
+    and the periodic azimuthal angle takes the midpoint trapezoid rule on
+    (0, 2pi) (see :func:`_angular_rule`); ``ang_weights`` is their product
+    rule on the unit sphere and ``tangents[i - 1]`` holds d u / d theta_i
+    at its nodes.  ``ang_halved`` keeps the weights of the azimuth's even
+    nodes, doubled, and zeroes the others: the trapezoid rule of half the
+    points, whose difference from ``ang_weights`` on an angular sum
+    estimates that sum's azimuthal error.  For n = 1 the sphere is the two
+    directions +-1, each of angular weight 1 in both, so odd test
+    functions integrate correctly.  No array with one row per node
     is stored: ``points`` builds the node list on access, radial index
     major, so rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
 
@@ -330,6 +337,9 @@ class HypersphericalGrid:
             breakpoints=radial_breakpoints,
         )
         self.unit, self.ang_weights, self.tangents = _angular_rule(n, _ANGULAR_ORDER)
+        # the azimuth's index runs innermost, so even indices are its even nodes
+        self.ang_halved = self.ang_weights * (
+            np.tile([2.0, 0.0], len(self.ang_weights) // 2) if n > 1 else 1.0)
         r_mass = r_rule * self.r_nodes ** (n - 1) * density.eval(self.r_nodes)
         self.mass = float(r_mass.sum() * self.ang_weights.sum())
         if abs(self.mass - 1.0) > 1e-7:
@@ -362,7 +372,16 @@ class HypersphericalGrid:
 
 def _angular_rule(n, order):
     """Unit directions (A, n), angular weights (A,) including the sin-power
-    Jacobians, and tangents d u / d theta_i stacked as (n - 1, A, n)."""
+    Jacobians, and tangents d u / d theta_i stacked as (n - 1, A, n).
+
+    Each polar angle takes ``order``-point Gauss-Legendre on (0, pi).  The
+    azimuth is periodic, so it takes the trapezoid rule phi_k = (k + 1/2)
+    2pi / ``order`` with weights 2pi / ``order``, which converges
+    geometrically for smooth integrands (Trefethen & Weideman, SIAM Review
+    56, 2014); its midpoints keep every node off sin phi = 0, where the
+    azimuthal tangent divides by sin phi.  The azimuth's index runs
+    innermost, so A = ``order``^(n - 1).
+    """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.ones(2), np.zeros((0, 2, 1))
     xg, wg = leggauss(order)
@@ -371,8 +390,9 @@ def _angular_rule(n, order):
         t = (xg + 1.0) * 0.5 * math.pi
         axes.append(t)
         weights.append(wg * 0.5 * math.pi * np.sin(t) ** (n - 1 - j))
-    axes.append((xg + 1.0) * math.pi)  # azimuthal angle on (0, 2pi)
-    weights.append(wg * math.pi)
+    step = 2.0 * math.pi / order
+    axes.append((np.arange(order) + 0.5) * step)  # azimuthal angle on (0, 2pi)
+    weights.append(np.full(order, step))
     theta = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     ang_w = weights[0]
     for w in weights[1:]:
@@ -479,6 +499,7 @@ class GridMoments(NamedTuple):
     dirichlet: tuple  # E[w_k(rho) |grad phi|^2], one per radial weight
     radial: float  # E[w(rho) (d phi / d rho)^2] for the split weight w
     angular: tuple  # E[(d phi / d theta_i)^2] for i = 1 .. n-1
+    angular_halved: tuple  # the same on the halved azimuth (``ang_halved``)
 
 
 def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=None):
@@ -489,8 +510,10 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
     gives one E[w_k(rho) |grad phi|_c^2], |v|_c^2 = sum_i c_i v_i^2 for the
     ``axis_weights`` c (default all ones).  With a ``split_weight`` w the
     result also carries the radial part E[w(rho) (d phi / d rho)^2] and the
-    angular parts E[(d phi / d theta_i)^2] in hyperspherical coordinates;
-    without one they are nan and ().
+    angular parts E[(d phi / d theta_i)^2] in hyperspherical coordinates,
+    and those parts again with ``grid.ang_halved`` for ``grid.ang_weights``
+    (the azimuth halved, which needs no new member values); without one
+    they are nan, () and ().
 
     A member whose ``polar`` is (s, terms), so phi = s(rho) a(u) with a the
     polynomial sum_t c_t u^e_t (a :class:`~isofp.corpus.PolarMember`), is
@@ -558,8 +581,9 @@ def _node_moments(grid, phi, weights, split_weight, axis_weights):
     unit_t = np.ascontiguousarray(grid.unit.T)
     tangents_t = np.ascontiguousarray(grid.tangents.transpose(0, 2, 1))
     c = None if axis_weights is None else np.reshape(axis_weights, (-1, 1, 1))
+    ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
     dirichlet = np.zeros(len(weights))
-    radial, angular = 0.0, np.zeros(len(grid.tangents))
+    radial, angular = 0.0, np.zeros((len(grid.tangents), 2))
     shift = None
     w_sum = mean = m2 = 0.0
     for rows in _shell_blocks(grid):
@@ -588,11 +612,19 @@ def _node_moments(grid, phi, weights, split_weight, axis_weights):
             radial += float((p * split_weight[rows]) @ ((d_rho * d_rho) @ ang_w))
             # d phi / d theta_i = rho (grad phi . d u / d theta_i)
             d_theta = np.einsum("jba,ija->iba", g, tangents_t)
-            angular += ((d_theta * d_theta) @ ang_w) @ (p * grid.r_nodes[rows] ** 2)
+            angular += np.einsum("ibt,b->it", (d_theta * d_theta) @ ang_pair,
+                                 p * grid.r_nodes[rows] ** 2)
+    return _moments(m2, dirichlet, radial, angular, split_weight)
+
+
+def _moments(variance, dirichlet, radial, angular, split_weight):
+    """The :class:`GridMoments` of the kernels' sums; ``angular`` holds
+    the angular parts on ``ang_weights`` and on ``ang_halved`` as its two
+    columns."""
     if split_weight is None:
-        radial, angular = math.nan, ()
-    return GridMoments(m2, tuple(float(v) for v in dirichlet), radial,
-                       tuple(float(v) for v in angular))
+        return GridMoments(variance, tuple(float(v) for v in dirichlet), math.nan, (), ())
+    return GridMoments(variance, tuple(float(v) for v in dirichlet), float(radial),
+                       *(tuple(float(v) for v in col) for col in np.reshape(angular, (-1, 2)).T))
 
 
 def _polar_moments(grid, polar, weights, split_weight, axis_weights):
@@ -620,36 +652,59 @@ def _polar_moments(grid, polar, weights, split_weight, axis_weights):
             np.einsum("ij,ij->i", grad_a * axis_weights, grad_a)))
     s_r = s / r
     g2 = ds * ds * uu + 2.0 * ug * ds * s_r + s_r * s_r * gg
-    dirichlet = weights @ (p * g2)
-    if split_weight is None:
-        radial, angular = math.nan, ()
-    else:
+    radial = angular = None
+    if split_weight is not None:
         radial = float((p * split_weight) @ (ds * ds)) * a2
         d_theta = np.einsum("an,ian->ia", grad_a, grid.tangents)
-        angular = float(p @ (s * s)) * ((d_theta * d_theta) @ ang_w)
-    return GridMoments(variance, tuple(float(v) for v in dirichlet), radial,
-                       tuple(float(v) for v in angular))
+        ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
+        angular = float(p @ (s * s)) * ((d_theta * d_theta) @ ang_pair)
+    return _moments(variance, weights @ (p * g2), radial, angular, split_weight)
 
 
 # Exponents below this underflow exp to 0 (or to its smallest subnormal).
 _EXP_FLOOR = -745.0
 # Sphere averages take their power series, in this many terms, up to
-# _SERIES_Z, and scipy's ``ive`` above it.
+# _SERIES_Z, and exp(-z) I_nu(z) above it: from :func:`_ive_half` for odd
+# n, where nu is half an odd integer, and from scipy's ``ive`` for even n.
 _SERIES_Z, _SERIES_TERMS = 1.0, 12
+
+
+@lru_cache(maxsize=None)
+def _series_coefs(n, m, first):
+    return tuple(math.gamma(0.5 * n) / (math.factorial(i) * math.gamma(0.5 * n + m + i))
+                 for i in range(first, _SERIES_TERMS))
 
 
 def _sphere_series(n, m, z, first=0):
     """Gamma(n/2) sum_(i >= first) (z^2/4)^i / (i! Gamma(n/2 + m + i)) for
     z <= _SERIES_Z: the power series of Gamma(n/2) (z/2)^(1-n/2-m)
     I_(n/2-1+m)(z) without its first ``first`` terms."""
-    coefs = [math.gamma(0.5 * n) / (math.factorial(i) * math.gamma(0.5 * n + m + i))
-             for i in range(first, _SERIES_TERMS)]
+    coefs = _series_coefs(n, m, first)
     q = 0.25 * z * z
     acc = np.full_like(z, coefs[-1])
     for coef in reversed(coefs[:-1]):
         acc *= q
         acc += coef
     return acc * q ** first
+
+
+def _ive_half(nu, z):
+    """exp(-z) I_nu(z) for nu in -1/2, 1/2, 3/2, ... and z > 0.
+
+    These are elementary (DLMF 10.49): exp(-z) I_(-1/2)(z) and exp(-z)
+    I_(1/2)(z) are sqrt(2 / (pi z)) (1 +- exp(-2z)) / 2, and the recurrence
+    I_(v+1)(z) = I_(v-1)(z) - (2v / z) I_v(z) (DLMF 10.29.1) climbs from
+    there.  It cancels most near z = 1, by about 1e-14 relative at nu =
+    5/2, so it serves only z > _SERIES_Z.
+    """
+    t = np.expm1(-2.0 * z)
+    scale = np.sqrt(0.5 / (math.pi * z))
+    lo, hi = scale * (2.0 + t), -scale * t
+    v = 0.5
+    while v < nu:
+        lo, hi = hi, lo - (2.0 * v / z) * hi
+        v += 1.0
+    return lo if nu < 0 else hi
 
 
 def _sphere_average(n, m, z, expo):
@@ -668,7 +723,8 @@ def _sphere_average(n, m, z, expo):
     small, big = live & (z <= _SERIES_Z), live & (z > _SERIES_Z)
     out[small] = np.exp(expo[small] - z[small]) * _sphere_series(n, m, z[small])
     nu, zb = 0.5 * n - 1.0 + m, z[big]
-    out[big] = np.exp(expo[big]) * math.gamma(0.5 * n) * (0.5 * zb) ** -nu * ive(nu, zb)
+    scaled = _ive_half(nu, zb) if n % 2 else ive(nu, zb)
+    out[big] = np.exp(expo[big]) * math.gamma(0.5 * n) * (0.5 * zb) ** -nu * scaled
     return out
 
 
@@ -679,13 +735,10 @@ def _mixture_moments(grid, mixture, weights, split_weight, axis_weights):
     P = grid.r_weights * float(grid.ang_weights.sum())  # radial probability weights
     mean, within, grad2, d_rho = _mixture_shells(grid.n, mixture, grid.r_nodes, axis_weights)
     variance = float(P @ within) + shifted_variance(P, mean, grid.anchor // len(grid.ang_weights))
-    dirichlet = weights @ (P * grad2)
-    if split_weight is None:
-        radial, angular = math.nan, ()
-    else:
-        radial, angular = float((P * split_weight) @ d_rho), _mixture_angular(grid, mixture)
-    return GridMoments(variance, tuple(float(v) for v in dirichlet), radial,
-                       tuple(float(v) for v in angular))
+    radial = angular = None
+    if split_weight is not None:
+        radial, angular = (P * split_weight) @ d_rho, _mixture_angular(grid, mixture)
+    return _moments(variance, weights @ (P * grad2), radial, angular, split_weight)
 
 
 def _mixture_shells(n, mixture, r, axis_weights=None):
@@ -748,7 +801,8 @@ def _mixture_shells(n, mixture, r, axis_weights=None):
 
 def _mixture_angular(grid, mixture):
     """E[(d phi / d theta_i)^2], i = 1 .. n-1, of a Gaussian mixture on the
-    angular rule.
+    angular rule, as (n - 1, 2) with the sums on ``grid.ang_weights`` and
+    on ``grid.ang_halved`` as columns.
 
     Since u . d u / d theta_i = 0, d phi / d theta_i = 2 rho sum_k a_k b_k
     e_k (c_k . d u / d theta_i), so a block of shells needs only the term
@@ -764,10 +818,11 @@ def _mixture_angular(grid, mixture):
     rows = np.flatnonzero((top >= _EXP_FLOOR) & (grid.r_weights > 0.0))
     c_u = centres @ grid.unit.T
     coef = np.einsum("k,kn,ian->ika", 2.0 * amps * widths, centres, grid.tangents)
+    ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
     step = max(1, _BLOCK_NODES // len(ang_w))
     e = np.empty((len(amps), min(step, len(rows)), len(ang_w)))
     d = np.empty(e.shape[1:])
-    angular = np.zeros(len(coef))
+    angular = np.zeros((len(coef), 2))
     for start in range(0, len(rows), step):
         idx = rows[start:start + step]
         rho = r[idx]
@@ -779,7 +834,7 @@ def _mixture_angular(grid, mixture):
         for i, coef_i in enumerate(coef):
             np.einsum("ka,kja->ja", coef_i, e_b, out=d_b)
             np.multiply(d_b, d_b, out=d_b)
-            angular[i] += (grid.r_weights[idx] * rho * rho) @ (d_b @ ang_w)
+            angular[i] += (grid.r_weights[idx] * rho * rho) @ (d_b @ ang_pair)
     return angular
 
 

@@ -185,16 +185,23 @@ def quadrature_weight_function(d):
     )
 
 
+def residual_step(d, rho, h_rel=1e-3):
+    """The difference step of :func:`steady_state_residual` at ``rho``:
+    h_rel max(|rho|, 1), shrunk by the support radius when that is below 1
+    so that the stencil resolves a small support."""
+    return h_rel * np.maximum(np.abs(rho), 1.0) * min(1.0, d.support_radius)
+
+
 def steady_state_residual(d, K, rho_grid, h_rel=1e-3):
     """Residual of d/drho [K f] + (rho - m) f on interior grid points.
 
-    The derivative is a fourth-order central difference; m is the drift
-    centre of the density (0 for isotropic entries, 1 for the inverse
-    Gamma).  Returns the raw residual array; callers normalise by the
-    scale of the drift term.
+    The derivative is a fourth-order central difference with the step of
+    :func:`residual_step`; m is the drift centre of the density (0 for
+    isotropic entries, 1 for the inverse Gamma).  Returns the raw residual
+    array; callers normalise by the scale of the drift term.
     """
     rho = np.asarray(rho_grid, dtype=float)
-    h = h_rel * np.maximum(np.abs(rho), 1.0)
+    h = residual_step(d, rho, h_rel)
     i_plus = d.support_radius
     lo = 0.0 if not d.half_line else 1e-12
     if np.any(rho - 2 * h <= lo) or np.any(rho + 2 * h >= i_plus):

@@ -151,6 +151,14 @@ class TestEvolveCommand:
                      "--t-final", "1", "--out", str(tmp_path)]) == 0
         assert len(list(tmp_path.glob("rates_*.json"))) == 1
 
+    @pytest.mark.parametrize("a", ["0.3", "0.01"])
+    def test_barenblatt_with_support_below_one(self, a, tmp_path):
+        # the steady-state check's step once stayed at 1e-3 however small
+        # the support, and rejected the weight with exit 2
+        assert main(["evolve", "--density", f"barenblatt:a={a},p=3,n=1",
+                     "--t-final", "1", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("rates_*.json"))) == 1
+
     def test_untruncatable_domain_is_an_error(self, tmp_path, capsys):
         # the n = 1 Cauchy tail ~ rho^-1.8 defeats the truncation quadrature
         code = main(["evolve", "--density", "cauchy:beta=0.9,n=1",

@@ -23,7 +23,7 @@ from isofp.fpsolver import (
     perturbed_initial_state,
     verify_hellinger_decay,
 )
-from isofp.weights import WeightFunction
+from isofp.weights import WeightFunction, residual_step, steady_state_residual
 
 from conftest import CATALOG_REPRESENTATIVES
 
@@ -161,18 +161,37 @@ class TestBuildSolver:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_barenblatt_with_small_support_evolves(self, n):
-        # support radius 0.5: the first probe of the steady-state check lies
-        # within 2h = 2e-3 of the origin, and the check must skip it
+        # support radius 0.5: the steady-state check must keep every probe's
+        # stencil inside the support
         d = parse_density_spec(f"barenblatt:a=0.5,p=3,n={n}")
         solver = build_solver(d, catalog_K(d), cells=400)
         trace = solver.evolve(perturbed_initial_state(solver, "cosine", eps=0.1), 1.0, 1e-3)
         assert np.all(np.diff(trace.theta_chi2) <= 1e-9)
         assert trace.theta_chi2[-1] < 1e-2 * trace.theta_chi2[0]
 
-    def test_support_too_small_for_any_probe(self):
-        d = parse_density_spec("barenblatt:a=0.002,p=3,n=1")
+    @pytest.mark.parametrize("a", [1.0, 0.3, 0.01, 0.002])
+    def test_residual_step_follows_the_support(self, a):
+        # h = 1e-3 max(rho, 1) once missed the support's curvature below a
+        # radius of about 0.4 and rejected the weight; scaled by the radius,
+        # the relative residual is the same at every a
+        d = parse_density_spec(f"barenblatt:a={a},p=3,n=1")
+        rho = np.linspace(0.1, 0.9, 9) * d.support_radius
+        assert np.array_equal(residual_step(d, rho), 1e-3 * np.maximum(rho, 1.0) * a)
+        K = catalog_K(d)
+        res = steady_state_residual(d, K, rho) / np.max(rho * d.eval(rho))
+        assert np.max(np.abs(res)) < 1e-6
+        build_solver(d, K, cells=400)
+
+    def test_unbounded_support_keeps_its_step(self):
+        d = make_density("gaussian", {"sigma": 1.0}, 1)
+        rho = np.array([1e-3, 0.5, 1.0, 7.0])
+        assert np.array_equal(residual_step(d, rho), 1e-3 * np.maximum(rho, 1.0))
+
+    def test_one_cell_grid_has_no_probe(self):
+        # the probes keep off both ends of the grid, so one cell has none
+        d = parse_density_spec("barenblatt:a=1,p=3,n=1")
         with pytest.raises(SolverError, match="no steady-state probe lies 2h inside"):
-            build_solver(d, catalog_K(d), cells=400)
+            build_solver(d, catalog_K(d), cells=1)
 
     def test_barenblatt_boundary_flux_vanishes(self):
         d = make_density("barenblatt", {"a": 1.0, "p": 2.0}, 2)

@@ -386,6 +386,27 @@ class TestWstar:
             assert r.lhs <= split_sum * (1.0 + 1e-6) + 1e-15
             assert split_sum <= r.rhs * (1.0 + 1e-9) + 1e-15
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_angular_err_covers_the_angular_rule(self, n, monkeypatch):
+        # against a 64-point rule: the halved azimuth's difference covers
+        # the error of a mixture's angular part, and a polar member's
+        # angular factor is a low-degree polynomial, exact on both rules
+        d = make_density("gaussian", {"sigma": 1.0}, n)
+        corpus = list(corpus_nd(n, seed=2024))[::3]
+        reports = check_isotropic_Wstar(d, corpus, unit_weight())
+        monkeypatch.setattr(quadrature, "_ANGULAR_ORDER", 64)
+        fine = check_isotropic_Wstar(d, corpus, unit_weight())
+        mixtures = 0
+        for rep, ref in zip(reports, fine, strict=True):
+            part, err = rep.details["angular_part"], rep.details["angular_err"]
+            total = rep.details["radial_part"] + part
+            if rep.witness.startswith("random"):
+                mixtures += 1
+                assert 0.0 < abs(part - ref.details["angular_part"]) <= err, rep.witness
+            else:
+                assert err <= 1e-13 * total, rep.witness
+        assert mixtures >= 4
+
     def test_inflated_weight_dominates(self):
         d = make_density("exponential_type", {"beta": 1.0}, 2)
         w = gamma_radial_weight(1.0)
@@ -397,7 +418,7 @@ class TestWstar:
             assert ri.rhs >= rb.rhs * (1.0 - 1e-12)
 
     def test_gaussian_n4(self):
-        # the polar members and one mixture on the n = 4 grid of 24M nodes
+        # the polar members and one mixture on the n = 4 grid of 10M nodes
         d = parse_density_spec("gaussian:sigma=2.5,n=4")
         corpus = [m for m in corpus_nd(4, seed=2024) if m.polar or m.name == "random0"]
         reports = check_isotropic_Wstar(d, corpus, marginal_weight(d))
@@ -798,9 +819,11 @@ def _dx_dtheta(rho, theta, i):
 class FullNodes:
     """Node-sized arrays of a grid built with the default orders: radii,
     probability weights, points, e_rho = x / |x| and the tangents
-    d x / d theta_i, each with one row per node."""
+    d x / d theta_i, each with one row per node.  The polar angles take
+    24-point Gauss-Legendre and the azimuth the 24-point midpoint
+    trapezoid rule."""
 
-    def __init__(self, density, breakpoints, order=32):
+    def __init__(self, density, breakpoints, order=24):
         n = density.n
         r, r_w = interval_rule(0.0, density.support_radius, order=12, levels=22,
                                breakpoints=tuple(sorted(breakpoints)))
@@ -809,9 +832,11 @@ class FullNodes:
             signs = np.array([1.0, -1.0])
         else:
             xg, wg = leggauss(order)
-            axes = [(xg + 1.0) * 0.5 * math.pi] * (n - 2) + [(xg + 1.0) * math.pi]
+            step = 2.0 * math.pi / order
+            axes = ([(xg + 1.0) * 0.5 * math.pi] * (n - 2)
+                    + [(np.arange(order) + 0.5) * step])
             ws = [wg * 0.5 * math.pi * np.sin(axes[0]) ** (n - 1 - j)
-                  for j in range(1, n - 1)] + [wg * math.pi]
+                  for j in range(1, n - 1)] + [np.full(order, step)]
             self.theta = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                                   axis=1)
             w = ws[0]
@@ -892,9 +917,9 @@ class TestFullNodeOracle:
     def fine_walk(self, recorded, phi, monkeypatch, weight, split=None, radius=None):
         """The moments of ``phi`` walked over the checker's grid rebuilt
         with a 64-point angular rule, and with a ``radius`` also its
-        :func:`sphere_dirichlet` there on that rule.  The 32-point rule
-        misses a mixture's Dirichlet forms by up to 4e-6 and its sphere
-        integrals by up to 2e-4."""
+        :func:`sphere_dirichlet` there on that rule.  The 24-point rule
+        misses a mixture's Dirichlet forms by up to 3e-7 and its sphere
+        integrals by up to 3e-4."""
         (grid, bp), = recorded["grids"]
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "_ANGULAR_ORDER", 64)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from isofp.corpus import (
     Fn1D,
@@ -527,10 +528,8 @@ class TestPolarMoments:
             for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
                 assert abs(x - y) <= 1e-12 * y, phi.name
             assert abs(got.radial - want.radial) <= 1e-12 * want.radial, phi.name
-            total = want.radial + sum(want.angular)
             assert len(got.angular) == n - 1
-            for x, y in zip(got.angular, want.angular, strict=True):
-                assert abs(x - y) <= 1e-12 * total, phi.name
+            assert_angular_close(got, want, phi.name)
 
     def test_n1_two_directions(self):
         # u = +-1: odd monomials flip sign, even ones are constant
@@ -544,7 +543,7 @@ class TestPolarMoments:
             assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
             assert abs(got.dirichlet[0] - want.dirichlet[0]) <= 1e-12 * want.dirichlet[0]
             assert abs(got.radial - want.radial) <= 1e-12 * want.radial
-            assert got.angular == want.angular == ()
+            assert got.angular == want.angular == got.angular_halved == ()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_axis_weights_match_block_walk(self, n):
@@ -809,9 +808,12 @@ def assert_moments_close(got, want, tol, label):
 
 
 def assert_angular_close(got, want, label):
+    """The angular parts, and those on the halved azimuth, within 1e-12 of
+    the radial and angular total."""
     total = want.radial + sum(want.angular)
-    assert len(got.angular) == len(want.angular)
-    for x, y in zip(got.angular, want.angular, strict=True):
+    assert len(got.angular) == len(want.angular) == len(got.angular_halved)
+    for x, y in zip(got.angular + got.angular_halved, want.angular + want.angular_halved,
+                    strict=True):
         assert abs(x - y) <= 1e-12 * total, label
 
 
@@ -819,8 +821,8 @@ class TestMixtureMoments:
     """A :class:`GaussianMixture` is exact in angle, except for its angular
     parts.  The block walk over the node rows is its oracle: on the grid
     itself at n = 1, where the two directions are exact, and on the grid
-    rebuilt with a 64-point angular rule at n = 2, 3, since the 32-point
-    rule is off by up to 4e-6 in a Dirichlet form (at n = 3 both grids
+    rebuilt with a 64-point angular rule at n = 2, 3, since the 24-point
+    rule is off by up to 3e-7 in a Dirichlet form (at n = 3 both grids
     share a coarser radial rule to keep the walk short).  The angular parts
     stay on the grid's rule and keep its walk as their oracle, for every
     member."""
@@ -850,10 +852,10 @@ class TestMixtureMoments:
             assert_angular_close(got, want, phi.name)
 
     def test_n4_against_the_grid(self, monkeypatch):
-        # the 32-point rule is the oracle, off by 1.06e-8 in the Dirichlet
-        # form, 3.4e-9 in the radial part and 2.1e-9 in the variance of
+        # the 24-point rule is the oracle, off by 4.2e-9 in the Dirichlet
+        # form, 1.3e-9 in the radial part and 7.9e-10 in the variance of
         # random0; both sides share a coarse radial rule, which keeps the
-        # walk over 6M nodes near 2 s
+        # walk over 2.7M nodes near 1.5 s
         monkeypatch.setattr(quadrature, "_RADIAL_LEVELS", 8)
         (phi,) = [m for m in corpus_nd(4, seed=2024) if m.name == "random0"]
         grid = build_grid(make_density("gaussian", {"sigma": 1.0}, 4), [phi])
@@ -896,8 +898,8 @@ class TestMixtureMoments:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sphere_dirichlet_matches_a_finer_rule(self, n, monkeypatch):
-        # the hybrid check's surface integral; the 32-point rule misses it
-        # by up to 1.8e-4, the 64-point rule by up to 5e-12 at radius 6
+        # the hybrid check's surface integral; the 24-point rule misses it
+        # by up to 2.9e-4, the 64-point rule by up to 5e-12 at radius 6
         d = make_density("exponential_type", {"beta": 1.0}, n)
         grid = HypersphericalGrid(d)
         fine = with_angular_order(monkeypatch, 96, HypersphericalGrid, d)
@@ -924,6 +926,44 @@ class TestMixtureMoments:
     def test_axis_weights_match_block_walk(self, n, monkeypatch):
         assert_axis_weights_match_block_walk(n, random_members(n)[::3], seed=10 + n,
                                              monkeypatch=monkeypatch, order=64)
+
+
+class TestHalfIntegerBessel:
+    """At odd n the sphere averages take exp(-z) I_nu(z), nu half an odd
+    integer, from elementary functions instead of scipy's ``ive``."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5, 2.5])
+    def test_matches_scipy(self, nu):
+        z = np.concatenate([1.0 + np.logspace(-12, 0, 200), np.logspace(1e-3, 9, 2000)])
+        want = ive(nu, z)
+        assert np.max(np.abs(quadrature._ive_half(nu, z) - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_odd_n_never_calls_ive(self, n, monkeypatch):
+        grid, weights, split, _ = checker_grid("Wstar", n)
+        want = [grid_moments(grid, phi, weights, split_weight=split)
+                for phi in random_members(n)]
+
+        def refuse(nu, z):
+            raise AssertionError("scipy's ive was called")
+
+        monkeypatch.setattr(quadrature, "ive", refuse)
+        for phi, m in zip(random_members(n), want):
+            got = grid_moments(grid, phi, weights, split_weight=split)
+            assert got == m, phi.name
+        # the patch reaches the even-n path
+        grid2, weights2, split2, _ = checker_grid("Wstar", 2)
+        with pytest.raises(AssertionError, match="ive was called"):
+            grid_moments(grid2, random_members(2)[0], weights2, split_weight=split2)
+
+    def test_n3_moments_agree_with_ive(self, monkeypatch):
+        grid, weights, split, _ = checker_grid("hybrid", 3)
+        got = [grid_moments(grid, phi, weights, split_weight=split)
+               for phi in random_members(3)]
+        monkeypatch.setattr(quadrature, "_ive_half", ive)
+        for phi, g in zip(random_members(3), got):
+            want = grid_moments(grid, phi, weights, split_weight=split)
+            assert_moments_close(g, want, 1e-13, phi.name)
 
 
 class TestShellKernels:
