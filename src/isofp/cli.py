@@ -282,6 +282,10 @@ def _pair_reports(d, theorem, seed, tol):
     raise ValueError(f"unknown theorem {theorem!r}")
 
 
+REPORT_HEADER = ["density", "theorem", "witness", "lhs", "rhs", "ratio", "status",
+                 "verdict"]
+
+
 def _report_rows(density_lbl, theorem, reports):
     rows = []
     for r in reports:
@@ -291,30 +295,34 @@ def _report_rows(density_lbl, theorem, reports):
     return rows
 
 
+def _check_payload(head, theorem, tol, seed, reports):
+    """The ``check_*.json`` payload of one check's reports, and its (verdict,
+    detail): FAIL if any report fails, pass otherwise."""
+    s = summarize_reports(reports)
+    payload = dict(head, theorem=theorem, tol=tol, corpus_seed=seed, summary=s,
+                   reports=[r.to_dict() for r in reports])
+    return payload, ("pass" if s["failed"] == 0 else "FAIL",
+                     f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}")
+
+
 def cmd_check(args):
     d = parse_density_spec(args.density)
-    tol = args.tol
-    result = reports_for_pair(d, args.theorem, args.corpus_seed, tol)
+    result = reports_for_pair(d, args.theorem, args.corpus_seed, args.tol)
     lbl = density_label(d)
-    out_dir = Path(args.out)
+    path = Path(args.out) / f"check_{args.theorem}_{_slug(lbl)}.json"
     if isinstance(result, str):
         print(f"skipped: {result}")
-        _write_json(out_dir / f"check_{args.theorem}_{_slug(lbl)}.json",
-                    {"density": lbl, "theorem": args.theorem, "skipped": result})
+        _write_json(path, {"density": lbl, "theorem": args.theorem, "skipped": result})
         return 0
-    payload = {"density": lbl, "theorem": args.theorem, "tol": tol,
-               "corpus_seed": args.corpus_seed,
-               "summary": summarize_reports(result),
-               "reports": [r.to_dict() for r in result]}
-    _write_json(out_dir / f"check_{args.theorem}_{_slug(lbl)}.json", payload)
-    _write_csv(out_dir / f"check_{args.theorem}_{_slug(lbl)}.csv",
-               ["density", "theorem", "witness", "lhs", "rhs", "ratio",
-                "status", "verdict"],
+    payload, (verdict, _) = _check_payload({"density": lbl}, args.theorem, args.tol,
+                                           args.corpus_seed, result)
+    _write_json(path, payload)
+    _write_csv(path.with_suffix(".csv"), REPORT_HEADER,
                _report_rows(lbl, args.theorem, result))
     s = payload["summary"]
     print(f"{lbl} / {args.theorem}: {s['passed']} passed, {s['failed']} failed, "
           f"{s['rejected']} rejected, max ratio {s['max_ratio']:.9f}")
-    return 0 if s["failed"] == 0 else 1
+    return 0 if verdict == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +348,7 @@ def run_evolution(d, cells=400, t_final=10.0, dt=1e-3, eps=0.1,
                   perturbation="cosine", tail_mass=1e-12):
     solver = build_solver(d, catalog_K(d), cells=cells, tail_mass=tail_mass)
     state = perturbed_initial_state(solver, perturbation, eps=eps)
-    trace = solver.evolve(state, t_final, dt)
-    return solver, trace
+    return solver.evolve(state, t_final, dt)
 
 
 TRACE_HEADER = ["t", "theta_chi2", "theta_entropy", "hellinger2",
@@ -360,33 +367,50 @@ def trace_rows(trace):
     return rows
 
 
+def _evolution_outcome(d, trace, march):
+    """The ``rates_*.json`` payload of one evolution run with the solver
+    settings ``march``, and its (verdict, detail).
+
+    The verdict is FAIL if chi2 or the squared Hellinger distance rises by
+    more than 1e-9 between two samples, or if the fitted rate is below
+    0.95 * 2/c; otherwise it is ``unchecked`` without a rate constant c or
+    a fitted rate, and pass with both."""
+    c = _rate_constant_c(d)
+    rate = trace.fitted_rate
+    payload = {"density": density_label(d),
+               **{k: march[k] for k in ("cells", "dt", "t_final", "perturbation", "eps")},
+               "fitted_chi2_rate": rate,
+               "rate_bound_2_over_c": 2.0 / c if c else None,
+               "hellinger_decay": verify_hellinger_decay(trace, c) if c else None,
+               "mass_drift": float(abs(trace.mass[-1] - trace.mass[0]) / trace.mass[0]),
+               "monotone_chi2": bool(np.all(np.diff(trace.theta_chi2) <= 1e-9)),
+               "monotone_hellinger2": bool(np.all(np.diff(trace.hellinger2) <= 1e-9))}
+    rising = [k for k in ("chi2", "hellinger2") if not payload[f"monotone_{k}"]]
+    if rising:
+        return payload, ("FAIL", " and ".join(rising) + " rises by more than 1e-9")
+    if c is None:
+        return payload, ("unchecked", "no rate bound for this density")
+    if rate is None:
+        return payload, ("unchecked", "too few samples in the fit window for a rate")
+    bound = 0.95 * 2.0 / c
+    ok = rate >= bound
+    return payload, ("pass" if ok else "FAIL",
+                     f"rate {rate:.4f} {'>=' if ok else '<'} {bound:.4f}")
+
+
 def cmd_evolve(args):
     d = parse_density_spec(args.density)
-    solver, trace = run_evolution(d, cells=args.cells, t_final=args.t_final,
-                                  dt=args.dt, eps=args.eps,
-                                  perturbation=args.perturbation)
+    march = dict(cells=args.cells, t_final=args.t_final, dt=args.dt, eps=args.eps,
+                 perturbation=args.perturbation)
+    trace = run_evolution(d, **march)
     lbl = density_label(d)
     out_dir = Path(args.out)
     _write_csv(out_dir / f"trace_{_slug(lbl)}.csv", TRACE_HEADER, trace_rows(trace))
-    c = _rate_constant_c(d)
-    summary = {
-        "density": lbl, "cells": args.cells, "dt": args.dt,
-        "t_final": args.t_final, "perturbation": args.perturbation,
-        "eps": args.eps, "fitted_chi2_rate": trace.fitted_rate,
-        "rate_bound_2_over_c": (2.0 / c if c else None),
-        "mass_drift": float(abs(trace.mass[-1] - trace.mass[0]) / trace.mass[0]),
-        "monotone_chi2": bool(np.all(np.diff(trace.theta_chi2) <= 1e-9)),
-        "monotone_hellinger2": bool(np.all(np.diff(trace.hellinger2) <= 1e-9)),
-    }
-    if c is not None:
-        summary["hellinger_decay"] = verify_hellinger_decay(trace, c)
-    _write_json(out_dir / f"rates_{_slug(lbl)}.json", summary)
+    payload, (verdict, _) = _evolution_outcome(d, trace, march)
+    _write_json(out_dir / f"rates_{_slug(lbl)}.json", payload)
     print(f"{lbl}: fitted chi2 rate {trace.fitted_rate}, "
-          f"bound {summary['rate_bound_2_over_c']}")
-    ok = summary["monotone_chi2"] and summary["monotone_hellinger2"]
-    if c is not None and trace.fitted_rate is not None:
-        ok = ok and trace.fitted_rate >= 0.95 * (2.0 / c)
-    return 0 if ok else 1
+          f"bound {payload['rate_bound_2_over_c']}")
+    return 1 if verdict == "FAIL" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +425,16 @@ def _anisotropic_reports(V, seed, tol):
 def _evolve_trace(d, evolution):
     """An evolution's decay trace, or its TruncationError if no solver exists."""
     try:
-        return run_evolution(d, **evolution)[1]
+        return run_evolution(d, **evolution)
     except TruncationError as exc:
         return exc
 
 
 def _timed(fn, *args):
-    t0 = time.perf_counter()
-    return fn(*args), time.perf_counter() - t0, os.getpid()
+    """fn(*args), with its wall and CPU seconds and the pid that ran it."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    result = fn(*args)
+    return result, time.perf_counter() - t0, time.process_time() - c0, os.getpid()
 
 
 def _in_workers(tasks):
@@ -449,23 +475,22 @@ def run_experiment(config, out_dir):
                      perturbation=solver_cfg.get("perturbation", "cosine"),
                      tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
     check_march(evolution["t_final"], evolution["dt"])
-    # (label, check, payload head, task) of every check, then of every evolution
-    checks = [(density_label(d), theorem, {"density": density_label(d)},
-               (reports_for_pair, d, theorem, seed, tol))
-              for d in densities for theorem in theorems
-              if theorem != "gaussian_anisotropic"]
+    # (label, check, payload head or density, task) of each check, then evolution
+    jobs = [(density_label(d), theorem, {"density": density_label(d)},
+             (reports_for_pair, d, theorem, seed, tol))
+            for d in densities for theorem in theorems
+            if theorem != "gaussian_anisotropic"]
     if "gaussian_anisotropic" in theorems:
         for idx, spec in enumerate(config.get("anisotropic_covariances", [])):
             V = np.asarray(spec["V"], dtype=float)
             u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
-            checks.append((f"gaussianV{idx}", "gaussian_anisotropic",
-                           {"covariance": _plain(V), "mean": _plain(u)},
-                           (_anisotropic_reports, V, seed, tol)))
-    jobs = checks + [(density_label(d), "relaxation_rate", d, (_evolve_trace, d, evolution))
-                     for d in map(parse_density_spec, config.get("evolve_densities", []))]
+            jobs.append((f"gaussianV{idx}", "gaussian_anisotropic",
+                         {"covariance": _plain(V), "mean": _plain(u)},
+                         (_anisotropic_reports, V, seed, tol)))
+    jobs += [(density_label(d), "relaxation_rate", d, (_evolve_trace, d, evolution))
+             for d in map(parse_density_spec, config.get("evolve_densities", []))]
     out_dir.mkdir(parents=True, exist_ok=True)
     files, summary_rows, all_reports_csv = [], [], []
-    any_failed = False
 
     # weight CSVs and the growth-exponent observational statistic
     growth_stats = []
@@ -483,48 +508,22 @@ def run_experiment(config, out_dir):
             growth_stats.append({"density": lbl, "exponent": p})
 
     done, workers = _in_workers([job[3] for job in jobs])
-    for (lbl, theorem, head, _), (result, _, _) in zip(checks, done):
+    for (lbl, task, head, _), (result, *_) in zip(jobs, done):
         if isinstance(result, str):
-            summary_rows.append((lbl, theorem, "skipped", result))
-            continue
-        s = summarize_reports(result)
-        payload = dict(head, theorem=theorem, tol=tol, corpus_seed=seed, summary=s,
-                       reports=[r.to_dict() for r in result])
-        files.append(_write_json(out_dir / f"check_{theorem}_{_slug(lbl)}.json", payload))
-        all_reports_csv.extend(_report_rows(lbl, theorem, result))
-        verdict = "pass" if s["failed"] == 0 else "FAIL"
-        any_failed |= s["failed"] > 0
-        summary_rows.append((lbl, theorem, verdict,
-                             f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"))
-
-    files.append(_write_csv(out_dir / "check_summary.csv",
-                            ["density", "theorem", "witness", "lhs", "rhs",
-                             "ratio", "status", "verdict"], all_reports_csv))
-
-    for (lbl, check, d, _), (trace, _, _) in zip(jobs[len(checks):], done[len(checks):]):
-        if isinstance(trace, TruncationError):
-            summary_rows.append((lbl, check, "unchecked", f"no solver: {trace}"))
-            continue
-        files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
-                                TRACE_HEADER, trace_rows(trace)))
-        c = _rate_constant_c(d)
-        payload = {"density": lbl, "fitted_chi2_rate": trace.fitted_rate,
-                   "rate_bound_2_over_c": 2.0 / c if c else None,
-                   "hellinger_decay": verify_hellinger_decay(trace, c) if c else None,
-                   "mass_drift": float(abs(trace.mass[-1] - trace.mass[0])
-                                       / trace.mass[0])}
-        files.append(_write_json(out_dir / f"rates_{_slug(lbl)}.json", payload))
-        # no bound is checked without a rate constant or a fitted rate
-        if c is None:
-            verdict, detail = "unchecked", "no rate bound for this density"
-        elif trace.fitted_rate is None:
-            verdict, detail = "unchecked", "too few samples in the fit window for a rate"
+            outcome = ("skipped", result)
+        elif isinstance(result, TruncationError):
+            outcome = ("unchecked", f"no solver: {result}")
+        elif task == "relaxation_rate":
+            files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
+                                    TRACE_HEADER, trace_rows(result)))
+            payload, outcome = _evolution_outcome(head, result, evolution)
+            files.append(_write_json(out_dir / f"rates_{_slug(lbl)}.json", payload))
         else:
-            bound = 0.95 * 2.0 / c
-            verdict = "pass" if trace.fitted_rate >= bound else "FAIL"
-            detail = f"rate {trace.fitted_rate:.4f} >= {bound:.4f}"
-        any_failed |= verdict == "FAIL"
-        summary_rows.append((lbl, check, verdict, detail))
+            payload, outcome = _check_payload(head, task, tol, seed, result)
+            files.append(_write_json(out_dir / f"check_{task}_{_slug(lbl)}.json", payload))
+            all_reports_csv.extend(_report_rows(lbl, task, result))
+        summary_rows.append((lbl, task, *outcome))
+    files.append(_write_csv(out_dir / "check_summary.csv", REPORT_HEADER, all_reports_csv))
 
     # markdown summary
     lines = ["# Verification summary", "",
@@ -556,11 +555,11 @@ def run_experiment(config, out_dir):
                  "argv": sys.argv})
     peak_kb = max(getrusage(who).ru_maxrss for who in (RUSAGE_SELF, RUSAGE_CHILDREN))
     _write_json(out_dir / "profile.json", {  # timings stay out of the manifest too
-        "tasks": [{"name": f"{job[0]} {job[1]}", "wall_s": wall, "pid": pid}
-                  for job, (_, wall, pid) in zip(jobs, done)],
+        "tasks": [{"name": f"{job[0]} {job[1]}", "wall_s": wall, "cpu_s": cpu, "pid": pid}
+                  for job, (_, wall, cpu, pid) in zip(jobs, done)],
         "workers": workers, "wall_s": time.perf_counter() - start,
         "peak_rss_mb": peak_kb / 1024.0})
-    return (1 if any_failed else 0), files, summary_rows
+    return int(any(row[2] == "FAIL" for row in summary_rows)), files, summary_rows
 
 
 def cmd_run(args):

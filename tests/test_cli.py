@@ -360,9 +360,55 @@ class TestRunCommand:
         assert "profile.json" not in {e["path"] for e in manifest["files"]}
         profile = json.loads((tmp_path / "profile.json").read_text())
         assert [t["name"] for t in profile["tasks"]] == [f"{r[0]} {r[1]}" for r in rows]
-        assert all(t["wall_s"] >= 0.0 and t["pid"] > 0 for t in profile["tasks"])
+        assert all(t["wall_s"] >= 0.0 and t["cpu_s"] >= 0.0 and t["pid"] > 0
+                   for t in profile["tasks"])
+        # an evolution marches 800 implicit steps in its worker
+        assert all(t["cpu_s"] > 0.0 for t in profile["tasks"]
+                   if t["name"] == "gaussian(sigma=1,n=1) relaxation_rate")
         assert profile["workers"] == min(len(cli.os.sched_getaffinity(0)), len(rows))
         assert profile["wall_s"] > 0.0 and profile["peak_rss_mb"] > 0.0
+
+    def test_check_and_evolve_write_what_run_writes(self, tmp_path):
+        cfg = dict(TINY_CONFIG, theorems=["poincare_1d"])
+        assert cli.run_experiment(cfg, tmp_path / "run")[0] == 0
+        one = tmp_path / "one"
+        assert main(["check", "--theorem", "poincare_1d", "--density", "gaussian:sigma=1,n=1",
+                     "--corpus-seed", "99", "--out", str(one)]) == 0
+        assert main(["evolve", "--density", "gaussian:sigma=1,n=1", "--cells", "120",
+                     "--t-final", "4", "--dt", "5e-3", "--out", str(one)]) == 0
+        for pattern in ("check_*.json", "rates_*.json", "trace_*.csv"):
+            ran, alone = (sorted(d.glob(pattern)) for d in (tmp_path / "run", one))
+            assert [p.name for p in ran] == [p.name for p in alone] != []
+            assert [p.read_bytes() for p in ran] == [p.read_bytes() for p in alone]
+        rates = json.loads(next(one.glob("rates_*.json")).read_text())
+        assert rates["monotone_chi2"] and rates["monotone_hellinger2"]
+        assert rates["cells"] == 120 and rates["hellinger_decay"]["passed"]
+
+    @pytest.mark.parametrize("column,name", [("theta_chi2", "chi2"),
+                                             ("hellinger2", "hellinger2")])
+    def test_rising_functional_fails_run_and_evolve(self, column, name, tmp_path,
+                                                    monkeypatch, capsys):
+        # the fitted rate passes; only the last sample's rise of 1e-6 fails
+        from isofp.fpsolver import Solver
+
+        def rising(self, *args, real=Solver.evolve):
+            trace = real(self, *args)
+            values = getattr(trace, column)
+            values[-1] = values[-2] + 1e-6
+            return trace
+
+        monkeypatch.setattr(Solver, "evolve", rising)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, densities=[], theorems=[])))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"| gaussian(sigma=1,n=1) | relaxation_rate | FAIL | {name} rises by "
+                "more than 1e-9 |") in (out / "summary.md").read_text()
+        rates = json.loads(next(out.glob("rates_*.json")).read_text())
+        assert rates["fitted_chi2_rate"] >= 0.95 * rates["rate_bound_2_over_c"]
+        assert rates[f"monotone_{name}"] is False
+        assert main(["evolve", "--density", "gaussian:sigma=1,n=1", "--cells", "120",
+                     "--t-final", "4", "--dt", "5e-3", "--out", str(tmp_path / "e")]) == 1
 
     def test_unknown_density_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
