@@ -47,7 +47,6 @@ from .quadrature import (
     interval_rule,
 )
 from .corpus import (
-    TestCorpus,
     corpus_1d,
     corpus_anisotropic,
     corpus_nd,

@@ -31,8 +31,8 @@ from .densities import (full_line_density, parse_density_spec,
                         radial_marginal, sin_power_density,
                         uniform_angle_density, closed_form_weight,
                         density_label)
-from .fpsolver import (SolverError, TruncationError, build_solver,
-                       check_march, perturbed_initial_state,
+from .fpsolver import (PERTURBATIONS, SolverError, TruncationError,
+                       build_solver, check_march, perturbed_initial_state,
                        verify_hellinger_decay)
 from .inequality import (check_gaussian_anisotropic, check_hybrid,
                          check_isotropic_Wstar, check_poincare_1d,
@@ -466,7 +466,11 @@ def run_experiment(config, out_dir):
     tol = float(config.get("tolerances", {}).get("ratio_tol", 1e-6))
     densities = [parse_density_spec(s) for s in config["densities"]]
     theorems = list(config.get("theorems", THEOREMS))
-    # the solver block is checked before any work is done
+    # the theorems and the solver block are checked before any work is done
+    for theorem in theorems:
+        if theorem not in THEOREMS:
+            raise ValueError(f"theorems: unknown theorem {theorem!r}; "
+                             f"allowed: {', '.join(THEOREMS)}")
     solver_cfg = config.get("solver", {})
     evolution = dict(cells=int(solver_cfg.get("cells", 400)),
                      t_final=float(solver_cfg.get("t_final", 10.0)),
@@ -474,6 +478,10 @@ def run_experiment(config, out_dir):
                      eps=float(solver_cfg.get("eps", 0.1)),
                      perturbation=solver_cfg.get("perturbation", "cosine"),
                      tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
+    if evolution["perturbation"] not in PERTURBATIONS:
+        raise ValueError(f"solver.perturbation: unknown perturbation "
+                         f"{evolution['perturbation']!r}; allowed: "
+                         f"{', '.join(sorted(PERTURBATIONS))}")
     check_march(evolution["t_final"], evolution["dt"])
     # (label, check, payload head or density, task) of each check, then evolution
     jobs = [(density_label(d), theorem, {"density": density_label(d)},
@@ -624,7 +632,7 @@ def main(argv=None):
 
     p = sub.add_parser("evolve", help="run the radial Fokker-Planck solver")
     p.add_argument("--density", required=True)
-    p.add_argument("--perturbation", default="cosine")
+    p.add_argument("--perturbation", default="cosine", choices=sorted(PERTURBATIONS))
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--cells", type=int, default=400)
     p.add_argument("--t-final", type=float, default=10.0)
@@ -645,7 +653,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SolverError) as exc:
+    except (ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

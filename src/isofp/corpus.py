@@ -5,7 +5,8 @@ low-order angular harmonics entering through Cartesian monomials,
 piecewise-quintic C^2 compact bumps, saturating radial profiles and
 seeded random smooth mixtures.  Every member carries an analytic
 gradient, boundedness and support metadata, and the radii of its C^2
-knots so quadrature panels can split there.
+knots so quadrature panels can split there.  Each builder returns a
+plain list of members.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "GaussianMixture",
     "PolarMember",
     "SeparableMember",
-    "TestCorpus",
     "corpus_1d",
     "corpus_nd",
     "corpus_outside_ball",
@@ -87,9 +87,7 @@ class Fn1D:
     name: str
     f: Callable
     df: Callable
-    bounded: bool = True
     breakpoints: tuple = ()
-    tags: tuple = ()
 
     def __call__(self, x):
         return np.asarray(self.f(np.asarray(x, dtype=float)))
@@ -127,7 +125,6 @@ def corpus_1d(support, seed=0, include_linear=False):
                 lambda x, d=d, c0=c0, cc=cc: ((d * (x - c0) ** (d - 1) if d else 0.0)
                                               - 2.0 * cc * (x - c0) ** (d + 1))
                 * np.exp(-cc * (x - c0) ** 2),
-                tags=("poly_gauss",),
             ))
 
     # saturating profiles
@@ -140,7 +137,6 @@ def corpus_1d(support, seed=0, include_linear=False):
             f"tanh@{c0:.3g}",
             lambda x, c0=c0, w=width: np.tanh((x - c0) / w),
             lambda x, c0=c0, w=width: _sech2((x - c0) / w) / w,
-            tags=("saturating",),
         ))
 
     # oscillatory-damped members
@@ -152,7 +148,6 @@ def corpus_1d(support, seed=0, include_linear=False):
             lambda x, k=k, c0=c0, w=width: (-(k / w) * np.sin(k * (x - c0) / w)
                                             - (x - c0) / (2 * w ** 2) * np.cos(k * (x - c0) / w))
             * np.exp(-((x - c0) / (2 * w)) ** 2),
-            tags=("oscillatory",),
         ))
 
     # C^2 quintic bumps
@@ -165,7 +160,6 @@ def corpus_1d(support, seed=0, include_linear=False):
                 lambda x, r0=r0, r1=r1, w=w: _bump(x, r0, r1, w, w),
                 lambda x, r0=r0, r1=r1, w=w: _bump_deriv(x, r0, r1, w, w),
                 breakpoints=(r0 - w, r0, r1, r1 + w),
-                tags=("bump",),
             ))
 
     # seeded random smooth mixtures
@@ -183,32 +177,17 @@ def corpus_1d(support, seed=0, include_linear=False):
             x = np.asarray(x, dtype=float)[..., None]
             return np.sum(-2.0 * amps * bs * (x - cs) * np.exp(-bs * (x - cs) ** 2), axis=-1)
 
-        members.append(Fn1D(f"random{j}", f, df, tags=("random",)))
+        members.append(Fn1D(f"random{j}", f, df))
 
     if include_linear:
         members.append(Fn1D("linear", lambda x: np.asarray(x, dtype=float),
-                            lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                            bounded=False, tags=("linear",)))
+                            lambda x: np.ones_like(np.asarray(x, dtype=float))))
     return members
 
 
 # ---------------------------------------------------------------------------
 # n-dimensional members
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TestCorpus:
-    """A named collection of test functions with the seed that produced it."""
-
-    members: list
-    seed: int
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
 
 
 class PolarMember(TestFunction):
@@ -229,7 +208,7 @@ class PolarMember(TestFunction):
     angular rule, without evaluating it on the grid.
     """
 
-    def __init__(self, name, n, s, terms, support="full", bounded=True, tags=()):
+    def __init__(self, name, n, s, terms, support="full", bounded=True):
         terms = tuple((float(c), tuple(int(e) for e in exps)) for c, exps in terms)
         if not terms or any(len(e) != int(n) or min(e) < 0 for _, e in terms):
             raise ValueError(f"{name!r}: polar exponents {[e for _, e in terms]} are "
@@ -238,7 +217,7 @@ class PolarMember(TestFunction):
         self._radial = terms == ((1.0, (0,) * int(n)),)  # a = 1
         super().__init__(name, n, self._eval_points, self._grad_points,
                          support=support, bounded=bounded,
-                         radial_breakpoints=s.breakpoints, tags=tags)
+                         radial_breakpoints=s.breakpoints)
 
     @staticmethod
     def _radius(pts):
@@ -267,13 +246,13 @@ class PolarMember(TestFunction):
 def _radial_u_member(name, n, sigma, dsigma):
     """Member phi(x) = sigma(|x|^2); gradient 2 sigma'(|x|^2) x is smooth."""
     profile = Fn1D(name, lambda r: sigma(r * r), lambda r: 2.0 * r * dsigma(r * r))
-    return PolarMember(name, n, profile, [(1.0, (0,) * n)], tags=("radial",))
+    return PolarMember(name, n, profile, [(1.0, (0,) * n)])
 
 
-def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full", tags=()):
+def _radial_rho_member(name, n, s, ds, breakpoints=(), support="full"):
     """Member phi(x) = s(|x|) for profiles with s'(0) = 0 (or support away from 0)."""
     return PolarMember(name, n, Fn1D(name, s, ds, breakpoints=breakpoints),
-                       [(1.0, (0,) * n)], support=support, tags=("radial",) + tags)
+                       [(1.0, (0,) * n)], support=support)
 
 
 def _mono_gauss_member(name, n, exps, c):
@@ -283,8 +262,7 @@ def _mono_gauss_member(name, n, exps, c):
     profile = Fn1D(name, lambda r: r ** k * np.exp(-c * r * r),
                    lambda r: ((k * r ** (k - 1) if k else 0.0) - 2.0 * c * r ** (k + 1))
                    * np.exp(-c * r * r))
-    tags = ("angular",) if k > 0 else ("radial",)
-    return PolarMember(name, n, profile, [(1.0, exps)], tags=tags + ("poly_gauss",))
+    return PolarMember(name, n, profile, [(1.0, exps)])
 
 
 def _unit_term(n, axis, coef=1.0):
@@ -297,8 +275,7 @@ def _bump_direction_member(name, n, r0, r1, w, axis=0, support="full"):
     profile = Fn1D(name, lambda r: _bump(r, r0, r1, w, w),
                    lambda r: _bump_deriv(r, r0, r1, w, w),
                    breakpoints=(r0 - w, r0, r1, r1 + w))
-    return PolarMember(name, n, profile, [_unit_term(n, axis)], support=support,
-                       tags=("mixed", "bump"))
+    return PolarMember(name, n, profile, [_unit_term(n, axis)], support=support)
 
 
 class GaussianMixture(TestFunction):
@@ -312,11 +289,11 @@ class GaussianMixture(TestFunction):
     without reading the grid's node rows.
     """
 
-    def __init__(self, name, n, amps, centres, widths, tags=()):
+    def __init__(self, name, n, amps, centres, widths):
         amps = np.asarray(amps, dtype=float)
         centres = np.asarray(centres, dtype=float).reshape(len(amps), int(n))
         self.mixture = (amps, centres, np.asarray(widths, dtype=float))
-        super().__init__(name, n, self._eval_points, self._grad_points, tags=tags)
+        super().__init__(name, n, self._eval_points, self._grad_points)
 
     def _terms(self, pts):
         """(a_k, b_k, x - c_k, exp(-b_k |x - c_k|^2)) for each term."""
@@ -341,15 +318,15 @@ def _random_mixture_member(name, n, rng, terms=3, box=1.5):
     amps = rng.uniform(-1.0, 1.0, terms)
     cs = rng.uniform(-box, box, (terms, n))
     bs = rng.uniform(0.3, 1.2, terms)
-    return GaussianMixture(name, n, amps, cs, bs, tags=("mixed", "random"))
+    return GaussianMixture(name, n, amps, cs, bs)
 
 
 def _linear_member(name, b):
     """The unbounded linear form b . x = |x| (b . u), without its zero terms."""
     n = len(b)
-    rho = Fn1D("rho", lambda r: r, np.ones_like, bounded=False)
+    rho = Fn1D("rho", lambda r: r, np.ones_like)
     terms = [_unit_term(n, j, c) for j, c in enumerate(b) if c != 0.0]
-    return PolarMember(name, n, rho, terms, bounded=False, tags=("linear",))
+    return PolarMember(name, n, rho, terms, bounded=False)
 
 
 def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
@@ -405,7 +382,7 @@ def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
             f"bump[{r0:g},{r1:g}]w{w:g}", n,
             lambda r, r0=r0, r1=r1, w=w, wu=w_up: _bump(r, r0, r1, wu, w),
             lambda r, r0=r0, r1=r1, w=w, wu=w_up: _bump_deriv(r, r0, r1, wu, w),
-            breakpoints=bp, tags=("bump",),
+            breakpoints=bp,
         ))
 
     # monomials times Gaussian: degree <= 3, three damping scales
@@ -430,7 +407,7 @@ def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
     if include_linear:
         members += [_linear_member(f"linear_x{i + 1}", np.eye(n)[i]) for i in range(min(n, 2))]
 
-    return TestCorpus(members, seed)
+    return members
 
 
 def corpus_outside_ball(n, R, r_max=None, seed=0):
@@ -468,7 +445,7 @@ def corpus_outside_ball(n, R, r_max=None, seed=0):
             lambda r, r0=r0, r1=r1, wu=wu, wd=wd: _bump(r, r0, r1, wu, wd),
             lambda r, r0=r0, r1=r1, wu=wu, wd=wd: _bump_deriv(r, r0, r1, wu, wd),
             breakpoints=(r0 - wu, r0, r1, r1 + wd),
-            support=("outside_ball", R), tags=("bump", "tail"),
+            support=("outside_ball", R),
         ))
         if n >= 2 and idx % 2 == 0:
             members.append(_bump_direction_member(f"tail_dir{idx}", n, r0, r1, min(wu, wd),
@@ -496,9 +473,9 @@ def corpus_outside_ball(n, R, r_max=None, seed=0):
 
         members.append(_radial_rho_member(
             f"tail_random{j}", n, s, ds, breakpoints=tuple(sorted(bps)),
-            support=("outside_ball", R), tags=("random", "tail"),
+            support=("outside_ball", R),
         ))
-    return TestCorpus(members, seed)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +499,13 @@ def corpus_anisotropic(V, seed=0):
     n = V.shape[0]
     lam, Q = np.linalg.eigh(V)
     H = Q * np.sqrt(lam)
-    members = list(corpus_nd(n, seed=seed))
+    members = corpus_nd(n, seed=seed)
     for m in members:
         m.name += "@whitened"
-        m.tags += ("whitened",)
     forms = {f"linear_x{i + 1}": np.eye(n)[i] for i in range(min(n, 2))}
     forms.update(linear_top_eigvec=Q[:, -1], linear_bottom_eigvec=Q[:, 0])
     members += [_linear_member(name, H.T @ a) for name, a in forms.items()]
-    return TestCorpus(members, seed)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +521,13 @@ class SeparableMember(TestFunction):
     reduces every moment to 1-D moments on the factor rules.
     """
 
-    def __init__(self, name, shapes, combine, bounded=True, tags=()):
+    def __init__(self, name, shapes, combine, bounded=True):
         if combine not in ("product", "sum"):
             raise ValueError(f"combine must be 'product' or 'sum', not {combine!r}")
         self.shapes = tuple(shapes)
         self.combine = combine
         super().__init__(name, len(self.shapes), self._eval_points,
-                         self._grad_points, bounded=bounded, tags=tags)
+                         self._grad_points, bounded=bounded)
 
     def _eval_points(self, pts):
         vals = [g(pts[:, i]) for i, g in enumerate(self.shapes)]
@@ -597,21 +573,20 @@ def corpus_product(supports, seed=0, include_bilinear=False):
         for g in per_coord[i][:4]:
             shapes = [const] * n
             shapes[i] = g
-            members.append(SeparableMember(f"only_x{i + 1}:{g.name}", shapes,
-                                           "product", tags=("single",)))
+            members.append(SeparableMember(f"only_x{i + 1}:{g.name}", shapes, "product"))
     # genuine products
     for k in range(26):
         shapes = [draw(i) for i in range(n)]
         members.append(SeparableMember(f"prod{k}:" + "*".join(s.name for s in shapes),
-                                       shapes, "product", tags=("product",)))
+                                       shapes, "product"))
     # additive members
     for k in range(8):
         shapes = [draw(i) for i in range(n)]
-        members.append(SeparableMember(f"sum{k}", shapes, "sum", tags=("additive",)))
+        members.append(SeparableMember(f"sum{k}", shapes, "sum"))
     if include_bilinear and n >= 2:
         ident = Fn1D("id", lambda x: np.asarray(x, dtype=float),
-                     lambda x: np.ones_like(np.asarray(x, dtype=float)), bounded=False)
+                     lambda x: np.ones_like(np.asarray(x, dtype=float)))
         shapes = [ident, ident] + [const] * (n - 2)
         members.append(SeparableMember("bilinear_x1x2", shapes, "product",
-                                       bounded=False, tags=("bilinear",)))
-    return TestCorpus(members, seed)
+                                       bounded=False))
+    return members

@@ -455,36 +455,44 @@ def build_solver(d, K, cells=400, tail_mass=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def fit_decay_rate(times, thetas, window=(1e-8, 1e-1)):
+_FIT_WINDOW = (1e-8, 1e-1)
+
+
+def fit_decay_rate(times, thetas):
     """Least-squares decay rate of log theta over the window where
-    theta/theta_0 lies in [window[0], window[1]] (skips the transient and
-    the floating-point floor)."""
+    theta/theta_0 lies in [1e-8, 1e-1] (skips the transient and the
+    floating-point floor)."""
     times = np.asarray(times, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     theta0 = thetas[0]
     if theta0 <= 0.0:
         raise ValueError("initial functional is zero; nothing to fit")
     rel = thetas / theta0
-    mask = (rel >= window[0]) & (rel <= window[1]) & (thetas > 0.0)
+    mask = (rel >= _FIT_WINDOW[0]) & (rel <= _FIT_WINDOW[1]) & (thetas > 0.0)
     if mask.sum() < 5:
         raise ValueError("fewer than 5 samples in the fitting window")
     slope = np.polyfit(times[mask], np.log(thetas[mask]), 1)[0]
     return -float(slope)
 
 
-def verify_hellinger_decay(trace, c_const, slack=0.05, min_samples=20):
+# relative slack of the cumulative Hellinger bound, and the fewest samples
+# a conclusive Hellinger report needs
+_HELLINGER_SLACK, _HELLINGER_MIN_SAMPLES = 0.05, 20
+
+
+def verify_hellinger_decay(trace, c_const):
     """Surrogate checks for the almost-1/sqrt(t) Hellinger decay.
 
     Reports monotonicity of d_H^2, the decreasing tail of t * d_H^2 on the
     final third, the cumulative bound int d_H^2 ds <= (c/2) H(f_0 | f_eq)
-    within the given slack, and the per-sample L1 bound
-    ||f - f_eq||_1 <= 2 d_H.  Traces shorter than ``min_samples`` are
+    within a relative slack of 0.05, and the per-sample L1 bound
+    ||f - f_eq||_1 <= 2 d_H.  Traces of fewer than 20 samples are
     inconclusive.
     """
     out = {"status": "ok"}
-    if len(trace) < min_samples:
+    if len(trace) < _HELLINGER_MIN_SAMPLES:
         return {"status": "inconclusive",
-                "reason": f"trace has {len(trace)} < {min_samples} samples"}
+                "reason": f"trace has {len(trace)} < {_HELLINGER_MIN_SAMPLES} samples"}
     h2 = trace.hellinger2
     t = trace.times
     out["monotone"] = bool(np.all(np.diff(h2) <= 1e-9))
@@ -493,7 +501,7 @@ def verify_hellinger_decay(trace, c_const, slack=0.05, min_samples=20):
     out["t_h2_tail_decreasing"] = bool(
         np.all(np.diff(th2[tail_start:]) <= 1e-12 + 1e-9 * th2[tail_start]))
     cumulative = float(np.trapezoid(h2, t))
-    bound = 0.5 * c_const * trace.theta_entropy[0] * (1.0 + slack)
+    bound = 0.5 * c_const * trace.theta_entropy[0] * (1.0 + _HELLINGER_SLACK)
     out["cumulative_integral"] = cumulative
     out["cumulative_bound"] = bound
     out["cumulative_ok"] = bool(cumulative <= bound)

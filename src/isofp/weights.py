@@ -185,14 +185,17 @@ def quadrature_weight_function(d):
     )
 
 
-def residual_step(d, rho, h_rel=1e-3):
+_RESIDUAL_STEP = 1e-3  # relative to max(|rho|, 1)
+
+
+def residual_step(d, rho):
     """The difference step of :func:`steady_state_residual` at ``rho``:
-    h_rel max(|rho|, 1), shrunk by the support radius when that is below 1
+    1e-3 max(|rho|, 1), shrunk by the support radius when that is below 1
     so that the stencil resolves a small support."""
-    return h_rel * np.maximum(np.abs(rho), 1.0) * min(1.0, d.support_radius)
+    return _RESIDUAL_STEP * np.maximum(np.abs(rho), 1.0) * min(1.0, d.support_radius)
 
 
-def steady_state_residual(d, K, rho_grid, h_rel=1e-3):
+def steady_state_residual(d, K, rho_grid):
     """Residual of d/drho [K f] + (rho - m) f on interior grid points.
 
     The derivative is a fourth-order central difference with the step of
@@ -201,7 +204,7 @@ def steady_state_residual(d, K, rho_grid, h_rel=1e-3):
     array; callers normalise by the scale of the drift term.
     """
     rho = np.asarray(rho_grid, dtype=float)
-    h = residual_step(d, rho, h_rel)
+    h = residual_step(d, rho)
     i_plus = d.support_radius
     lo = 0.0 if not d.half_line else 1e-12
     if np.any(rho - 2 * h <= lo) or np.any(rho + 2 * h >= i_plus):
@@ -298,25 +301,28 @@ class PQPair:
                 - 8 * self.Q(x - h) + self.Q(x - 2 * h)) / (12 * h)
 
 
-def _validation_grid(domain, size=400):
+_VALIDATION_POINTS = 400
+
+
+def _validation_grid(domain):
     lo, hi = domain
     if np.isinf(hi):
         # geometric sweep covering several decades
         return np.concatenate([
-            np.geomspace(max(lo, 1e-6) + 1e-9, 1.0, size // 2),
-            np.geomspace(1.0, 1e4, size // 2),
+            np.geomspace(max(lo, 1e-6) + 1e-9, 1.0, _VALIDATION_POINTS // 2),
+            np.geomspace(1.0, 1e4, _VALIDATION_POINTS // 2),
         ])
     span = hi - lo
-    return lo + span * (np.arange(1, size + 1) / (size + 1.0))
+    return lo + span * (np.arange(1, _VALIDATION_POINTS + 1) / (_VALIDATION_POINTS + 1.0))
 
 
-def w_from_pq(pq, validation_size=400):
+def w_from_pq(pq):
     """Weight w = P / Q' of a valid pair; rejects pairs with Q' <= 0.
 
     Validity is checked on a grid: P > 0, Q' > 0, and the boundary signs
     lim_{x -> lo} Q < 0 and lim_{x -> hi} Q > 0.
     """
-    grid = _validation_grid(pq.domain, validation_size)
+    grid = _validation_grid(pq.domain)
     p_vals = np.asarray(pq.P(grid), dtype=float)
     qp_vals = pq.qprime(grid)
     if np.any(p_vals <= 0.0):
@@ -543,10 +549,15 @@ def bisect(holds, lo, hi):
     return lo, hi
 
 
-def _crossovers(f, g, lo, hi, scan=4000):
+# points of the sign-change scans of _crossovers and critical_tail_radius,
+# and of the tail grid on which critical_tail_radius verifies its R
+_SCAN_POINTS, _TAIL_CHECK_POINTS = 4000, 2000
+
+
+def _crossovers(f, g, lo, hi):
     """Radii where f - g changes sign (kinks of max(f, g)): for each sign
     change on the scan, the first float on the far side of it."""
-    r = np.linspace(lo + 1e-9, hi - 1e-9, scan)
+    r = np.linspace(lo + 1e-9, hi - 1e-9, _SCAN_POINTS)
     diff = np.asarray(f(r)) - np.asarray(g(r))
     sign = np.sign(diff)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -604,7 +615,7 @@ def _numeric_support(d):
     return bisect(lambda r: float(d.eval(r)) <= 0.0, lo, hi)[0]
 
 
-def critical_tail_radius(d, K, scan=4000, tail_check=2000):
+def critical_tail_radius(d, K):
     """Smallest R >= 0 with (n-1) K(r) / r^2 <= 1/2 for all r in [R, i_+).
 
     Vacuous in dimension one (returns 0).  Assumes the ratio envelope is
@@ -623,9 +634,9 @@ def critical_tail_radius(d, K, scan=4000, tail_check=2000):
     i_plus = d.support_radius
     r_hi = min(_numeric_support(d) * 0.98, 1e6)
     if np.isfinite(i_plus):
-        rs = np.linspace(i_plus * 1e-4, min(r_hi, i_plus * (1.0 - 1e-9)), scan)
+        rs = np.linspace(i_plus * 1e-4, min(r_hi, i_plus * (1.0 - 1e-9)), _SCAN_POINTS)
     else:
-        rs = np.geomspace(1e-4, r_hi, scan)
+        rs = np.geomspace(1e-4, r_hi, _SCAN_POINTS)
     vals = (n - 1) * K(rs) / rs ** 2 - 0.5
     if vals[-1] > 0.0:
         raise WeightError(
@@ -637,7 +648,7 @@ def critical_tail_radius(d, K, scan=4000, tail_check=2000):
     else:
         k = pos[-1]
         R = bisect(lambda r: (n - 1) * float(K(r)) / r ** 2 <= 0.5, rs[k], rs[k + 1])[1]
-    tail = np.linspace(R, rs[-1], tail_check) if R < rs[-1] else np.array([R])
+    tail = np.linspace(R, rs[-1], _TAIL_CHECK_POINTS) if R < rs[-1] else np.array([R])
     tail_vals = (n - 1) * K(tail) / np.maximum(tail, 1e-300) ** 2
     if np.any(tail_vals > 0.5 + 1e-12):
         raise WeightError("tail verification failed: ratio exceeds 1/2 beyond R")

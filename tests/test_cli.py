@@ -98,8 +98,8 @@ class TestCheckCommand:
         assert fa.read_bytes() == fb.read_bytes()
 
     def test_steep_tail_bump_passes_its_self_test(self, tmp_path):
-        # a probe of tail_bump4 lands in a rise of width 0.061, where the
-        # O(h^2) error of a plain central difference exceeds the tolerance
+        # tail_bump4 rises over a width of 0.061; its derivative is checked
+        # in test_corpus_derivatives.py, and the check passes every member
         code = main(["check", "--theorem", "refined_outside_ball",
                      "--density", "barenblatt:a=2,p=1.5,n=2", "--out", str(tmp_path)])
         assert code == 0
@@ -180,6 +180,14 @@ class TestEvolveCommand:
                      flag, value, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_perturbation_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--density", "gaussian:sigma=1,n=1",
+                  "--perturbation", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -310,21 +318,43 @@ class TestRunCommand:
         ({"dt": 0.0}, "dt must be finite and positive, got 0.0"),
         ({"dt": -1e-3}, "dt must be finite and positive, got -0.001"),
         ({"t_final": -1.0}, "t_final must be finite and nonnegative, got -1.0"),
+        ({"perturbation": "bogus"}, "solver.perturbation: unknown perturbation 'bogus'; "
+                                    "allowed: cosine, ramp, shell, tanh"),
     ])
     def test_bad_solver_block_fails_before_any_check(self, solver, message, tmp_path,
                                                      capsys, monkeypatch):
+        config = dict(TINY_CONFIG, solver=dict(TINY_CONFIG["solver"], **solver))
+        self.assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch)
+
+    def test_unknown_theorem_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
+        config = dict(TINY_CONFIG, theorems=["poincare_1d", "bogus"])
+        self.assert_fails_before_any_work(
+            config, "theorems: unknown theorem 'bogus'; allowed: poincare_1d, product, "
+            "isotropic_Wstar, refined_outside_ball, hybrid, gaussian_anisotropic",
+            tmp_path, capsys, monkeypatch)
+
+    @staticmethod
+    def assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch):
         # a task runs in a worker, whose calls never reach this list, so the
         # count is taken where the parent hands the tasks to the workers
         checked = []
         monkeypatch.setattr(cli, "_in_workers", lambda *a: checked.append(a))
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(dict(TINY_CONFIG,
-                                       solver=dict(TINY_CONFIG["solver"], **solver))))
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert checked == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run --config", "report --out"])
+    def test_missing_file_is_an_error(self, command, tmp_path, capsys):
+        # a missing config is the file itself, a missing manifest its directory
+        code = main([*command.split(), str(tmp_path / "missing")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert "missing" in err and list(tmp_path.iterdir()) == []
 
     def test_artifacts_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         digests, workers = [], []

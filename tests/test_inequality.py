@@ -73,7 +73,7 @@ def one_shape():
 
 def identity_shape():
     return Fn1D("id", lambda x: np.asarray(x, dtype=float),
-                lambda x: np.ones_like(np.asarray(x, dtype=float)), bounded=False)
+                lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 def dirichlet_form(d, w, phi):
@@ -900,7 +900,7 @@ class TestFullNodeOracle:
 
         return TestFunction(member.name, member.n, ev, member.grad, support=member.support,
                             bounded=member.bounded,
-                            radial_breakpoints=member.radial_breakpoints, self_test=False)
+                            radial_breakpoints=member.radial_breakpoints)
 
     def oracle(self, recorded, corpus):
         (grid, bp), = recorded["grids"]
@@ -924,7 +924,7 @@ class TestFullNodeOracle:
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "_ANGULAR_ORDER", 64)
             fine = quadrature.HypersphericalGrid(grid.density, tuple(sorted(bp)))
-        walker = TestFunction(phi.name, phi.n, phi, phi.grad, self_test=False)
+        walker = TestFunction(phi.name, phi.n, phi, phi.grad)
         split = None if split is None else fine.radial_values(split)
         m = grid_moments(fine, walker, [fine.radial_values(weight)], split_weight=split)
         return m if radius is None else (m, sphere_dirichlet(fine, walker, radius))

@@ -242,31 +242,6 @@ def linear_test_function(n, axis=0):
     return TestFunction("linear", n, ev, gr, bounded=False)
 
 
-class TestTestFunction:
-    def test_gradient_self_test_catches_bad_gradient(self):
-        with pytest.raises(ValueError, match="self-test"):
-            TestFunction("broken", 2,
-                         lambda p: np.einsum("ij,ij->i", p, p),
-                         lambda p: 3.0 * p)  # should be 2 p
-
-    def test_gradient_self_test_catches_small_error(self):
-        # a 2e-6 relative error is twice the self-test's tolerance
-        with pytest.raises(ValueError, match="self-test"):
-            TestFunction("slightly_off", 2,
-                         lambda p: np.einsum("ij,ij->i", p, p),
-                         lambda p: 2.0 * (1.0 + 2e-6) * p)
-
-    def test_support_flag_checked(self):
-        def ev(p):
-            return np.exp(-np.einsum("ij,ij->i", p, p))
-
-        def gr(p):
-            return -2.0 * np.exp(-np.einsum("ij,ij->i", p, p))[:, None] * p
-
-        with pytest.raises(ValueError, match="outside_ball"):
-            TestFunction("liar", 2, ev, gr, support=("outside_ball", 1.0))
-
-
 class TestVariance:
     def test_constant_is_zero(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
@@ -332,8 +307,7 @@ class TestVariance:
             safe = np.where(rho == 0.0, 1.0, rho)
             return np.where(rho < cap, 1.0, 0.0)[:, None] * p / safe[:, None]
 
-        phi = TestFunction("capped_radius", 2, ev, gr, radial_breakpoints=(cap,),
-                           self_test=False)  # kink at rho = cap
+        phi = TestFunction("capped_radius", 2, ev, gr, radial_breakpoints=(cap,))
         v = grid_variance(d, phi)
 
         marg = radial_marginal(d)
@@ -410,7 +384,7 @@ class TestSplit:
             out[:, 0] += 1.0 / safe
             return out
 
-        phi = TestFunction("cos_theta1", 3, ev, gr, self_test=False)
+        phi = TestFunction("cos_theta1", 3, ev, gr)
         radial, angular = grid_split(d, phi, const_weight(1.0))
         assert abs(radial) < 1e-20
         assert angular > 0
@@ -464,7 +438,7 @@ def linear_witness(n):
 
 def stripped(phi):
     """The same member without its factors: grid_moments walks the grid."""
-    return TestFunction(phi.name, phi.n, phi, phi.grad, self_test=False)
+    return TestFunction(phi.name, phi.n, phi, phi.grad)
 
 
 def checker_grid(kind, n):
@@ -737,7 +711,8 @@ class TestPolarMember:
         e1 = np.eye(n)[:1]
         assert np.array_equal(members["linear_x1"].grad(zero), e1)
         assert np.array_equal(members["x100_c1"].grad(zero), e1)
-        radial = [m for m in members.values() if "radial" in m.tags]
+        radial = [m for m in members.values()
+                  if isinstance(m, PolarMember) and m.polar[1] == ((1.0, (0,) * n),)]
         assert len(radial) >= 18
         for phi in radial:
             assert np.all(phi.grad(zero) == 0.0), phi.name
@@ -764,9 +739,11 @@ class TestPolarMember:
         # a bump on (0.3, 1.3) declared to vanish on |x| <= 2
         s = Fn1D("bump", lambda r: _bump(r, 0.6, 1.0, 0.3, 0.3),
                  lambda r: _bump_deriv(r, 0.6, 1.0, 0.3, 0.3), breakpoints=(0.3, 0.6, 1.0, 1.3))
-        with pytest.raises(ValueError, match="does not vanish inside"):
-            PolarMember("leaky", 2, s, [(1.0, (1, 0))], support=("outside_ball", 2.0))
-        PolarMember("tight", 2, s, [(1.0, (1, 0))], support=("outside_ball", 0.25))
+        d = make_density("gaussian", {"sigma": 1.0}, 2)
+        for R, status in ((2.0, "rejected"), (0.25, "ok")):
+            phi = PolarMember("bump_x", 2, s, [(1.0, (1, 0))], support=("outside_ball", R))
+            (rep,) = check_refined_outside_ball(d, closed_form_weight(d), R, [phi])
+            assert rep.status == status, R
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +965,7 @@ class TestShellKernels:
             Q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
             V = Q @ np.diag([0.5, 2.0, 3.5]) @ Q.T
             corpus = corpus_anisotropic(V, seed=2024)
-            assert sum("linear" in m.tags for m in corpus) == 4
+            assert sum(not m.bounded for m in corpus) == 4
         sizes, grids = count_member_calls(monkeypatch)
         passes = []
         real_angular = quadrature._mixture_angular
