@@ -87,8 +87,9 @@ def assert_members(corpus, lo, hi, seed):
 
 
 def tail_settings():
-    """(label, n, R, r_max) of the outside-ball corpus of every default n >= 2
-    density with a tail radius, and of the steep Barenblatt case."""
+    """(n, R, r_max) of the outside-ball corpus of every default n >= 2
+    density with a tail radius, and of the steep Barenblatt case, each
+    with the density as its id."""
     out = []
     for spec in DEFAULT_CONFIG["densities"] + ["barenblatt:a=2,p=1.5,n=2"]:
         d = parse_density_spec(spec)
