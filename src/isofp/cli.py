@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -37,7 +36,7 @@ from .fpsolver import (PERTURBATIONS, SolverError, TruncationError,
 from .inequality import (check_gaussian_anisotropic, check_hybrid,
                          check_isotropic_Wstar, check_poincare_1d,
                          check_product, check_refined_outside_ball,
-                         summarize_reports)
+                         covariance_eigenvalues, summarize_reports)
 
 THEOREMS = ("poincare_1d", "product", "isotropic_Wstar",
             "refined_outside_ball", "hybrid", "gaussian_anisotropic")
@@ -73,26 +72,12 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 
 
-def catalog_K(d):
-    """The diffusion weight K of a catalog density (closed form; the 1-D
-    inverse Gamma gets its integral weight x^2 / mu)."""
-    K = closed_form_weight(d)
-    if K is not None:
-        return K
-    mu = d.param("mu")
-    return wmod.WeightFunction(
-        lambda x: np.asarray(x, dtype=float) ** 2 / mu,
-        provenance="closed_form", domain=(0.0, math.inf))
-
-
 def _even_weight(K):
     """The weight x -> K(|x|) on the line, for an isotropic entry with n = 1;
     it kinks at 0 and at +-b for every breakpoint b of K."""
     bp = K.breakpoints
-    return dataclasses.replace(
-        K, fn=lambda x, fn=K.fn: fn(np.abs(np.asarray(x, dtype=float))),
-        domain=(-K.domain[1], K.domain[1]),
-        breakpoints=tuple(sorted({0.0, *bp, *(-b for b in bp)})))
+    return wmod.WeightFunction(lambda x: K(np.abs(x)),
+                               tuple(sorted({0.0, *bp, *(-b for b in bp)})))
 
 
 def marginal_weight(d):
@@ -104,7 +89,7 @@ def marginal_weight(d):
     if d.kind == "exponential_type":
         return wmod.gamma_radial_weight(d.param("beta"))
     if d.kind == "inverse_gamma_1d":
-        return catalog_K(d)
+        return closed_form_weight(d)
     return wmod.p_weight_function(radial_marginal(d).as_density1d())
 
 
@@ -180,7 +165,7 @@ def _weight_rows(d, rho):
     ``rho``; rel_err is the absolute error where K_closed is 0."""
     lbl = density_label(d)
     rows = []
-    for r, kc, kq in zip(rho, catalog_K(d)(rho), _quadrature_weight_column(d, rho)):
+    for r, kc, kq in zip(rho, closed_form_weight(d)(rho), _quadrature_weight_column(d, rho)):
         rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
         rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}", lbl])
     return rows
@@ -222,12 +207,9 @@ def reports_for_pair(d, theorem, seed, tol):
 def _pair_reports(d, theorem, seed, tol):
     n = d.n
     if theorem == "poincare_1d":
-        if d.kind == "inverse_gamma_1d":
-            f = radial_marginal(d).as_density1d()
-            w = catalog_K(d)
-        elif n == 1:
+        if n == 1 and d.kind != "inverse_gamma_1d":
             f = full_line_density(d)
-            w = _even_weight(catalog_K(d))
+            w = _even_weight(closed_form_weight(d))
         else:
             f = radial_marginal(d).as_density1d()
             w = marginal_weight(d)
@@ -262,7 +244,7 @@ def _pair_reports(d, theorem, seed, tol):
             return "tail condition applies to isotropic densities in n >= 2"
         if n == 1:
             return "tail condition is vacuous in dimension 1"
-        K = catalog_K(d)
+        K = closed_form_weight(d)
         try:
             R = wmod.critical_tail_radius(d, K)
         except wmod.WeightError as exc:
@@ -346,7 +328,7 @@ def _rate_constant_c(d):
 
 def run_evolution(d, cells=400, t_final=10.0, dt=1e-3, eps=0.1,
                   perturbation="cosine", tail_mass=1e-12):
-    solver = build_solver(d, catalog_K(d), cells=cells, tail_mass=tail_mass)
+    solver = build_solver(d, closed_form_weight(d), cells=cells, tail_mass=tail_mass)
     state = perturbed_initial_state(solver, perturbation, eps=eps)
     return solver.evolve(state, t_final, dt)
 
@@ -464,9 +446,12 @@ def run_experiment(config, out_dir):
     out_dir = Path(out_dir)
     seed = int(config.get("corpus_seed", 2024))
     tol = float(config.get("tolerances", {}).get("ratio_tol", 1e-6))
+    if "densities" not in config:
+        raise ValueError("config: missing required key 'densities'")
     densities = [parse_density_spec(s) for s in config["densities"]]
     theorems = list(config.get("theorems", THEOREMS))
-    # the theorems and the solver block are checked before any work is done
+    # densities, theorems, covariances and the march are checked before any
+    # work is done
     for theorem in theorems:
         if theorem not in THEOREMS:
             raise ValueError(f"theorems: unknown theorem {theorem!r}; "
@@ -490,8 +475,15 @@ def run_experiment(config, out_dir):
             if theorem != "gaussian_anisotropic"]
     if "gaussian_anisotropic" in theorems:
         for idx, spec in enumerate(config.get("anisotropic_covariances", [])):
-            V = np.asarray(spec["V"], dtype=float)
-            u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
+            where = f"anisotropic_covariances[{idx}]"
+            if not isinstance(spec, dict) or "V" not in spec:
+                raise ValueError(f"{where}: missing required key 'V'")
+            try:
+                V = np.asarray(spec["V"], dtype=float)
+                covariance_eigenvalues(V)
+                u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             jobs.append((f"gaussianV{idx}", "gaussian_anisotropic",
                          {"covariance": _plain(V), "mean": _plain(u)},
                          (_anisotropic_reports, V, seed, tol)))
@@ -510,7 +502,7 @@ def run_experiment(config, out_dir):
                                 WEIGHT_HEADER, rows))
         if not np.isfinite(d.support_radius) and d.kind != "inverse_gamma_1d":
             # log-log growth exponent of K at large radius (conjectured in [0, 2])
-            K = catalog_K(d)
+            K = closed_form_weight(d)
             r1, r2 = 20.0, 40.0
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
             growth_stats.append({"density": lbl, "exponent": p})
@@ -578,11 +570,7 @@ def cmd_run(args):
     if args.seed is not None:
         config["corpus_seed"] = args.seed
     out_dir = args.out or config.get("output_dir", "out")
-    try:
-        code, files, rows = run_experiment(config, out_dir)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    code, files, rows = run_experiment(config, out_dir)
     for row in rows:
         print(" | ".join(str(x) for x in row))
     print(f"wrote {len(files)} files to {out_dir}")

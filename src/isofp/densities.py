@@ -219,12 +219,11 @@ class Density1D:
     weight formula P(x).
     """
 
-    def __init__(self, name, support, pdf, mean, breakpoints=()):
+    def __init__(self, name, support, pdf, mean):
         self.name = name
         self.support = (float(support[0]), float(support[1]))
         self.pdf = pdf
         self.mean = mean
-        self.breakpoints = tuple(breakpoints)
 
     def __call__(self, x):
         return np.asarray(self.pdf(np.asarray(x, dtype=float)))
@@ -238,7 +237,6 @@ class RadialMarginal:
     """Law of |X|: f(rho) = sigma_n rho^(n-1) f_inf(rho)."""
 
     base: IsotropicDensity
-    sigma_n: float
 
     def eval(self, rho):
         return self.base.radial_weight(rho) * self.base.eval(rho)
@@ -258,7 +256,7 @@ class RadialMarginal:
 def radial_marginal(d):
     """Radial marginal of an isotropic density (the density itself for the
     1-D half-line entry, whose geometry factor is 1)."""
-    return RadialMarginal(d, d.geometry_factor)
+    return RadialMarginal(d)
 
 
 # -- common 1-D densities ----------------------------------------------------
@@ -306,8 +304,8 @@ def closed_form_weight(d):
     gaussian: K = sigma.  cauchy_type: K = (1+rho^2) / (2(beta-1)).
     exponential_type: K = (1 + beta rho) / beta^2.
     barenblatt: K = (p-1)/(2p) (a^2 - rho^2).
-    Returns None for the inverse Gamma entry (handled by the 1-D integral
-    weight P, which gives x^2/mu).
+    inverse_gamma_1d: K = x^2 / mu, its 1-D integral weight P about the
+    mean 1.
     """
     from .weights import WeightFunction  # local import avoids a module cycle
 
@@ -326,8 +324,9 @@ def closed_form_weight(d):
         coef = (p - 1.0) / (2.0 * p)
         fn = lambda r: coef * (a ** 2 - np.asarray(r, dtype=float) ** 2)
     else:
-        return None
-    return WeightFunction(fn, provenance="closed_form", domain=(0.0, d.support_radius))
+        mu = d.param("mu")
+        fn = lambda x: np.asarray(x, dtype=float) ** 2 / mu
+    return WeightFunction(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "check_refined_outside_ball",
     "check_hybrid",
     "check_gaussian_anisotropic",
+    "covariance_eigenvalues",
     "summarize_reports",
 ]
 
@@ -183,7 +184,7 @@ def _factor_rules(f, w, knots):
     probability weights, anchor, values of w).
 
     Composite Gauss rules of order 12 graded over 14 levels (7 on a finite
-    interval) split at the breakpoints of f and w and at ``knots``; the
+    interval) split at the breakpoints of w and at ``knots``; the
     halved rule cuts every panel in two (see
     :func:`~isofp.quadrature.interval_rule`).  Nodes where f underflows
     carry no mass and are dropped, so w is only needed (and may only be
@@ -192,7 +193,7 @@ def _factor_rules(f, w, knots):
     The anchor is the node of largest weight.
     """
     a, b = f.support
-    bp = tuple(set(f.breakpoints) | set(getattr(w, "breakpoints", ())) | set(knots))
+    bp = tuple(set(w.breakpoints) | set(knots))
     levels = 7 if np.isfinite(a) and np.isfinite(b) else 14
     rules = []
     for halved in (False, True):
@@ -311,7 +312,7 @@ def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL):
                 details={"reason": f"support not confined outside the ball of radius {R}"}))
         else:
             admissible.append(phi)
-    grid = build_grid(d, admissible, extra_breakpoints=(R, *getattr(K, "breakpoints", ())))
+    grid = build_grid(d, admissible, extra_breakpoints=(R, *K.breakpoints))
     K_nodes = grid.radial_values(K)
     for phi in admissible:
         m = grid_moments(grid, phi, [K_nodes])
@@ -334,7 +335,7 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
     """
     if d.n < 2:
         raise ValueError("the hybrid check needs n >= 2")
-    W = hybrid_weight(d, w_radial, K, R)
+    W = hybrid_weight(w_radial, K, R)
     f_R = float(d.eval(R))
     if c_R is None:
         c_R = R ** 3 / (R ** d.n * f_R) if f_R > 0 else 0.0
@@ -365,6 +366,23 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
     return _sorted(reports)
 
 
+def covariance_eigenvalues(V):
+    """The eigenvalues of the covariance matrix V in ascending order; raises
+    ValueError unless V is a finite, square, symmetric, positive definite
+    matrix."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise ValueError("V must be a square matrix")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("V must be finite")
+    if not np.allclose(V, V.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(V).max())):
+        raise ValueError("V must be symmetric")
+    lam = np.linalg.eigvalsh(V)
+    if np.any(lam <= 0.0):
+        raise ValueError("V must be positive definite")
+    return lam
+
+
 def check_gaussian_anisotropic(V, corpus, tol=DEFAULT_RATIO_TOL):
     """Var[phi] <= (max eigenvalue of V) E[|grad phi|^2] under the Gaussian
     N(u, V), for members given in whitened coordinates.
@@ -378,16 +396,9 @@ def check_gaussian_anisotropic(V, corpus, tol=DEFAULT_RATIO_TOL):
     lambda_max E[|grad_x phi|^2] = E[sum_i c_i (d psi / d y_i)^2] with c_i =
     lambda_max / lambda_i.  The mean u drops out of both.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise ValueError("V must be a square matrix")
-    if not np.allclose(V, V.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(V).max())):
-        raise ValueError("V must be symmetric")
-    lam = np.linalg.eigvalsh(V)
-    if np.any(lam <= 0.0):
-        raise ValueError("V must be positive definite")
+    lam = covariance_eigenvalues(V)
     lam_max = float(lam.max())
-    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, len(V)), corpus)
+    grid = build_grid(make_density("gaussian", {"sigma": 1.0}, len(lam)), corpus)
     ones = np.ones_like(grid.r_nodes)
     reports = []
     for phi in corpus:

@@ -57,7 +57,7 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """An evaluable weight rho -> w(rho) >= 0 with provenance metadata.
+    """An evaluable weight rho -> w(rho) >= 0 and its kinks.
 
     ``breakpoints`` lists interior kinks (e.g. the crossover of a composite
     max, or the switching radius of the hybrid weight) so quadrature grids
@@ -65,19 +65,10 @@ class WeightFunction:
     """
 
     fn: Callable
-    provenance: str
-    domain: tuple
-    params: tuple = ()
     breakpoints: tuple = ()
 
     def __call__(self, rho):
         return np.asarray(self.fn(np.asarray(rho, dtype=float)), dtype=float)
-
-    def param(self, name, default=None):
-        for key, val in self.params:
-            if key == name:
-                return val
-        return default
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +86,7 @@ _GRADING = 0.5 ** np.arange(1, 11)
 _BLOCK_POINTS = 64
 
 
-def cumulative_integral(g, support, split, x, breakpoints=()):
+def cumulative_integral(g, support, split, x):
     """int_a^x g for x <= split and int_x^b g for x > split, for every x.
 
     ``g`` is vectorised and nonnegative on the support (a, b), either end of
@@ -112,17 +103,16 @@ def cumulative_integral(g, support, split, x, breakpoints=()):
     """
     a, b = support
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    bp = np.asarray(breakpoints, dtype=float)
     out = np.empty(xs.shape)
     left = xs <= split
     if np.any(left):
-        out[left] = _tail_integrals(lambda u: g(-u), -split, -a, -xs[left], -bp)
+        out[left] = _tail_integrals(lambda u: g(-u), -split, -a, -xs[left])
     if not np.all(left):
-        out[~left] = _tail_integrals(g, max(a, split), b, xs[~left], bp)
+        out[~left] = _tail_integrals(g, max(a, split), b, xs[~left])
     return out.reshape(np.shape(x))
 
 
-def _tail_integrals(h, lo, hi, xs, breakpoints):
+def _tail_integrals(h, lo, hi, xs):
     """int_x^hi h for every x in [lo, hi); ``hi`` may be infinite."""
     pts, inverse = np.unique(xs, return_inverse=True)
     ends = np.append(pts[1:], hi)  # each point's gap runs to the next point
@@ -136,8 +126,7 @@ def _tail_integrals(h, lo, hi, xs, breakpoints):
     for i in range(0, len(pts), _BLOCK_POINTS):
         j = min(i + _BLOCK_POINTS, len(pts))
         start, stop = pts[i], ends[j - 1]
-        inner = breakpoints[(breakpoints > start) & (breakpoints < stop)]
-        edges = np.concatenate([pts[i + 1:j], graded[i:j].ravel(), inner])
+        edges = np.concatenate([pts[i + 1:j], graded[i:j].ravel()])
         nodes, wts = interval_rule(start, stop, order=_CUMULATIVE_ORDER, breakpoints=edges)
         panels = (wts * h(nodes)).reshape(-1, _CUMULATIVE_ORDER).sum(axis=1)
         # each point is a panel edge, so its gap starts at the first panel
@@ -178,11 +167,7 @@ def weight_from_density(d, rho):
 
 def quadrature_weight_function(d):
     """The quadrature weight wrapped as a WeightFunction."""
-    return WeightFunction(
-        lambda r: weight_from_density(d, r),
-        provenance="quadrature",
-        domain=(0.0, d.support_radius),
-    )
+    return WeightFunction(lambda r: weight_from_density(d, r))
 
 
 _RESIDUAL_STEP = 1e-3  # relative to max(|rho|, 1)
@@ -242,8 +227,7 @@ def p_weight_1d(f, m, x):
     fx = np.asarray(f(xs), dtype=float)
     if np.any(fx <= 0.0):
         raise WeightError(f"density {f.name} vanishes at x = {xs[fx <= 0.0].flat[0]}")
-    num = cumulative_integral(lambda y: np.abs(m - y) * f(y), f.support, m, xs,
-                              f.breakpoints)
+    num = cumulative_integral(lambda y: np.abs(m - y) * f(y), f.support, m, xs)
     out = num / fx
     return out if np.ndim(x) else float(out)
 
@@ -261,13 +245,7 @@ def p_weight_function(f):
 
     P is built piecewise at the mean m, so m is its breakpoint."""
     m = _finite_mean(f)
-    return WeightFunction(
-        lambda x: p_weight_1d(f, m, x),
-        provenance="pq_family",
-        domain=f.support,
-        params=(("drift", "linear"),),
-        breakpoints=(m,),
-    )
+    return WeightFunction(lambda x: p_weight_1d(f, m, x), breakpoints=(m,))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +267,6 @@ class PQPair:
     Q: Callable
     domain: tuple
     Qprime: Optional[Callable] = None
-    alpha: Optional[float] = None
     name: str = "pq"
 
     def qprime(self, x):
@@ -337,13 +314,7 @@ def w_from_pq(pq):
     if q_lo >= 0.0 or q_hi <= 0.0:
         raise WeightError(f"{pq.name}: drift boundary signs violated "
                           f"(Q(lo+) = {q_lo:.3g}, Q(hi-) = {q_hi:.3g})")
-    params = () if pq.alpha is None else (("alpha", pq.alpha),)
-    return WeightFunction(
-        lambda x: np.asarray(pq.P(x), dtype=float) / pq.qprime(x),
-        provenance="pq_family",
-        domain=pq.domain,
-        params=params + (("pair", pq.name),),
-    )
+    return WeightFunction(lambda x: np.asarray(pq.P(x), dtype=float) / pq.qprime(x))
 
 
 def cauchy_pq(beta, n, alpha):
@@ -375,7 +346,7 @@ def cauchy_pq(beta, n, alpha):
         term3 = (n - 1) * s ** alpha / r ** 2
         return term1 + term2 + term3
 
-    return PQPair(P, Q, (0.0, math.inf), Qprime=Qp, alpha=alpha,
+    return PQPair(P, Q, (0.0, math.inf), Qprime=Qp,
                   name=f"cauchy_pq(beta={beta},n={n},alpha={alpha})")
 
 
@@ -407,7 +378,7 @@ def barenblatt_pq(a, p, n, alpha):
         term2 = (n - 1) * s ** (alpha - 1.0) * (a ** 2 + (2.0 * alpha - 1.0) * r ** 2) / r ** 2
         return term1 + term2
 
-    return PQPair(P, Q, (0.0, a), Qprime=Qp, alpha=alpha,
+    return PQPair(P, Q, (0.0, a), Qprime=Qp,
                   name=f"barenblatt_pq(a={a},p={p},n={n},alpha={alpha})")
 
 
@@ -456,12 +427,7 @@ def optimal_cauchy_weight(beta, n):
     alpha_max = alpha_stat if alpha_stat <= 1.0 else 1.0
     h_max = (2.0 * alpha_max - 1.0) * (beta_star - alpha_max)
     coef = 1.0 / (2.0 * h_max)
-    return WeightFunction(
-        lambda r: coef * (1.0 + np.asarray(r, dtype=float) ** 2),
-        provenance="pq_family",
-        domain=(0.0, math.inf),
-        params=(("alpha", alpha_max), ("beta", beta), ("coefficient", coef)),
-    )
+    return WeightFunction(lambda r: coef * (1.0 + np.asarray(r, dtype=float) ** 2))
 
 
 def optimal_barenblatt_weight(p, n, a):
@@ -476,24 +442,14 @@ def optimal_barenblatt_weight(p, n, a):
         raise WeightError("requires p > 1 and a > 0")
     beta = 1.0 / (p - 1.0)
     coef = 1.0 / (2.0 * (n + beta))  # equals (p-1)/(2(n(p-1)+1))
-    return WeightFunction(
-        lambda r: coef * (a ** 2 - np.asarray(r, dtype=float) ** 2),
-        provenance="pq_family",
-        domain=(0.0, a),
-        params=(("alpha", 1.0), ("beta", beta), ("coefficient", coef)),
-    )
+    return WeightFunction(lambda r: coef * (a ** 2 - np.asarray(r, dtype=float) ** 2))
 
 
 def gamma_radial_weight(beta):
     """Weight w(rho) = rho / beta for the radial marginal of the
     exponential-type density exp(-beta rho), the Gamma(n, rate beta) law:
     its P weight (Stein kernel), sharp for phi = rho (Var = n / beta^2)."""
-    return WeightFunction(
-        lambda r: np.asarray(r, dtype=float) / beta,
-        provenance="closed_form",
-        domain=(0.0, math.inf),
-        params=(("beta", beta),),
-    )
+    return WeightFunction(lambda r: np.asarray(r, dtype=float) / beta)
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +478,7 @@ def angular_weight(i, n, theta):
 
 
 def angular_weight_function(i, n):
-    return WeightFunction(
-        lambda th: angular_weight(i, n, th),
-        provenance="angular",
-        domain=(0.0, 2.0 * math.pi if i == n - 1 else math.pi),
-        params=(("index", i),),
-    )
+    return WeightFunction(lambda th: angular_weight(i, n, th))
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +522,10 @@ def composite_Wstar(d, w_radial):
     hi = min(_numeric_support(d) * 0.95, 100.0) if not np.isfinite(d.support_radius) \
         else d.support_radius
     kinks = _crossovers(w_radial, quad_part, 0.0, hi)
-    return WeightFunction(
-        lambda r: np.maximum(w_radial(r), quad_part(r)),
-        provenance="composite_wstar",
-        domain=(0.0, d.support_radius),
-        params=w_radial.params,
-        breakpoints=kinks,
-    )
+    return WeightFunction(lambda r: np.maximum(w_radial(r), quad_part(r)), breakpoints=kinks)
 
 
-def hybrid_weight(d, w_radial, K, R):
+def hybrid_weight(w_radial, K, R):
     """Weight of the hybrid inequality:
     max(w(rho), rho^2) for rho <= R and K(rho) for rho > R."""
     sq = lambda r: np.asarray(r, dtype=float) ** 2
@@ -591,10 +536,7 @@ def hybrid_weight(d, w_radial, K, R):
         inner = np.maximum(w_radial(r), sq(r))
         return np.where(r <= R, inner, K(r))
 
-    return WeightFunction(
-        fn, provenance="hybrid", domain=(0.0, d.support_radius),
-        params=(("R", float(R)),), breakpoints=kinks,
-    )
+    return WeightFunction(fn, breakpoints=kinks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
-from isofp.densities import make_density
-from isofp.cli import catalog_K
+from isofp.densities import closed_form_weight, make_density
 from isofp.fpsolver import build_solver, perturbed_initial_state
 
 
@@ -25,7 +24,7 @@ def cauchy_4_1():
 
 
 def _evolution(d, cells):
-    solver = build_solver(d, catalog_K(d), cells=cells)
+    solver = build_solver(d, closed_form_weight(d), cells=cells)
     state = perturbed_initial_state(solver, "cosine", eps=0.1)
     trace = solver.evolve(state, 10.0, 1e-3, sample_every=0.01)
     return solver, trace

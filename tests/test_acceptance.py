@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from isofp.cli import catalog_K, reports_for_pair
+from isofp.cli import reports_for_pair
 from isofp.corpus import corpus_anisotropic
 from isofp.densities import make_density, parse_density_spec, closed_form_weight
 from isofp.fpsolver import build_solver, perturbed_initial_state, verify_hellinger_decay
@@ -64,7 +64,7 @@ def test_criterion_02_steady_state_residual():
     cases = WEIGHT_MATRIX + [("inverse_gamma_1d", {"mu": 2.0}, 1)]
     for kind, params, n in cases:
         d = make_density(kind, params, n)
-        K = catalog_K(d)
+        K = closed_form_weight(d)
         hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
         lo = 0.3 if kind == "inverse_gamma_1d" else 0.02 * hi
         rho = np.linspace(lo, 0.95 * hi, 60)
@@ -161,7 +161,7 @@ def test_criterion_05_alpha_family_optimizer():
         alpha_num, h_num = maximize_family_constant(
             lambda a: (2.0 * a - 1.0) * (beta_star - a))
         coef_num = 1.0 / (2.0 * h_num)
-        coef_cf = optimal_cauchy_weight(beta, n).param("coefficient")
+        coef_cf = float(optimal_cauchy_weight(beta, n)(0.0))
         worst = max(worst, abs(coef_num - coef_cf))
     bar_sweep = [(2.0, 1), (2.0, 2), (3.0, 2), (1.5, 3), (4.0, 3),
                  (2.5, 1), (1.2, 2), (5.0, 2), (3.5, 3), (2.0, 3)]
@@ -170,7 +170,7 @@ def test_criterion_05_alpha_family_optimizer():
         _, h_num = maximize_family_constant(
             lambda a: (2.0 * a - 1.0) * (a + beta + n - 1.0))
         coef_num = 1.0 / (2.0 * h_num)
-        coef_cf = optimal_barenblatt_weight(p, n, 1.0).param("coefficient")
+        coef_cf = float(optimal_barenblatt_weight(p, n, 1.0)(0.0))
         worst = max(worst, abs(coef_num - coef_cf))
     _verdict(5, "numeric alpha optimizer reproduces both closed-form branches",
              worst < 1e-10, t0, f"max coefficient error {worst:.2e}")
@@ -186,7 +186,7 @@ def test_criterion_06_fixed_point_and_conservation():
                             ("barenblatt", {"a": 1.0, "p": 2.0}, 2),
                             ("inverse_gamma_1d", {"mu": 2.0}, 1)]:
         d = make_density(kind, params, n)
-        solver = build_solver(d, catalog_K(d), cells=400)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
         state = solver.steady_state()
         out = state
         for _ in range(200):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import isofp.cli as cli
-from isofp.cli import main, catalog_K, marginal_weight, reports_for_pair
+from isofp.cli import main, marginal_weight, reports_for_pair
 from isofp.corpus import corpus_1d
-from isofp.densities import full_line_density, make_density, parse_density_spec
+from isofp.densities import (closed_form_weight, full_line_density, make_density,
+                              parse_density_spec, radial_marginal)
 from isofp.inequality import check_poincare_1d, summarize_reports
+from isofp.weights import p_weight_1d
 
 
 # a 1-D pair, a product pair, an n-D pair, skipped pairs, one covariance,
@@ -333,6 +335,25 @@ class TestRunCommand:
             "isotropic_Wstar, refined_outside_ball, hybrid, gaussian_anisotropic",
             tmp_path, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"densities": None}, "config: missing required key 'densities'"),
+        ({"anisotropic_covariances": [{"u": [0.0, 0.0]}]},
+         "anisotropic_covariances[0]: missing required key 'V'"),
+        ({"anisotropic_covariances": [{"V": [[1.0, 0.0], [0.0, 1.0]]},
+                                      {"V": [[1.0, 0.0], [0.0, -1.0]]}]},
+         "anisotropic_covariances[1]: V must be positive definite"),
+        ({"anisotropic_covariances": [{"V": [[1.0, 0.5], [0.0, 1.0]]}]},
+         "anisotropic_covariances[0]: V must be symmetric"),
+        ({"anisotropic_covariances": [{"V": [1.0, 1.0]}]},
+         "anisotropic_covariances[0]: V must be a square matrix"),
+    ], ids=["no-densities", "no-V", "indefinite-V", "asymmetric-V", "non-square-V"])
+    def test_bad_config_fails_before_any_work(self, change, message, tmp_path, capsys,
+                                              monkeypatch):
+        config = dict(TINY_CONFIG, theorems=["poincare_1d", "gaussian_anisotropic"],
+                      **change)
+        config = {k: v for k, v in config.items() if v is not None}
+        self.assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch)
+
     @staticmethod
     def assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch):
         # a task runs in a worker, whose calls never reach this list, so the
@@ -450,14 +471,11 @@ class TestRunCommand:
 
 
 class TestHelpers:
-    def test_catalog_K_inverse_gamma(self):
-        d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
-        K = catalog_K(d)
-        assert abs(float(K(3.0)) - 4.5) < 1e-14
-
     def test_marginal_weight_kinds(self):
         g = make_density("gaussian", {"sigma": 1.0}, 3)
-        assert marginal_weight(g).provenance == "pq_family"
+        x = np.array([0.3, 1.0, 2.5])
+        P = p_weight_1d(radial_marginal(g).as_density1d(), None, x)
+        assert np.array_equal(marginal_weight(g)(x), P)
         c = make_density("cauchy_type", {"beta": 4.0}, 3)
         assert abs(float(marginal_weight(c)(0.0)) - 0.25) < 1e-14
 
@@ -488,8 +506,8 @@ class TestLineEntries:
     def test_exponential_fails_under_shrunk_weight(self, monkeypatch):
         d = parse_density_spec(self.SPEC)
         base = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
-        real = cli.catalog_K
-        monkeypatch.setattr(cli, "catalog_K", lambda d: dataclasses.replace(
+        real = cli.closed_form_weight
+        monkeypatch.setattr(cli, "closed_form_weight", lambda d: dataclasses.replace(
             real(d), fn=lambda r, fn=real(d).fn: 1e-3 * fn(r)))
         shrunk = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
         assert summarize_reports(shrunk)["failed"] > 0
@@ -504,6 +522,6 @@ class TestLineEntries:
         d = parse_density_spec(spec)
         f = full_line_density(d)
         corpus = corpus_1d(f.support, seed=2024, include_linear=d.kind == "gaussian")
-        signed = check_poincare_1d(f, catalog_K(d), corpus)
+        signed = check_poincare_1d(f, closed_form_weight(d), corpus)
         got = reports_for_pair(d, "poincare_1d", 2024, 1e-6)
         assert [dataclasses.asdict(r) for r in got] == [dataclasses.asdict(r) for r in signed]

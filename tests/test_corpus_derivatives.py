@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from isofp.cli import DEFAULT_CONFIG, catalog_K
+from isofp.cli import DEFAULT_CONFIG
 from isofp.corpus import (Fn1D, PolarMember, corpus_1d, corpus_anisotropic,
                           corpus_nd, corpus_outside_ball, corpus_product)
 from isofp.densities import closed_form_weight, make_density, parse_density_spec
@@ -96,7 +96,7 @@ def tail_settings():
         if d.n < 2:
             continue
         try:
-            R = critical_tail_radius(d, catalog_K(d))
+            R = critical_tail_radius(d, closed_form_weight(d))
         except WeightError:
             continue
         out.append(pytest.param(d.n, R, d.support_radius, id=spec))

@@ -33,8 +33,7 @@ def oracle_mass(d):
 def oracle_moment_1d(f, k=0):
     """int x^k f(x) dx over the support of a 1-D density."""
     a, b = f.support
-    val, _ = integrate_interval(lambda x: x ** k * float(f(x)), a, b, ORACLE,
-                                f.breakpoints)
+    val, _ = integrate_interval(lambda x: x ** k * float(f(x)), a, b, ORACLE)
     return val
 
 MASS_MATRIX = [
@@ -227,7 +226,7 @@ class TestRadialMarginal:
     def test_inverse_gamma_marginal_is_itself(self):
         d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
         marg = radial_marginal(d)
-        assert marg.sigma_n == 1.0
+        assert d.geometry_factor == 1.0
         assert abs(marg.eval(1.3) - d.eval(1.3)) < 1e-16
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -281,6 +280,7 @@ class TestSteadyState:
         ("gaussian", {"sigma": 2.5}, 2),
         ("cauchy_type", {"beta": 3.0}, 2),
         ("exponential_type", {"beta": 2.0}, 3),
+        ("inverse_gamma_1d", {"mu": 2.0}, 1),
     ])
     def test_closed_form_weight_residual(self, kind, params, n):
         d = make_density(kind, params, n)
@@ -298,9 +298,10 @@ class TestSteadyState:
         scale = np.max(np.abs(rho * d.eval(rho)))
         assert np.max(np.abs(res)) < 1e-6 * scale
 
-    def test_inverse_gamma_has_no_closed_form(self):
+    def test_inverse_gamma_closed_form(self):
         d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
-        assert closed_form_weight(d) is None
+        K = closed_form_weight(d)
+        assert abs(float(K(3.0)) - 4.5) < 1e-14
 
 
 class TestHelpers:

@@ -6,7 +6,6 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrs
 
 from isofp import quadrature
-from isofp.cli import catalog_K
 from isofp.densities import (
     closed_form_weight,
     make_density,
@@ -29,8 +28,7 @@ from conftest import CATALOG_REPRESENTATIVES
 
 
 def bad_weight():
-    return WeightFunction(lambda r: np.asarray(r, dtype=float) - 2.0,
-                          "closed_form", (0.0, math.inf))
+    return WeightFunction(lambda r: np.asarray(r, dtype=float) - 2.0)
 
 
 class TestRadialGrid:
@@ -133,7 +131,7 @@ class TestGridGeometry:
     @pytest.mark.parametrize("spec", ["cauchy:beta=4,n=3", "inverse_gamma:mu=2,n=1"])
     def test_mass_after_100_steps(self, spec):
         d = parse_density_spec(spec)
-        solver = build_solver(d, catalog_K(d), cells=400)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
         state = perturbed_initial_state(solver, "cosine", eps=0.1)
         values = state.values
         for _ in range(100):
@@ -153,9 +151,7 @@ class TestBuildSolver:
 
     def test_rejects_inconsistent_weight(self):
         d = make_density("gaussian", {"sigma": 1.0}, 1)
-        wrong = WeightFunction(
-            lambda r: np.full_like(np.asarray(r, dtype=float), 3.0),
-            "closed_form", (0.0, math.inf))
+        wrong = WeightFunction(lambda r: np.full_like(np.asarray(r, dtype=float), 3.0))
         with pytest.raises(SolverError, match="inconsistent"):
             build_solver(d, wrong, cells=64)
 
@@ -164,7 +160,7 @@ class TestBuildSolver:
         # support radius 0.5: the steady-state check must keep every probe's
         # stencil inside the support
         d = parse_density_spec(f"barenblatt:a=0.5,p=3,n={n}")
-        solver = build_solver(d, catalog_K(d), cells=400)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
         trace = solver.evolve(perturbed_initial_state(solver, "cosine", eps=0.1), 1.0, 1e-3)
         assert np.all(np.diff(trace.theta_chi2) <= 1e-9)
         assert trace.theta_chi2[-1] < 1e-2 * trace.theta_chi2[0]
@@ -177,7 +173,7 @@ class TestBuildSolver:
         d = parse_density_spec(f"barenblatt:a={a},p=3,n=1")
         rho = np.linspace(0.1, 0.9, 9) * d.support_radius
         assert np.array_equal(residual_step(d, rho), 1e-3 * np.maximum(rho, 1.0) * a)
-        K = catalog_K(d)
+        K = closed_form_weight(d)
         res = steady_state_residual(d, K, rho) / np.max(rho * d.eval(rho))
         assert np.max(np.abs(res)) < 1e-6
         build_solver(d, K, cells=400)
@@ -191,7 +187,7 @@ class TestBuildSolver:
         # the probes keep off both ends of the grid, so one cell has none
         d = parse_density_spec("barenblatt:a=1,p=3,n=1")
         with pytest.raises(SolverError, match="no steady-state probe lies 2h inside"):
-            build_solver(d, catalog_K(d), cells=1)
+            build_solver(d, closed_form_weight(d), cells=1)
 
     def test_barenblatt_boundary_flux_vanishes(self):
         d = make_density("barenblatt", {"a": 1.0, "p": 2.0}, 2)
@@ -206,7 +202,7 @@ class TestBuildSolver:
 
     def test_inverse_gamma_discrete_steady_residual(self):
         d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
-        solver = build_solver(d, catalog_K(d), cells=400)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
         state = solver.steady_state()
         residual = solver.apply_flux_divergence(solver.quotient(state))
         assert np.max(np.abs(residual)) < 1e-10
@@ -216,7 +212,7 @@ class TestFixedPointAndConservation:
     @pytest.mark.parametrize("kind,params,n", CATALOG_REPRESENTATIVES)
     def test_equilibrium_is_fixed(self, kind, params, n):
         d = make_density(kind, params, n)
-        solver = build_solver(d, catalog_K(d), cells=400)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
         state = solver.steady_state()
         out = state
         for _ in range(20):
@@ -226,7 +222,7 @@ class TestFixedPointAndConservation:
         assert abs(out.mass - state.mass) < 1e-10 * state.mass
 
     def test_mass_per_step(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=200)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=200)
         state = perturbed_initial_state(solver, "tanh", eps=0.2)
         m0 = state.mass
         for _ in range(5):
@@ -250,7 +246,7 @@ class TestFactoredStep:
     @pytest.mark.parametrize("kind,params,n", CATALOG_REPRESENTATIVES)
     def test_matches_banded_solve(self, kind, params, n):
         d = make_density(kind, params, n)
-        solver = build_solver(d, catalog_K(d), cells=300)
+        solver = build_solver(d, closed_form_weight(d), cells=300)
         state = perturbed_initial_state(solver, "shell", eps=0.2)
         # a new step size refactors; returning to the first one does too
         for dt in (1e-3, 0.05, 1e-3):
@@ -261,14 +257,14 @@ class TestFactoredStep:
 
 class TestFunctionals:
     def test_equilibrium_gives_zero(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=128)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=128)
         state = solver.steady_state()
         for kind in ("chi2", "entropy", "hellinger2"):
             assert abs(solver.theta(state, kind)) < 1e-14
             assert abs(solver.dissipation(state, kind)) < 1e-14
 
     def test_two_level_split_gives_eps_squared(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=400)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=400)
         state = solver.steady_state()
         masses = state.values * solver.grid.cell_volumes
         cum = np.cumsum(masses) / masses.sum()
@@ -282,7 +278,7 @@ class TestFunctionals:
         assert abs(chi2 - eps ** 2 * state.mass) < 1e-12
 
     def test_entropy_requires_positive_quotient(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=64)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=64)
         state = solver.steady_state()
         vals = state.values.copy()
         vals[3] = 0.0
@@ -362,7 +358,7 @@ class TestDecay:
 
 class TestInitialData:
     def test_perturbation_bounds(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=128)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=128)
         for name in ("cosine", "tanh", "shell", "ramp"):
             state = perturbed_initial_state(solver, name, eps=0.2)
             F = solver.quotient(state)
@@ -370,7 +366,7 @@ class TestInitialData:
             assert abs(state.mass - solver.steady_state().mass) < 1e-12
 
     def test_eps_guard(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, catalog_K(gaussian_1d), cells=64)
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=64)
         with pytest.raises(ValueError, match="eps"):
             perturbed_initial_state(solver, "cosine", eps=0.5)
 

@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
 
-from isofp.cli import catalog_K, marginal_weight
+from isofp.cli import marginal_weight
 from isofp.corpus import (
     Fn1D,
     SeparableMember,
@@ -62,8 +62,7 @@ from isofp.weights import (
 
 
 def unit_weight():
-    return WeightFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          "closed_form", (-math.inf, math.inf))
+    return WeightFunction(lambda x: np.ones_like(np.asarray(x, dtype=float)))
 
 
 def one_shape():
@@ -179,7 +178,7 @@ NESTED = Integrator(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400)
 def nested_poincare_1d(f, w, phi):
     """(lhs, rhs) by three adaptive integrals with w inside the integrand."""
     a, b = f.support
-    bp = tuple(set(phi.breakpoints) | set(f.breakpoints) | set(w.breakpoints))
+    bp = tuple(set(phi.breakpoints) | set(w.breakpoints))
     shift = float(phi(f.mean))
     mean, _ = integrate_interval(lambda x: (float(phi(x)) - shift) * float(f(x)),
                                  a, b, NESTED, bp)
@@ -212,9 +211,9 @@ def line_problem(spec):
     """The density and weight that ``reports_for_pair`` checks for ``spec``."""
     d = parse_density_spec(spec)
     if d.n == 1 and not d.half_line:
-        return full_line_density(d), catalog_K(d)
+        return full_line_density(d), closed_form_weight(d)
     f = radial_marginal(d).as_density1d()
-    return f, (catalog_K(d) if d.half_line else marginal_weight(d))
+    return f, (closed_form_weight(d) if d.half_line else marginal_weight(d))
 
 
 class TestPoincare1DAgainstNested:
@@ -237,7 +236,7 @@ class TestPoincare1DAgainstNested:
         # check's tabulated P is compared as well
         w_oracle = w
         if spec == "gaussian:sigma=1,n=3":
-            w_oracle = WeightFunction(chi3_P, "closed_form", f.support)
+            w_oracle = WeightFunction(chi3_P)
         for phi in corpus:
             rep = reports[phi.name]
             lhs, rhs = nested_poincare_1d(f, w_oracle, phi)
@@ -412,7 +411,7 @@ class TestWstar:
         w = gamma_radial_weight(1.0)
         corpus = list(corpus_nd(2, seed=3))[:8]
         base = check_isotropic_Wstar(d, corpus, w)
-        doubled = WeightFunction(lambda r: 2.0 * w(r), "closed_form", w.domain)
+        doubled = WeightFunction(lambda r: 2.0 * w(r))
         inflated = check_isotropic_Wstar(d, corpus, doubled)
         for rb, ri in zip(base, inflated):
             assert ri.rhs >= rb.rhs * (1.0 - 1e-12)
@@ -617,7 +616,7 @@ class TestHybrid:
         # the volume term reduces to the inner weight max(w, rho^2)
         inner = WeightFunction(
             lambda rr: np.maximum(w(rr), np.asarray(rr, dtype=float) ** 2),
-            "closed_form", (0.0, math.inf), breakpoints=(r1, r1 + wd))
+            breakpoints=(r1, r1 + wd))
         direct = dirichlet_form(d, inner, phi)
         assert abs(r.details["volume_term"] - direct) < 1e-10 * max(direct, 1e-12)
 
@@ -980,7 +979,7 @@ class TestFullNodeOracle:
         corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
         reports = check_hybrid(d, w, K, R, corpus)
         nodes, by_name = self.oracle(recorded, corpus)
-        W_nodes = nodes.radial(inequality.hybrid_weight(d, w, K, R))
+        W_nodes = nodes.radial(inequality.hybrid_weight(w, K, R))
         sphere = _to_cartesian(np.full(len(nodes.theta), R), nodes.theta)
         f_R = float(d.eval(R))
         assert any(r.details["surface_term"] > 1e-3 for r in reports)
@@ -992,7 +991,7 @@ class TestFullNodeOracle:
             on_sphere = float(np.dot(nodes.ang_w, np.einsum("ij,ij->i", gs, gs)))
             if phi.mixture is not None:
                 m, on_sphere = self.fine_walk(recorded, phi, monkeypatch,
-                                              inequality.hybrid_weight(d, w, K, R), radius=R)
+                                              inequality.hybrid_weight(w, K, R), radius=R)
                 lhs, (volume,) = m.variance, m.dirichlet
             surface = f_R * R ** (d.n - 1) * on_sphere
             assert close(rep.lhs, lhs)

@@ -47,8 +47,7 @@ from isofp.weights import (
 
 
 def const_weight(c, hi=math.inf):
-    return WeightFunction(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                          "closed_form", (0.0, hi))
+    return WeightFunction(lambda r: np.full_like(np.asarray(r, dtype=float), c))
 
 
 def grid_variance(d, phi, grid=None):
@@ -343,8 +342,7 @@ class TestWeightedDirichlet:
     def test_dimensional_reduction_oracle(self):
         # radial integrand reduces to a 1-D integral against the marginal
         d = make_density("exponential_type", {"beta": 1.0}, 2)
-        w = WeightFunction(lambda r: 1.0 + np.asarray(r, dtype=float),
-                           "closed_form", (0.0, math.inf))
+        w = WeightFunction(lambda r: 1.0 + np.asarray(r, dtype=float))
 
         def ev(p):
             return np.exp(-np.linalg.norm(p, axis=1))
@@ -454,7 +452,7 @@ def checker_grid(kind, n):
         corpus, weights, split = corpus_outside_ball(n, R, seed=2024), [K], K
         bp = (R, *K.breakpoints)
     else:
-        W = hybrid_weight(d, w, K, R)
+        W = hybrid_weight(w, K, R)
         corpus, weights, split, bp = corpus_nd(n, seed=2024), [W], W, W.breakpoints
     grid = build_grid(d, corpus, extra_breakpoints=bp)
     return (grid, [grid.radial_values(v) for v in weights], grid.radial_values(split), R)

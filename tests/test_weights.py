@@ -140,11 +140,9 @@ def quadpack_P(f, m, x):
     """P(x) one point at a time by adaptive quadrature, branch by branch."""
     a, b = f.support
     if x <= m:
-        val, _ = integrate_interval(lambda y: (m - y) * float(f(y)), a, x, ORACLE,
-                                    f.breakpoints)
+        val, _ = integrate_interval(lambda y: (m - y) * float(f(y)), a, x, ORACLE)
     else:
-        val, _ = integrate_interval(lambda y: (y - m) * float(f(y)), x, b, ORACLE,
-                                    f.breakpoints)
+        val, _ = integrate_interval(lambda y: (y - m) * float(f(y)), x, b, ORACLE)
     return val / float(f(x))
 
 
@@ -324,7 +322,7 @@ class TestOptimalWeights:
         assert abs(w(0.0) - 0.25) < 1e-14
         assert abs(w(1.0)) < 1e-14  # vanishes at the support boundary
         w2 = optimal_barenblatt_weight(3.0, 2, 1.0)
-        assert abs(w2.param("coefficient") - 0.2) < 1e-14
+        assert abs(w2(0.0) - 0.2) < 1e-14
 
     def test_barenblatt_rejects_bad_params(self):
         with pytest.raises(WeightError):
@@ -339,7 +337,7 @@ class TestOptimalWeights:
         h = lambda a: (2.0 * a - 1.0) * (beta_star - a)
         alpha_num, h_num = maximize_family_constant(h)
         w = optimal_cauchy_weight(beta, n)
-        assert abs(1.0 / (2.0 * h_num) - w.param("coefficient")) < 1e-10
+        assert abs(1.0 / (2.0 * h_num) - w(0.0)) < 1e-10
         assert 0.5 < alpha_num <= 1.0
 
     @pytest.mark.parametrize("p,n", [(2.0, 1), (3.0, 2), (1.5, 3)])
@@ -424,8 +422,7 @@ class TestCompositeWstar:
 
     def test_value_at_origin(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
-        w0 = WeightFunction(lambda r: np.full_like(np.asarray(r, dtype=float), 1.0),
-                            "closed_form", (0.0, math.inf))
+        w0 = WeightFunction(lambda r: np.full_like(np.asarray(r, dtype=float), 1.0))
         w = composite_Wstar(d, w0)
         assert w(0.0) == 1.0
 
