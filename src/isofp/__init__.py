@@ -11,29 +11,22 @@ from .densities import (
     parse_density_spec,
     radial_marginal,
     sin_power_density,
-    std_normal_1d,
     surface_measure,
     uniform_angle_density,
 )
 from .weights import (
-    PQPair,
     WeightError,
     WeightFunction,
     angular_weight,
-    barenblatt_pq,
-    cauchy_pq,
     composite_Wstar,
     critical_tail_radius,
     gamma_radial_weight,
     hybrid_weight,
-    quadrature_weight_function,
-    maximize_family_constant,
     optimal_barenblatt_weight,
     optimal_cauchy_weight,
     p_weight_1d,
     p_weight_function,
     steady_state_residual,
-    w_from_pq,
     weight_from_density,
 )
 from .quadrature import (

@@ -31,16 +31,18 @@ from .densities import (full_line_density, parse_density_spec,
                         uniform_angle_density, closed_form_weight,
                         density_label)
 from .fpsolver import (PERTURBATIONS, SolverError, TruncationError,
-                       build_solver, check_march, perturbed_initial_state,
-                       verify_hellinger_decay)
-from .inequality import (check_gaussian_anisotropic, check_hybrid,
-                         check_isotropic_Wstar, check_poincare_1d,
+                       build_solver, check_march, check_perturbation,
+                       perturbed_initial_state, verify_hellinger_decay)
+from .inequality import (DEFAULT_RATIO_TOL, check_gaussian_anisotropic,
+                         check_hybrid, check_isotropic_Wstar, check_poincare_1d,
                          check_product, check_refined_outside_ball,
                          covariance_eigenvalues, summarize_reports)
 
 THEOREMS = ("poincare_1d", "product", "isotropic_Wstar",
             "refined_outside_ball", "hybrid", "gaussian_anisotropic")
 
+# the one statement of every run default: ``run`` reads a key missing from
+# its config here, and ``check`` and ``evolve`` take their flag defaults from it
 DEFAULT_CONFIG = {
     "densities": [
         "gaussian:sigma=1,n=1",
@@ -53,7 +55,7 @@ DEFAULT_CONFIG = {
     ],
     "theorems": list(THEOREMS),
     "corpus_seed": 2024,
-    "tolerances": {"ratio_tol": 1e-6},
+    "tolerances": {"ratio_tol": DEFAULT_RATIO_TOL},
     "solver": {"cells": 400, "t_final": 10.0, "dt": 1e-3,
                "truncation_mass": 1e-12, "eps": 0.1, "perturbation": "cosine"},
     "anisotropic_covariances": [
@@ -65,6 +67,7 @@ DEFAULT_CONFIG = {
     "evolve_densities": ["gaussian:sigma=1,n=1", "cauchy:beta=4,n=1"],
     "output_dir": "out",
 }
+SOLVER_DEFAULTS = DEFAULT_CONFIG["solver"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +329,17 @@ def _rate_constant_c(d):
     return None
 
 
-def run_evolution(d, cells=400, t_final=10.0, dt=1e-3, eps=0.1,
-                  perturbation="cosine", tail_mass=1e-12):
+def evolution_settings(solver_cfg):
+    """The keyword arguments of :func:`run_evolution` from a config's
+    ``solver`` block, each missing key taken from ``DEFAULT_CONFIG``; other
+    keys are ignored."""
+    s = {**SOLVER_DEFAULTS, **solver_cfg}
+    return dict(cells=int(s["cells"]), t_final=float(s["t_final"]), dt=float(s["dt"]),
+                eps=float(s["eps"]), perturbation=s["perturbation"],
+                tail_mass=float(s["truncation_mass"]))
+
+
+def run_evolution(d, cells, t_final, dt, eps, perturbation, tail_mass):
     solver = build_solver(d, closed_form_weight(d), cells=cells, tail_mass=tail_mass)
     state = perturbed_initial_state(solver, perturbation, eps=eps)
     return solver.evolve(state, t_final, dt)
@@ -382,8 +394,7 @@ def _evolution_outcome(d, trace, march):
 
 def cmd_evolve(args):
     d = parse_density_spec(args.density)
-    march = dict(cells=args.cells, t_final=args.t_final, dt=args.dt, eps=args.eps,
-                 perturbation=args.perturbation)
+    march = evolution_settings(vars(args))  # the flags, and the default truncation mass
     trace = run_evolution(d, **march)
     lbl = density_label(d)
     out_dir = Path(args.out)
@@ -440,12 +451,13 @@ def run_experiment(config, out_dir):
 
     Returns (exit_code, manifest_files, summary_lines).  Inapplicable
     pairs are recorded with explicit skip reasons; partial failures do not
-    stop the run.  Files are written in config order, whatever the worker count.
+    stop the run.  Files are written in config order, whatever the worker count,
+    once every task has run, so a run that raises leaves no file behind.
     """
     start = time.perf_counter()
     out_dir = Path(out_dir)
-    seed = int(config.get("corpus_seed", 2024))
-    tol = float(config.get("tolerances", {}).get("ratio_tol", 1e-6))
+    seed = int(config.get("corpus_seed", DEFAULT_CONFIG["corpus_seed"]))
+    tol = float(config.get("tolerances", {}).get("ratio_tol", DEFAULT_RATIO_TOL))
     if "densities" not in config:
         raise ValueError("config: missing required key 'densities'")
     densities = [parse_density_spec(s) for s in config["densities"]]
@@ -456,17 +468,8 @@ def run_experiment(config, out_dir):
         if theorem not in THEOREMS:
             raise ValueError(f"theorems: unknown theorem {theorem!r}; "
                              f"allowed: {', '.join(THEOREMS)}")
-    solver_cfg = config.get("solver", {})
-    evolution = dict(cells=int(solver_cfg.get("cells", 400)),
-                     t_final=float(solver_cfg.get("t_final", 10.0)),
-                     dt=float(solver_cfg.get("dt", 1e-3)),
-                     eps=float(solver_cfg.get("eps", 0.1)),
-                     perturbation=solver_cfg.get("perturbation", "cosine"),
-                     tail_mass=float(solver_cfg.get("truncation_mass", 1e-12)))
-    if evolution["perturbation"] not in PERTURBATIONS:
-        raise ValueError(f"solver.perturbation: unknown perturbation "
-                         f"{evolution['perturbation']!r}; allowed: "
-                         f"{', '.join(sorted(PERTURBATIONS))}")
+    evolution = evolution_settings(config.get("solver", {}))
+    check_perturbation(evolution["perturbation"], evolution["eps"])
     check_march(evolution["t_final"], evolution["dt"])
     # (label, check, payload head or density, task) of each check, then evolution
     jobs = [(density_label(d), theorem, {"density": density_label(d)},
@@ -482,6 +485,8 @@ def run_experiment(config, out_dir):
                 V = np.asarray(spec["V"], dtype=float)
                 covariance_eigenvalues(V)
                 u = np.asarray(spec.get("u", np.zeros(len(V))), dtype=float)
+                if u.shape != (len(V),) or not np.all(np.isfinite(u)):
+                    raise ValueError(f"u must be a finite vector of {len(V)} components")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             jobs.append((f"gaussianV{idx}", "gaussian_anisotropic",
@@ -489,17 +494,12 @@ def run_experiment(config, out_dir):
                          (_anisotropic_reports, V, seed, tol)))
     jobs += [(density_label(d), "relaxation_rate", d, (_evolve_trace, d, evolution))
              for d in map(parse_density_spec, config.get("evolve_densities", []))]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files, summary_rows, all_reports_csv = [], [], []
-
     # weight CSVs and the growth-exponent observational statistic
-    growth_stats = []
+    weight_rows, growth_stats = [], []
     for d in densities:
         lbl = density_label(d)
         hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
-        rows = _weight_rows(d, np.linspace(hi * 0.02, hi * 0.98, 25))
-        files.append(_write_csv(out_dir / f"weights_{_slug(lbl)}.csv",
-                                WEIGHT_HEADER, rows))
+        weight_rows.append((lbl, _weight_rows(d, np.linspace(hi * 0.02, hi * 0.98, 25))))
         if not np.isfinite(d.support_radius) and d.kind != "inverse_gamma_1d":
             # log-log growth exponent of K at large radius (conjectured in [0, 2])
             K = closed_form_weight(d)
@@ -507,7 +507,11 @@ def run_experiment(config, out_dir):
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
             growth_stats.append({"density": lbl, "exponent": p})
 
+    # a task that raises fails the run before any file is written
     done, workers = _in_workers([job[3] for job in jobs])
+    files = [_write_csv(out_dir / f"weights_{_slug(lbl)}.csv", WEIGHT_HEADER, rows)
+             for lbl, rows in weight_rows]
+    summary_rows, all_reports_csv = [], []
     for (lbl, task, head, _), (result, *_) in zip(jobs, done):
         if isinstance(result, str):
             outcome = ("skipped", result)
@@ -613,18 +617,19 @@ def main(argv=None):
     p = sub.add_parser("check", help="verify one inequality for one density")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--density", required=True)
-    p.add_argument("--corpus-seed", type=int, default=2024)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--corpus-seed", type=int, default=DEFAULT_CONFIG["corpus_seed"])
+    p.add_argument("--tol", type=float, default=DEFAULT_RATIO_TOL)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("evolve", help="run the radial Fokker-Planck solver")
     p.add_argument("--density", required=True)
-    p.add_argument("--perturbation", default="cosine", choices=sorted(PERTURBATIONS))
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--cells", type=int, default=400)
-    p.add_argument("--t-final", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--perturbation", default=SOLVER_DEFAULTS["perturbation"],
+                   choices=sorted(PERTURBATIONS))
+    p.add_argument("--eps", type=float, default=SOLVER_DEFAULTS["eps"])
+    p.add_argument("--cells", type=int, default=SOLVER_DEFAULTS["cells"])
+    p.add_argument("--t-final", type=float, default=SOLVER_DEFAULTS["t_final"])
+    p.add_argument("--dt", type=float, default=SOLVER_DEFAULTS["dt"])
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_evolve)
 

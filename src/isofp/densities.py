@@ -29,7 +29,6 @@ __all__ = [
     "surface_measure",
     "parse_density_spec",
     "density_label",
-    "std_normal_1d",
     "uniform_angle_density",
     "sin_power_density",
     "full_line_density",
@@ -146,9 +145,6 @@ class IsotropicDensity:
             return np.ones_like(rho)
         return self.geometry_factor * rho ** (self.n - 1)
 
-    def label(self):
-        return density_label(self)
-
 
 def density_label(d):
     parts = ",".join(f"{k}={v:g}" for k, v in d.params)
@@ -246,7 +242,7 @@ class RadialMarginal:
     def as_density1d(self):
         lo = 1e-300 if self.base.half_line else 0.0
         return Density1D(
-            f"radial[{self.base.label()}]",
+            f"radial[{density_label(self.base)}]",
             (lo, self.base.support_radius),
             self.eval,
             self.base.radial_mean,
@@ -260,12 +256,6 @@ def radial_marginal(d):
 
 
 # -- common 1-D densities ----------------------------------------------------
-
-
-def std_normal_1d():
-    c = 1.0 / math.sqrt(2.0 * math.pi)
-    return Density1D("std_normal", (-math.inf, math.inf),
-                     lambda x: c * np.exp(-np.asarray(x) ** 2 / 2.0), mean=0.0)
 
 
 def uniform_angle_density():
@@ -289,7 +279,7 @@ def full_line_density(d):
     if d.n != 1 or d.half_line:
         raise ValueError("full_line_density requires an isotropic entry with n = 1")
     a = d.support_radius
-    return Density1D(f"line[{d.label()}]", (-a, a),
+    return Density1D(f"line[{density_label(d)}]", (-a, a),
                      lambda x: d.eval(np.abs(np.asarray(x, dtype=float))), mean=0.0)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "make_radial_grid",
     "build_solver",
     "check_march",
+    "check_perturbation",
     "fit_decay_rate",
     "verify_hellinger_decay",
     "perturbed_initial_state",
@@ -292,20 +293,8 @@ class Solver:
             self._factored = (dt, d, e)
         return self._factored[1:]
 
-    def steady_state(self):
-        """The discretised equilibrium as an FPState (mass = discrete mass)."""
-        return FPState(self.grid, self.f_eq.copy(), 0.0)
-
     def quotient(self, state):
         return state.values / self.f_eq
-
-    def apply_flux_divergence(self, F):
-        """d(mass_i)/dt for each cell given quotient values F."""
-        flux = self.face_coeff * np.diff(F)  # interior faces; boundary flux = 0
-        out = np.zeros_like(F)
-        out[:-1] += flux
-        out[1:] -= flux
-        return out
 
     def step(self, state, dt):
         """One implicit Euler step, for any dt > 0.  Mass is conserved to
@@ -362,14 +351,6 @@ class Solver:
             ds = np.diff(np.sqrt(F))
             return 2.0 * float(np.dot(self.face_coeff, ds ** 2))
         raise ValueError(f"unknown functional kind {kind!r}")
-
-    def dissipation_entropy_sqrt_form(self, state):
-        """Entropy dissipation via 4 sum c (d sqrt(F))^2 (the second route)."""
-        F = self.quotient(state)
-        if np.any(F <= 0.0):
-            raise SolverError("entropy dissipation requires F > 0")
-        ds = np.diff(np.sqrt(F))
-        return 4.0 * float(np.dot(self.face_coeff, ds ** 2))
 
     def l1_distance(self, state):
         return float(np.dot(np.abs(state.values - self.f_eq),
@@ -542,6 +523,16 @@ PERTURBATIONS = {
 }
 
 
+def check_perturbation(name, eps):
+    """Raise ValueError unless ``name`` is one of :data:`PERTURBATIONS` and
+    eps lies in (0, 0.2]."""
+    if name not in PERTURBATIONS:
+        raise ValueError(f"solver.perturbation: unknown perturbation {name!r}; "
+                         f"allowed: {', '.join(sorted(PERTURBATIONS))}")
+    if not 0.0 < eps <= 0.2:
+        raise ValueError("eps must lie in (0, 0.2] to respect the bounded-quotient hypothesis")
+
+
 def perturbed_initial_state(solver, name="cosine", eps=0.1):
     """f_0 = f_eq (1 + eps g) with bounded g, discretely mass neutral.
 
@@ -549,8 +540,7 @@ def perturbed_initial_state(solver, name="cosine", eps=0.1):
     mean, so F_0 stays within [1 - eps, 1 + eps] and every theorem
     hypothesis (bounded quotient, finite chi-square and entropy) holds.
     """
-    if not 0.0 < eps <= 0.2:
-        raise ValueError("eps must lie in (0, 0.2] to respect the bounded-quotient hypothesis")
+    check_perturbation(name, eps)
     grid = solver.grid
     g = np.asarray(PERTURBATIONS[name](grid.centers, grid.edges[-1]), dtype=float)
     if np.max(np.abs(g)) > 0:

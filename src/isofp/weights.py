@@ -7,8 +7,8 @@ the Fokker-Planck equation it solves,
 
 so that d/drho [K f] + rho f = 0.  On top of that sit the one-dimensional
 integral weight P(x) for an arbitrary density with finite mean, the
-P/Q' family with its alpha-optimisation for Cauchy-type and Barenblatt
-densities, the angular weights of the hyperspherical product
+closed-form optimal weights of the P/Q' family for Cauchy-type and
+Barenblatt densities, the angular weights of the hyperspherical product
 decomposition, the composite weight W* = max(w, pi^2 rho^2 / 2), the
 hybrid weight that switches to K outside a ball, and the critical radius
 of the tail condition (n-1) K(r) / r^2 <= 1/2.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,16 +28,10 @@ from .quadrature import interval_rule
 __all__ = [
     "WeightFunction",
     "WeightError",
-    "PQPair",
     "cumulative_integral",
     "weight_from_density",
-    "quadrature_weight_function",
     "p_weight_1d",
     "p_weight_function",
-    "w_from_pq",
-    "cauchy_pq",
-    "barenblatt_pq",
-    "maximize_family_constant",
     "optimal_cauchy_weight",
     "optimal_barenblatt_weight",
     "gamma_radial_weight",
@@ -165,11 +159,6 @@ def weight_from_density(d, rho):
     return out if np.ndim(rho) else float(out)
 
 
-def quadrature_weight_function(d):
-    """The quadrature weight wrapped as a WeightFunction."""
-    return WeightFunction(lambda r: weight_from_density(d, r))
-
-
 _RESIDUAL_STEP = 1e-3  # relative to max(|rho|, 1)
 
 
@@ -248,177 +237,14 @@ def p_weight_function(f):
     return WeightFunction(lambda x: p_weight_1d(f, m, x), breakpoints=(m,))
 
 
-# ---------------------------------------------------------------------------
-# The P/Q' family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PQPair:
-    """Diffusion P and drift Q of a 1-D Fokker-Planck equation with the
-    target density as steady state.
-
-    ``Qprime`` is the analytic derivative when available; otherwise a
-    fourth-order centred difference with relative step 1e-5 is used, so the
-    positivity check is not polluted by difference noise.
-    """
-
-    P: Callable
-    Q: Callable
-    domain: tuple
-    Qprime: Optional[Callable] = None
-    name: str = "pq"
-
-    def qprime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.Qprime is not None:
-            return np.asarray(self.Qprime(x), dtype=float)
-        h = 1e-5 * np.maximum(np.abs(x), 1.0)
-        return (-self.Q(x + 2 * h) + 8 * self.Q(x + h)
-                - 8 * self.Q(x - h) + self.Q(x - 2 * h)) / (12 * h)
-
-
-_VALIDATION_POINTS = 400
-
-
-def _validation_grid(domain):
-    lo, hi = domain
-    if np.isinf(hi):
-        # geometric sweep covering several decades
-        return np.concatenate([
-            np.geomspace(max(lo, 1e-6) + 1e-9, 1.0, _VALIDATION_POINTS // 2),
-            np.geomspace(1.0, 1e4, _VALIDATION_POINTS // 2),
-        ])
-    span = hi - lo
-    return lo + span * (np.arange(1, _VALIDATION_POINTS + 1) / (_VALIDATION_POINTS + 1.0))
-
-
-def w_from_pq(pq):
-    """Weight w = P / Q' of a valid pair; rejects pairs with Q' <= 0.
-
-    Validity is checked on a grid: P > 0, Q' > 0, and the boundary signs
-    lim_{x -> lo} Q < 0 and lim_{x -> hi} Q > 0.
-    """
-    grid = _validation_grid(pq.domain)
-    p_vals = np.asarray(pq.P(grid), dtype=float)
-    qp_vals = pq.qprime(grid)
-    if np.any(p_vals <= 0.0):
-        raise WeightError(f"{pq.name}: P must be positive on the open domain")
-    if np.any(qp_vals <= 0.0):
-        bad = grid[qp_vals <= 0.0][0]
-        raise WeightError(f"{pq.name}: Q' <= 0 detected at x = {bad:.6g}")
-    lo, hi = pq.domain
-    eps = 1e-6 * (1.0 if np.isinf(hi) else hi - lo)
-    q_lo = float(pq.Q(lo + eps))
-    q_hi = float(pq.Q(hi - eps)) if np.isfinite(hi) else float(pq.Q(1e6))
-    if q_lo >= 0.0 or q_hi <= 0.0:
-        raise WeightError(f"{pq.name}: drift boundary signs violated "
-                          f"(Q(lo+) = {q_lo:.3g}, Q(hi-) = {q_hi:.3g})")
-    return WeightFunction(lambda x: np.asarray(pq.P(x), dtype=float) / pq.qprime(x))
-
-
-def cauchy_pq(beta, n, alpha):
-    """The alpha-family pair for the radial Cauchy-type marginal.
-
-    P = (1+rho^2)^alpha, Q = 2(beta-alpha) rho (1+rho^2)^(alpha-1)
-        - (n-1) (1+rho^2)^alpha / rho, with analytic Q'.
-    Requires 1/2 < alpha <= 1 and beta - alpha > (n-1)/2.
-    """
-    if not 0.5 < alpha <= 1.0:
-        raise WeightError("alpha must lie in (1/2, 1]")
-    if beta - alpha <= (n - 1) / 2.0:
-        raise WeightError("requires beta - alpha > (n-1)/2")
-
-    def P(r):
-        r = np.asarray(r, dtype=float)
-        return (1.0 + r ** 2) ** alpha
-
-    def Q(r):
-        r = np.asarray(r, dtype=float)
-        s = 1.0 + r ** 2
-        return 2.0 * (beta - alpha) * r * s ** (alpha - 1.0) - (n - 1) * s ** alpha / r
-
-    def Qp(r):
-        r = np.asarray(r, dtype=float)
-        s = 1.0 + r ** 2
-        term1 = 2.0 * (beta - alpha) * (1.0 + r ** 2 * (2.0 * alpha - 1.0)) * s ** (alpha - 2.0)
-        term2 = -2.0 * alpha * (n - 1) * s ** (alpha - 1.0)
-        term3 = (n - 1) * s ** alpha / r ** 2
-        return term1 + term2 + term3
-
-    return PQPair(P, Q, (0.0, math.inf), Qprime=Qp,
-                  name=f"cauchy_pq(beta={beta},n={n},alpha={alpha})")
-
-
-def barenblatt_pq(a, p, n, alpha):
-    """The alpha-family pair for the radial Barenblatt marginal on (0, a).
-
-    P = (a^2-rho^2)^alpha, Q = 2(alpha+beta) rho (a^2-rho^2)^(alpha-1)
-        - (n-1)(a^2-rho^2)^alpha / rho, with beta = 1/(p-1) and analytic Q'.
-    """
-    if not 0.5 < alpha <= 1.0:
-        raise WeightError("alpha must lie in (1/2, 1]")
-    if p <= 1.0 or a <= 0.0:
-        raise WeightError("requires p > 1 and a > 0")
-    beta = 1.0 / (p - 1.0)
-
-    def P(r):
-        r = np.asarray(r, dtype=float)
-        return (a ** 2 - r ** 2) ** alpha
-
-    def Q(r):
-        r = np.asarray(r, dtype=float)
-        s = a ** 2 - r ** 2
-        return 2.0 * (alpha + beta) * r * s ** (alpha - 1.0) - (n - 1) * s ** alpha / r
-
-    def Qp(r):
-        r = np.asarray(r, dtype=float)
-        s = a ** 2 - r ** 2
-        term1 = 2.0 * (alpha + beta) * (a ** 2 - r ** 2 * (2.0 * alpha - 1.0)) * s ** (alpha - 2.0)
-        term2 = (n - 1) * s ** (alpha - 1.0) * (a ** 2 + (2.0 * alpha - 1.0) * r ** 2) / r ** 2
-        return term1 + term2
-
-    return PQPair(P, Q, (0.0, a), Qprime=Qp,
-                  name=f"barenblatt_pq(a={a},p={p},n={n},alpha={alpha})")
-
-
-# ---------------------------------------------------------------------------
-# Family optimisation over alpha in (1/2, 1]
-# ---------------------------------------------------------------------------
-
-
-def maximize_family_constant(h, lo=0.5, hi=1.0, tol=1e-13):
-    """Golden-section maximisation of h over (lo, hi] with an explicit
-    boundary comparison, so monotone families resolve to alpha = 1 exactly."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = h(c), h(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = h(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = h(c)
-    alpha = 0.5 * (a + b)
-    best = h(alpha)
-    if h(hi) >= best:
-        return hi, h(hi)
-    return alpha, best
-
-
 def optimal_cauchy_weight(beta, n):
     """Optimal family weight for the Cauchy-type density.
 
     w = (1+rho^2)/(beta - n/2)^2 when (n+1)/2 < beta < n/2 + 1, and
     w = (1+rho^2)/(2 beta - (n+1)) when beta >= n/2 + 1.  The coefficient is
     1/(2 h(alpha_max)) with h(alpha) = (2 alpha - 1)(beta* - alpha) and
-    beta* = beta - (n-1)/2; the closed-form stationary point is used, so
-    the numeric search is only a cross-check.
+    beta* = beta - (n-1)/2, maximised over (1/2, 1] at its closed-form
+    stationary point.
     """
     if beta <= (n + 1) / 2.0:
         raise WeightError(f"requires beta > (n+1)/2 = {(n + 1) / 2.0}")

@@ -27,7 +27,7 @@ SPECS = [spec for n in (1, 2, 3) for spec in (
     f"gaussian:sigma=0.3,n={n}",
 )] + ["inverse_gamma:mu=0.5,n=1", "inverse_gamma:mu=2,n=1"]
 
-MARCH = dict(cells=400, t_final=10.0, dt=1e-3, eps=0.1, perturbation="cosine")
+MARCH = cli.evolution_settings({})  # the run defaults
 
 
 @pytest.mark.parametrize("spec", SPECS)

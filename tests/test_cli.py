@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -322,6 +323,7 @@ class TestRunCommand:
         ({"t_final": -1.0}, "t_final must be finite and nonnegative, got -1.0"),
         ({"perturbation": "bogus"}, "solver.perturbation: unknown perturbation 'bogus'; "
                                     "allowed: cosine, ramp, shell, tanh"),
+        ({"eps": 0.5}, "eps must lie in (0, 0.2] to respect the bounded-quotient hypothesis"),
     ])
     def test_bad_solver_block_fails_before_any_check(self, solver, message, tmp_path,
                                                      capsys, monkeypatch):
@@ -346,13 +348,30 @@ class TestRunCommand:
          "anisotropic_covariances[0]: V must be symmetric"),
         ({"anisotropic_covariances": [{"V": [1.0, 1.0]}]},
          "anisotropic_covariances[0]: V must be a square matrix"),
-    ], ids=["no-densities", "no-V", "indefinite-V", "asymmetric-V", "non-square-V"])
+        ({"anisotropic_covariances": [{"V": [[1.0, 0.0], [0.0, 1.0]], "u": [1.0, 2.0, 3.0]}]},
+         "anisotropic_covariances[0]: u must be a finite vector of 2 components"),
+        ({"anisotropic_covariances": [{"V": [[1.0, 0.0], [0.0, 1.0]], "u": [0.0, math.inf]}]},
+         "anisotropic_covariances[0]: u must be a finite vector of 2 components"),
+    ], ids=["no-densities", "no-V", "indefinite-V", "asymmetric-V", "non-square-V",
+            "long-u", "infinite-u"])
     def test_bad_config_fails_before_any_work(self, change, message, tmp_path, capsys,
                                               monkeypatch):
         config = dict(TINY_CONFIG, theorems=["poincare_1d", "gaussian_anisotropic"],
                       **change)
         config = {k: v for k, v in config.items() if v is not None}
         self.assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch)
+
+    def test_failing_task_leaves_no_file_behind(self, tmp_path, capsys):
+        # one cell leaves the solver no steady-state probe, which only the
+        # evolution's worker finds; the weight CSV is written after it
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, solver=dict(TINY_CONFIG["solver"], cells=1))))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no steady-state probe lies 2h inside the support\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch):

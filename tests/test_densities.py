@@ -10,13 +10,14 @@ from isofp.densities import (
     parse_density_spec,
     radial_marginal,
     sin_power_density,
-    std_normal_1d,
     surface_measure,
     uniform_angle_density,
     closed_form_weight,
 )
 from isofp.quadrature import Integrator, integrate_interval
 from isofp.weights import steady_state_residual
+
+from oracles import std_normal_1d
 
 # adaptive QUADPACK is the oracle of every closed-form constant; 1e-12 is
 # the tightest tolerance it meets on the heavy Cauchy tails below

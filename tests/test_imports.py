@@ -1,8 +1,11 @@
-"""What a fresh interpreter loads.
+"""What a fresh interpreter loads, and what the package exposes.
 
 Adaptive QUADPACK (``scipy.integrate``, which itself imports
 ``scipy.optimize``) is imported on first use, and only the truncation
 radius of an evolution uses it, so the Poincare checks never load it.
+
+Code that only the tests use lives in ``tests/oracles.py``, not in the
+package.
 """
 
 import json
@@ -32,19 +35,57 @@ _truncation_radius(parse_density_spec("cauchy:beta=4,n=1"))
 """
 
 
-def loaded_after(code):
-    """The watched modules in sys.modules after ``code`` runs in a fresh
-    interpreter that imports isofp from this checkout."""
+# names that left the package: the oracles now in tests/oracles.py, and
+# quadrature_weight_function and IsotropicDensity.label, deleted as copies of
+# WeightFunction(weight_from_density) and density_label
+ORACLES = ("PQPair", "_VALIDATION_POINTS", "_validation_grid", "w_from_pq", "cauchy_pq",
+           "barenblatt_pq", "maximize_family_constant", "std_normal_1d",
+           "quadrature_weight_function")
+ORACLE_METHODS = {"fpsolver.Solver": ("steady_state", "apply_flux_divergence",
+                                      "dissipation_entropy_sqrt_form"),
+                  "densities.IsotropicDensity": ("label",)}
+
+SURFACE = f"""
+import importlib, pkgutil
+import isofp
+
+modules = [isofp] + [importlib.import_module("isofp." + m.name)
+                     for m in pkgutil.iter_modules(isofp.__path__)]
+found = [m.__name__ + "." + name for m in modules
+         for name in getattr(m, "__all__", ())
+         if not hasattr(m, name)]
+found += [m.__name__ + "." + name for m in modules for name in {ORACLES!r}
+          if hasattr(m, name)]
+for owner, names in {ORACLE_METHODS!r}.items():
+    module, cls = owner.split(".")
+    found += [owner + "." + name for name in names
+              if hasattr(getattr(importlib.import_module("isofp." + module), cls), name)]
+RESULT = sorted(found)
+"""
+
+
+def fresh(code):
+    """The value ``code`` leaves in RESULT, run in a fresh interpreter whose
+    only path into this checkout is ``src``."""
     script = "\n".join([
         "import json, sys",
         f"sys.path.insert(0, {str(SRC)!r})",
-        "import isofp.cli",
         code,
-        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))",
+        "print(json.dumps(RESULT))",
     ])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, cwd=SRC)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def loaded_after(code):
+    """The watched modules in sys.modules after ``code`` runs in a fresh
+    interpreter that imports isofp from this checkout."""
+    return fresh("\n".join([
+        "import isofp.cli",
+        code,
+        f"RESULT = [m for m in {WATCHED!r} if m in sys.modules]",
+    ]))
 
 
 @pytest.mark.parametrize("code", ["", N3_GRID_PAIRS], ids=["import", "n3-grid-pairs"])
@@ -54,3 +95,8 @@ def test_checks_load_no_quadpack(code):
 
 def test_truncation_radius_loads_quadpack():
     assert "scipy.integrate" in loaded_after(TRUNCATION)
+
+
+def test_surface_resolves_and_holds_no_oracle():
+    # every __all__ name resolves, and no test oracle is defined or exported
+    assert fresh(SURFACE) == []

@@ -25,7 +25,6 @@ from isofp.densities import (
     parse_density_spec,
     radial_marginal,
     sin_power_density,
-    std_normal_1d,
     uniform_angle_density,
     closed_form_weight,
 )
@@ -59,6 +58,8 @@ from isofp.weights import (
     optimal_cauchy_weight,
     p_weight_function,
 )
+
+from oracles import std_normal_1d
 
 
 def unit_weight():

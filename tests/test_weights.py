@@ -7,32 +7,28 @@ from isofp.densities import (
     make_density,
     radial_marginal,
     sin_power_density,
-    std_normal_1d,
     uniform_angle_density,
     closed_form_weight,
 )
 from isofp.quadrature import Integrator, integrate_interval
 from isofp.weights import (
-    PQPair,
     WeightError,
     WeightFunction,
     angular_weight,
-    barenblatt_pq,
     bisect,
-    cauchy_pq,
     composite_Wstar,
     critical_tail_radius,
     gamma_radial_weight,
-    quadrature_weight_function,
-    maximize_family_constant,
     optimal_barenblatt_weight,
     optimal_cauchy_weight,
     p_weight_1d,
     p_weight_function,
     steady_state_residual,
-    w_from_pq,
     weight_from_density,
 )
+
+from oracles import (PQPair, barenblatt_pq, cauchy_pq, maximize_family_constant,
+                     std_normal_1d, w_from_pq)
 
 
 class TestKokWeight:
@@ -82,7 +78,7 @@ class TestKokWeight:
 
     def test_quadrature_weight_satisfies_steady_state(self):
         d = make_density("cauchy_type", {"beta": 4.0}, 3)
-        K = quadrature_weight_function(d)
+        K = WeightFunction(lambda r: weight_from_density(d, r))
         rho = np.linspace(0.3, 4.0, 25)
         res = steady_state_residual(d, K, rho)
         scale = np.max(np.abs(rho * d.eval(rho)))
