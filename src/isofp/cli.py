@@ -149,26 +149,16 @@ def _sha256(path):
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_weight_column(d, rho):
-    """The weight on the array ``rho`` by the quadrature route matching the
-    density's drift centre: the isotropic integral map for m = 0, the 1-D
-    integral weight about m for the inverse Gamma.  One call covers the
-    whole array."""
-    if d.kind == "inverse_gamma_1d":
-        f = radial_marginal(d).as_density1d()
-        return wmod.p_weight_1d(f, d.drift_mean, rho)
-    return wmod.weight_from_density(d, rho)
-
-
 WEIGHT_HEADER = ["rho", "K_closed", "K_quadrature", "rel_err", "density"]
 
 
 def _weight_rows(d, rho):
-    """CSV rows comparing the catalog K with the quadrature weight on
-    ``rho``; rel_err is the absolute error where K_closed is 0."""
+    """CSV rows comparing the catalog K with K by quadrature on ``rho``, one
+    call for the whole array; rel_err is the absolute error where K_closed
+    is 0."""
     lbl = density_label(d)
     rows = []
-    for r, kc, kq in zip(rho, closed_form_weight(d)(rho), _quadrature_weight_column(d, rho)):
+    for r, kc, kq in zip(rho, closed_form_weight(d)(rho), wmod.weight_from_density(d, rho)):
         rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
         rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}", lbl])
     return rows

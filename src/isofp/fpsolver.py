@@ -98,14 +98,6 @@ class RadialGrid:
         sn = surface_measure(self.n)
         return _read_only(sn * np.diff(self.edges ** self.n) / self.n)
 
-    def face_areas(self):
-        """Geometric area factor at interior faces r_1 .. r_{M-1}."""
-        faces = self.edges[1:-1]
-        if self.geometry == "line":
-            return np.ones_like(faces)
-        from .densities import surface_measure
-        return surface_measure(self.n) * faces ** (self.n - 1)
-
 
 def _truncation_radius(d, tail_mass=1e-12):
     """Radius beyond which the equilibrium mass is below ``tail_mass``."""
@@ -252,8 +244,9 @@ class Solver:
                               "shrink the domain or refine the truncation")
         f_eq_faces = np.asarray(density.eval(faces), dtype=float)
         dc = np.diff(centers)
-        # face conductances: area * K * f_eq / distance between centers
-        self.face_coeff = grid.face_areas() * K_faces * f_eq_faces / dc
+        # face conductances: area * K * f_eq / distance between centers, the
+        # area being the density's volume element at the face
+        self.face_coeff = density.radial_weight(faces) * K_faces * f_eq_faces / dc
         self.face_coeff = np.maximum(self.face_coeff, 0.0)
         self.D = grid.cell_volumes * self.f_eq  # equilibrium-weighted cell masses
         self._factored = None  # (dt, d, e) of the last implicit step size

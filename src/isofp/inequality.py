@@ -21,6 +21,7 @@ from .quadrature import (
     build_grid,
     grid_moments,
     interval_rule,
+    shifted_variance,
     sphere_dirichlet,
 )
 from .weights import hybrid_weight, composite_Wstar
@@ -225,11 +226,8 @@ def _shape_moments(g, rule):
     nodes, pw, anchor, w_vals = rule
     vals = g(nodes)
     shift = float(vals[anchor])
-    dev = vals - shift
-    mean = float(np.dot(pw, dev))
-    dev -= mean
-    var = float(np.dot(pw, dev * dev))
-    mean += shift
+    mean = float(np.dot(pw, vals - shift)) + shift
+    var = shifted_variance(pw, vals, anchor)
     return mean, var + mean * mean, var, float(np.dot(pw, w_vals * g.deriv(nodes) ** 2))
 
 
@@ -321,8 +319,7 @@ def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL):
     return _sorted(reports)
 
 
-def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
-                 tol=DEFAULT_RATIO_TOL):
+def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, tol=DEFAULT_RATIO_TOL):
     """Hybrid bound: Var[phi] <= C (volume term + c(R) surface term).
 
     The weight is max(w, rho^2) inside B_R and K outside; the surface term
@@ -330,15 +327,14 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, c_R=None,
     leaves C and c(R) as unpinned positive constants, so besides the
     pass/fail at the configured C_mult each report records the smallest
     multiplier that would make the member pass (the empirical constant);
-    c(R) defaults to R^3 / (R^n f(R)) from the proof.  Unbounded members
+    c(R) is R^3 / (R^n f(R)) from the proof.  Unbounded members
     are rejected per the smoothness hypothesis.
     """
     if d.n < 2:
         raise ValueError("the hybrid check needs n >= 2")
     W = hybrid_weight(w_radial, K, R)
     f_R = float(d.eval(R))
-    if c_R is None:
-        c_R = R ** 3 / (R ** d.n * f_R) if f_R > 0 else 0.0
+    c_R = R ** 3 / (R ** d.n * f_R) if f_R > 0 else 0.0
     reports = []
     admissible = []
     for phi in corpus:

@@ -3,10 +3,13 @@
 The central map sends an isotropic density to the diffusion coefficient of
 the Fokker-Planck equation it solves,
 
-    K(rho) = int_{rho^2}^{i_+^2} f(sqrt(y)) dy / (2 f(rho)),
+    K(rho) = int_{rho^2}^{i_+^2} f(sqrt(y)) dy / (2 f(rho))
+           = int_rho^{i_+} s f(s) ds / f(rho),
 
-so that d/drho [K f] + rho f = 0.  On top of that sit the one-dimensional
-integral weight P(x) for an arbitrary density with finite mean, the
+so that d/drho [K f] + rho f = 0.  The second form (y = s^2) is the
+one-dimensional integral weight P of the profile x -> f(|x|) on
+(-i_+, i_+) about its mean 0, and that is how K is computed.  On top of
+that sit P(x) for an arbitrary 1-D density with finite mean, the
 closed-form optimal weights of the P/Q' family for Cauchy-type and
 Barenblatt densities, the angular weights of the hyperspherical product
 decomposition, the composite weight W* = max(w, pi^2 rho^2 / 2), the
@@ -22,13 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import sin_power_density
+from .densities import Density1D, density_label, radial_marginal, sin_power_density
 from .quadrature import interval_rule
 
 __all__ = [
     "WeightFunction",
     "WeightError",
-    "cumulative_integral",
     "weight_from_density",
     "p_weight_1d",
     "p_weight_function",
@@ -66,7 +68,7 @@ class WeightFunction:
 
 
 # ---------------------------------------------------------------------------
-# Cumulative integrals on a fixed rule
+# Tail integrals on a fixed rule
 # ---------------------------------------------------------------------------
 
 # Gauss order of the panels, and the dyadic grading of each point's gap
@@ -78,32 +80,6 @@ class WeightFunction:
 _CUMULATIVE_ORDER = 12
 _GRADING = 0.5 ** np.arange(1, 11)
 _BLOCK_POINTS = 64
-
-
-def cumulative_integral(g, support, split, x):
-    """int_a^x g for x <= split and int_x^b g for x > split, for every x.
-
-    ``g`` is vectorised and nonnegative on the support (a, b), either end of
-    which may be infinite; ``split = -inf`` integrates every x to the right.
-    On each side of ``split`` the points cut the side into gaps, each
-    integrated by a composite Gauss rule (order 12, with the rational map
-    t/(1-t) of :func:`~isofp.quadrature.interval_rule` at an infinite end)
-    that is graded dyadically toward the point the gap starts from.  The gap
-    sums are cumulated from the far end of each side toward ``split``: left
-    to right for x <= split, right to left for x > split.  No branch
-    straddles ``split``, so for the integrands used here (|m - y| f(y) about
-    the mean m) no term cancels, and a point in a tail is integrated over
-    the tail itself.
-    """
-    a, b = support
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape)
-    left = xs <= split
-    if np.any(left):
-        out[left] = _tail_integrals(lambda u: g(-u), -split, -a, -xs[left])
-    if not np.all(left):
-        out[~left] = _tail_integrals(g, max(a, split), b, xs[~left])
-    return out.reshape(np.shape(x))
 
 
 def _tail_integrals(h, lo, hi, xs):
@@ -139,9 +115,11 @@ def _tail_integrals(h, lo, hi, xs):
 def weight_from_density(d, rho):
     """Diffusion coefficient of the density at radius rho, by quadrature.
 
-    Evaluates int_{rho^2}^{i_+^2} f(sqrt(y)) dy / (2 f(rho)) for every rho
-    at once: one :func:`cumulative_integral` in y = rho^2, with every rho^2
-    a panel edge and the tail summed from i_+^2 inward.
+    K is the integral weight :func:`p_weight_1d` about the drift centre: of
+    the profile x -> f(|x|) on (-i_+, i_+) about 0 for an isotropic entry
+    (P is a ratio, so the profile need not be normalised), and of the
+    density itself about 1 for the half-line inverse Gamma.  One call
+    covers the whole array.
     """
     r = np.asarray(rho, dtype=float)
     i_plus = d.support_radius
@@ -149,14 +127,12 @@ def weight_from_density(d, rho):
     if np.any(outside):
         raise WeightError(f"rho = {r[outside].flat[0]} outside the open support "
                           f"[0, {i_plus})")
-    fr = np.asarray(d.eval(r), dtype=float)
-    if np.any(fr <= 0.0):
-        raise WeightError(f"density vanishes at rho = {r[fr <= 0.0].flat[0]}; "
-                          "weight undefined")
-    tail = cumulative_integral(lambda y: d.eval(np.sqrt(y)), (0.0, i_plus ** 2),
-                               -math.inf, r * r)
-    out = tail / (2.0 * fr)
-    return out if np.ndim(rho) else float(out)
+    if d.half_line:
+        f = radial_marginal(d).as_density1d()
+    else:
+        f = Density1D(f"profile[{density_label(d)}]", (-i_plus, i_plus),
+                      lambda x: d.eval(np.abs(x)), 0.0)
+    return p_weight_1d(f, d.drift_mean, rho)
 
 
 _RESIDUAL_STEP = 1e-3  # relative to max(|rho|, 1)
@@ -201,10 +177,15 @@ def p_weight_1d(f, m, x):
 
     P(x) = int_a^x (m - y) f(y) dy / f(x) for x <= m, and
     P(x) = int_x^b (y - m) f(y) dy / f(x) for x > m.  The branches agree at
-    x = m because m is the mean (``m = None`` uses ``f.mean``).  All x are
-    tabulated at once by one :func:`cumulative_integral` of |m - y| f(y)
-    split at m, so each x is integrated over its own side of the mean and
-    a point in a tail over that tail alone.
+    x = m because m is the mean (``m = None`` uses ``f.mean``).
+
+    All x are tabulated at once.  On each side of m the points cut the side
+    into gaps, each integrated by a composite Gauss rule (order 12, with the
+    rational map t/(1-t) of :func:`~isofp.quadrature.interval_rule` at an
+    infinite end) that is graded dyadically toward the point the gap starts
+    from.  The gap sums of |m - y| f(y) are cumulated from the far end of
+    each side toward m.  No branch straddles m, so no term cancels, and a
+    point in a tail is integrated over the tail itself.
     """
     if m is None:
         m = _finite_mean(f)
@@ -216,8 +197,15 @@ def p_weight_1d(f, m, x):
     fx = np.asarray(f(xs), dtype=float)
     if np.any(fx <= 0.0):
         raise WeightError(f"density {f.name} vanishes at x = {xs[fx <= 0.0].flat[0]}")
-    num = cumulative_integral(lambda y: np.abs(m - y) * f(y), f.support, m, xs)
-    out = num / fx
+    g = lambda y: np.abs(m - y) * f(y)
+    pts = np.atleast_1d(xs)
+    num = np.empty(pts.shape)
+    left = pts <= m
+    if np.any(left):
+        num[left] = _tail_integrals(lambda u: g(-u), -m, -a, -pts[left])
+    if not np.all(left):
+        num[~left] = _tail_integrals(g, max(a, m), b, pts[~left])
+    out = num.reshape(xs.shape) / fx
     return out if np.ndim(x) else float(out)
 
 

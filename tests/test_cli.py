@@ -58,12 +58,19 @@ class TestWeightsCommand:
 
         calls = []
         for name in ("p_weight_1d", "weight_from_density"):
-            monkeypatch.setattr(wmod, name, lambda *a, fn=getattr(wmod, name):
-                                calls.append(np.shape(a[-1])) or fn(*a))
+            monkeypatch.setattr(wmod, name, lambda *a, name=name, fn=getattr(wmod, name):
+                                calls.append((name, np.shape(a[-1]))) or fn(*a))
         for spec in ("cauchy:beta=3,n=2", "inverse_gamma:mu=2,n=1"):
             assert main(["weights", "--density", spec, "--points", "30",
                          "--out", str(tmp_path)]) == 0
-        assert calls == [(30,), (30,)]
+        # K by quadrature is P: one K call per command, and inside it one P
+        # call, each on the whole array
+        assert calls == 2 * [("weight_from_density", (30,)), ("p_weight_1d", (30,))]
+
+    @pytest.mark.parametrize("beta", ["1.3", "1.5"])
+    def test_heavy_cauchy_tail_passes(self, beta, tmp_path):
+        assert main(["weights", "--density", f"cauchy:beta={beta},n=2",
+                     "--out", str(tmp_path)]) == 0
 
     def test_unknown_density_exits_nonzero(self, tmp_path, capsys):
         code = main(["weights", "--density", "levy:alpha=1", "--out", str(tmp_path)])

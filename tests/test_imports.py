@@ -35,14 +35,18 @@ _truncation_radius(parse_density_spec("cauchy:beta=4,n=1"))
 """
 
 
-# names that left the package: the oracles now in tests/oracles.py, and
+# names that left the package: the oracles now in tests/oracles.py;
 # quadrature_weight_function and IsotropicDensity.label, deleted as copies of
-# WeightFunction(weight_from_density) and density_label
+# WeightFunction(weight_from_density) and density_label; and
+# cumulative_integral, cli._quadrature_weight_column and
+# RadialGrid.face_areas, second routes to P, K and the volume element
 ORACLES = ("PQPair", "_VALIDATION_POINTS", "_validation_grid", "w_from_pq", "cauchy_pq",
            "barenblatt_pq", "maximize_family_constant", "std_normal_1d",
-           "quadrature_weight_function")
+           "quadrature_weight_function", "cumulative_integral",
+           "_quadrature_weight_column")
 ORACLE_METHODS = {"fpsolver.Solver": ("steady_state", "apply_flux_divergence",
                                       "dissipation_entropy_sqrt_form"),
+                  "fpsolver.RadialGrid": ("face_areas",),
                   "densities.IsotropicDensity": ("label",)}
 
 SURFACE = f"""

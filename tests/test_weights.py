@@ -76,6 +76,25 @@ class TestKokWeight:
             kc = float(K_cf(rho))
             assert abs(kq - kc) / kc < 1e-6
 
+    # the rho grid of `isofp weights` with its default 50 points
+    WEIGHTS_GRID = np.linspace(6.0 * 0.01, 6.0 * 0.99, 50)
+
+    @pytest.mark.parametrize("beta", [1.3, 1.5])
+    def test_heavy_cauchy_tail_matches_closed_form(self, beta):
+        # the tail s (1 + s^2)^-beta decays slowly; below beta = 1.3 the
+        # fixed rule no longer resolves it to 1e-6
+        d = make_density("cauchy_type", {"beta": beta}, 2)
+        rho = self.WEIGHTS_GRID
+        got = weight_from_density(d, rho)
+        assert np.max(np.abs(got / closed_form_weight(d)(rho) - 1.0)) < 1e-6
+
+    def test_inverse_gamma_is_the_P_weight_about_one(self):
+        d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
+        f = radial_marginal(d).as_density1d()
+        rho = self.WEIGHTS_GRID
+        assert np.array_equal(weight_from_density(d, rho), p_weight_1d(f, 1.0, rho))
+        assert weight_from_density(d, 1.3) == p_weight_1d(f, 1.0, 1.3)
+
     def test_quadrature_weight_satisfies_steady_state(self):
         d = make_density("cauchy_type", {"beta": 4.0}, 3)
         K = WeightFunction(lambda r: weight_from_density(d, r))
