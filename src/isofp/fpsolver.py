@@ -50,6 +50,7 @@ class TruncationError(SolverError):
 
 
 _MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
+_SAMPLE_BLOCK = 32  # sampled states reduced together by Solver.evolve
 # relative steady-state residual above which a weight is inconsistent with
 # the density
 _STEADY_TOL = 1e-5
@@ -99,8 +100,31 @@ class RadialGrid:
         return _read_only(sn * np.diff(self.edges ** self.n) / self.n)
 
 
+# The truncation search gives up once the tail at _R_CAP, the last doubling
+# of 1 below 1e9, still exceeds the target; after _NEWTON_PROBES tails (more
+# than the 29 that reach _R_CAP from 2 by doubling, so its bracket is closed
+# by then) it hands its bracket to bisect, and it probes _CLOSE_ULPS past a
+# root that a Newton step places within that many ulps.
+_R_CAP, _NEWTON_PROBES, _CLOSE_ULPS = 2.0 ** 29, 32, 4
+
+
 def _truncation_radius(d, tail_mass=1e-12):
-    """Radius beyond which the equilibrium mass is below ``tail_mass``."""
+    """Radius beyond which the equilibrium mass is below ``tail_mass``.
+
+    The radius is the least float r >= 1 whose adaptive tail
+    int_r^inf f dV is at most ``tail_mass``: 1.0 if its tail holds, else
+    the ``hi`` of the adjacent floats lo < hi that :func:`weights.bisect`
+    closes on.  Newton's method on log tail(r) = log tail_mass, with
+    d tail / dr = -f dV/dr, finds it inside a bracket lo < r <= hi of
+    that predicate (safeguarded Newton, Press et al., *Numerical Recipes*,
+    3rd ed., section 9.4): while no probe holds, each probe is at least
+    2 lo; after one holds, a step that leaves the bracket bisects it; a
+    step of at most _CLOSE_ULPS ulps is followed by a probe _CLOSE_ULPS
+    ulps past the root, so the bracket closes on adjacent floats.  After
+    _NEWTON_PROBES tails the bracket goes to :func:`weights.bisect`.  So
+    wherever the tail decreases in r, the radius is the float bisection
+    from 1.0 finds.  Raises TruncationError if the tail at _R_CAP exceeds
+    ``tail_mass`` or a tail integral fails."""
     from .quadrature import QuadratureError, integrate_interval
 
     if np.isfinite(d.support_radius):
@@ -110,7 +134,7 @@ def _truncation_radius(d, tail_mass=1e-12):
         # f(r) times the volume element at one radius; every r > R >= 1 lies
         # inside the unbounded support, so the profile is taken unmasked
         x = np.array([r])
-        return (d.radial_weight(x) * (d.norm_const * d._profile(x)))[0]
+        return float((d.radial_weight(x) * (d.norm_const * d._profile(x)))[0])
 
     def tail(R):
         try:
@@ -119,16 +143,34 @@ def _truncation_radius(d, tail_mass=1e-12):
             raise TruncationError("could not truncate the domain: tail too heavy") from exc
         return val
 
-    lo, hi = 1.0, 2.0
-    while tail(hi) > tail_mass:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
+    r, T = 2.0, tail(2.0)
+    if T <= tail_mass:
+        if tail(1.0) <= tail_mass:
+            return 1.0
+        lo, hi = 1.0, r
+    else:
+        lo, hi = r, math.inf
+    for _ in range(_NEWTON_PROBES - 1):
+        if math.nextafter(lo, hi) == hi:
+            return hi
+        rho = mass_density(r)
+        x = r + math.log(T / tail_mass) * T / rho if T > 0.0 and rho > 0.0 else math.nan
+        if abs(x - r) <= _CLOSE_ULPS * math.ulp(r):
+            # past the root, on the side of it that r is not
+            close = _CLOSE_ULPS * math.ulp(x)
+            x = x - close if T <= tail_mass else x + close
+        if hi == math.inf:
+            x = min(x if x > 2.0 * lo else 2.0 * lo, _R_CAP)  # also for a nan
+        elif not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        r, T = x, tail(x)
+        if T <= tail_mass:
+            hi = r
+        elif r == _R_CAP:
             raise TruncationError("could not truncate the domain: tail too heavy")
-    lo, hi = bisect(lambda r: tail(r) <= tail_mass, lo, hi)
-    # the one endpoint never tested is the starting lo = 1.0
-    if lo == 1.0 and tail(lo) <= tail_mass:
-        return lo
-    return hi
+        else:
+            lo = r
+    return bisect(lambda s: tail(s) <= tail_mass, lo, hi)[1]
 
 
 def _lower_positive_radius(d):
@@ -168,9 +210,22 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
 # ---------------------------------------------------------------------------
 
 
+def _dot_rows(a, w):
+    """np.dot(a, w) as a float for one state's array ``a``; for a block of
+    states (one row each) an array of one np.dot per row, so each value is
+    the one its row alone gives."""
+    if a.ndim == 1:
+        return float(np.dot(a, w))
+    return np.array([np.dot(row, w) for row in a])
+
+
 @dataclass(frozen=True)
 class FPState:
-    """Cell-averaged density at time t with its (conserved) mass."""
+    """Cell-averaged density at time t with its (conserved) mass.
+
+    A block of k states has ``values`` of shape (k, cells) and ``t`` of
+    shape (k,); its mass, and every functional of :class:`Solver`, is then
+    an array of the k states' values."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -178,7 +233,7 @@ class FPState:
 
     @property
     def mass(self):
-        return float(np.dot(self.values, self.grid.cell_volumes))
+        return _dot_rows(self.values, self.grid.cell_volumes)
 
 
 @dataclass
@@ -319,7 +374,7 @@ class Solver:
         F = self.quotient(state)
         if kind == "entropy" and np.any(F <= 0.0):
             raise SolverError("entropy functional requires F > 0 on the grid")
-        return float(np.dot(self.D, _THETA_FUNCS[kind](F)))
+        return _dot_rows(_THETA_FUNCS[kind](F), self.D)
 
     def dissipation(self, state, kind):
         """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face).
@@ -332,28 +387,30 @@ class Solver:
         F = self.quotient(state)
         dF = np.diff(F)
         if kind == "chi2":
-            return 2.0 * float(np.dot(self.face_coeff, dF ** 2))
+            return 2.0 * _dot_rows(dF ** 2, self.face_coeff)
         if kind == "entropy":
             if np.any(F <= 0.0):
                 raise SolverError("entropy dissipation requires F > 0")
-            F_face = (0.5 * (np.sqrt(F[1:]) + np.sqrt(F[:-1]))) ** 2
-            return float(np.dot(self.face_coeff, dF ** 2 / F_face))
+            F_face = (0.5 * (np.sqrt(F[..., 1:]) + np.sqrt(F[..., :-1]))) ** 2
+            return _dot_rows(dF ** 2 / F_face, self.face_coeff)
         if kind == "hellinger2":
             if np.any(F <= 0.0):
                 raise SolverError("hellinger dissipation requires F > 0")
             ds = np.diff(np.sqrt(F))
-            return 2.0 * float(np.dot(self.face_coeff, ds ** 2))
+            return 2.0 * _dot_rows(ds ** 2, self.face_coeff)
         raise ValueError(f"unknown functional kind {kind!r}")
 
     def l1_distance(self, state):
-        return float(np.dot(np.abs(state.values - self.f_eq),
-                            self.grid.cell_volumes))
+        return _dot_rows(np.abs(state.values - self.f_eq), self.grid.cell_volumes)
 
     # -- evolution -----------------------------------------------------------
 
     def evolve(self, state, t_final, dt, sample_every=None):
         """March to t_final by implicit steps, sampling the decay functionals.
 
+        The sampled states are reduced in blocks of at most _SAMPLE_BLOCK,
+        each functional over a whole block at once; a state with F <= 0 is
+        reduced at once, so the entropy raises where it was sampled.
         Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``,
         and before the first step unless :func:`check_march` accepts
         ``t_final`` and ``dt``.  Returns a DecayTrace with the chi-square
@@ -365,18 +422,21 @@ class Solver:
         stride = max(1, int(round(sample_every / dt)))
         mass0 = state.mass
 
-        samples = {k: [] for k in ("t", "chi2", "ent", "hell", "d_chi2",
-                                   "d_ent", "mass", "l1")}
+        blocks = []  # the DecayTrace columns of each reduced block
+        pending = []  # states sampled since the last reduction
+
+        def reduce():
+            s = FPState(self.grid, np.stack([p.values for p in pending]),
+                        np.array([p.t for p in pending]))
+            blocks.append((s.t, self.theta(s, "chi2"), self.theta(s, "entropy"),
+                           self.theta(s, "hellinger2"), self.dissipation(s, "chi2"),
+                           self.dissipation(s, "entropy"), s.mass, self.l1_distance(s)))
+            pending.clear()
 
         def record(s):
-            samples["t"].append(s.t)
-            samples["chi2"].append(self.theta(s, "chi2"))
-            samples["ent"].append(self.theta(s, "entropy"))
-            samples["hell"].append(self.theta(s, "hellinger2"))
-            samples["d_chi2"].append(self.dissipation(s, "chi2"))
-            samples["d_ent"].append(self.dissipation(s, "entropy"))
-            samples["mass"].append(s.mass)
-            samples["l1"].append(self.l1_distance(s))
+            pending.append(s)
+            if len(pending) == _SAMPLE_BLOCK or s.values.min() <= 0.0:
+                reduce()
 
         record(state)
         for k in range(1, n_steps + 1):
@@ -387,17 +447,10 @@ class Solver:
                     f"exceeds {_MASS_DRIFT_TOL:.0e} at t = {state.t:.4g}")
             if k % stride == 0 or k == n_steps:
                 record(state)
+        if pending:
+            reduce()
 
-        trace = DecayTrace(
-            times=np.array(samples["t"]),
-            theta_chi2=np.array(samples["chi2"]),
-            theta_entropy=np.array(samples["ent"]),
-            hellinger2=np.array(samples["hell"]),
-            dissipation_chi2=np.array(samples["d_chi2"]),
-            dissipation_entropy=np.array(samples["d_ent"]),
-            mass=np.array(samples["mass"]),
-            l1_dist=np.array(samples["l1"]),
-        )
+        trace = DecayTrace(*(np.concatenate(column) for column in zip(*blocks)))
         try:
             trace.fitted_rate = fit_decay_rate(trace.times, trace.theta_chi2)
         except ValueError:

@@ -157,8 +157,18 @@ def _panel_edges(lo, hi, levels, breakpoints, halved):
     return edges
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per
+    order and read-only."""
+    rule = leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_on_panels(edges, order):
-    xg, wg = leggauss(order)
+    xg, wg = _leggauss(order)
     a = edges[:-1]
     h = np.diff(edges)
     nodes = (a[:, None] + (xg[None, :] + 1.0) * 0.5 * h[:, None]).ravel()
@@ -332,7 +342,7 @@ def _angular_rule(n, order):
     """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.ones(2), np.zeros((0, 2, 1))
-    xg, wg = leggauss(order)
+    xg, wg = _leggauss(order)
     axes, weights = [], []
     for j in range(1, n - 1):  # polar angles, Jacobian sin^(n-1-j)
         t = (xg + 1.0) * 0.5 * math.pi

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrs
 
-from isofp import quadrature
+from isofp import fpsolver, quadrature
+from isofp.cli import DEFAULT_CONFIG
 from isofp.densities import (
     closed_form_weight,
     make_density,
@@ -15,6 +16,7 @@ from isofp.densities import (
 from isofp.fpsolver import (
     FPState,
     SolverError,
+    TruncationError,
     _truncation_radius,
     build_solver,
     fit_decay_rate,
@@ -22,9 +24,10 @@ from isofp.fpsolver import (
     perturbed_initial_state,
     verify_hellinger_decay,
 )
-from isofp.weights import WeightFunction, residual_step, steady_state_residual
+from isofp.weights import WeightFunction, bisect, residual_step, steady_state_residual
 
 from conftest import CATALOG_REPRESENTATIVES
+from test_catalog_sweep import SPECS as SWEEP_SPECS
 from oracles import apply_flux_divergence, dissipation_entropy_sqrt_form, steady_state
 
 
@@ -77,32 +80,89 @@ def bisection_60(d, tail_mass=1e-12):
     return hi
 
 
+# the densities perfbench's line-relax workload evolves
+LINE_RELAX = ["gaussian:sigma=1,n=1", "cauchy:beta=4,n=1",
+              "inverse_gamma:mu=2,n=1", "cauchy:beta=4,n=3"]
+# the catalog sweep's densities whose tails are too heavy to truncate
+TOO_HEAVY = ["cauchy:beta=1.1,n=1", "cauchy:beta=1.05,n=1", "cauchy:beta=1.6,n=2",
+             "cauchy:beta=1.55,n=2", "cauchy:beta=2.1,n=3", "cauchy:beta=2.05,n=3",
+             "inverse_gamma:mu=0.5,n=1"]
+EVOLVED = sorted(set(DEFAULT_CONFIG["evolve_densities"]) | set(LINE_RELAX)
+                 | set(SWEEP_SPECS) - set(TOO_HEAVY))
+
+
+def count_tails(monkeypatch):
+    """A list whose one entry counts the adaptive tails taken from now on."""
+    calls = [0]
+    integrate = quadrature.integrate_interval
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_interval", counting)
+    return calls
+
+
 class TestTruncationRadius:
-    @pytest.mark.parametrize("spec,saved", [
-        ("gaussian:sigma=1,n=1", 8),
-        ("cauchy:beta=4,n=1", 8),
-        ("cauchy:beta=4,n=3", 8),
-        ("inverse_gamma:mu=2,n=1", 8),
-        # the tail at the starting lo = 1.0 is already below the target,
-        # so the fixed rounds end by testing lo itself
-        ("gaussian:sigma=0.01,n=1", 7),
-    ])
-    def test_same_float_as_fixed_rounds(self, spec, saved, monkeypatch):
+    @pytest.mark.parametrize("spec", EVOLVED)
+    def test_same_float_as_fixed_rounds(self, spec):
         d = parse_density_spec(spec)
-        calls = [0]
-        integrate = quadrature.integrate_interval
+        assert _truncation_radius(d) == bisection_60(d)
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return integrate(*args, **kwargs)
+    @pytest.mark.parametrize("spec,most", [(spec, 16) for spec in LINE_RELAX] + [
+        # the tail at r = 2 holds, and so does the tail at 1.0
+        ("gaussian:sigma=0.01,n=1", 3),
+    ])
+    def test_few_tails(self, spec, most, monkeypatch):
+        calls = count_tails(monkeypatch)
+        _truncation_radius(parse_density_spec(spec))
+        assert calls[0] <= most
 
-        monkeypatch.setattr(quadrature, "integrate_interval", counting)
-        got = _truncation_radius(d)
-        n_got = calls[0]
-        want = bisection_60(d)
-        n_oracle = calls[0] - n_got
-        assert got == want
-        assert n_oracle - n_got == saved
+    def test_line_relax_takes_at_most_60_tails(self, monkeypatch):
+        calls = count_tails(monkeypatch)
+        for spec in LINE_RELAX:
+            _truncation_radius(parse_density_spec(spec))
+        assert calls[0] <= 60
+
+    @pytest.mark.parametrize("spec", TOO_HEAVY)
+    def test_heavy_tail_raises(self, spec):
+        with pytest.raises(TruncationError, match="tail too heavy"):
+            _truncation_radius(parse_density_spec(spec))
+
+    def test_search_gives_up_at_the_cap(self, monkeypatch):
+        # a tail that never falls to the target: the search raises at 2^29,
+        # the last doubling of 1 below 1e9, and probes nothing beyond it
+        probes = []
+
+        def tail(g, R, hi):
+            probes.append(R)
+            return R ** -0.1, 0.0
+
+        monkeypatch.setattr(quadrature, "integrate_interval", tail)
+        with pytest.raises(TruncationError, match="tail too heavy") as info:
+            _truncation_radius(parse_density_spec("cauchy:beta=4,n=1"))
+        assert info.value.__cause__ is None
+        assert probes[-1] == max(probes) == 2.0 ** 29
+
+    def test_probe_cap_hands_the_bracket_to_bisect(self, monkeypatch):
+        # a tail that rises and falls on each side of R0 = 20.25 and steps
+        # down across it: the Gaussian's density at 20 is ~1e-88, so every
+        # Newton step leaves the bracket, and the midpoints alone would need
+        # about 50 probes to close it
+        R0, mass = 20.25, 1e-12
+        monkeypatch.setattr(quadrature, "integrate_interval", lambda g, R, hi: (
+            mass * ((3.0 if R < R0 else 0.5) + 0.4 * math.sin(7.0 * R)), 0.0))
+        bisected = []
+
+        def spy(holds, lo, hi):
+            bisected.append((lo, hi))
+            return bisect(holds, lo, hi)
+
+        monkeypatch.setattr(fpsolver, "bisect", spy)
+        got = _truncation_radius(parse_density_spec("gaussian:sigma=1,n=1"), mass)
+        assert len(bisected) == 1
+        assert got == R0
 
 
 def formula_volumes(grid):
@@ -286,6 +346,60 @@ class TestFunctionals:
         broken = FPState(solver.grid, vals, 0.0)
         with pytest.raises(SolverError, match="F > 0"):
             solver.theta(broken, "entropy")
+
+
+def per_state_trace(solver, state, t_final, dt):
+    """Every state the march samples at each step, and each one's functionals
+    by the one-state methods, in DecayTrace column order."""
+    rows = []
+    for k in range(int(round(t_final / dt)) + 1):
+        if k:
+            state = solver.step(state, dt)
+        rows.append((state.t, solver.theta(state, "chi2"), solver.theta(state, "entropy"),
+                     solver.theta(state, "hellinger2"), solver.dissipation(state, "chi2"),
+                     solver.dissipation(state, "entropy"), state.mass,
+                     solver.l1_distance(state)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestBlockSampling:
+    # a half-line solver and an n = 3 radial one; 101 samples, so the third
+    # block of 32 ends mid-trace and a last block of 5 follows
+    @pytest.mark.parametrize("spec", ["inverse_gamma:mu=2,n=1", "cauchy:beta=4,n=3"])
+    def test_trace_is_the_per_state_values(self, spec):
+        d = parse_density_spec(spec)
+        solver = build_solver(d, closed_form_weight(d), cells=400)
+        state = perturbed_initial_state(solver, "cosine", eps=0.1)
+        trace = solver.evolve(state, 0.5, 5e-3, sample_every=5e-3)
+        assert len(trace) == 101
+        columns = (trace.times, trace.theta_chi2, trace.theta_entropy, trace.hellinger2,
+                   trace.dissipation_chi2, trace.dissipation_entropy, trace.mass,
+                   trace.l1_dist)
+        for got, want in zip(columns, per_state_trace(solver, state, 0.5, 5e-3)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_block_of_states_is_each_state(self, gaussian_1d):
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=64)
+        states = [perturbed_initial_state(solver, name, eps=0.1)
+                  for name in ("cosine", "tanh", "shell")]
+        block = FPState(solver.grid, np.stack([s.values for s in states]),
+                        np.zeros(len(states)))
+        for fn in (lambda s: solver.theta(s, "entropy"),
+                   lambda s: solver.dissipation(s, "hellinger2"),
+                   solver.l1_distance, lambda s: s.mass):
+            assert np.array_equal(fn(block), [fn(s) for s in states])
+
+    # a negative cell would make the first step raise "negative density" if
+    # the entropy were not taken before it
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_quotient_still_raises(self, value, gaussian_1d):
+        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=64)
+        vals = steady_state(solver).values.copy()
+        vals[3] = value
+        with pytest.raises(SolverError,
+                           match=r"^entropy functional requires F > 0 on the grid$"):
+            solver.evolve(FPState(solver.grid, vals, 0.0), 1.0, 1e-2)
 
 
 class TestDecay:

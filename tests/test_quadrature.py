@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
 from isofp.corpus import (
@@ -116,6 +117,23 @@ class TestIntervalRule:
     def test_semi_infinite_gaussian(self):
         x, w = interval_rule(0.0, math.inf, order=12, levels=20)
         assert abs(np.dot(w, np.exp(-x ** 2 / 2.0)) - math.sqrt(math.pi / 2.0)) < 1e-12
+
+    @pytest.mark.parametrize("order", [8, 12, 20, 24])
+    def test_gauss_legendre_cache_is_leggauss(self, order):
+        cached = quadrature._leggauss(order)
+        assert quadrature._leggauss(order) is cached
+        for got, want in zip(cached, leggauss(order)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+
+    @pytest.mark.parametrize("halved", [False, True])
+    def test_rule_is_the_uncached_rule(self, halved, monkeypatch):
+        args = (0.5, math.inf, 12, 20, (1.0, 3.0), halved)
+        cached = interval_rule(*args)
+        monkeypatch.setattr(quadrature, "_leggauss", leggauss)
+        for got, want in zip(cached, interval_rule(*args)):
+            assert np.array_equal(got, want)
 
 
 GRID_CASES = [
