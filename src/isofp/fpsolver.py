@@ -50,7 +50,6 @@ class TruncationError(SolverError):
 
 
 _MASS_DRIFT_TOL = 1e-10  # relative; steps conserve mass to roundoff
-_SAMPLE_BLOCK = 32  # sampled states reduced together by Solver.evolve
 # relative steady-state residual above which a weight is inconsistent with
 # the density
 _STEADY_TOL = 1e-5
@@ -100,11 +99,8 @@ class RadialGrid:
         return _read_only(sn * np.diff(self.edges ** self.n) / self.n)
 
 
-# The truncation search gives up once the tail at _R_CAP, the last doubling
-# of 1 below 1e9, still exceeds the target; after _NEWTON_PROBES tails (more
-# than the 29 that reach _R_CAP from 2 by doubling, so its bracket is closed
-# by then) it hands its bracket to bisect, and it probes _CLOSE_ULPS past a
-# root that a Newton step places within that many ulps.
+# _NEWTON_PROBES exceeds the 29 doublings from 2 to _R_CAP (the last doubling
+# of 1 below 1e9), so the bracket is closed before the probe cap.
 _R_CAP, _NEWTON_PROBES, _CLOSE_ULPS = 2.0 ** 29, 32, 4
 
 
@@ -210,22 +206,9 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _dot_rows(a, w):
-    """np.dot(a, w) as a float for one state's array ``a``; for a block of
-    states (one row each) an array of one np.dot per row, so each value is
-    the one its row alone gives."""
-    if a.ndim == 1:
-        return float(np.dot(a, w))
-    return np.array([np.dot(row, w) for row in a])
-
-
 @dataclass(frozen=True)
 class FPState:
-    """Cell-averaged density at time t with its (conserved) mass.
-
-    A block of k states has ``values`` of shape (k, cells) and ``t`` of
-    shape (k,); its mass, and every functional of :class:`Solver`, is then
-    an array of the k states' values."""
+    """Cell-averaged density at time t with its (conserved) mass."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -233,7 +216,7 @@ class FPState:
 
     @property
     def mass(self):
-        return _dot_rows(self.values, self.grid.cell_volumes)
+        return float(np.dot(self.values, self.grid.cell_volumes))
 
 
 @dataclass
@@ -374,7 +357,7 @@ class Solver:
         F = self.quotient(state)
         if kind == "entropy" and np.any(F <= 0.0):
             raise SolverError("entropy functional requires F > 0 on the grid")
-        return _dot_rows(_THETA_FUNCS[kind](F), self.D)
+        return float(np.dot(self.D, _THETA_FUNCS[kind](F)))
 
     def dissipation(self, state, kind):
         """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face).
@@ -387,30 +370,28 @@ class Solver:
         F = self.quotient(state)
         dF = np.diff(F)
         if kind == "chi2":
-            return 2.0 * _dot_rows(dF ** 2, self.face_coeff)
+            return 2.0 * float(np.dot(self.face_coeff, dF ** 2))
         if kind == "entropy":
             if np.any(F <= 0.0):
                 raise SolverError("entropy dissipation requires F > 0")
-            F_face = (0.5 * (np.sqrt(F[..., 1:]) + np.sqrt(F[..., :-1]))) ** 2
-            return _dot_rows(dF ** 2 / F_face, self.face_coeff)
+            F_face = (0.5 * (np.sqrt(F[1:]) + np.sqrt(F[:-1]))) ** 2
+            return float(np.dot(self.face_coeff, dF ** 2 / F_face))
         if kind == "hellinger2":
             if np.any(F <= 0.0):
                 raise SolverError("hellinger dissipation requires F > 0")
             ds = np.diff(np.sqrt(F))
-            return 2.0 * _dot_rows(ds ** 2, self.face_coeff)
+            return 2.0 * float(np.dot(self.face_coeff, ds ** 2))
         raise ValueError(f"unknown functional kind {kind!r}")
 
     def l1_distance(self, state):
-        return _dot_rows(np.abs(state.values - self.f_eq), self.grid.cell_volumes)
+        return float(np.dot(np.abs(state.values - self.f_eq),
+                            self.grid.cell_volumes))
 
     # -- evolution -----------------------------------------------------------
 
     def evolve(self, state, t_final, dt, sample_every=None):
         """March to t_final by implicit steps, sampling the decay functionals.
 
-        The sampled states are reduced in blocks of at most _SAMPLE_BLOCK,
-        each functional over a whole block at once; a state with F <= 0 is
-        reduced at once, so the entropy raises where it was sampled.
         Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``,
         and before the first step unless :func:`check_march` accepts
         ``t_final`` and ``dt``.  Returns a DecayTrace with the chi-square
@@ -422,21 +403,18 @@ class Solver:
         stride = max(1, int(round(sample_every / dt)))
         mass0 = state.mass
 
-        blocks = []  # the DecayTrace columns of each reduced block
-        pending = []  # states sampled since the last reduction
-
-        def reduce():
-            s = FPState(self.grid, np.stack([p.values for p in pending]),
-                        np.array([p.t for p in pending]))
-            blocks.append((s.t, self.theta(s, "chi2"), self.theta(s, "entropy"),
-                           self.theta(s, "hellinger2"), self.dissipation(s, "chi2"),
-                           self.dissipation(s, "entropy"), s.mass, self.l1_distance(s)))
-            pending.clear()
+        samples = {k: [] for k in ("t", "chi2", "ent", "hell", "d_chi2",
+                                   "d_ent", "mass", "l1")}
 
         def record(s):
-            pending.append(s)
-            if len(pending) == _SAMPLE_BLOCK or s.values.min() <= 0.0:
-                reduce()
+            samples["t"].append(s.t)
+            samples["chi2"].append(self.theta(s, "chi2"))
+            samples["ent"].append(self.theta(s, "entropy"))
+            samples["hell"].append(self.theta(s, "hellinger2"))
+            samples["d_chi2"].append(self.dissipation(s, "chi2"))
+            samples["d_ent"].append(self.dissipation(s, "entropy"))
+            samples["mass"].append(s.mass)
+            samples["l1"].append(self.l1_distance(s))
 
         record(state)
         for k in range(1, n_steps + 1):
@@ -447,10 +425,17 @@ class Solver:
                     f"exceeds {_MASS_DRIFT_TOL:.0e} at t = {state.t:.4g}")
             if k % stride == 0 or k == n_steps:
                 record(state)
-        if pending:
-            reduce()
 
-        trace = DecayTrace(*(np.concatenate(column) for column in zip(*blocks)))
+        trace = DecayTrace(
+            times=np.array(samples["t"]),
+            theta_chi2=np.array(samples["chi2"]),
+            theta_entropy=np.array(samples["ent"]),
+            hellinger2=np.array(samples["hell"]),
+            dissipation_chi2=np.array(samples["d_chi2"]),
+            dissipation_entropy=np.array(samples["d_ent"]),
+            mass=np.array(samples["mass"]),
+            l1_dist=np.array(samples["l1"]),
+        )
         try:
             trace.fitted_rate = fit_decay_rate(trace.times, trace.theta_chi2)
         except ValueError:

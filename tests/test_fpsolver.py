@@ -105,7 +105,9 @@ def count_tails(monkeypatch):
 
 
 class TestTruncationRadius:
-    @pytest.mark.parametrize("spec", EVOLVED)
+    # the narrow Gaussian's tail already holds at 1.0, the radius returned
+    # before any bracket is searched
+    @pytest.mark.parametrize("spec", EVOLVED + ["gaussian:sigma=0.01,n=1"])
     def test_same_float_as_fixed_rounds(self, spec):
         d = parse_density_spec(spec)
         assert _truncation_radius(d) == bisection_60(d)
@@ -362,9 +364,8 @@ def per_state_trace(solver, state, t_final, dt):
     return [np.array(column) for column in zip(*rows)]
 
 
-class TestBlockSampling:
-    # a half-line solver and an n = 3 radial one; 101 samples, so the third
-    # block of 32 ends mid-trace and a last block of 5 follows
+class TestSampling:
+    # a half-line solver and an n = 3 radial one, sampled at every step
     @pytest.mark.parametrize("spec", ["inverse_gamma:mu=2,n=1", "cauchy:beta=4,n=3"])
     def test_trace_is_the_per_state_values(self, spec):
         d = parse_density_spec(spec)
@@ -378,17 +379,6 @@ class TestBlockSampling:
         for got, want in zip(columns, per_state_trace(solver, state, 0.5, 5e-3)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-
-    def test_block_of_states_is_each_state(self, gaussian_1d):
-        solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=64)
-        states = [perturbed_initial_state(solver, name, eps=0.1)
-                  for name in ("cosine", "tanh", "shell")]
-        block = FPState(solver.grid, np.stack([s.values for s in states]),
-                        np.zeros(len(states)))
-        for fn in (lambda s: solver.theta(s, "entropy"),
-                   lambda s: solver.dissipation(s, "hellinger2"),
-                   solver.l1_distance, lambda s: s.mass):
-            assert np.array_equal(fn(block), [fn(s) for s in states])
 
     # a negative cell would make the first step raise "negative density" if
     # the entropy were not taken before it
