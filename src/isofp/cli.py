@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from pathlib import Path
@@ -123,21 +126,24 @@ def _plain(obj):
     return obj
 
 
-def _write_json(path, payload):
+def _json_text(payload):
+    return json.dumps(_plain(payload), sort_keys=True, indent=1) + "\n"
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _write_json(path, text):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_plain(payload), sort_keys=True, indent=1) + "\n")
+    path.write_text(text, newline="")
     return path
 
 
-def _write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+_write_csv = _write_json  # perfbench/spans.py wraps both names
 
 
 def _sha256(path):
@@ -170,7 +176,7 @@ def cmd_weights(args):
     hi = i_plus if np.isfinite(i_plus) else 6.0
     rows = _weight_rows(d, np.linspace(hi * 0.01, hi * 0.99, args.points))
     out = Path(args.out) / f"weights_{_slug(density_label(d))}.csv"
-    _write_csv(out, WEIGHT_HEADER, rows)
+    _write_csv(out, _csv_text(WEIGHT_HEADER, rows))
     worst = max(float(r[3]) for r in rows)
     print(f"wrote {out} (max rel err {worst:.3e})")
     return 0 if worst < 1e-6 else 1
@@ -287,13 +293,14 @@ def cmd_check(args):
     path = Path(args.out) / f"check_{args.theorem}_{_slug(lbl)}.json"
     if isinstance(result, str):
         print(f"skipped: {result}")
-        _write_json(path, {"density": lbl, "theorem": args.theorem, "skipped": result})
+        _write_json(path, _json_text({"density": lbl, "theorem": args.theorem,
+                                      "skipped": result}))
         return 0
     payload, (verdict, _) = _check_payload({"density": lbl}, args.theorem, args.tol,
                                            args.corpus_seed, result)
-    _write_json(path, payload)
-    _write_csv(path.with_suffix(".csv"), REPORT_HEADER,
-               _report_rows(lbl, args.theorem, result))
+    _write_json(path, _json_text(payload))
+    _write_csv(path.with_suffix(".csv"),
+               _csv_text(REPORT_HEADER, _report_rows(lbl, args.theorem, result)))
     s = payload["summary"]
     print(f"{lbl} / {args.theorem}: {s['passed']} passed, {s['failed']} failed, "
           f"{s['rejected']} rejected, max ratio {s['max_ratio']:.9f}")
@@ -388,9 +395,9 @@ def cmd_evolve(args):
     trace = run_evolution(d, **march)
     lbl = density_label(d)
     out_dir = Path(args.out)
-    _write_csv(out_dir / f"trace_{_slug(lbl)}.csv", TRACE_HEADER, trace_rows(trace))
+    _write_csv(out_dir / f"trace_{_slug(lbl)}.csv", _csv_text(TRACE_HEADER, trace_rows(trace)))
     payload, (verdict, _) = _evolution_outcome(d, trace, march)
-    _write_json(out_dir / f"rates_{_slug(lbl)}.json", payload)
+    _write_json(out_dir / f"rates_{_slug(lbl)}.json", _json_text(payload))
     print(f"{lbl}: fitted chi2 rate {trace.fitted_rate}, "
           f"bound {payload['rate_bound_2_over_c']}")
     return 1 if verdict == "FAIL" else 0
@@ -420,20 +427,65 @@ def _timed(fn, *args):
     return result, time.perf_counter() - t0, time.process_time() - c0, os.getpid()
 
 
-def _in_workers(tasks):
-    """``[_timed(*task) for task in tasks]`` in forked workers, one per CPU of the
-    affinity mask up to len(tasks), longest (evolutions) first, and the worker count."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    pool = ProcessPoolExecutor(max(workers, 1), mp_context=get_context("fork"))
+def _portable(exc):
+    """``exc`` if it survives pickling, else its message in its nearest builtin class."""
     try:
-        order = sorted(range(len(tasks)), key=lambda i: tasks[i][0] is not _evolve_trace)
-        futures = {i: pool.submit(_timed, *tasks[i]) for i in order}
-        return [futures[i].result() for i in range(len(tasks))], workers
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return next(c for c in type(exc).__mro__ if c.__module__ == "builtins")(str(exc))
+
+
+def _in_workers(tasks, order):
+    """``[_timed(*task) for task in tasks]`` in forked children, one per CPU of
+    the affinity mask up to len(tasks), and the child count.  The children
+    read task indices in ``order`` from one shared pipe; each stops at its first
+    task that raises and pickles [(index, _timed result or exception)] into a
+    pipe of its own.  The parent reaps every child, killing them first if it
+    raises itself; then it raises the exception of the lowest-index task that raised."""
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    fds, pids, data = list(os.pipe()), [], []  # the queue, then each child's pipe
+    try:
+        for _ in range(workers):
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:
+                done = []
+                try:
+                    os.close(fds[1])
+                    while index := os.read(fds[0], 4):
+                        i = int.from_bytes(index, "little")
+                        try:
+                            done.append((i, _timed(*tasks[i])))
+                        except Exception as exc:
+                            done.append((i, _portable(exc)))
+                            break
+                    with open(fds[-1], "wb") as fh:
+                        pickle.dump(done, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(fds.pop())
+        os.close(fds.pop(0))
+        with open(fds.pop(0), "wb") as fh:  # closing it ends the queue
+            fh.write(b"".join(i.to_bytes(4, "little") for i in order))
+        for _ in pids:
+            with open(fds.pop(0), "rb") as fh:
+                data.append(fh.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fd in fds:
+            os.close(fd)
+        status = [os.waitpid(pid, 0)[1] for pid in pids]
+    for code in filter(None, status):
+        raise RuntimeError(f"a worker ended with wait status {code} before it reported")
+    done = dict(item for blob in data for item in pickle.loads(blob))
+    for i in sorted(done):
+        if isinstance(done[i], BaseException):
+            raise done[i]
+    return [done[i] for i in range(len(tasks))], workers
 
 
 def run_experiment(config, out_dir):
@@ -497,27 +549,36 @@ def run_experiment(config, out_dir):
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
             growth_stats.append({"density": lbl, "exponent": p})
 
-    # a task that raises fails the run before any file is written
-    done, workers = _in_workers([job[3] for job in jobs])
-    files = [_write_csv(out_dir / f"weights_{_slug(lbl)}.csv", WEIGHT_HEADER, rows)
+    def finished(lbl, task, head, work):
+        """A task's (verdict, detail), files {name: text} and check_summary.csv rows."""
+        result = work[0](*work[1:])
+        if isinstance(result, str):
+            return ("skipped", result), {}, []
+        if isinstance(result, TruncationError):
+            return ("unchecked", f"no solver: {result}"), {}, []
+        if task == "relaxation_rate":
+            payload, outcome = _evolution_outcome(head, result, evolution)
+            return outcome, {f"trace_{_slug(lbl)}.csv": _csv_text(TRACE_HEADER, trace_rows(result)),
+                             f"rates_{_slug(lbl)}.json": _json_text(payload)}, []
+        payload, outcome = _check_payload(head, task, tol, seed, result)
+        return (outcome, {f"check_{task}_{_slug(lbl)}.json": _json_text(payload)},
+                _report_rows(lbl, task, result))
+
+    # a task that raises fails the run before any file is written; the longest
+    # (evolutions) run first
+    done, workers = _in_workers([(finished, *job) for job in jobs], sorted(
+        range(len(jobs)), key=lambda i: jobs[i][1] != "relaxation_rate"))
+    files = [_write_csv(out_dir / f"weights_{_slug(lbl)}.csv", _csv_text(WEIGHT_HEADER, rows))
              for lbl, rows in weight_rows]
     summary_rows, all_reports_csv = [], []
-    for (lbl, task, head, _), (result, *_) in zip(jobs, done):
-        if isinstance(result, str):
-            outcome = ("skipped", result)
-        elif isinstance(result, TruncationError):
-            outcome = ("unchecked", f"no solver: {result}")
-        elif task == "relaxation_rate":
-            files.append(_write_csv(out_dir / f"trace_{_slug(lbl)}.csv",
-                                    TRACE_HEADER, trace_rows(result)))
-            payload, outcome = _evolution_outcome(head, result, evolution)
-            files.append(_write_json(out_dir / f"rates_{_slug(lbl)}.json", payload))
-        else:
-            payload, outcome = _check_payload(head, task, tol, seed, result)
-            files.append(_write_json(out_dir / f"check_{task}_{_slug(lbl)}.json", payload))
-            all_reports_csv.extend(_report_rows(lbl, task, result))
+    for (lbl, task, *_), ((outcome, texts, report_rows), *_) in zip(jobs, done):
+        for name, text in texts.items():
+            files.append((_write_json if name.endswith(".json") else _write_csv)(
+                out_dir / name, text))
+        all_reports_csv += report_rows
         summary_rows.append((lbl, task, *outcome))
-    files.append(_write_csv(out_dir / "check_summary.csv", REPORT_HEADER, all_reports_csv))
+    files.append(_write_csv(out_dir / "check_summary.csv",
+                            _csv_text(REPORT_HEADER, all_reports_csv)))
 
     # markdown summary
     lines = ["# Verification summary", "",
@@ -543,16 +604,16 @@ def run_experiment(config, out_dir):
              for f in {str(f) for f in files}),
             key=lambda e: e["path"]),
     }
-    _write_json(out_dir / "manifest.json", manifest)
-    _write_json(out_dir / "metadata.json",
-                {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                 "argv": sys.argv})
+    _write_json(out_dir / "manifest.json", _json_text(manifest))
+    _write_json(out_dir / "metadata.json", _json_text(
+        {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+         "argv": sys.argv}))
     peak_kb = max(getrusage(who).ru_maxrss for who in (RUSAGE_SELF, RUSAGE_CHILDREN))
-    _write_json(out_dir / "profile.json", {  # timings stay out of the manifest too
+    _write_json(out_dir / "profile.json", _json_text({  # timings stay out of the manifest too
         "tasks": [{"name": f"{job[0]} {job[1]}", "wall_s": wall, "cpu_s": cpu, "pid": pid}
                   for job, (_, wall, cpu, pid) in zip(jobs, done)],
         "workers": workers, "wall_s": time.perf_counter() - start,
-        "peak_rss_mb": peak_kb / 1024.0})
+        "peak_rss_mb": peak_kb / 1024.0}))
     return int(any(row[2] == "FAIL" for row in summary_rows)), files, summary_rows
 
 

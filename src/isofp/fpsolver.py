@@ -120,7 +120,7 @@ def _truncation_radius(d, tail_mass=1e-12):
     _NEWTON_PROBES tails the bracket goes to :func:`weights.bisect`.  So
     wherever the tail decreases in r, the radius is the float bisection
     from 1.0 finds.  Raises TruncationError if the tail at _R_CAP exceeds
-    ``tail_mass`` or a tail integral fails."""
+    ``tail_mass`` or a tail integral fails or is negative."""
     from .quadrature import QuadratureError, integrate_interval
 
     if np.isfinite(d.support_radius):
@@ -137,6 +137,8 @@ def _truncation_radius(d, tail_mass=1e-12):
             val, _ = integrate_interval(mass_density, R, math.inf)
         except QuadratureError as exc:
             raise TruncationError("could not truncate the domain: tail too heavy") from exc
+        if val < 0.0:  # of a positive integrand
+            raise TruncationError("could not truncate the domain: tail too heavy")
         return val
 
     r, T = 2.0, tail(2.0)

@@ -766,7 +766,9 @@ def _mixture_angular(grid, mixture):
     e_k (c_k . d u / d theta_i), so a block of shells needs only the term
     exponentials e_k and n - 1 contractions over the terms.  Shells where
     every term underflows are skipped, and every block reuses one exponent
-    and one output buffer.
+    and one output buffer.  A block's exponents 2 b rho (c . u) - b (rho^2
+    + |c|^2) are one batched product of [2 b rho, -b (rho^2 + |c|^2)] with
+    [c . u; 1], rounded as the product and the difference are one by one.
     """
     amps, centres, widths = mixture
     r, ang_w = grid.r_nodes, grid.ang_weights
@@ -775,19 +777,21 @@ def _mixture_angular(grid, mixture):
     top = np.max(-widths[:, None] * (r - np.sqrt(c_sq)[:, None]) ** 2, axis=0)
     rows = np.flatnonzero((top >= _EXP_FLOOR) & (grid.r_weights > 0.0))
     c_u = centres @ grid.unit.T
+    cu_one = np.stack([c_u, np.ones_like(c_u)], axis=1)
     coef = np.einsum("k,kn,ian->ika", 2.0 * amps * widths, centres, grid.tangents)
     ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
     step = max(1, _BLOCK_NODES // len(ang_w))
     e = np.empty((len(amps), min(step, len(rows)), len(ang_w)))
+    lhs = np.empty(e.shape[:2] + (2,))
     d = np.empty(e.shape[1:])
     angular = np.zeros((len(coef), 2))
     for start in range(0, len(rows), step):
         idx = rows[start:start + step]
         rho = r[idx]
-        e_b, d_b = e[:, :len(idx)], d[:len(idx)]
-        for e_k, c_uk, b, c2 in zip(e_b, c_u, widths, c_sq):
-            np.multiply.outer(2.0 * b * rho, c_uk, out=e_k)
-            e_k -= (b * (rho * rho + c2))[:, None]
+        e_b, d_b, lhs_b = e[:, :len(idx)], d[:len(idx)], lhs[:, :len(idx)]
+        np.multiply.outer(2.0 * widths, rho, out=lhs_b[..., 0])
+        np.negative(widths[:, None] * (rho * rho + c_sq[:, None]), out=lhs_b[..., 1])
+        np.matmul(lhs_b, cu_one, out=e_b)
         np.exp(e_b, out=e_b)
         for i, coef_i in enumerate(coef):
             np.einsum("ka,kja->ja", coef_i, e_b, out=d_b)

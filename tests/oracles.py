@@ -7,7 +7,8 @@ closed forms are ``isofp.weights.optimal_cauchy_weight`` and
 density of the Poincare checks.  The solver helpers read a
 :class:`~isofp.fpsolver.Solver`'s discrete operator from outside: its
 equilibrium state, its flux divergence and the second route to its entropy
-dissipation.
+dissipation.  The two-pass angular kernel of a Gaussian mixture is the one
+:func:`isofp.quadrature._mixture_angular` must match bit for bit.
 
 Tests import this module as ``from oracles import ...``.
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 from isofp.densities import Density1D
 from isofp.fpsolver import FPState, SolverError
+from isofp import quadrature
 from isofp.weights import WeightError, WeightFunction
 
 
@@ -225,3 +227,39 @@ def dissipation_entropy_sqrt_form(solver, state):
         raise SolverError("entropy dissipation requires F > 0")
     ds = np.diff(np.sqrt(F))
     return 4.0 * float(np.dot(solver.face_coeff, ds ** 2))
+
+
+# ---------------------------------------------------------------------------
+# The angular kernel of a Gaussian mixture, one term at a time
+# ---------------------------------------------------------------------------
+
+
+def mixture_angular_two_pass(grid, mixture):
+    """:func:`isofp.quadrature._mixture_angular` with each term's exponents
+    taken in two passes: the outer product 2 b rho (c . u), then minus b
+    (rho^2 + |c|^2)."""
+    amps, centres, widths = mixture
+    r, ang_w = grid.r_nodes, grid.ang_weights
+    c_sq = np.einsum("kn,kn->k", centres, centres)
+    top = np.max(-widths[:, None] * (r - np.sqrt(c_sq)[:, None]) ** 2, axis=0)
+    rows = np.flatnonzero((top >= quadrature._EXP_FLOOR) & (grid.r_weights > 0.0))
+    c_u = centres @ grid.unit.T
+    coef = np.einsum("k,kn,ian->ika", 2.0 * amps * widths, centres, grid.tangents)
+    ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
+    step = max(1, quadrature._BLOCK_NODES // len(ang_w))
+    e = np.empty((len(amps), min(step, len(rows)), len(ang_w)))
+    d = np.empty(e.shape[1:])
+    angular = np.zeros((len(coef), 2))
+    for start in range(0, len(rows), step):
+        idx = rows[start:start + step]
+        rho = r[idx]
+        e_b, d_b = e[:, :len(idx)], d[:len(idx)]
+        for e_k, c_uk, b, c2 in zip(e_b, c_u, widths, c_sq):
+            np.multiply.outer(2.0 * b * rho, c_uk, out=e_k)
+            e_k -= (b * (rho * rho + c2))[:, None]
+        np.exp(e_b, out=e_b)
+        for i, coef_i in enumerate(coef):
+            np.einsum("ka,kja->ja", coef_i, e_b, out=d_b)
+            np.multiply(d_b, d_b, out=d_b)
+            angular[i] += (grid.r_weights[idx] * rho * rho) @ (d_b @ ang_pair)
+    return angular

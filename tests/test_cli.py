@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,23 @@ TINY_CONFIG = {
     "anisotropic_covariances": [],
     "evolve_densities": ["gaussian:sigma=1,n=1"],
 }
+
+
+def assert_no_children():
+    # run forks its workers itself, so no child of this process is left
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Unpicklable(ValueError):
+    """A task error that does not pickle, since it holds a lambda, and
+    would not unpickle either, since its __init__ takes two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+        self.hook = lambda: code
 
 
 class TestWeightsCommand:
@@ -300,7 +321,7 @@ class TestRunCommand:
         assert code != 0
         assert capsys.readouterr().err == (
             "error: negative density -1.000e-03 produced by a step\n")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_density_outside_the_marginal_weight_is_skipped(self, tmp_path):
         # beta = 1.5 > n / 2 is a valid density, but the optimal Cauchy
@@ -378,7 +399,73 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             "error: no steady-state probe lies 2h inside the support\n")
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_lowest_failing_task_is_raised(self, cpus, tmp_path, monkeypatch):
+        # task 1 fails at once, task 0 later; the run raises task 0's error
+        def failing(d, theorem, seed, tol):
+            if theorem == "product":
+                raise cli.SolverError("the product check failed")
+            time.sleep(0.2)
+            raise LookupError("the 1-D check failed")
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli, "reports_for_pair", failing)
+        cfg = dict(TINY_CONFIG, theorems=["poincare_1d", "product"], evolve_densities=[])
+        with pytest.raises(LookupError, match="^the 1-D check failed$"):
+            cli.run_experiment(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert_no_children()
+
+    def test_unpicklable_task_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the worker sends the message in the nearest class that pickles
+        def failing(*args):
+            raise Unpicklable("no report for this pair", 7)
+
+        monkeypatch.setattr(cli, "reports_for_pair", failing)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no report for this pair\n"
+        assert not out.exists()
+        assert_no_children()
+
+    def test_parent_interrupt_kills_every_worker(self, tmp_path, monkeypatch):
+        # every task sleeps for 20 s, and the parent's first read of a
+        # worker's results raises; the workers are killed, not waited for
+        def sleeping(fn, *args):
+            time.sleep(20.0)
+
+        def interrupted(file, mode="r", *args, **kwargs):
+            if mode == "rb":
+                raise KeyboardInterrupt
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_timed", sleeping)
+        monkeypatch.setattr(cli, "open", interrupted, raising=False)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_experiment(TINY_CONFIG, tmp_path / "out")
+        assert time.perf_counter() - t0 < 10.0
+        assert not (tmp_path / "out").exists()
+        assert_no_children()
+
+    def test_run_starts_no_process_pool(self, tmp_path):
+        # concurrent.futures itself comes with scipy (through numpy.testing);
+        # its process pool and multiprocessing stay unimported
+        script = ("import json, sys; import isofp.cli as cli; "
+                  "cli.run_experiment(json.loads(sys.argv[1]), sys.argv[2]); "
+                  "print(sorted({'concurrent.futures.process', 'multiprocessing'} "
+                  "& set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(TINY_CONFIG),
+                               str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+        assert (tmp_path / "out" / "manifest.json").exists()
 
     @staticmethod
     def assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch):
@@ -410,7 +497,7 @@ class TestRunCommand:
             out = tmp_path / f"out{len(cpus)}"
             code, _, rows = cli.run_experiment(MIXED_CONFIG, out)
             assert code == 0
-            assert multiprocessing.active_children() == []
+            assert_no_children()
             digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                             for p in out.iterdir()
                             if p.name not in ("metadata.json", "profile.json")})

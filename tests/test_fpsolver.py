@@ -132,6 +132,26 @@ class TestTruncationRadius:
         with pytest.raises(TruncationError, match="tail too heavy"):
             _truncation_radius(parse_density_spec(spec))
 
+    # QUADPACK returns a negative tail for each of these at some probe of
+    # the search; a positive integrand has none, so the search ends there
+    @pytest.mark.parametrize("spec", ["cauchy:beta=2.5,n=3", "cauchy:beta=1.6,n=1",
+                                      "inverse_gamma:mu=1,n=1", "inverse_gamma:mu=1.25,n=1",
+                                      "cauchy:beta=1.5,n=2"])
+    def test_negative_tail_raises(self, spec, monkeypatch):
+        tails = []
+        integrate = quadrature.integrate_interval
+
+        def record(*args):
+            val, err = integrate(*args)
+            tails.append(val)
+            return val, err
+
+        monkeypatch.setattr(quadrature, "integrate_interval", record)
+        with pytest.raises(TruncationError, match="tail too heavy") as info:
+            _truncation_radius(parse_density_spec(spec))
+        assert info.value.__cause__ is None
+        assert tails[-1] < 0.0 and min(tails[:-1]) >= 0.0
+
     def test_search_gives_up_at_the_cap(self, monkeypatch):
         # a tail that never falls to the target: the search raises at 2^29,
         # the last doubling of 1 below 1e9, and probes nothing beyond it

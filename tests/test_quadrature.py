@@ -16,7 +16,8 @@ from isofp.corpus import (
     corpus_nd,
     corpus_outside_ball,
 )
-from isofp.densities import closed_form_weight, make_density, radial_marginal
+from isofp.densities import (closed_form_weight, make_density, parse_density_spec,
+                             radial_marginal)
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
 from isofp.inequality import (
@@ -45,6 +46,7 @@ from isofp.weights import (
     hybrid_weight,
     optimal_cauchy_weight,
 )
+from oracles import mixture_angular_two_pass
 
 
 def const_weight(c, hi=math.inf):
@@ -919,6 +921,55 @@ class TestMixtureMoments:
     def test_axis_weights_match_block_walk(self, n, monkeypatch):
         assert_axis_weights_match_block_walk(n, random_members(n)[::3], seed=10 + n,
                                              monkeypatch=monkeypatch, order=64)
+
+
+class TestMixtureAngular:
+    """The angular kernel takes a block's exponents in one batched product;
+    the two-pass kernel of :mod:`oracles` is its oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind,params", [
+        ("cauchy_type", {"beta": 4.0}), ("cauchy_type", {"beta": 3.0}),
+        ("exponential_type", {"beta": 1.0}), ("barenblatt", {"a": 1.0, "p": 2.0}),
+    ], ids=["n3-grid", "cauchy3", "exponential", "barenblatt"])
+    def test_corpus_mixtures(self, kind, params, n, monkeypatch):
+        # the n3-grid and n2-mixed densities in each dimension; at n = 4
+        # coarse radial and angular rules keep the pass short
+        if n == 4:
+            monkeypatch.setattr(quadrature, "_RADIAL_LEVELS", 4)
+            monkeypatch.setattr(quadrature, "_ANGULAR_ORDER", 12)
+        d = make_density(kind, params, n)
+        scale = 0.45 * d.support_radius if np.isfinite(d.support_radius) else 1.0
+        mixtures = [m.mixture for m in corpus_nd(n, seed=2024, scale=scale)
+                    if m.mixture is not None]
+        grid = build_grid(d, corpus_nd(n, seed=2024, scale=scale))
+        assert len(mixtures) == 14
+        for mixture in mixtures:
+            got = quadrature._mixture_angular(grid, mixture)
+            assert np.array_equal(got, mixture_angular_two_pass(grid, mixture))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gaps_and_a_partial_block(self, n, monkeypatch):
+        # narrow terms at |c| = 1 and 6 underflow between them and far out,
+        # so the live shells have a gap, and blocks of 7 shells leave the
+        # last one partial
+        monkeypatch.setattr(quadrature, "_RADIAL_LEVELS", 6)
+        d = make_density("gaussian", {"sigma": 2.0}, n)
+        e0 = np.eye(n)[0]
+        phi = GaussianMixture("gappy", n, [0.8, -1.3, 0.5],
+                              np.array([e0, 6.0 * np.eye(n)[n - 1], -e0 + 0.1]),
+                              np.array([400.0, 300.0, 500.0]))
+        grid = build_grid(d, [phi])
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 7 * len(grid.ang_weights))
+        _, centres, widths = phi.mixture
+        dist = grid.r_nodes - np.linalg.norm(centres, axis=1)[:, None]
+        top = np.max(-widths[:, None] * dist ** 2, axis=0)
+        rows = np.flatnonzero((top >= quadrature._EXP_FLOOR) & (grid.r_weights > 0.0))
+        assert np.any(np.diff(rows) > 1) and rows[-1] < len(grid.r_nodes) - 1
+        assert len(rows) > 7 and len(rows) % 7 != 0
+        got = quadrature._mixture_angular(grid, phi.mixture)
+        assert np.all(got > 0.0)
+        assert np.array_equal(got, mixture_angular_two_pass(grid, phi.mixture))
 
 
 class TestHalfIntegerBessel:
