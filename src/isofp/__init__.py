@@ -31,7 +31,6 @@ from .weights import (
 )
 from .quadrature import (
     HypersphericalGrid,
-    Integrator,
     QuadratureError,
     TestFunction,
     build_grid,

@@ -172,6 +172,8 @@ def _weight_rows(d, rho):
 
 def cmd_weights(args):
     d = parse_density_spec(args.density)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, not {args.points}")
     i_plus = d.support_radius
     hi = i_plus if np.isfinite(i_plus) else 6.0
     rows = _weight_rows(d, np.linspace(hi * 0.01, hi * 0.99, args.points))
@@ -413,10 +415,11 @@ def _anisotropic_reports(V, seed, tol):
 
 
 def _evolve_trace(d, evolution):
-    """An evolution's decay trace, or its TruncationError if no solver exists."""
+    """An evolution's decay trace, or the TruncationError or WeightError
+    (no closed-form K) for which no solver exists."""
     try:
         return run_evolution(d, **evolution)
-    except TruncationError as exc:
+    except (TruncationError, wmod.WeightError) as exc:
         return exc
 
 
@@ -504,8 +507,10 @@ def run_experiment(config, out_dir):
         raise ValueError("config: missing required key 'densities'")
     densities = [parse_density_spec(s) for s in config["densities"]]
     theorems = list(config.get("theorems", THEOREMS))
-    # densities, theorems, covariances and the march are checked before any
-    # work is done
+    # densities (each with its closed-form K, which the weight CSVs compare),
+    # theorems, covariances and the march are checked before any work is done
+    for d in densities:
+        closed_form_weight(d)
     for theorem in theorems:
         if theorem not in THEOREMS:
             raise ValueError(f"theorems: unknown theorem {theorem!r}; "
@@ -554,7 +559,7 @@ def run_experiment(config, out_dir):
         result = work[0](*work[1:])
         if isinstance(result, str):
             return ("skipped", result), {}, []
-        if isinstance(result, TruncationError):
+        if isinstance(result, (TruncationError, wmod.WeightError)):
             return ("unchecked", f"no solver: {result}"), {}, []
         if task == "relaxation_rate":
             payload, outcome = _evolution_outcome(head, result, evolution)

@@ -283,35 +283,18 @@ class GaussianMixture(TestFunction):
     centres ``centres`` (one row of n coordinates per term) and rates
     ``widths`` b_k > 0; grad phi = sum_k -2 a_k b_k exp(-b_k |x - c_k|^2) (x - c_k).
 
-    Values and gradients come from the parameters alone.  ``mixture =
-    (amps, centres, widths)`` lets :func:`~isofp.quadrature.grid_moments`
-    build the member shell by shell from the grid's radii and directions,
-    without reading the grid's node rows.
+    ``mixture = (amps, centres, widths)`` lets
+    :func:`~isofp.quadrature.grid_moments` build the member shell by shell
+    from the grid's radii and directions, and
+    :func:`~isofp.quadrature.sphere_dirichlet` from a radius; the member
+    has no values at points.
     """
 
     def __init__(self, name, n, amps, centres, widths):
         amps = np.asarray(amps, dtype=float)
         centres = np.asarray(centres, dtype=float).reshape(len(amps), int(n))
         self.mixture = (amps, centres, np.asarray(widths, dtype=float))
-        super().__init__(name, n, self._eval_points, self._grad_points)
-
-    def _terms(self, pts):
-        """(a_k, b_k, x - c_k, exp(-b_k |x - c_k|^2)) for each term."""
-        for a, c, b in zip(*self.mixture):
-            d = pts - c[None, :]
-            yield a, b, d, np.exp(-b * np.einsum("ij,ij->i", d, d))
-
-    def _eval_points(self, pts):
-        out = np.zeros(len(pts))
-        for a, _, _, e in self._terms(pts):
-            out += a * e
-        return out
-
-    def _grad_points(self, pts):
-        out = np.zeros_like(pts)
-        for a, b, d, e in self._terms(pts):
-            out += (-2.0 * a * b * e)[:, None] * d
-        return out
+        super().__init__(name, n)
 
 
 def _random_mixture_member(name, n, rng, terms=3, box=1.5):
@@ -329,7 +312,7 @@ def _linear_member(name, b):
     return PolarMember(name, n, rho, terms, bounded=False)
 
 
-def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
+def corpus_nd(n, seed=0, scale=1.0):
     """Default corpus on R^n: >= 40 bounded smooth members spanning radial,
     angular and mixed derivative behaviour, plus seeded random mixtures.
 
@@ -403,10 +386,6 @@ def corpus_nd(n, seed=0, include_linear=False, scale=1.0):
 
     for j in range(_RANDOM_MEMBERS):
         members.append(_random_mixture_member(f"random{j}", n, rng, box=1.5 * scale))
-
-    if include_linear:
-        members += [_linear_member(f"linear_x{i + 1}", np.eye(n)[i]) for i in range(min(n, 2))]
-
     return members
 
 
@@ -488,7 +467,7 @@ def corpus_anisotropic(V, seed=0):
     whitened coordinates y = H^{-1} (x - u) with H = Q sqrt(D) from
     V = Q D Q^T (see :func:`~isofp.inequality.check_gaussian_anisotropic`).
 
-    The smooth members are the bounded members of :func:`corpus_nd`, read
+    The smooth members are the members of :func:`corpus_nd`, read
     in y, so their radial structure lives in the whitened radius and they
     keep their shell kernels on the standard-normal grid; their names carry
     ``@whitened``.  The sharp witnesses are linear forms a . x along the
@@ -518,47 +497,30 @@ class SeparableMember(TestFunction):
     (``combine="sum"``) from per-coordinate Fn1D shapes.
 
     The shapes and the way they combine are kept, so the product check
-    reduces every moment to 1-D moments on the factor rules.
+    reduces every moment to 1-D moments on the factor rules; the member
+    has no values at points.
     """
 
-    def __init__(self, name, shapes, combine, bounded=True):
+    def __init__(self, name, shapes, combine):
         if combine not in ("product", "sum"):
             raise ValueError(f"combine must be 'product' or 'sum', not {combine!r}")
         self.shapes = tuple(shapes)
         self.combine = combine
-        super().__init__(name, len(self.shapes), self._eval_points,
-                         self._grad_points, bounded=bounded)
-
-    def _eval_points(self, pts):
-        vals = [g(pts[:, i]) for i, g in enumerate(self.shapes)]
-        return np.prod(vals, axis=0) if self.combine == "product" else np.sum(vals, axis=0)
-
-    def _grad_points(self, pts):
-        out = np.empty_like(pts)
-        if self.combine == "sum":
-            for i, g in enumerate(self.shapes):
-                out[:, i] = g.deriv(pts[:, i])
-            return out
-        vals = [g(pts[:, i]) for i, g in enumerate(self.shapes)]
-        for i, g in enumerate(self.shapes):
-            out[:, i] = g.deriv(pts[:, i]) * np.prod(vals[:i] + vals[i + 1:], axis=0)
-        return out
+        super().__init__(name, len(self.shapes))
 
 
-def corpus_product(supports, seed=0, include_bilinear=False):
-    """Corpus on a product box prod_i (a_i, b_i); >= 40 members.
+def corpus_product(supports, seed=0):
+    """Corpus on a product box prod_i (a_i, b_i); >= 40 bounded members.
 
     Members are :class:`SeparableMember` products and sums of seeded draws
     from the 1-D shapes adapted to each factor; each shape carries its own
     C^2 knots, where the factor rules of the product check split.  Shapes
     with knots are drawn only along the first axis, which keeps the other
-    factor rules free of extra panels.  ``include_bilinear`` adds the
-    unbounded x_1 x_2 witness for light-tailed factors.
+    factor rules free of extra panels.
     """
     n = len(supports)
     rng = np.random.default_rng(seed)
-    per_coord = [corpus_1d(s, seed=seed + 17 * i, include_linear=False)
-                 for i, s in enumerate(supports)]
+    per_coord = [corpus_1d(s, seed=seed + 17 * i) for i, s in enumerate(supports)]
     smooth_coord = [[g for g in shapes if not g.breakpoints] for shapes in per_coord]
     const = Fn1D("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
                  lambda x: np.zeros_like(np.asarray(x, dtype=float)))
@@ -583,10 +545,4 @@ def corpus_product(supports, seed=0, include_bilinear=False):
     for k in range(8):
         shapes = [draw(i) for i in range(n)]
         members.append(SeparableMember(f"sum{k}", shapes, "sum"))
-    if include_bilinear and n >= 2:
-        ident = Fn1D("id", lambda x: np.asarray(x, dtype=float),
-                     lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        shapes = [ident, ident] + [const] * (n - 2)
-        members.append(SeparableMember("bilinear_x1x2", shapes, "product",
-                                       bounded=False))
     return members

@@ -34,7 +34,10 @@ __all__ = [
     "full_line_density",
 ]
 
-KINDS = ("gaussian", "cauchy_type", "exponential_type", "barenblatt", "inverse_gamma_1d")
+# each kind and the parameters it takes, every one of them required
+_PARAMS = {"gaussian": ("sigma",), "cauchy_type": ("beta",), "exponential_type": ("beta",),
+           "barenblatt": ("a", "p"), "inverse_gamma_1d": ("mu",)}
+KINDS = tuple(_PARAMS)
 
 
 def surface_measure(n):
@@ -157,6 +160,13 @@ def _validate(kind, params, n):
     if n < 1 or int(n) != n:
         raise ValueError(f"dimension must be a positive integer, got {n}")
     p = dict(params)
+    unknown = sorted(set(p) - set(_PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter {', '.join(map(repr, unknown))}; "
+                         f"its parameters are {', '.join(_PARAMS[kind])}")
+    for key, val in p.items():
+        if not math.isfinite(float(val)):
+            raise ValueError(f"{kind} requires finite parameters, not {key} = {val}")
     if kind == "gaussian":
         if p.get("sigma", 0.0) <= 0.0:
             raise ValueError("gaussian requires sigma > 0")
@@ -224,9 +234,6 @@ class Density1D:
     def __call__(self, x):
         return np.asarray(self.pdf(np.asarray(x, dtype=float)))
 
-    def __repr__(self):
-        return f"Density1D({self.name!r}, support={self.support})"
-
 
 @dataclass(frozen=True)
 class RadialMarginal:
@@ -291,13 +298,15 @@ def full_line_density(d):
 def closed_form_weight(d):
     """Closed form of the diffusion weight K for catalog entries.
 
-    gaussian: K = sigma.  cauchy_type: K = (1+rho^2) / (2(beta-1)).
+    gaussian: K = sigma.  cauchy_type: K = (1+rho^2) / (2(beta-1)), for
+    beta > 1 only: at beta <= 1 (possible for n = 1) the first moment
+    diverges, K is negative or infinite, and this raises ``WeightError``.
     exponential_type: K = (1 + beta rho) / beta^2.
     barenblatt: K = (p-1)/(2p) (a^2 - rho^2).
     inverse_gamma_1d: K = x^2 / mu, its 1-D integral weight P about the
     mean 1.
     """
-    from .weights import WeightFunction  # local import avoids a module cycle
+    from .weights import WeightError, WeightFunction  # local import avoids a module cycle
 
     kind = d.kind
     if kind == "gaussian":
@@ -305,6 +314,9 @@ def closed_form_weight(d):
         fn = lambda r: np.full_like(np.asarray(r, dtype=float), sigma)
     elif kind == "cauchy_type":
         beta = d.param("beta")
+        if beta <= 1.0:
+            raise WeightError(f"the closed-form K of cauchy_type requires beta > 1, "
+                              f"not beta = {beta:g}: the first moment diverges")
         fn = lambda r: (1.0 + np.asarray(r, dtype=float) ** 2) / (2.0 * (beta - 1.0))
     elif kind == "exponential_type":
         beta = d.param("beta")

@@ -86,10 +86,6 @@ class RadialGrid:
     def widths(self):
         return _read_only(np.diff(self.edges))
 
-    @property
-    def cells(self):
-        return len(self.edges) - 1
-
     @cached_property
     def cell_volumes(self):
         if self.geometry == "line":
@@ -362,7 +358,8 @@ class Solver:
         return float(np.dot(self.D, _THETA_FUNCS[kind](F)))
 
     def dissipation(self, state, kind):
-        """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face).
+        """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face) for
+        the chi2 or the entropy functional of ``kind``.
 
         For the entropy the face value of F is the squared mean of the
         square roots, which makes the 1/F form agree exactly with the
@@ -378,11 +375,6 @@ class Solver:
                 raise SolverError("entropy dissipation requires F > 0")
             F_face = (0.5 * (np.sqrt(F[1:]) + np.sqrt(F[:-1]))) ** 2
             return float(np.dot(self.face_coeff, dF ** 2 / F_face))
-        if kind == "hellinger2":
-            if np.any(F <= 0.0):
-                raise SolverError("hellinger dissipation requires F > 0")
-            ds = np.diff(np.sqrt(F))
-            return 2.0 * float(np.dot(self.face_coeff, ds ** 2))
         raise ValueError(f"unknown functional kind {kind!r}")
 
     def l1_distance(self, state):

@@ -1,28 +1,28 @@
-"""Fixed interval rules, hyperspherical tensor quadrature and an adaptive
-oracle.
+"""Fixed interval rules, hyperspherical tensor quadrature and the adaptive
+truncation tail.
 
 Every weight and inequality check integrates with fixed composite
 Gauss-Legendre rules: interval rules, and tensor grids in hyperspherical
 coordinates kept as radial and angular factors (the periodic azimuth takes
-the trapezoid rule instead), with one kernel for the
-variance and weighted Dirichlet forms of a test function on such a grid.
-The kernel reorders the tensor sums of a polar member s(rho) a(u) into
-one radial and one angular pass.  A Gaussian mixture is exact in angle:
-its variance, Dirichlet forms, radial part and sphere integrals are sums
-over term pairs on the radial nodes of modified Bessel functions (the von
-Mises-Fisher normaliser and its first two moments), and only the angular
-parts of its gradient, which are not rotation invariant, take a pass over
-the angular rule.
-The adaptive Gauss-Kronrod wrapper ``integrate_interval`` (semi-infinite
-domains are mapped onto (0, 1) by the rational substitution r = t/(1-t))
-serves only the truncation radius of the Fokker-Planck domain and the
-tests, as their oracle.
+the trapezoid rule instead).  The variance and weighted Dirichlet forms
+of a member on such a grid come from one of two kernels, and no member is
+evaluated node by node.  The polar kernel reorders the tensor sums of a
+polar member s(rho) a(u) into one radial and one angular pass.  The
+mixture kernel is exact in angle: a Gaussian mixture's variance,
+Dirichlet forms, radial part and sphere integrals are sums over term pairs
+on the radial nodes of modified Bessel functions (the von Mises-Fisher
+normaliser and its first two moments), and only the angular parts of its
+gradient, which are not rotation invariant, take a pass over the angular
+rule.
+Adaptive Gauss-Kronrod quadrature (QUADPACK) takes one shape here:
+``integrate_interval`` of a tail (lo, inf), mapped onto (0, 1) by the
+rational substitution r = lo + t/(1-t), for the truncation radius of the
+Fokker-Planck domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, mul
 from typing import NamedTuple
@@ -32,7 +32,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
 __all__ = [
-    "Integrator",
     "QuadratureError",
     "integrate_interval",
     "interval_rule",
@@ -62,83 +61,41 @@ class QuadratureError(RuntimeError):
         self.err_estimate = err_estimate
 
 
-@dataclass(frozen=True)
-class Integrator:
-    """Tolerances and budget for adaptive 1-D integration.
+# QUADPACK's tolerances and subdivision budget for the truncation tail
+_REL_TOL, _ABS_TOL, _MAX_SUBDIVISIONS = 1e-10, 1e-13, 200
 
-    Endpoints are always treated as open: the underlying Gauss-Kronrod
-    nodes are interior, so integrable endpoint singularities are fine.
+
+def integrate_interval(g, lo, hi):
+    """Integrate ``g`` over the tail (lo, hi), lo finite and hi infinite.
+
+    The tail is mapped to (0, 1) with r = lo + t/(1-t) before the adaptive
+    subdivision runs; QUADPACK's nodes are interior, so the mapped end t =
+    1 is never evaluated.  Returns ``(value, err_estimate)`` and raises
+    :class:`QuadratureError` (with the best estimate attached) when
+    QUADPACK flags a problem and the error estimate misses the tolerances;
+    QUADPACK flags roundoff conservatively, so a flag alone is accepted.
     """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 200
-
-
-DEFAULT_INTEGRATOR = Integrator()
-
-
-def _quad_finite(g, lo, hi, integrator, points):
-    # imported on first use: only the truncation radius and the tests call
-    # QUADPACK, whose import costs a fresh process ~0.2 s and ~20 MB
+    if not (math.isfinite(lo) and hi == math.inf):
+        raise ValueError(f"integrate_interval takes a tail (lo, inf), not ({lo}, {hi})")
+    # imported on first use: only the truncation radius calls QUADPACK,
+    # whose import costs a fresh process ~0.2 s and ~20 MB
     from scipy.integrate import quad
 
-    pts = sorted(p for p in points if lo < p < hi)
-    out = quad(
-        g,
-        lo,
-        hi,
-        epsabs=integrator.abs_tol,
-        epsrel=integrator.rel_tol,
-        limit=integrator.max_subdivisions,
-        points=pts if pts else None,
-        full_output=1,
-    )
-    value, err = out[0], out[1]
-    if len(out) > 3:
-        # QUADPACK flags roundoff conservatively; accept when the achieved
-        # error still meets the requested tolerance.
-        if err > max(integrator.rel_tol * abs(value), integrator.abs_tol):
-            raise QuadratureError(
-                f"adaptive integration on ({lo}, {hi}) did not converge: {out[3]}",
-                value=value,
-                err_estimate=err,
-            )
-    return value, err
-
-
-def integrate_interval(g, lo, hi, integrator=None, breakpoints=()):
-    """Integrate ``g`` over (lo, hi); either limit may be infinite.
-
-    Semi-infinite pieces are mapped to (0, 1) with r = t/(1-t) before the
-    adaptive subdivision runs.  Returns ``(value, err_estimate)`` and raises
-    :class:`QuadratureError` (with the best estimate attached) when the
-    subdivision budget is exhausted.
-    """
-    integrator = integrator or DEFAULT_INTEGRATOR
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-
-    if np.isinf(lo) and np.isinf(hi):
-        mid = 0.0
-        v1, e1 = integrate_interval(g, lo, mid, integrator, breakpoints)
-        v2, e2 = integrate_interval(g, mid, hi, integrator, breakpoints)
-        return v1 + v2, e1 + e2
-
-    if np.isinf(hi):
+    def gt(t):
         # r = lo + t/(1-t), dr = dt/(1-t)^2
-        def gt(t):
-            u = 1.0 - t
-            return g(lo + t / u) / (u * u)
+        u = 1.0 - t
+        return g(lo + t / u) / (u * u)
 
-        pts = [(p - lo) / (1.0 + p - lo) for p in breakpoints if p > lo and np.isfinite(p)]
-        return _quad_finite(gt, 0.0, 1.0, integrator, pts)
-
-    if np.isinf(lo):
-        return integrate_interval(lambda x: g(-x), -hi, math.inf, integrator,
-                                  [-p for p in breakpoints if np.isfinite(p)])
-
-    return _quad_finite(g, lo, hi, integrator, breakpoints)
+    out = quad(gt, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
+               full_output=1)
+    value, err = out[0], out[1]
+    if len(out) > 3 and err > max(_REL_TOL * abs(value), _ABS_TOL):
+        raise QuadratureError(
+            f"adaptive integration on ({lo}, {hi}) did not converge: {out[3]}",
+            value=value,
+            err_estimate=err,
+        )
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +170,11 @@ class TestFunction:
     ``("outside_ball", R)``.  ``polar`` and ``mixture`` are None here;
     :class:`~isofp.corpus.PolarMember` sets ``polar`` to (s, terms) and
     :class:`~isofp.corpus.GaussianMixture` sets ``mixture`` to (amps,
-    centres, widths).
+    centres, widths), the factors :func:`grid_moments` takes moments of.
+    A member built with no ``eval_fn`` and ``grad_fn`` (a mixture, or a
+    :class:`~isofp.corpus.SeparableMember`, whose check takes 1-D moments
+    of its shapes) has no values at points: calling it raises
+    ``TypeError``.
 
     Nothing is checked on construction: the test suite compares every
     corpus member's derivatives with finite differences, and
@@ -225,7 +186,7 @@ class TestFunction:
     polar = None
     mixture = None
 
-    def __init__(self, name, n, eval_fn, grad_fn, support="full", bounded=True,
+    def __init__(self, name, n, eval_fn=None, grad_fn=None, support="full", bounded=True,
                  radial_breakpoints=()):
         self.name = name
         self.n = int(n)
@@ -235,14 +196,16 @@ class TestFunction:
         self.bounded = bool(bounded)
         self.radial_breakpoints = tuple(sorted(radial_breakpoints))
 
+    def _at(self, fn, points):
+        if fn is None:
+            raise TypeError(f"member {self.name!r} has no values at points")
+        return np.asarray(fn(np.atleast_2d(np.asarray(points, dtype=float))))
+
     def __call__(self, points):
-        return np.asarray(self._eval(np.atleast_2d(np.asarray(points, dtype=float))))
+        return self._at(self._eval, points)
 
     def grad(self, points):
-        return np.asarray(self._grad(np.atleast_2d(np.asarray(points, dtype=float))))
-
-    def __repr__(self):
-        return f"TestFunction({self.name!r}, n={self.n}, support={self.support})"
+        return self._at(self._grad, points)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +234,18 @@ class HypersphericalGrid:
     points, whose difference from ``ang_weights`` on an angular sum
     estimates that sum's azimuthal error.  For n = 1 the sphere is the two
     directions +-1, each of angular weight 1 in both, so odd test
-    functions integrate correctly.  No array with one row per node
-    is stored: ``points`` builds the node list on access, radial index
-    major, so rows j*A .. (j+1)*A - 1 lie at radius ``r_nodes[j]``.
+    functions integrate correctly.  No array with one row per node is
+    stored, and no check reads one: ``points`` builds the node list on
+    access, radial index major, so rows j*A .. (j+1)*A - 1 lie at radius
+    ``r_nodes[j]``.
 
     Integrating the constant 1 against the density gives ``mass``, which
     must be 1 within 1e-7, or the grid raises ``ValueError``.  The
     normalised weights sum to one only up to roundoff, so
-    :func:`grid_moments` shifts a member by its value at
-    ``anchor``, the node of largest probability weight, before centring: a
-    function constant on the nodes then has zero data in every block, and
-    its variance is exactly 0 after the blocks are merged.
+    :func:`grid_moments` shifts each variance it takes at ``anchor``, the
+    node of largest probability weight (or at its shell or direction),
+    before centring: a constant then has variance exactly 0 (see
+    :func:`shifted_variance`).
     """
 
     def __init__(self, density, radial_breakpoints=()):
@@ -307,14 +271,10 @@ class HypersphericalGrid:
         self.anchor = (int(np.argmax(self.r_weights)) * len(self.ang_weights)
                        + int(np.argmax(self.ang_weights)))
 
-    def _shell_points(self, rows):
-        """The nodes of the radial shells ``rows`` (a slice), one per row."""
-        return (self.r_nodes[rows, None, None] * self.unit).reshape(-1, self.n)
-
     @property
     def points(self):
         """Every node, radial index major, built on each access."""
-        return self._shell_points(slice(None))
+        return (self.r_nodes[:, None, None] * self.unit).reshape(-1, self.n)
 
     def radial_values(self, fn):
         """A function of rho on ``r_nodes``.  Nodes where the density
@@ -445,11 +405,6 @@ def shifted_variance(prob_weights, vals, anchor):
     return float(np.dot(prob_weights, dev))
 
 
-# Members are evaluated on blocks of whole radial shells with at most this
-# many nodes (at least one shell), which bounds the kernel's working memory.
-_BLOCK_NODES = 1 << 16
-
-
 class GridMoments(NamedTuple):
     """Moments of one member on a grid; see :func:`grid_moments`."""
 
@@ -502,77 +457,15 @@ def grid_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
     the shell of ``grid.anchor``.  The angular parts are not rotation
     invariant and stay on the angular rule (:func:`_mixture_angular`).
 
-    Any other member (none in the corpora: this is the tests' reference) is
-    evaluated on the nodes of blocks of whole radial shells, as (radial,
-    angular) arrays of its values and of each gradient component.  Each
-    block is contracted with the radial and the angular weights; values are
-    shifted by their value at ``grid.anchor``, whose block is taken first,
-    and the block variances are merged by the pairwise update of Chan, Golub
-    & LeVeque (1983), so a member constant on the nodes has variance exactly
-    0.
+    Any other member raises ``TypeError``.
     """
     weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
     if phi.polar is not None:
         return _polar_moments(grid, phi.polar, weights, split_weight, axis_weights)
     if phi.mixture is not None:
         return _mixture_moments(grid, phi.mixture, weights, split_weight, axis_weights)
-    return _node_moments(grid, phi, weights, split_weight, axis_weights)
-
-
-def _shell_blocks(grid):
-    """Slices of whole radial shells with at most ``_BLOCK_NODES`` nodes
-    (at least one shell), the one that holds ``grid.anchor`` first."""
-    J, A = len(grid.r_nodes), len(grid.ang_weights)
-    step = max(1, _BLOCK_NODES // A)
-    j_anchor = grid.anchor // A
-    starts = sorted(range(0, J, step), key=lambda j0: not j0 <= j_anchor < j0 + step)
-    return [slice(j0, min(j0 + step, J)) for j0 in starts]
-
-
-def _node_moments(grid, phi, weights, split_weight, axis_weights):
-    """:func:`grid_moments` of ``phi`` from its values and gradient on the
-    nodes, merged block by block; ``weights`` holds the radial weights as
-    rows."""
-    A = len(grid.ang_weights)
-    ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
-    # directions and tangents with the angular axis innermost
-    unit_t = np.ascontiguousarray(grid.unit.T)
-    tangents_t = np.ascontiguousarray(grid.tangents.transpose(0, 2, 1))
-    c = None if axis_weights is None else np.reshape(axis_weights, (-1, 1, 1))
-    ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
-    dirichlet = np.zeros(len(weights))
-    radial, angular = 0.0, np.zeros((len(grid.tangents), 2))
-    shift = None
-    w_sum = mean = m2 = 0.0
-    for rows in _shell_blocks(grid):
-        x = grid._shell_points(rows)
-        vals = phi(x).reshape(-1, A)
-        # the gradient as its n components of shape (radial, angular)
-        g = np.moveaxis(phi.grad(x).reshape(*vals.shape, -1), -1, 0)
-        p = grid.r_weights[rows]
-        if shift is None:
-            shift = float(vals.flat[grid.anchor - rows.start * A])
-        w_b = float(p.sum()) * ang_total
-        if w_b > 0.0:
-            y = vals - shift
-            mean_b = float(p @ (y @ ang_w)) / w_b
-            y -= mean_b
-            np.multiply(y, y, out=y)
-            delta = mean_b - mean
-            w_new = w_sum + w_b
-            m2 += float(p @ (y @ ang_w)) + delta * delta * w_sum * w_b / w_new
-            mean += delta * w_b / w_new
-            w_sum = w_new
-        g2 = np.einsum("iba,iba->ba", g if c is None else c * g, g) @ ang_w
-        dirichlet += weights[:, rows] @ (p * g2)
-        if split_weight is not None:
-            d_rho = np.einsum("iba,ia->ba", g, unit_t)
-            radial += float((p * split_weight[rows]) @ ((d_rho * d_rho) @ ang_w))
-            # d phi / d theta_i = rho (grad phi . d u / d theta_i)
-            d_theta = np.einsum("jba,ija->iba", g, tangents_t)
-            angular += np.einsum("ibt,b->it", (d_theta * d_theta) @ ang_pair,
-                                 p * grid.r_nodes[rows] ** 2)
-    return _moments(m2, dirichlet, radial, angular, split_weight)
+    raise TypeError(f"member {phi.name!r} has neither polar nor mixture factors; "
+                    "grid_moments has no kernel for it")
 
 
 def _moments(variance, dirichlet, radial, angular, split_weight):
@@ -755,6 +648,11 @@ def _mixture_shells(n, mixture, r, axis_weights=None):
     d_rho = pair @ (r2 * (F - 2.0 * h * dot(B, ck + cl)) + h * dot(ck, cl)
                     + 4.0 * r2 * g * dot(B, ck) * dot(B, cl))
     return amps @ f, within, grad2, d_rho
+
+
+# The mixture angular kernel takes blocks of whole radial shells with at most
+# this many nodes (at least one shell), which bounds its working memory.
+_BLOCK_NODES = 1 << 16
 
 
 def _mixture_angular(grid, mixture):

@@ -8,7 +8,12 @@ density of the Poincare checks.  The solver helpers read a
 :class:`~isofp.fpsolver.Solver`'s discrete operator from outside: its
 equilibrium state, its flux divergence and the second route to its entropy
 dissipation.  The two-pass angular kernel of a Gaussian mixture is the one
-:func:`isofp.quadrature._mixture_angular` must match bit for bit.
+:func:`isofp.quadrature._mixture_angular` must match bit for bit.  The
+general adaptive integrator (QUADPACK on finite, semi-infinite and
+infinite intervals, with breakpoints), the walk of a member over a grid's
+nodes, the values and gradients of mixtures and separable members at
+points, and the unbounded linear and bilinear members are the references
+of the integrals, the moment kernels and the checks.
 
 Tests import this module as ``from oracles import ...``.
 """
@@ -21,9 +26,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from isofp.corpus import Fn1D, SeparableMember, _linear_member
 from isofp.densities import Density1D
 from isofp.fpsolver import FPState, SolverError
 from isofp import quadrature
+from isofp.quadrature import QuadratureError, TestFunction
 from isofp.weights import WeightError, WeightFunction
 
 
@@ -263,3 +270,243 @@ def mixture_angular_two_pass(grid, mixture):
             np.multiply(d_b, d_b, out=d_b)
             angular[i] += (grid.r_weights[idx] * rho * rho) @ (d_b @ ang_pair)
     return angular
+
+
+# ---------------------------------------------------------------------------
+# Adaptive integration on any interval
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Integrator:
+    """Tolerances and budget for adaptive 1-D integration.
+
+    Endpoints are always treated as open: the underlying Gauss-Kronrod
+    nodes are interior, so integrable endpoint singularities are fine.
+    """
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-13
+    max_subdivisions: int = 200
+
+
+DEFAULT_INTEGRATOR = Integrator()
+
+
+def _quad_finite(g, lo, hi, integrator, points):
+    from scipy.integrate import quad
+
+    pts = sorted(p for p in points if lo < p < hi)
+    out = quad(
+        g,
+        lo,
+        hi,
+        epsabs=integrator.abs_tol,
+        epsrel=integrator.rel_tol,
+        limit=integrator.max_subdivisions,
+        points=pts if pts else None,
+        full_output=1,
+    )
+    value, err = out[0], out[1]
+    if len(out) > 3:
+        # QUADPACK flags roundoff conservatively; accept when the achieved
+        # error still meets the requested tolerance.
+        if err > max(integrator.rel_tol * abs(value), integrator.abs_tol):
+            raise QuadratureError(
+                f"adaptive integration on ({lo}, {hi}) did not converge: {out[3]}",
+                value=value,
+                err_estimate=err,
+            )
+    return value, err
+
+
+def integrate_interval(g, lo, hi, integrator=None, breakpoints=()):
+    """Integrate ``g`` over (lo, hi); either limit may be infinite.
+
+    Semi-infinite pieces are mapped to (0, 1) with r = t/(1-t) before the
+    adaptive subdivision runs, as in :func:`isofp.quadrature.integrate_interval`,
+    which takes only (lo, inf) with the default tolerances.  Returns
+    ``(value, err_estimate)`` and raises :class:`QuadratureError` (with the
+    best estimate attached) when the subdivision budget is exhausted.
+    """
+    integrator = integrator or DEFAULT_INTEGRATOR
+    if not lo < hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+
+    if np.isinf(lo) and np.isinf(hi):
+        mid = 0.0
+        v1, e1 = integrate_interval(g, lo, mid, integrator, breakpoints)
+        v2, e2 = integrate_interval(g, mid, hi, integrator, breakpoints)
+        return v1 + v2, e1 + e2
+
+    if np.isinf(hi):
+        # r = lo + t/(1-t), dr = dt/(1-t)^2
+        def gt(t):
+            u = 1.0 - t
+            return g(lo + t / u) / (u * u)
+
+        pts = [(p - lo) / (1.0 + p - lo) for p in breakpoints if p > lo and np.isfinite(p)]
+        return _quad_finite(gt, 0.0, 1.0, integrator, pts)
+
+    if np.isinf(lo):
+        return integrate_interval(lambda x: g(-x), -hi, math.inf, integrator,
+                                  [-p for p in breakpoints if np.isfinite(p)])
+
+    return _quad_finite(g, lo, hi, integrator, breakpoints)
+
+
+# ---------------------------------------------------------------------------
+# Members at points, and the walk over a grid's nodes
+# ---------------------------------------------------------------------------
+
+
+def _mixture_terms(mixture, pts):
+    """(a_k, b_k, x - c_k, exp(-b_k |x - c_k|^2)) for each term."""
+    for a, c, b in zip(*mixture):
+        d = pts - c[None, :]
+        yield a, b, d, np.exp(-b * np.einsum("ij,ij->i", d, d))
+
+
+def mixture_values(mixture, pts):
+    """phi(x) = sum_k a_k exp(-b_k |x - c_k|^2) at the rows of ``pts`` for
+    ``mixture`` = (amps, centres, widths)."""
+    out = np.zeros(len(pts))
+    for a, _, _, e in _mixture_terms(mixture, pts):
+        out += a * e
+    return out
+
+
+def mixture_grad(mixture, pts):
+    """grad phi = sum_k -2 a_k b_k exp(-b_k |x - c_k|^2) (x - c_k)."""
+    out = np.zeros_like(pts)
+    for a, b, d, e in _mixture_terms(mixture, pts):
+        out += (-2.0 * a * b * e)[:, None] * d
+    return out
+
+
+def separable_values(shapes, combine, pts):
+    """prod_i g_i(x_i) or sum_i g_i(x_i) at the rows of ``pts``."""
+    vals = [g(pts[:, i]) for i, g in enumerate(shapes)]
+    return np.prod(vals, axis=0) if combine == "product" else np.sum(vals, axis=0)
+
+
+def separable_grad(shapes, combine, pts):
+    out = np.empty_like(pts)
+    if combine == "sum":
+        for i, g in enumerate(shapes):
+            out[:, i] = g.deriv(pts[:, i])
+        return out
+    vals = [g(pts[:, i]) for i, g in enumerate(shapes)]
+    for i, g in enumerate(shapes):
+        out[:, i] = g.deriv(pts[:, i]) * np.prod(vals[:i] + vals[i + 1:], axis=0)
+    return out
+
+
+def pointwise(phi):
+    """``phi`` as a plain :class:`TestFunction` with values and gradients at
+    points and no kernel: a polar member through its own methods, a
+    mixture or a separable member through the functions above."""
+    if phi.mixture is not None:
+        ev = lambda p: mixture_values(phi.mixture, p)
+        gr = lambda p: mixture_grad(phi.mixture, p)
+    elif isinstance(phi, SeparableMember):
+        ev = lambda p: separable_values(phi.shapes, phi.combine, p)
+        gr = lambda p: separable_grad(phi.shapes, phi.combine, p)
+    else:
+        ev, gr = phi, phi.grad
+    return TestFunction(phi.name, phi.n, ev, gr, support=phi.support, bounded=phi.bounded,
+                        radial_breakpoints=phi.radial_breakpoints)
+
+
+def linear_members(n):
+    """The unbounded linear members x_1 and x_2 (x_1 alone for n = 1)."""
+    return [_linear_member(f"linear_x{i + 1}", np.eye(n)[i]) for i in range(min(n, 2))]
+
+
+def bilinear_member(n):
+    """The unbounded product member x_1 x_2 on n >= 2 factors."""
+    ident = Fn1D("id", lambda x: np.asarray(x, dtype=float),
+                 lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    const = Fn1D("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                 lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return SeparableMember("bilinear_x1x2", [ident, ident] + [const] * (n - 2), "product")
+
+
+def shell_blocks(grid):
+    """Slices of whole radial shells with at most ``quadrature._BLOCK_NODES``
+    nodes (at least one shell), the one that holds ``grid.anchor`` first."""
+    J, A = len(grid.r_nodes), len(grid.ang_weights)
+    step = max(1, quadrature._BLOCK_NODES // A)
+    j_anchor = grid.anchor // A
+    starts = sorted(range(0, J, step), key=lambda j0: not j0 <= j_anchor < j0 + step)
+    return [slice(j0, min(j0 + step, J)) for j0 in starts]
+
+
+def node_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=None):
+    """:func:`isofp.quadrature.grid_moments` of any member with values and
+    gradients at points, walked over the grid's nodes.
+
+    The member is evaluated on the nodes of blocks of whole radial shells
+    (:func:`shell_blocks`), as (radial, angular) arrays of its values and
+    of each gradient component.  Each block is contracted with the radial
+    and the angular weights; values are shifted by their value at
+    ``grid.anchor``, whose block is taken first, and the block variances
+    are merged by the pairwise update of Chan, Golub & LeVeque (1983), so a
+    member constant on the nodes has variance exactly 0.
+    """
+    weights = np.reshape(radial_weights, (-1, len(grid.r_nodes)))
+    A = len(grid.ang_weights)
+    ang_w, ang_total = grid.ang_weights, float(grid.ang_weights.sum())
+    # directions and tangents with the angular axis innermost
+    unit_t = np.ascontiguousarray(grid.unit.T)
+    tangents_t = np.ascontiguousarray(grid.tangents.transpose(0, 2, 1))
+    c = None if axis_weights is None else np.reshape(axis_weights, (-1, 1, 1))
+    ang_pair = np.stack([ang_w, grid.ang_halved], axis=1)
+    dirichlet = np.zeros(len(weights))
+    radial, angular = 0.0, np.zeros((len(grid.tangents), 2))
+    shift = None
+    w_sum = mean = m2 = 0.0
+    for rows in shell_blocks(grid):
+        x = (grid.r_nodes[rows, None, None] * grid.unit).reshape(-1, grid.n)
+        vals = phi(x).reshape(-1, A)
+        # the gradient as its n components of shape (radial, angular)
+        g = np.moveaxis(phi.grad(x).reshape(*vals.shape, -1), -1, 0)
+        p = grid.r_weights[rows]
+        if shift is None:
+            shift = float(vals.flat[grid.anchor - rows.start * A])
+        w_b = float(p.sum()) * ang_total
+        if w_b > 0.0:
+            y = vals - shift
+            mean_b = float(p @ (y @ ang_w)) / w_b
+            y -= mean_b
+            np.multiply(y, y, out=y)
+            delta = mean_b - mean
+            w_new = w_sum + w_b
+            m2 += float(p @ (y @ ang_w)) + delta * delta * w_sum * w_b / w_new
+            mean += delta * w_b / w_new
+            w_sum = w_new
+        g2 = np.einsum("iba,iba->ba", g if c is None else c * g, g) @ ang_w
+        dirichlet += weights[:, rows] @ (p * g2)
+        if split_weight is not None:
+            d_rho = np.einsum("iba,ia->ba", g, unit_t)
+            radial += float((p * split_weight[rows]) @ ((d_rho * d_rho) @ ang_w))
+            # d phi / d theta_i = rho (grad phi . d u / d theta_i)
+            d_theta = np.einsum("jba,ija->iba", g, tangents_t)
+            angular += np.einsum("ibt,b->it", (d_theta * d_theta) @ ang_pair,
+                                 p * grid.r_nodes[rows] ** 2)
+    return quadrature._moments(m2, dirichlet, radial, angular, split_weight)
+
+
+def walk_plain_members(monkeypatch):
+    """Let the n-D checks take a member with neither ``polar`` nor
+    ``mixture`` factors, which :func:`isofp.quadrature.grid_moments`
+    refuses, through :func:`node_moments`."""
+    from isofp import inequality
+
+    kernels = quadrature.grid_moments
+
+    def moments(grid, phi, *args, **kwargs):
+        plain = phi.polar is None and phi.mixture is None
+        return (node_moments if plain else kernels)(grid, phi, *args, **kwargs)
+
+    monkeypatch.setattr(inequality, "grid_moments", moments)

@@ -30,7 +30,7 @@ MIXED_CONFIG = {
     "tolerances": {"ratio_tol": 1e-6},
     "solver": {"cells": 120, "t_final": 4.0, "dt": 5e-3},
     "anisotropic_covariances": [{"V": [[1.0, 0.0], [0.0, 4.0]], "u": [0.0, 0.0]}],
-    "evolve_densities": ["gaussian:sigma=1,n=1", "cauchy:beta=0.9,n=1"],
+    "evolve_densities": ["gaussian:sigma=1,n=1", "cauchy:beta=1.6,n=2"],
 }
 
 TINY_CONFIG = {
@@ -97,6 +97,26 @@ class TestWeightsCommand:
         code = main(["weights", "--density", "levy:alpha=1", "--out", str(tmp_path)])
         assert code == 2
         assert "unknown density kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("gaussian:sigma=nan,n=1", "gaussian requires finite parameters, not sigma = nan"),
+        ("gaussian:sigma=inf,n=1", "gaussian requires finite parameters, not sigma = inf"),
+        ("gaussian:sigma=1,n=1,foo=3",
+         "gaussian takes no parameter 'foo'; its parameters are sigma"),
+    ])
+    def test_malformed_density_writes_nothing(self, spec, message, tmp_path, capsys):
+        code = main(["weights", "--density", spec, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_is_an_error(self, points, tmp_path, capsys):
+        code = main(["weights", "--density", "gaussian:sigma=1,n=1", "--points", points,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --points must be at least 1, not {points}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckCommand:
@@ -191,8 +211,8 @@ class TestEvolveCommand:
         assert len(list(tmp_path.glob("rates_*.json"))) == 1
 
     def test_untruncatable_domain_is_an_error(self, tmp_path, capsys):
-        # the n = 1 Cauchy tail ~ rho^-1.8 defeats the truncation quadrature
-        code = main(["evolve", "--density", "cauchy:beta=0.9,n=1",
+        # the n = 2 Cauchy tail ~ rho^-2.2 defeats the truncation quadrature
+        code = main(["evolve", "--density", "cauchy:beta=1.6,n=2",
                      "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -299,10 +319,10 @@ class TestRunCommand:
         from isofp.cli import run_experiment
 
         cfg = dict(TINY_CONFIG, densities=[], theorems=[],
-                   evolve_densities=["cauchy:beta=0.9,n=1"])
+                   evolve_densities=["cauchy:beta=1.6,n=2"])
         code, _, rows = run_experiment(cfg, tmp_path)
         assert code == 0
-        assert rows == [("cauchy_type(beta=0.9,n=1)", "relaxation_rate", "unchecked",
+        assert rows == [("cauchy_type(beta=1.6,n=2)", "relaxation_rate", "unchecked",
                          "no solver: could not truncate the domain: tail too heavy")]
         assert list(tmp_path.glob("trace_*")) == list(tmp_path.glob("rates_*")) == []
 
@@ -514,7 +534,7 @@ class TestRunCommand:
             ("gaussian(sigma=1,n=2)", "isotropic_Wstar"): "pass",
             ("gaussianV0", "gaussian_anisotropic"): "pass",
             ("gaussian(sigma=1,n=1)", "relaxation_rate"): "pass",
-            ("cauchy_type(beta=0.9,n=1)", "relaxation_rate"): "unchecked",
+            ("cauchy_type(beta=1.6,n=2)", "relaxation_rate"): "unchecked",
         }
 
     def test_profile_lists_every_task_outside_the_manifest(self, tmp_path):
@@ -581,6 +601,47 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestCauchyWithoutK:
+    """For cauchy beta <= 1 (n = 1) the closed-form K diverges, so the
+    1-D check is skipped, ``weights`` and ``evolve`` exit 2, and ``run``
+    leaves the evolution unchecked or refuses such a density up front."""
+
+    @staticmethod
+    def reason(beta):
+        return (f"the closed-form K of cauchy_type requires beta > 1, not beta = {beta}: "
+                "the first moment diverges")
+
+    @pytest.mark.parametrize("beta", ["0.51", "0.75", "0.99", "1"])
+    def test_poincare_1d_is_skipped(self, beta, tmp_path, capsys):
+        code = main(["check", "--theorem", "poincare_1d",
+                     "--density", f"cauchy:beta={beta},n=1", "--out", str(tmp_path)])
+        assert code == 0
+        reason = f"weight hypothesis not met: {self.reason(beta)}"
+        assert capsys.readouterr().out == f"skipped: {reason}\n"
+        payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
+        assert payload["skipped"] == reason
+
+    @pytest.mark.parametrize("command", ["weights", "evolve"])
+    def test_weights_and_evolve_exit_2(self, command, tmp_path, capsys):
+        code = main([command, "--density", "cauchy:beta=0.75,n=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {self.reason('0.75')}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_evolution_is_unchecked(self, tmp_path):
+        cfg = dict(TINY_CONFIG, densities=[], theorems=[],
+                   evolve_densities=["cauchy:beta=0.75,n=1"])
+        code, _, rows = cli.run_experiment(cfg, tmp_path)
+        assert code == 0
+        assert rows == [("cauchy_type(beta=0.75,n=1)", "relaxation_rate", "unchecked",
+                         f"no solver: {self.reason('0.75')}")]
+
+    def test_run_density_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        config = dict(TINY_CONFIG, densities=["gaussian:sigma=1,n=1", "cauchy:beta=1,n=1"])
+        TestRunCommand.assert_fails_before_any_work(config, self.reason("1"), tmp_path,
+                                                    capsys, monkeypatch)
 
 
 class TestHelpers:

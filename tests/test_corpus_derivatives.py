@@ -23,6 +23,8 @@ from isofp.inequality import check_refined_outside_ball
 from isofp.quadrature import TestFunction
 from isofp.weights import WeightError, critical_tail_radius
 
+from oracles import bilinear_member, linear_members, pointwise
+
 # the default corpus seed and the reference seeds of the n3-grid and
 # line-relax benchmark workloads
 SEEDS = (2024, 2025, 2026, 2027, 2047, 2077, 2079)
@@ -64,7 +66,9 @@ def shape_mismatch(g, lo, hi, rng):
 
 def member_mismatch(phi, lo, hi, rng):
     """fd_mismatch of an n-D member's ``grad`` against its values, at radii
-    in (lo, hi) away from its radial knots and uniform directions."""
+    in (lo, hi) away from its radial knots and uniform directions; a
+    mixture takes its values and gradients from :mod:`oracles`."""
+    phi = pointwise(phi)
     rho = away_from(rng.uniform(lo, hi, 4 * PROBES), phi.radial_breakpoints)[:PROBES]
     u = rng.normal(size=(len(rho), phi.n))
     pts = rho[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
@@ -125,7 +129,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("scale", [1.0, 0.45])
     def test_corpus_nd(self, seed, n, scale):
-        corpus = corpus_nd(n, seed=seed, include_linear=True, scale=scale)
+        corpus = corpus_nd(n, seed=seed, scale=scale) + linear_members(n)
         assert_members(corpus, 0.0, 4.0 * scale, seed)
 
     @pytest.mark.parametrize("n,R,r_max", TAILS)
@@ -142,12 +146,13 @@ class TestDerivatives:
     def test_corpus_product(self, seed, supports):
         rng = np.random.default_rng(seed)
         windows = [window(*s) for s in supports]
-        for phi in corpus_product(supports, seed=seed, include_bilinear=True):
+        for phi in corpus_product(supports, seed=seed) + [bilinear_member(len(supports))]:
             for g, (lo, hi) in zip(phi.shapes, windows):
                 assert shape_mismatch(g, lo, hi, rng) <= TOL, (phi.name, g.name)
             pts = np.stack([away_from(rng.uniform(lo, hi, 4 * PROBES), g.breakpoints)[:PROBES]
                             for g, (lo, hi) in zip(phi.shapes, windows)], axis=1)
-            assert fd_mismatch(phi, pts, phi.grad(pts)) <= TOL, phi.name
+            at_points = pointwise(phi)  # the product or sum of oracles
+            assert fd_mismatch(at_points, pts, at_points.grad(pts)) <= TOL, phi.name
 
     @pytest.mark.parametrize("n,R,r_max", TAILS)
     def test_outside_ball_members_vanish_on_the_ball(self, seed, n, R, r_max):

@@ -14,10 +14,9 @@ from isofp.densities import (
     uniform_angle_density,
     closed_form_weight,
 )
-from isofp.quadrature import Integrator, integrate_interval
-from isofp.weights import steady_state_residual
+from isofp.weights import WeightError, steady_state_residual
 
-from oracles import std_normal_1d
+from oracles import Integrator, integrate_interval, std_normal_1d
 
 # adaptive QUADPACK is the oracle of every closed-form constant; 1e-12 is
 # the tightest tolerance it meets on the heavy Cauchy tails below
@@ -93,6 +92,31 @@ class TestMakeDensity:
     def test_rejects_bad_parameters(self, kind, params, n, msg):
         with pytest.raises(ValueError, match=msg):
             make_density(kind, params, n)
+
+    @pytest.mark.parametrize("kind,params,n", [
+        ("gaussian", {"sigma": math.nan}, 1),
+        ("gaussian", {"sigma": math.inf}, 3),
+        ("cauchy_type", {"beta": math.inf}, 2),
+        ("exponential_type", {"beta": math.nan}, 2),
+        ("barenblatt", {"a": 1.0, "p": math.nan}, 2),
+        ("inverse_gamma_1d", {"mu": math.inf}, 1),
+    ])
+    def test_rejects_non_finite_parameters(self, kind, params, n):
+        # a nan passes every "<= 0" test of the parameter ranges
+        with pytest.raises(ValueError, match=f"{kind} requires finite parameters, not "):
+            make_density(kind, params, n)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("gaussian:sigma=1,n=1,foo=3", "gaussian takes no parameter 'foo'; its parameters "
+                                       "are sigma"),
+        ("cauchy:beta=3,sigma=1,n=2", "cauchy_type takes no parameter 'sigma'; its "
+                                      "parameters are beta"),
+        ("barenblatt:a=1,p=2,q=1,r=2", "barenblatt takes no parameter 'q', 'r'; its "
+                                       "parameters are a, p"),
+    ])
+    def test_rejects_unknown_parameters(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_density_spec(spec)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -273,6 +297,22 @@ class TestClosedForms:
         f = sin_power_density(i)
         assert abs(val * float(f(math.pi / 2.0)) - 1.0) < 1e-12
         assert abs(oracle_moment_1d(f, 1) - f.mean) < 1e-12
+
+
+class TestCauchyClosedFormWeight:
+    """K = (1 + rho^2) / (2 (beta - 1)) needs beta > 1: below, the first
+    moment diverges and K would be negative or infinite (n = 1 only, since
+    the density needs beta > n/2)."""
+
+    @pytest.mark.parametrize("beta", [0.51, 0.75, 0.99, 1.0])
+    def test_no_K_at_or_below_one(self, beta):
+        d = make_density("cauchy_type", {"beta": beta}, 1)
+        with pytest.raises(WeightError, match=f"requires beta > 1, not beta = {beta:g}"):
+            closed_form_weight(d)
+
+    def test_K_just_above_one(self):
+        K = closed_form_weight(make_density("cauchy_type", {"beta": 1.01}, 1))
+        assert abs(float(K(0.0)) - 50.0) < 1e-10
 
 
 class TestSteadyState:

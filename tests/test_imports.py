@@ -35,19 +35,29 @@ _truncation_radius(parse_density_spec("cauchy:beta=4,n=1"))
 """
 
 
-# names that left the package: the oracles now in tests/oracles.py;
+# names that left the package: the oracles now in tests/oracles.py (among
+# them the general adaptive integrator, the node walk of grid_moments and
+# the pointwise values of mixtures and separable members);
 # quadrature_weight_function and IsotropicDensity.label, deleted as copies of
-# WeightFunction(weight_from_density) and density_label; and
-# cumulative_integral, cli._quadrature_weight_column and
-# RadialGrid.face_areas, second routes to P, K and the volume element
+# WeightFunction(weight_from_density) and density_label; cumulative_integral,
+# cli._quadrature_weight_column and RadialGrid.face_areas, second routes to
+# P, K and the volume element; and RadialGrid.cells and two __repr__
+# methods, which nothing called
 ORACLES = ("PQPair", "_VALIDATION_POINTS", "_validation_grid", "w_from_pq", "cauchy_pq",
            "barenblatt_pq", "maximize_family_constant", "std_normal_1d",
            "quadrature_weight_function", "cumulative_integral",
-           "_quadrature_weight_column")
+           "_quadrature_weight_column", "Integrator", "DEFAULT_INTEGRATOR", "_quad_finite",
+           "_node_moments", "_shell_blocks")
+# methods a class no longer defines or inherits from a base other than object
 ORACLE_METHODS = {"fpsolver.Solver": ("steady_state", "apply_flux_divergence",
                                       "dissipation_entropy_sqrt_form"),
-                  "fpsolver.RadialGrid": ("face_areas",),
-                  "densities.IsotropicDensity": ("label",)}
+                  "fpsolver.RadialGrid": ("face_areas", "cells"),
+                  "densities.IsotropicDensity": ("label",),
+                  "densities.Density1D": ("__repr__",),
+                  "quadrature.TestFunction": ("__repr__",),
+                  "quadrature.HypersphericalGrid": ("_shell_points",),
+                  "corpus.GaussianMixture": ("_terms", "_eval_points", "_grad_points"),
+                  "corpus.SeparableMember": ("_eval_points", "_grad_points")}
 
 SURFACE = f"""
 import importlib, pkgutil
@@ -62,8 +72,8 @@ found += [m.__name__ + "." + name for m in modules for name in {ORACLES!r}
           if hasattr(m, name)]
 for owner, names in {ORACLE_METHODS!r}.items():
     module, cls = owner.split(".")
-    found += [owner + "." + name for name in names
-              if hasattr(getattr(importlib.import_module("isofp." + module), cls), name)]
+    mro = getattr(importlib.import_module("isofp." + module), cls).__mro__[:-1]
+    found += [owner + "." + name for name in names if any(name in vars(k) for k in mro)]
 RESULT = sorted(found)
 """
 

@@ -11,6 +11,7 @@ import isofp.quadrature as quadrature
 from isofp.cli import marginal_weight
 from isofp.corpus import (
     Fn1D,
+    PolarMember,
     SeparableMember,
     corpus_1d,
     corpus_anisotropic,
@@ -41,11 +42,8 @@ from isofp.inequality import (
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
-    Integrator,
     TestFunction,
     build_grid,
-    grid_moments,
-    integrate_interval,
     interval_rule,
     shifted_variance,
     sphere_dirichlet,
@@ -59,7 +57,8 @@ from isofp.weights import (
     p_weight_function,
 )
 
-from oracles import std_normal_1d
+from oracles import (Integrator, bilinear_member, integrate_interval, linear_members,
+                     node_moments, pointwise, std_normal_1d, walk_plain_members)
 
 
 def unit_weight():
@@ -77,9 +76,17 @@ def identity_shape():
 
 
 def dirichlet_form(d, w, phi):
-    """E[w(|X|) |grad phi|^2] on a grid split at the knots of phi and w."""
+    """E[w(|X|) |grad phi|^2] on a grid split at the knots of phi and w,
+    walked over its nodes."""
     grid = build_grid(d, [phi], extra_breakpoints=w.breakpoints)
-    return grid_moments(grid, phi, [grid.radial_values(w)]).dirichlet[0]
+    return node_moments(grid, pointwise(phi), [grid.radial_values(w)]).dirichlet[0]
+
+
+@pytest.fixture
+def walk_plain(monkeypatch):
+    """The n-D checks take a member with neither kernel through the
+    oracle walk over the grid's nodes."""
+    walk_plain_members(monkeypatch)
 
 
 def assert_all_pass(reports, tol=1e-6):
@@ -120,7 +127,7 @@ class TestCorpora:
         pts = np.random.default_rng(1).normal(size=(50, 2))
         for ma, mb in zip(a, b):
             assert ma.name == mb.name
-            assert np.array_equal(ma(pts), mb(pts))
+            assert np.array_equal(pointwise(ma)(pts), pointwise(mb)(pts))
 
 
 class TestPoincare1D:
@@ -266,7 +273,7 @@ class TestPoincare1DAgainstNested:
 class TestProduct:
     def test_two_normals_bilinear(self):
         f = std_normal_1d()
-        corpus = corpus_product([f.support] * 2, seed=4, include_bilinear=True)
+        corpus = corpus_product([f.support] * 2, seed=4) + [bilinear_member(2)]
         reports = check_product([f, f], [unit_weight()] * 2, corpus)
         assert_all_pass(reports)
         bil = [r for r in reports if "bilinear" in r.witness][0]
@@ -315,12 +322,19 @@ class TestProduct:
 
     def test_five_normals_sum_is_sharp(self):
         f = std_normal_1d()
-        member = SeparableMember("sum_x", [identity_shape()] * 5, "sum", bounded=False)
+        member = SeparableMember("sum_x", [identity_shape()] * 5, "sum")
         rep = check_product([f] * 5, [unit_weight()] * 5, [member])[0]
         # rhs is five factor masses and lhs five factor variances E[x^2]
         assert abs(rep.rhs - 5.0) < 1e-12
         assert abs(rep.lhs - 5.0) < 1e-11
         assert abs(rep.ratio - 1.0) < 1e-11
+
+    def test_member_has_no_values_at_points(self):
+        member = corpus_product([(-math.inf, math.inf)] * 2, seed=0)[0]
+        pts = np.zeros((3, 2))
+        for method in (member, member.grad):
+            with pytest.raises(TypeError, match=f"{member.name!r} has no values at points"):
+                method(pts)
 
     def test_rejects_member_without_factor_shapes(self):
         f = std_normal_1d()
@@ -351,7 +365,7 @@ class TestProduct:
         by_name = {m.name: m for m in corpus}
         assert len(reports) == len(corpus)
         for rep in reports:
-            phi = by_name[rep.witness]
+            phi = pointwise(by_name[rep.witness])
             lhs = shifted_variance(pw, phi(pts), anchor)
             g = phi.grad(pts)
             per_axis = [float(np.dot(pw, w_mesh[i] * g[:, i] ** 2)) for i in range(2)]
@@ -368,7 +382,7 @@ class TestWstar:
                                         optimal_cauchy_weight(4.0, 3))
         assert_all_pass(reports)
 
-    def test_constant_phi_ratio_zero(self):
+    def test_constant_phi_ratio_zero(self, walk_plain):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
         phi = TestFunction("const", 2, lambda p: np.full(len(p), 2.5),
                            lambda p: np.zeros_like(p))
@@ -445,6 +459,7 @@ def assert_exact_zero(report):
     assert report.lhs == 0.0 and report.ratio == 0.0 and report.passed
 
 
+@pytest.mark.usefixtures("walk_plain")
 class TestConstantMembers:
     """Both sides vanish on constants, so every checker reports ratio 0.
 
@@ -483,6 +498,18 @@ class TestConstantMembers:
         reports = check_isotropic_Wstar(d, [constant_member(3, 1000.0)], unit_weight())
         assert_exact_zero(reports[0])
 
+    def test_polar_constant_takes_the_kernel(self):
+        # the same constant as a polar member is never walked: the polar
+        # kernel's shifted factor variances are exactly 0
+        d = make_density("gaussian", {"sigma": 1.0}, 3)
+        const = PolarMember("const_polar", 3,
+                            Fn1D("c", lambda r: np.full_like(r, -7.3), np.zeros_like),
+                            [(1.0, (0, 0, 0))])
+        for rep in (check_isotropic_Wstar(d, [const], unit_weight())
+                    + check_hybrid(d, unit_weight(), closed_form_weight(d), 1.5, [const])
+                    + check_gaussian_anisotropic(np.diag([1.0, 2.0, 3.0]), [const])):
+            assert_exact_zero(rep)
+
     def test_poincare_1d_std_normal(self):
         from isofp.corpus import Fn1D
 
@@ -504,6 +531,7 @@ class TestConstantMembers:
         assert_exact_zero(reports[0])
 
 
+@pytest.mark.usefixtures("walk_plain")
 class TestShiftHidesNoVariance:
     """The shift removes only roundoff: an offset member keeps its variance
     and the sharp Gaussian witnesses stay at ratio 1."""
@@ -587,7 +615,7 @@ def setting():
 
 class TestHybrid:
 
-    def test_inside_ball_member_has_zero_surface(self, setting):
+    def test_inside_ball_member_has_zero_surface(self, setting, walk_plain):
         d, w, K, R = setting
         # supported strictly inside B_R: surface and outer terms vanish
         from isofp.corpus import _bump, _bump_deriv
@@ -644,7 +672,7 @@ class TestHybrid:
 
     def test_unbounded_member_rejected(self, setting):
         d, w, K, R = setting
-        corpus = corpus_nd(2, seed=1, include_linear=True)
+        corpus = corpus_nd(2, seed=1) + linear_members(2)
         reports = check_hybrid(d, w, K, R, corpus)
         rejected = [r for r in reports if r.status == "rejected"]
         assert rejected and "bounded" in rejected[0].details["reason"]
@@ -891,6 +919,7 @@ class TestFullNodeOracle:
             return out["grids"][-1][0]
 
         monkeypatch.setattr(inequality, "build_grid", build)
+        walk_plain_members(monkeypatch)  # the counting member
         return out
 
     def counting(self, member, calls):
@@ -924,9 +953,9 @@ class TestFullNodeOracle:
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "_ANGULAR_ORDER", 64)
             fine = quadrature.HypersphericalGrid(grid.density, tuple(sorted(bp)))
-        walker = TestFunction(phi.name, phi.n, phi, phi.grad)
+        walker = pointwise(phi)
         split = None if split is None else fine.radial_values(split)
-        m = grid_moments(fine, walker, [fine.radial_values(weight)], split_weight=split)
+        m = node_moments(fine, walker, [fine.radial_values(weight)], split_weight=split)
         return m if radius is None else (m, sphere_dirichlet(fine, walker, radius))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -945,11 +974,12 @@ class TestFullNodeOracle:
         bounds = [ANGULAR_POLAR_BOUND] * (n - 2) + [ANGULAR_AZIMUTHAL_BOUND] * (n > 1)
         for rep in reports:
             phi = by_name[rep.witness]
-            g = phi.grad(nodes.points)
+            at = pointwise(phi)
+            g = at.grad(nodes.points)
             radial = float(np.dot(nodes.pw, w_rad * np.einsum("ij,ij->i", g, nodes.e_rho) ** 2))
             angular = sum(b * float(np.dot(nodes.pw, np.einsum("ij,ij->i", g, t) ** 2))
                           for b, t in zip(bounds, getattr(nodes, "tangents", [])))
-            lhs = shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor)
+            lhs = shifted_variance(nodes.pw, at(nodes.points), nodes.anchor)
             rhs = nodes.dirichlet(wstar, g)
             if phi.mixture is not None:
                 m = self.fine_walk(recorded, phi, monkeypatch,
@@ -986,9 +1016,10 @@ class TestFullNodeOracle:
         assert any(r.details["surface_term"] > 1e-3 for r in reports)
         for rep in reports:
             phi = by_name[rep.witness]
-            volume = nodes.dirichlet(W_nodes, phi.grad(nodes.points))
-            lhs = shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor)
-            gs = phi.grad(sphere)
+            at = pointwise(phi)
+            volume = nodes.dirichlet(W_nodes, at.grad(nodes.points))
+            lhs = shifted_variance(nodes.pw, at(nodes.points), nodes.anchor)
+            gs = at.grad(sphere)
             on_sphere = float(np.dot(nodes.ang_w, np.einsum("ij,ij->i", gs, gs)))
             if phi.mixture is not None:
                 m, on_sphere = self.fine_walk(recorded, phi, monkeypatch,
@@ -1019,7 +1050,7 @@ class TestFullNodeOracle:
         pts_y = (pts_x - u[None, :]) @ G.T
         ones = np.ones(len(nodes.pw))
         for rep in reports:
-            psi = by_name[rep.witness]
+            psi = pointwise(by_name[rep.witness])
             grad_x = psi.grad(pts_y) @ G
             assert close(rep.lhs, shifted_variance(nodes.pw, psi(pts_y), nodes.anchor))
             assert close(rep.rhs, lam.max() * nodes.dirichlet(ones, grad_x))

@@ -30,12 +30,10 @@ from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
     HypersphericalGrid,
-    Integrator,
     QuadratureError,
     TestFunction,
     build_grid,
     grid_moments,
-    integrate_interval,
     interval_rule,
     sphere_dirichlet,
 )
@@ -46,7 +44,8 @@ from isofp.weights import (
     hybrid_weight,
     optimal_cauchy_weight,
 )
-from oracles import mixture_angular_two_pass
+from oracles import (Integrator, integrate_interval, linear_members,
+                     mixture_angular_two_pass, node_moments, pointwise)
 
 
 def const_weight(c, hi=math.inf):
@@ -55,20 +54,20 @@ def const_weight(c, hi=math.inf):
 
 def grid_variance(d, phi, grid=None):
     grid = grid or build_grid(d, [phi])
-    return grid_moments(grid, phi).variance
+    return node_moments(grid, phi).variance
 
 
 def grid_dirichlet(d, w, phi, grid=None):
     """E[w(|X|) |grad phi|^2] on a grid split at the knots of phi and w."""
     grid = grid or build_grid(d, [phi], extra_breakpoints=w.breakpoints)
-    return grid_moments(grid, phi, [grid.radial_values(w)]).dirichlet[0]
+    return node_moments(grid, phi, [grid.radial_values(w)]).dirichlet[0]
 
 
 def grid_split(d, phi, w, grid=None):
     """Radial part and bound-weighted angular part of the product
     decomposition."""
     grid = grid or build_grid(d, [phi])
-    m = grid_moments(grid, phi, split_weight=grid.radial_values(w))
+    m = node_moments(grid, phi, split_weight=grid.radial_values(w))
     bounds = [ANGULAR_POLAR_BOUND] * (d.n - 2) + [ANGULAR_AZIMUTHAL_BOUND]
     return m.radial, float(np.dot(bounds, m.angular))
 
@@ -109,6 +108,30 @@ class TestIntegrateInterval:
         exact = (0.3 ** 2.5 + 0.7 ** 2.5) / 2.5
         val, _ = integrate_interval(kink, 0.0, 1.0, breakpoints=(0.3,))
         assert abs(val - exact) < 1e-12
+
+
+class TestTruncationTail:
+    """The package's one QUADPACK call, a tail (lo, inf) with the default
+    tolerances of the oracle integrator, which it matches float for float."""
+
+    # tails of evolved densities at radii where a tolerance 10 times
+    # tighter moves the float: epsrel at 2.0, epsabs at 37.5 and 1000.0
+    @pytest.mark.parametrize("spec", ["cauchy:beta=4,n=1", "inverse_gamma:mu=2,n=1"])
+    @pytest.mark.parametrize("lo", [0.0, 2.0, 37.5, 1000.0])
+    def test_same_float_as_the_oracle(self, spec, lo):
+        d = parse_density_spec(spec)
+
+        def mass(r):
+            return float(d.radial_weight(r) * d.eval(r))
+
+        assert quadrature.integrate_interval(mass, lo, math.inf) == integrate_interval(
+            mass, lo, math.inf)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-math.inf, 0.0), (-math.inf, math.inf),
+                                       (math.inf, math.inf), (math.nan, math.inf)])
+    def test_takes_only_tails(self, lo, hi):
+        with pytest.raises(ValueError, match="takes a tail"):
+            quadrature.integrate_interval(math.exp, lo, hi)
 
 
 class TestIntervalRule:
@@ -204,9 +227,9 @@ class TestGridMoments:
         lin = linear_test_function(n)
         grid = build_grid(d, [phi])
         w = grid.radial_values(lambda r: 1.0 + r)
-        ref = [grid_moments(grid, f, [w], split_weight=w) for f in (phi, lin)]
+        ref = [node_moments(grid, f, [w], split_weight=w) for f in (phi, lin)]
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 7 * len(grid.ang_weights))
-        got = [grid_moments(grid, f, [w], split_weight=w) for f in (phi, lin)]
+        got = [node_moments(grid, f, [w], split_weight=w) for f in (phi, lin)]
         for a, b in zip(ref, got):
             assert abs(a.variance - b.variance) <= 1e-13 * a.variance
             assert abs(a.dirichlet[0] - b.dirichlet[0]) <= 1e-13 * a.dirichlet[0]
@@ -215,10 +238,16 @@ class TestGridMoments:
             for x, y in zip(a.angular, b.angular):
                 assert abs(x - y) <= 1e-13 * total
 
+    def test_member_without_a_kernel_is_refused(self):
+        d = make_density("gaussian", {"sigma": 1.0}, 2)
+        phi = linear_test_function(2)
+        with pytest.raises(TypeError, match="'linear' has neither polar nor mixture"):
+            grid_moments(build_grid(d, [phi]), phi)
+
     def test_without_split_weight(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
         phi = linear_test_function(2)
-        m = grid_moments(build_grid(d, [phi]), phi)
+        m = node_moments(build_grid(d, [phi]), phi)
         assert m.dirichlet == () and math.isnan(m.radial) and m.angular == ()
         assert abs(m.variance - 1.0) < 1e-10
 
@@ -230,8 +259,8 @@ class TestGridMoments:
                            lambda p: np.tile([1.0, 2.0], (len(p), 1)))
         grid = build_grid(d, [phi])
         w = [np.ones_like(grid.r_nodes), 1.0 + grid.r_nodes]
-        plain = grid_moments(grid, phi, w, split_weight=w[0])
-        m = grid_moments(grid, phi, w, split_weight=w[0], axis_weights=[2.0, 0.25])
+        plain = node_moments(grid, phi, w, split_weight=w[0])
+        m = node_moments(grid, phi, w, split_weight=w[0], axis_weights=[2.0, 0.25])
         assert abs(plain.dirichlet[0] - 5.0) < 1e-10 and abs(m.dirichlet[0] - 3.0) < 1e-10
         assert abs(m.dirichlet[1] - 0.6 * plain.dirichlet[1]) < 1e-10
         assert (m.variance, m.radial, m.angular) == (plain.variance, plain.radial, plain.angular)
@@ -429,7 +458,7 @@ def polar_families(n, R):
     """One member of every polar family: the radial profiles in |x|^2 and
     |x|, the radial bumps, monomials times a Gaussian, bump x u_k, the
     linear members and the tail bumps, tail directions and tail mixtures."""
-    nd = list(corpus_nd(n, seed=2024, include_linear=True))
+    nd = corpus_nd(n, seed=2024) + linear_members(n)
     tail = list(corpus_outside_ball(n, R, seed=2024))
     picks = ["exp_u", "cos_u_damped", "rho3_gauss", "bump[0,0.6]w0.5",
              "bump[0.8,1.2]w0.4", "x100_c1", "x300_c0.25", "x110_c0.5",
@@ -452,11 +481,6 @@ def linear_witness(n):
     (phi,) = [m for m in corpus_anisotropic(V, seed=2024) if m.name == "linear_x1"]
     assert isinstance(phi, PolarMember) and len(phi.polar[1]) == n
     return phi, b
-
-
-def stripped(phi):
-    """The same member without its factors: grid_moments walks the grid."""
-    return TestFunction(phi.name, phi.n, phi, phi.grad)
 
 
 def checker_grid(kind, n):
@@ -498,7 +522,7 @@ def assert_axis_weights_match_block_walk(n, members, seed, monkeypatch=None, ord
     w = [np.ones_like(grid.r_nodes), 1.0 + grid.r_nodes]
     for phi in members:
         got = grid_moments(grid, phi, w, axis_weights=c)
-        want = grid_moments(oracle, stripped(phi), w, axis_weights=c)
+        want = node_moments(oracle, pointwise(phi), w, axis_weights=c)
         assert got.dirichlet != grid_moments(grid, phi, w).dirichlet, phi.name
         assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
         for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
@@ -515,7 +539,7 @@ class TestPolarMoments:
         grid, weights, split, R = checker_grid(kind, n)
         for phi in polar_families(n, R):
             got = grid_moments(grid, phi, weights, split_weight=split)
-            want = grid_moments(grid, stripped(phi), weights, split_weight=split)
+            want = node_moments(grid, pointwise(phi), weights, split_weight=split)
             assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
             for x, y in zip(got.dirichlet, want.dirichlet, strict=True):
                 assert abs(x - y) <= 1e-12 * y, phi.name
@@ -526,12 +550,12 @@ class TestPolarMoments:
     def test_n1_two_directions(self):
         # u = +-1: odd monomials flip sign, even ones are constant
         d = make_density("gaussian", {"sigma": 1.0}, 1)
-        members = [m for m in corpus_nd(1, seed=2024, include_linear=True) if m.polar]
+        members = [m for m in corpus_nd(1, seed=2024) + linear_members(1) if m.polar]
         grid = build_grid(d, members)
         w = [grid.radial_values(lambda r: 1.0 + r)]
         for phi in members:
             got = grid_moments(grid, phi, w, split_weight=w[0])
-            want = grid_moments(grid, stripped(phi), w, split_weight=w[0])
+            want = node_moments(grid, pointwise(phi), w, split_weight=w[0])
             assert abs(got.variance - want.variance) <= 1e-12 * want.variance, phi.name
             assert abs(got.dirichlet[0] - want.dirichlet[0]) <= 1e-12 * want.dirichlet[0]
             assert abs(got.radial - want.radial) <= 1e-12 * want.radial
@@ -546,7 +570,7 @@ class TestPolarMoments:
     @pytest.mark.parametrize("n", [2, 3])
     def test_profile_vanishes_at_the_origin(self, n):
         # E_r[w s^2 / rho^2] needs s = O(rho) wherever u^e is not constant
-        members = (list(corpus_nd(n, seed=2024, include_linear=True))
+        members = (corpus_nd(n, seed=2024) + linear_members(n)
                    + list(corpus_outside_ball(n, 2.0, seed=2024)))
         angular = [m for m in members
                    if m.polar and any(any(e) for _, e in m.polar[1])]
@@ -706,7 +730,7 @@ class TestPolarMember:
     def test_matches_cartesian_formulas(self, n):
         R = 2.0
         refs, tail = cartesian_references(n, R)
-        members = {m.name: m for m in corpus_nd(n, seed=2024, include_linear=True)}
+        members = {m.name: m for m in corpus_nd(n, seed=2024) + linear_members(n)}
         members.update(tail)
         members["witness"], b = linear_witness(n)
         refs["witness"] = (lambda x: x @ b), (lambda x: np.broadcast_to(b, x.shape))
@@ -724,7 +748,7 @@ class TestPolarMember:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_origin(self, n):
-        members = {m.name: m for m in corpus_nd(n, seed=2024, include_linear=True)}
+        members = {m.name: m for m in corpus_nd(n, seed=2024) + linear_members(n)}
         zero = np.zeros((1, n))
         e1 = np.eye(n)[:1]
         assert np.array_equal(members["linear_x1"].grad(zero), e1)
@@ -739,7 +763,7 @@ class TestPolarMember:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_smooth_member_is_polar(self, n):
         # only the random mixtures are not polar (see TestShellKernels)
-        nd = corpus_nd(n, seed=2024, include_linear=True)
+        nd = corpus_nd(n, seed=2024) + linear_members(n)
         generic = [m.name for m in nd if not isinstance(m, PolarMember)]
         assert generic and all(name.startswith("random") for name in generic)
         tail = corpus_outside_ball(n, 2.0, seed=2024)
@@ -839,11 +863,11 @@ class TestMixtureMoments:
             assert np.array_equal(fine[0].r_nodes, exact[0].r_nodes)
         for phi in random_members(n):
             got = grid_moments(exact[0], phi, exact[1], split_weight=exact[2])
-            want = grid_moments(fine[0], stripped(phi), fine[1], split_weight=fine[2])
+            want = node_moments(fine[0], pointwise(phi), fine[1], split_weight=fine[2])
             assert len(got.dirichlet) == len(weights)
             assert_moments_close(got, want, 1e-12, phi.name)
             got = grid_moments(grid, phi, split_weight=split)
-            want = grid_moments(grid, stripped(phi), split_weight=split)
+            want = node_moments(grid, pointwise(phi), split_weight=split)
             assert_angular_close(got, want, phi.name)
 
     def test_n4_against_the_grid(self, monkeypatch):
@@ -856,7 +880,7 @@ class TestMixtureMoments:
         grid = build_grid(make_density("gaussian", {"sigma": 1.0}, 4), [phi])
         w = [grid.radial_values(lambda r: 1.0 + r)]
         got = grid_moments(grid, phi, w, split_weight=w[0])
-        want = grid_moments(grid, stripped(phi), w, split_weight=w[0])
+        want = node_moments(grid, pointwise(phi), w, split_weight=w[0])
         assert_moments_close(got, want, 2e-8, phi.name)
         assert_angular_close(got, want, phi.name)
 
@@ -873,7 +897,7 @@ class TestMixtureMoments:
         fine = with_angular_order(monkeypatch, 64, build_grid, d, [phi])
         w = [grid.radial_values(lambda r: 1.0 + r)]
         got = grid_moments(grid, phi, w, split_weight=w[0])
-        want = grid_moments(fine, stripped(phi), w, split_weight=w[0])
+        want = node_moments(fine, pointwise(phi), w, split_weight=w[0])
         assert 0.0 < got.variance < 1e-6
         assert_moments_close(got, want, 1e-12, phi.name)
 
@@ -901,7 +925,7 @@ class TestMixtureMoments:
         for phi in random_members(n):
             for radius in (0.5, 2.7, 6.0):
                 got = sphere_dirichlet(grid, phi, radius)
-                want = sphere_dirichlet(fine, stripped(phi), radius)
+                want = sphere_dirichlet(fine, pointwise(phi), radius)
                 assert abs(got - want) <= 1e-12 * want, (phi.name, radius)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -914,8 +938,13 @@ class TestMixtureMoments:
         for phi in members:
             assert isinstance(phi, GaussianMixture) and phi.polar is None
             ev, gr = _cartesian_mixture(*phi.mixture)
-            assert_close(phi(pts), ev(pts), 1e-12, phi.name)
-            assert_close(phi.grad(pts), gr(pts), 1e-12, phi.name)
+            at_points = pointwise(phi)
+            assert_close(at_points(pts), ev(pts), 1e-12, phi.name)
+            assert_close(at_points.grad(pts), gr(pts), 1e-12, phi.name)
+            # the member itself has no values at points
+            for method in (phi, phi.grad):
+                with pytest.raises(TypeError, match=f"{phi.name!r} has no values at points"):
+                    method(pts)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_axis_weights_match_block_walk(self, n, monkeypatch):
@@ -1017,7 +1046,7 @@ class TestShellKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_member_has_a_shell_kernel(self, n):
         V = np.diag(np.arange(1.0, n + 1.0))
-        for corpus in (corpus_nd(n, seed=2024, include_linear=True),
+        for corpus in (corpus_nd(n, seed=2024) + linear_members(n),
                        corpus_outside_ball(n, 2.0, seed=2024),
                        corpus_anisotropic(V, seed=2024)):
             for phi in corpus:

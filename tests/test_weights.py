@@ -10,7 +10,6 @@ from isofp.densities import (
     uniform_angle_density,
     closed_form_weight,
 )
-from isofp.quadrature import Integrator, integrate_interval
 from isofp.weights import (
     WeightError,
     WeightFunction,
@@ -27,8 +26,8 @@ from isofp.weights import (
     weight_from_density,
 )
 
-from oracles import (PQPair, barenblatt_pq, cauchy_pq, maximize_family_constant,
-                     std_normal_1d, w_from_pq)
+from oracles import (Integrator, PQPair, barenblatt_pq, cauchy_pq, integrate_interval,
+                     maximize_family_constant, std_normal_1d, w_from_pq)
 
 
 class TestKokWeight:
