@@ -7,16 +7,18 @@ constant is a closed form in Gamma functions; no integral is evaluated
 here.  The one-dimensional wealth equilibrium (inverse Gamma on the half
 line) is carried as a 1-D catalog entry with unit geometry factor and
 drift centred at its mean 1.
+
+log Gamma is :func:`gammaln`, a port of Cephes ``lgam`` (S. L. Moshier, *Methods and Programs
+for Mathematical Functions*, 1989): the float ``scipy.special.gammaln`` gives, without scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "IsotropicDensity",
@@ -43,6 +45,43 @@ KINDS = tuple(_PARAMS)
 def surface_measure(n):
     """Surface measure of the unit sphere in R^n, 2 pi^(n/2) / Gamma(n/2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+# Cephes lgam's Stirling series in 1/x^2 (x >= 13), and x B(x) / C(x) for log Gamma(2 + x)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+
+
+def gammaln(x):
+    """log Gamma(x) for a float x > 0 (past 1e8 Cephes skips a term under half an ulp)."""
+    if x >= 13.0:
+        if x > 2.556348e305:
+            return math.inf
+        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # log sqrt(2 pi)
+        p = 1.0 / (x * x)
+        if x >= 1000.0:
+            return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                        + 0.0833333333333333333333) / x
+        return q + reduce(lambda acc, c: acc * p + c, _LGAM_A) / x
+    # shift x into [2, 3) by the recurrence Gamma(x + 1) = x Gamma(x)
+    z, p, u = 1.0, 0.0, x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    x += p - 2.0
+    num, den = (reduce(lambda acc, c: acc * x + c, k) for k in (_LGAM_B, _LGAM_C))
+    return math.log(z) + x * num / den
 
 
 def _gamma_ratio(x, y):
@@ -110,12 +149,10 @@ class IsotropicDensity:
         for the half-line entry)."""
         rho = np.asarray(rho, dtype=float)
         kind = self.kind
-        if kind == "gaussian":
-            return np.exp(-(rho ** 2) / (2.0 * self.param("sigma")))
+        if kind in ("gaussian", "exponential_type"):
+            return np.exp(self._log_profile(rho))
         if kind == "cauchy_type":
             return (1.0 + rho ** 2) ** (-self.param("beta"))
-        if kind == "exponential_type":
-            return np.exp(-self.param("beta") * rho)
         if kind == "barenblatt":
             a = self.param("a")
             expo = 1.0 / (self.param("p") - 1.0)
@@ -127,6 +164,14 @@ class IsotropicDensity:
             rho = np.maximum(rho, mu / 746.0)
             return np.exp(-mu / rho) * rho ** (-(2.0 + mu))
         raise ValueError(f"unknown kind {kind!r}")
+
+    def _log_profile(self, rho):
+        """log of :meth:`_profile` for the kinds of unbounded support in R^n."""
+        if self.kind == "gaussian":
+            return -(rho * rho) / (2.0 * self.param("sigma"))
+        if self.kind == "cauchy_type":
+            return -self.param("beta") * np.log1p(rho * rho)
+        return -self.param("beta") * rho
 
     def eval(self, rho):
         """f(rho) including the normalisation; 0 outside the support."""

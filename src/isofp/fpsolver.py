@@ -124,13 +124,18 @@ def _truncation_radius(d, tail_mass=1e-12):
 
     def mass_density(r):
         # f(r) times the volume element at one radius; every r > R >= 1 lies
-        # inside the unbounded support, so the profile is taken unmasked
+        # inside the unbounded support, so the profile is taken unmasked; in
+        # log space from rho^(n-1) = e^400 on, where it may overflow (n >= 37)
+        # or the profile underflow against it (below, the product is < 1e-130)
+        if (d.n - 1) * math.log(r) >= 400.0:
+            return math.exp(math.log(d.geometry_factor) + math.log(d.norm_const)
+                            + (d.n - 1) * math.log(r) + d._log_profile(r))
         x = np.array([r])
         return float((d.radial_weight(x) * (d.norm_const * d._profile(x)))[0])
 
     def tail(R):
         try:
-            val, _ = integrate_interval(mass_density, R, math.inf)
+            val, _ = integrate_interval(mass_density, R)
         except QuadratureError as exc:
             raise TruncationError("could not truncate the domain: tail too heavy") from exc
         if val < 0.0:  # of a positive integrand

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ive
 
 __all__ = [
     "QuadratureError",
@@ -65,8 +64,8 @@ class QuadratureError(RuntimeError):
 _REL_TOL, _ABS_TOL, _MAX_SUBDIVISIONS = 1e-10, 1e-13, 200
 
 
-def integrate_interval(g, lo, hi):
-    """Integrate ``g`` over the tail (lo, hi), lo finite and hi infinite.
+def integrate_interval(g, lo):
+    """Integrate ``g`` over the tail (lo, inf), lo finite.
 
     The tail is mapped to (0, 1) with r = lo + t/(1-t) before the adaptive
     subdivision runs; QUADPACK's nodes are interior, so the mapped end t =
@@ -75,8 +74,8 @@ def integrate_interval(g, lo, hi):
     QUADPACK flags a problem and the error estimate misses the tolerances;
     QUADPACK flags roundoff conservatively, so a flag alone is accepted.
     """
-    if not (math.isfinite(lo) and hi == math.inf):
-        raise ValueError(f"integrate_interval takes a tail (lo, inf), not ({lo}, {hi})")
+    if not math.isfinite(lo):
+        raise ValueError(f"integrate_interval takes a tail (lo, inf), not ({lo}, inf)")
     # imported on first use: only the truncation radius calls QUADPACK,
     # whose import costs a fresh process ~0.2 s and ~20 MB
     from scipy.integrate import quad
@@ -91,7 +90,7 @@ def integrate_interval(g, lo, hi):
     value, err = out[0], out[1]
     if len(out) > 3 and err > max(_REL_TOL * abs(value), _ABS_TOL):
         raise QuadratureError(
-            f"adaptive integration on ({lo}, {hi}) did not converge: {out[3]}",
+            f"adaptive integration on ({lo}, inf) did not converge: {out[3]}",
             value=value,
             err_estimate=err,
         )
@@ -518,6 +517,11 @@ _EXP_FLOOR = -745.0
 # _SERIES_Z, and exp(-z) I_nu(z) above it: from :func:`_ive_half` for odd
 # n, where nu is half an odd integer, and from scipy's ``ive`` for even n.
 _SERIES_Z, _SERIES_TERMS = 1.0, 12
+
+
+def ive(nu, z):  # scipy's exp(-z) I_nu(z), imported on first use: only even n calls it
+    from scipy.special import ive
+    return ive(nu, z)
 
 
 @lru_cache(maxsize=None)

@@ -219,6 +219,14 @@ class TestEvolveCommand:
             "error: could not truncate the domain: tail too heavy\n")
         assert list(tmp_path.iterdir()) == []
 
+    # rho^(n-1) overflowed at the truncation tail's nodes: an overflow
+    # warning at n = 37-39 and "tail too heavy" at n = 40
+    @pytest.mark.parametrize("n", [37, 38, 39, 40])
+    def test_high_dimensional_gaussian_evolves(self, n, tmp_path):
+        assert main(["evolve", "--density", f"gaussian:sigma=1,n={n}", "--cells", "100",
+                     "--t-final", "1", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("rates_*.json"))) == 1
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--dt", "0", "dt must be finite and positive, got 0.0"),
         ("--dt", "-0.001", "dt must be finite and positive, got -0.001"),

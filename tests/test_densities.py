@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
+from scipy.special import gammaln as sp_gammaln
 
+from isofp import densities
 from isofp.densities import (
+    gammaln,
     full_line_density,
     make_density,
     parse_density_spec,
@@ -17,6 +20,7 @@ from isofp.densities import (
 from isofp.weights import WeightError, steady_state_residual
 
 from oracles import Integrator, integrate_interval, std_normal_1d
+from test_catalog_sweep import SPECS as SWEEP_SPECS
 
 # adaptive QUADPACK is the oracle of every closed-form constant; 1e-12 is
 # the tightest tolerance it meets on the heavy Cauchy tails below
@@ -219,6 +223,39 @@ class TestEvalInsideSupport:
         d = make_density("inverse_gamma_1d", {"mu": 2.0}, 1)
         assert d.eval(1e-100) == 0.0
         assert d.eval(5e-324) == 0.0
+
+
+class TestGammaln:
+    """log Gamma is a port of Cephes ``lgam``, the routine behind scipy's
+    ``gammaln``: the same float at every point, so no constant moves."""
+
+    def test_same_float_as_scipy(self):
+        rng = np.random.default_rng(2027)
+        x = np.concatenate([
+            0.5 * np.arange(1, 4001),  # the halves up to 2000
+            rng.uniform(1e-3, 30.0, 150_000),
+            np.exp(rng.uniform(math.log(1e-3), math.log(1e13), 150_000)),
+            # each side of the branches at 2, 3, 13, 1000 and 1e8, and the extremes
+            [math.nextafter(b, c) for b in (2.0, 3.0, 13.0, 1e3, 1e8) for c in (0.0, math.inf)],
+            [5e-324, 1e-300, 1e200, 1e306, math.inf],
+        ])
+        got = np.array([gammaln(float(v)) for v in x])
+        bad = x[got != sp_gammaln(x)]
+        assert len(x) > 300_000 and bad.size == 0, bad[:5]
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS)
+    def test_catalog_constants_as_with_scipy(self, spec, monkeypatch):
+        d = parse_density_spec(spec)
+        monkeypatch.setattr(densities, "gammaln", sp_gammaln)
+        want = parse_density_spec(spec)
+        assert (d.norm_const, d.radial_mean) == (want.norm_const, want.radial_mean)
+
+    def test_sin_powers_as_with_scipy(self, monkeypatch):
+        t = np.linspace(0.1, 3.0, 7)
+        got = [sin_power_density(i)(t) for i in range(1, 7)]
+        monkeypatch.setattr(densities, "gammaln", sp_gammaln)
+        for i, g in enumerate(got, start=1):
+            assert np.array_equal(g, sin_power_density(i)(t)), i
 
 
 class TestRadialMarginal:

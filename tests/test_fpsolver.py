@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrs
+from scipy.special import gammaincc
 
 from isofp import fpsolver, quadrature
 from isofp.cli import DEFAULT_CONFIG
@@ -53,8 +54,7 @@ class TestRadialGrid:
         d = make_density("cauchy_type", {"beta": 4.0}, 1)
         grid = make_radial_grid(d, 100, tail_mass=1e-12)
         tail, _ = integrate_interval(
-            lambda r: d.radial_weight(r) * float(d.eval(r)),
-            grid.edges[-1], math.inf)
+            lambda r: d.radial_weight(r) * float(d.eval(r)), grid.edges[-1])
         assert tail < 1e-12
 
 
@@ -66,7 +66,7 @@ def bisection_60(d, tail_mass=1e-12):
 
     def tail(R):
         return quadrature.integrate_interval(
-            lambda r: d.radial_weight(r) * d.eval(r), R, math.inf)[0]
+            lambda r: d.radial_weight(r) * d.eval(r), R)[0]
 
     lo, hi = 1.0, 2.0
     while tail(hi) > tail_mass:
@@ -152,12 +152,43 @@ class TestTruncationRadius:
         assert info.value.__cause__ is None
         assert tails[-1] < 0.0 and min(tails[:-1]) >= 0.0
 
+    # rho^(n-1) overflows at QUADPACK's mapped nodes from n = 37 on, which
+    # ended the search in an overflow warning (and the Gaussian's at n = 40
+    # in "tail too heavy").  |X| is chi with n degrees of freedom for the
+    # Gaussian and Gamma(n, 1) for the exponential, whose tail masses are
+    # the regularised upper incomplete Gamma Q(n/2, r^2/2) and Q(n, r)
+    @pytest.mark.parametrize("n", [37, 38, 39, 40])
+    @pytest.mark.parametrize("kind,tail", [
+        ("gaussian:sigma=1", lambda n, r: gammaincc(n / 2, r * r / 2)),
+        ("exponential:beta=1", lambda n, r: gammaincc(n, r)),
+    ], ids=["gaussian", "exponential"])
+    def test_high_dimensions(self, kind, tail, n):
+        r = _truncation_radius(parse_density_spec(f"{kind},n={n}"))
+        assert tail(n, r * (1.0 + 1e-8)) <= 1e-12 < tail(n, r * (1.0 - 1e-8))
+
+    def test_log_space_meets_the_direct_product(self, monkeypatch):
+        # cauchy beta = 20 at n = 37: f dV ~ c rho^-4 far out, where rho^36
+        # overflows and (1 + rho^2)^-20 underflows; across the radius where
+        # the integrand turns to log space it keeps that law to roundoff
+        integrands = []
+        integrate = quadrature.integrate_interval
+
+        def record(g, lo):
+            integrands.append(g)
+            return integrate(g, lo)
+
+        monkeypatch.setattr(quadrature, "integrate_interval", record)
+        _truncation_radius(parse_density_spec("cauchy:beta=20,n=37"))
+        r = np.geomspace(1e7, 1e13, 241)
+        scaled = np.array([integrands[0](x) for x in r]) * r ** 4
+        assert np.all(np.isfinite(scaled)) and np.ptp(scaled) <= 1e-12 * scaled.max()
+
     def test_search_gives_up_at_the_cap(self, monkeypatch):
         # a tail that never falls to the target: the search raises at 2^29,
         # the last doubling of 1 below 1e9, and probes nothing beyond it
         probes = []
 
-        def tail(g, R, hi):
+        def tail(g, R):
             probes.append(R)
             return R ** -0.1, 0.0
 
@@ -173,7 +204,7 @@ class TestTruncationRadius:
         # Newton step leaves the bracket, and the midpoints alone would need
         # about 50 probes to close it
         R0, mass = 20.25, 1e-12
-        monkeypatch.setattr(quadrature, "integrate_interval", lambda g, R, hi: (
+        monkeypatch.setattr(quadrature, "integrate_interval", lambda g, R: (
             mass * ((3.0 if R < R0 else 0.5) + 0.4 * math.sin(7.0 * R)), 0.0))
         bisected = []
 

@@ -1,8 +1,12 @@
 """What a fresh interpreter loads, and what the package exposes.
 
 Adaptive QUADPACK (``scipy.integrate``, which itself imports
-``scipy.optimize``) is imported on first use, and only the truncation
-radius of an evolution uses it, so the Poincare checks never load it.
+``scipy.optimize`` and ``scipy.special``) is imported on first use, and
+only the truncation radius of an evolution uses it, so the Poincare checks
+never load it.  log Gamma is the package's own (``densities.gammaln``), and
+scipy's ``ive`` is imported on first use, which only the mixtures of an
+even-n check make; so ``weights`` and every check at odd n load no
+``scipy.special`` either.
 
 Code that only the tests use lives in ``tests/oracles.py``, not in the
 package.
@@ -16,7 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy.optimize", "scipy.integrate")
+WATCHED = ("scipy.special", "scipy.optimize", "scipy.integrate")
 
 N3_GRID_PAIRS = """
 from isofp.cli import reports_for_pair
@@ -25,6 +29,28 @@ from isofp.densities import parse_density_spec
 d = parse_density_spec("cauchy:beta=4,n=3")
 for theorem in ("product", "isotropic_Wstar", "refined_outside_ball", "hybrid"):
     assert not isinstance(reports_for_pair(d, theorem, 2024, 1e-6), str)
+"""
+
+ODD_N_COMMANDS = """
+import contextlib, io, tempfile
+from isofp.cli import THEOREMS, main
+
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for spec in ("gaussian:sigma=1,n=1", "cauchy:beta=4,n=3", "exponential:beta=1,n=3",
+                 "inverse_gamma:mu=2,n=1"):
+        assert main(["weights", "--density", spec, "--out", out]) == 0
+    for spec in ("gaussian:sigma=1,n=1", "cauchy:beta=4,n=3"):
+        for theorem in THEOREMS:
+            assert main(["check", "--theorem", theorem, "--density", spec, "--out", out]) == 0
+"""
+
+EVEN_N_WSTAR = """
+import contextlib, io, tempfile
+from isofp.cli import main
+
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check", "--theorem", "isotropic_Wstar", "--density", "cauchy:beta=3,n=2",
+                 "--out", out]) == 0
 """
 
 TRUNCATION = """
@@ -102,9 +128,15 @@ def loaded_after(code):
     ]))
 
 
-@pytest.mark.parametrize("code", ["", N3_GRID_PAIRS], ids=["import", "n3-grid-pairs"])
-def test_checks_load_no_quadpack(code):
+@pytest.mark.parametrize("code", ["", N3_GRID_PAIRS, ODD_N_COMMANDS],
+                         ids=["import", "n3-grid-pairs", "odd-n-commands"])
+def test_checks_load_no_special_and_no_quadpack(code):
     assert loaded_after(code) == []
+
+
+def test_even_n_check_loads_special_on_first_use():
+    # the n = 2 mixtures' sphere averages call scipy's ive, imported there
+    assert loaded_after(EVEN_N_WSTAR) == ["scipy.special"]
 
 
 def test_truncation_radius_loads_quadpack():

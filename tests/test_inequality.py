@@ -382,11 +382,9 @@ class TestWstar:
                                         optimal_cauchy_weight(4.0, 3))
         assert_all_pass(reports)
 
-    def test_constant_phi_ratio_zero(self, walk_plain):
+    def test_constant_phi_ratio_zero(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
-        phi = TestFunction("const", 2, lambda p: np.full(len(p), 2.5),
-                           lambda p: np.zeros_like(p))
-        reports = check_isotropic_Wstar(d, [phi], unit_weight())
+        reports = check_isotropic_Wstar(d, [constant_member(2, 2.5)], unit_weight())
         assert reports[0].passed and reports[0].ratio == 0.0
 
     def test_split_recorded_and_dominated(self):
@@ -441,8 +439,9 @@ class TestWstar:
 
 
 def constant_member(n, c):
-    return TestFunction(f"const_{c}", n, lambda p: np.full(len(p), c),
-                        lambda p: np.zeros_like(p))
+    """The constant c as a polar member, which the polar kernel takes."""
+    return PolarMember(f"const_{c}", n, Fn1D("c", lambda r: np.full_like(r, c), np.zeros_like),
+                       [(1.0, (0,) * n)])
 
 
 def offset_linear_member(n):
@@ -455,11 +454,18 @@ def offset_linear_member(n):
     return TestFunction("offset_linear", n, lambda p: 1000.0 + 1e-6 * p[:, 0], gr)
 
 
+def offset_radial_member(n):
+    """1000 + 1e-6 |x|^2 as a polar member: variance 2n 1e-12 and E|grad|^2
+    4n 1e-12 under a standard normal, so ratio 1/2."""
+    return PolarMember("offset_radial", n,
+                       Fn1D("offset", lambda r: 1000.0 + 1e-6 * r * r, lambda r: 2e-6 * r),
+                       [(1.0, (0,) * n)])
+
+
 def assert_exact_zero(report):
     assert report.lhs == 0.0 and report.ratio == 0.0 and report.passed
 
 
-@pytest.mark.usefixtures("walk_plain")
 class TestConstantMembers:
     """Both sides vanish on constants, so every checker reports ratio 0.
 
@@ -498,18 +504,6 @@ class TestConstantMembers:
         reports = check_isotropic_Wstar(d, [constant_member(3, 1000.0)], unit_weight())
         assert_exact_zero(reports[0])
 
-    def test_polar_constant_takes_the_kernel(self):
-        # the same constant as a polar member is never walked: the polar
-        # kernel's shifted factor variances are exactly 0
-        d = make_density("gaussian", {"sigma": 1.0}, 3)
-        const = PolarMember("const_polar", 3,
-                            Fn1D("c", lambda r: np.full_like(r, -7.3), np.zeros_like),
-                            [(1.0, (0, 0, 0))])
-        for rep in (check_isotropic_Wstar(d, [const], unit_weight())
-                    + check_hybrid(d, unit_weight(), closed_form_weight(d), 1.5, [const])
-                    + check_gaussian_anisotropic(np.diag([1.0, 2.0, 3.0]), [const])):
-            assert_exact_zero(rep)
-
     def test_poincare_1d_std_normal(self):
         from isofp.corpus import Fn1D
 
@@ -531,15 +525,23 @@ class TestConstantMembers:
         assert_exact_zero(reports[0])
 
 
-@pytest.mark.usefixtures("walk_plain")
 class TestShiftHidesNoVariance:
     """The shift removes only roundoff: an offset member keeps its variance
-    and the sharp Gaussian witnesses stay at ratio 1."""
+    and the sharp Gaussian witnesses stay at ratio 1.
 
-    def test_gaussian_anisotropic_sharp(self):
+    The sharp witness with an offset, 1000 + 1e-6 x_1, has no polar form
+    s(rho) a(u), so its n-D checks walk the grid's nodes; the polar kernel
+    sees an offset in 1000 + 1e-6 |x|^2."""
+
+    def test_gaussian_anisotropic_sharp(self, walk_plain):
         reports = check_gaussian_anisotropic(np.eye(3), [offset_linear_member(3)])
         assert abs(reports[0].lhs - 1e-12) < 1e-8 * 1e-12
         assert abs(reports[0].ratio - 1.0) < 1e-6
+
+    def test_gaussian_anisotropic_polar_offset(self):
+        reports = check_gaussian_anisotropic(np.eye(3), [offset_radial_member(3)])
+        assert abs(reports[0].lhs - 6e-12) < 1e-8 * 6e-12
+        assert abs(reports[0].ratio - 0.5) < 1e-6
 
     def test_poincare_1d_sharp(self):
         from isofp.corpus import Fn1D
@@ -550,13 +552,14 @@ class TestShiftHidesNoVariance:
         reports = check_poincare_1d(std_normal_1d(), unit_weight(), [member])
         assert abs(reports[0].ratio - 1.0) < 1e-6
 
-    def test_wstar_unit_weight(self):
+    def test_wstar_unit_weight(self, walk_plain):
         # W* = max(1, pi^2 rho^2 / 2) exceeds the unit weight off a small
         # ball, so the full ratio is below 1; its radial part E[|phi'|^2]
-        # is the sharp Gaussian bound, and the ratio is that of plain x_1
+        # is the sharp Gaussian bound, and the ratio is that of plain x_1,
+        # which the polar kernel takes
         d = make_density("gaussian", {"sigma": 1.0}, 1)
-        plain = TestFunction("x1", 1, lambda p: p[:, 0], lambda p: np.ones_like(p))
-        r, r_plain = check_isotropic_Wstar(d, [offset_linear_member(1), plain],
+        (plain,) = linear_members(1)
+        r_plain, r = check_isotropic_Wstar(d, [offset_linear_member(1), plain],
                                            unit_weight())
         assert r.witness == "offset_linear"
         assert abs(r.lhs / r.details["radial_part"] - 1.0) < 1e-6
@@ -615,7 +618,7 @@ def setting():
 
 class TestHybrid:
 
-    def test_inside_ball_member_has_zero_surface(self, setting, walk_plain):
+    def test_inside_ball_member_has_zero_surface(self, setting):
         d, w, K, R = setting
         # supported strictly inside B_R: surface and outer terms vanish
         from isofp.corpus import _bump, _bump_deriv
@@ -628,16 +631,8 @@ class TestHybrid:
         def ds(r):
             return _bump_deriv(r, 0.0, r1, 0.0, wd)
 
-        def ev(p):
-            return s(np.linalg.norm(p, axis=1))
-
-        def gr(p):
-            rho = np.linalg.norm(p, axis=1)
-            safe = np.where(rho == 0.0, 1.0, rho)
-            return (ds(rho) / safe)[:, None] * p
-
-        phi = TestFunction("inner_bump", 2, ev, gr,
-                           radial_breakpoints=(r1, r1 + wd))
+        phi = PolarMember("inner_bump", 2, Fn1D("inner_bump", s, ds, breakpoints=(r1, r1 + wd)),
+                          [(1.0, (0, 0))])
         reports = check_hybrid(d, w, K, R, [phi])
         r = reports[0]
         assert r.passed
