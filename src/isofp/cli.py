@@ -21,6 +21,7 @@ import pickle
 import signal
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 
@@ -146,6 +147,12 @@ def _write_json(path, text):
 _write_csv = _write_json  # perfbench/spans.py wraps both names
 
 
+def _write_files(out_dir, texts):
+    """Write each text of {file name: text} into ``out_dir``; the paths written."""
+    return [(_write_json if name.endswith(".json") else _write_csv)(Path(out_dir) / name, text)
+            for name, text in texts.items()]
+
+
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -158,27 +165,28 @@ def _sha256(path):
 WEIGHT_HEADER = ["rho", "K_closed", "K_quadrature", "rel_err", "density"]
 
 
-def _weight_rows(d, rho):
-    """CSV rows comparing the catalog K with K by quadrature on ``rho``, one
-    call for the whole array; rel_err is the absolute error where K_closed
+def _weight_table(d, edge, points):
+    """The ``weights_*.csv`` name and rows of one density: the catalog K
+    against K by quadrature, one call each for the whole array, at
+    ``points`` radii from ``edge`` to 1 - ``edge`` of the support, or of
+    [0, 6] if it is unbounded; rel_err is the absolute error where K_closed
     is 0."""
+    hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
+    rho = np.linspace(hi * edge, hi * (1.0 - edge), points)
     lbl = density_label(d)
     rows = []
     for r, kc, kq in zip(rho, closed_form_weight(d)(rho), wmod.weight_from_density(d, rho)):
         rel = abs(kq - kc) / abs(kc) if kc != 0 else abs(kq)
         rows.append([f"{r:.12g}", f"{kc:.16g}", f"{kq:.16g}", f"{rel:.3e}", lbl])
-    return rows
+    return f"weights_{_slug(lbl)}.csv", rows
 
 
 def cmd_weights(args):
     d = parse_density_spec(args.density)
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, not {args.points}")
-    i_plus = d.support_radius
-    hi = i_plus if np.isfinite(i_plus) else 6.0
-    rows = _weight_rows(d, np.linspace(hi * 0.01, hi * 0.99, args.points))
-    out = Path(args.out) / f"weights_{_slug(density_label(d))}.csv"
-    _write_csv(out, _csv_text(WEIGHT_HEADER, rows))
+    name, rows = _weight_table(d, 0.01, args.points)
+    out = _write_csv(Path(args.out) / name, _csv_text(WEIGHT_HEADER, rows))
     worst = max(float(r[3]) for r in rows)
     print(f"wrote {out} (max rel err {worst:.3e})")
     return 0 if worst < 1e-6 else 1
@@ -269,43 +277,51 @@ REPORT_HEADER = ["density", "theorem", "witness", "lhs", "rhs", "ratio", "status
                  "verdict"]
 
 
-def _report_rows(density_lbl, theorem, reports):
-    rows = []
-    for r in reports:
-        rows.append([density_lbl, theorem, r.witness, f"{r.lhs:.12g}",
-                     f"{r.rhs:.12g}", f"{r.ratio:.12g}", r.status,
-                     "pass" if r.passed else "fail"])
-    return rows
+def _check_file(theorem, lbl):
+    return f"check_{theorem}_{_slug(lbl)}.json"
 
 
-def _check_payload(head, theorem, tol, seed, reports):
-    """The ``check_*.json`` payload of one check's reports, and its (verdict,
-    detail): FAIL if any report fails, pass otherwise."""
+def check_task(lbl, theorem, seed, tol, d=None, V=None, u=None):
+    """One check's (verdict, detail), its ``check_*.json`` as {name: text}
+    and its check_summary.csv rows: ``theorem`` on the density ``d``, or,
+    without one, the anisotropic Gaussian check on covariance V, with the
+    mean u recorded beside it.  The verdict is FAIL if any report fails and
+    pass otherwise; a skip is ("skipped", reason), with no file and no row."""
+    if d is None:
+        head = {"covariance": _plain(V), "mean": _plain(u)}
+        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
+    else:
+        head = {"density": lbl}
+        reports = reports_for_pair(d, theorem, seed, tol)
+        if isinstance(reports, str):
+            return ("skipped", reports), {}, []
     s = summarize_reports(reports)
     payload = dict(head, theorem=theorem, tol=tol, corpus_seed=seed, summary=s,
                    reports=[r.to_dict() for r in reports])
-    return payload, ("pass" if s["failed"] == 0 else "FAIL",
-                     f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}")
+    rows = [[lbl, theorem, r.witness, f"{r.lhs:.12g}", f"{r.rhs:.12g}", f"{r.ratio:.12g}",
+             r.status, "pass" if r.passed else "fail"] for r in reports]
+    return (("pass" if s["failed"] == 0 else "FAIL",
+             f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"),
+            {_check_file(theorem, lbl): _json_text(payload)}, rows)
 
 
 def cmd_check(args):
     d = parse_density_spec(args.density)
-    result = reports_for_pair(d, args.theorem, args.corpus_seed, args.tol)
     lbl = density_label(d)
-    path = Path(args.out) / f"check_{args.theorem}_{_slug(lbl)}.json"
-    if isinstance(result, str):
-        print(f"skipped: {result}")
+    (verdict, detail), texts, rows = check_task(lbl, args.theorem, args.corpus_seed,
+                                                args.tol, d)
+    path = Path(args.out) / _check_file(args.theorem, lbl)
+    if verdict == "skipped":
+        print(f"skipped: {detail}")
         _write_json(path, _json_text({"density": lbl, "theorem": args.theorem,
-                                      "skipped": result}))
+                                      "skipped": detail}))
         return 0
-    payload, (verdict, _) = _check_payload({"density": lbl}, args.theorem, args.tol,
-                                           args.corpus_seed, result)
-    _write_json(path, _json_text(payload))
-    _write_csv(path.with_suffix(".csv"),
-               _csv_text(REPORT_HEADER, _report_rows(lbl, args.theorem, result)))
-    s = payload["summary"]
+    text = texts[path.name]
+    _write_json(path, text)
+    _write_csv(path.with_suffix(".csv"), _csv_text(REPORT_HEADER, rows))
+    s = json.loads(text)["summary"]  # an inf or nan max_ratio is a string
     print(f"{lbl} / {args.theorem}: {s['passed']} passed, {s['failed']} failed, "
-          f"{s['rejected']} rejected, max ratio {s['max_ratio']:.9f}")
+          f"{s['rejected']} rejected, max ratio {float(s['max_ratio']):.9f}")
     return 0 if verdict == "pass" else 1
 
 
@@ -346,23 +362,18 @@ def run_evolution(d, cells, t_final, dt, eps, perturbation, tail_mass):
 
 TRACE_HEADER = ["t", "theta_chi2", "theta_entropy", "hellinger2",
                 "I_theta_chi2", "I_theta_entropy", "mass", "l1_dist"]
+# the format of each column, in the order of DecayTrace's fields
+TRACE_FORMATS = [".10g", ".12g", ".12g", ".12g", ".12g", ".12g", ".14g", ".12g"]
 
 
 def trace_rows(trace):
-    rows = []
-    for k in range(len(trace)):
-        rows.append([f"{trace.times[k]:.10g}", f"{trace.theta_chi2[k]:.12g}",
-                     f"{trace.theta_entropy[k]:.12g}",
-                     f"{trace.hellinger2[k]:.12g}",
-                     f"{trace.dissipation_chi2[k]:.12g}",
-                     f"{trace.dissipation_entropy[k]:.12g}",
-                     f"{trace.mass[k]:.14g}", f"{trace.l1_dist[k]:.12g}"])
-    return rows
+    columns = [getattr(trace, f.name) for f in fields(trace)[:len(TRACE_FORMATS)]]
+    return [[format(v, spec) for v, spec in zip(row, TRACE_FORMATS)] for row in zip(*columns)]
 
 
-def _evolution_outcome(d, trace, march):
-    """The ``rates_*.json`` payload of one evolution run with the solver
-    settings ``march``, and its (verdict, detail).
+def _evolution_artifacts(d, trace, march):
+    """The (verdict, detail) of one evolution run with the solver settings
+    ``march``, and its ``trace_*.csv`` and ``rates_*.json`` as {name: text}.
 
     The verdict is FAIL if chi2 or the squared Hellinger distance rises by
     more than 1e-9 between two samples, or if the fitted rate is below
@@ -380,47 +391,48 @@ def _evolution_outcome(d, trace, march):
                "monotone_hellinger2": bool(np.all(np.diff(trace.hellinger2) <= 1e-9))}
     rising = [k for k in ("chi2", "hellinger2") if not payload[f"monotone_{k}"]]
     if rising:
-        return payload, ("FAIL", " and ".join(rising) + " rises by more than 1e-9")
-    if c is None:
-        return payload, ("unchecked", "no rate bound for this density")
-    if rate is None:
-        return payload, ("unchecked", "too few samples in the fit window for a rate")
-    bound = 0.95 * 2.0 / c
-    ok = rate >= bound
-    return payload, ("pass" if ok else "FAIL",
-                     f"rate {rate:.4f} {'>=' if ok else '<'} {bound:.4f}")
+        outcome = ("FAIL", " and ".join(rising) + " rises by more than 1e-9")
+    elif c is None:
+        outcome = ("unchecked", "no rate bound for this density")
+    elif rate is None:
+        outcome = ("unchecked", "too few samples in the fit window for a rate")
+    else:
+        bound = 0.95 * 2.0 / c
+        ok = rate >= bound
+        outcome = ("pass" if ok else "FAIL",
+                   f"rate {rate:.4f} {'>=' if ok else '<'} {bound:.4f}")
+    slug = _slug(density_label(d))
+    return outcome, {f"trace_{slug}.csv": _csv_text(TRACE_HEADER, trace_rows(trace)),
+                     f"rates_{slug}.json": _json_text(payload)}
+
+
+def evolution_task(d, march):
+    """One evolution's (verdict, detail), its ``trace_*.csv`` and
+    ``rates_*.json`` as {name: text}, and no check_summary.csv row; a
+    density without a solver (TruncationError, or WeightError: no
+    closed-form K) is unchecked, with no file."""
+    try:
+        trace = run_evolution(d, **march)
+    except (TruncationError, wmod.WeightError) as exc:
+        return ("unchecked", f"no solver: {exc}"), {}, []
+    return (*_evolution_artifacts(d, trace, march), [])
 
 
 def cmd_evolve(args):
     d = parse_density_spec(args.density)
     march = evolution_settings(vars(args))  # the flags, and the default truncation mass
     trace = run_evolution(d, **march)
-    lbl = density_label(d)
-    out_dir = Path(args.out)
-    _write_csv(out_dir / f"trace_{_slug(lbl)}.csv", _csv_text(TRACE_HEADER, trace_rows(trace)))
-    payload, (verdict, _) = _evolution_outcome(d, trace, march)
-    _write_json(out_dir / f"rates_{_slug(lbl)}.json", _json_text(payload))
-    print(f"{lbl}: fitted chi2 rate {trace.fitted_rate}, "
-          f"bound {payload['rate_bound_2_over_c']}")
+    (verdict, _), texts = _evolution_artifacts(d, trace, march)
+    _write_files(args.out, texts)
+    _, rates = texts.values()
+    print(f"{density_label(d)}: fitted chi2 rate {trace.fitted_rate}, "
+          f"bound {json.loads(rates)['rate_bound_2_over_c']}")
     return 1 if verdict == "FAIL" else 0
 
 
 # ---------------------------------------------------------------------------
 # run subcommand (full experiment)
 # ---------------------------------------------------------------------------
-
-
-def _anisotropic_reports(V, seed, tol):
-    return check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
-
-
-def _evolve_trace(d, evolution):
-    """An evolution's decay trace, or the TruncationError or WeightError
-    (no closed-form K) for which no solver exists."""
-    try:
-        return run_evolution(d, **evolution)
-    except (TruncationError, wmod.WeightError) as exc:
-        return exc
 
 
 def _timed(fn, *args):
@@ -518,9 +530,8 @@ def run_experiment(config, out_dir):
     evolution = evolution_settings(config.get("solver", {}))
     check_perturbation(evolution["perturbation"], evolution["eps"])
     check_march(evolution["t_final"], evolution["dt"])
-    # (label, check, payload head or density, task) of each check, then evolution
-    jobs = [(density_label(d), theorem, {"density": density_label(d)},
-             (reports_for_pair, d, theorem, seed, tol))
+    # (label, check or relaxation_rate, task) of each check, then evolution
+    jobs = [(density_label(d), theorem, (check_task, density_label(d), theorem, seed, tol, d))
             for d in densities for theorem in theorems
             if theorem != "gaussian_anisotropic"]
     if "gaussian_anisotropic" in theorems:
@@ -537,49 +548,30 @@ def run_experiment(config, out_dir):
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             jobs.append((f"gaussianV{idx}", "gaussian_anisotropic",
-                         {"covariance": _plain(V), "mean": _plain(u)},
-                         (_anisotropic_reports, V, seed, tol)))
-    jobs += [(density_label(d), "relaxation_rate", d, (_evolve_trace, d, evolution))
+                         (check_task, f"gaussianV{idx}", "gaussian_anisotropic", seed, tol,
+                          None, V, u)))
+    jobs += [(density_label(d), "relaxation_rate", (evolution_task, d, evolution))
              for d in map(parse_density_spec, config.get("evolve_densities", []))]
     # weight CSVs and the growth-exponent observational statistic
-    weight_rows, growth_stats = [], []
+    weight_tables, growth_stats = [], []
     for d in densities:
-        lbl = density_label(d)
-        hi = d.support_radius if np.isfinite(d.support_radius) else 6.0
-        weight_rows.append((lbl, _weight_rows(d, np.linspace(hi * 0.02, hi * 0.98, 25))))
+        weight_tables.append(_weight_table(d, 0.02, 25))
         if not np.isfinite(d.support_radius) and d.kind != "inverse_gamma_1d":
             # log-log growth exponent of K at large radius (conjectured in [0, 2])
             K = closed_form_weight(d)
             r1, r2 = 20.0, 40.0
             p = math.log(float(K(r2)) / float(K(r1))) / math.log(r2 / r1)
-            growth_stats.append({"density": lbl, "exponent": p})
-
-    def finished(lbl, task, head, work):
-        """A task's (verdict, detail), files {name: text} and check_summary.csv rows."""
-        result = work[0](*work[1:])
-        if isinstance(result, str):
-            return ("skipped", result), {}, []
-        if isinstance(result, (TruncationError, wmod.WeightError)):
-            return ("unchecked", f"no solver: {result}"), {}, []
-        if task == "relaxation_rate":
-            payload, outcome = _evolution_outcome(head, result, evolution)
-            return outcome, {f"trace_{_slug(lbl)}.csv": _csv_text(TRACE_HEADER, trace_rows(result)),
-                             f"rates_{_slug(lbl)}.json": _json_text(payload)}, []
-        payload, outcome = _check_payload(head, task, tol, seed, result)
-        return (outcome, {f"check_{task}_{_slug(lbl)}.json": _json_text(payload)},
-                _report_rows(lbl, task, result))
+            growth_stats.append({"density": density_label(d), "exponent": p})
 
     # a task that raises fails the run before any file is written; the longest
     # (evolutions) run first
-    done, workers = _in_workers([(finished, *job) for job in jobs], sorted(
+    done, workers = _in_workers([task for *_, task in jobs], sorted(
         range(len(jobs)), key=lambda i: jobs[i][1] != "relaxation_rate"))
-    files = [_write_csv(out_dir / f"weights_{_slug(lbl)}.csv", _csv_text(WEIGHT_HEADER, rows))
-             for lbl, rows in weight_rows]
+    files = [_write_csv(out_dir / name, _csv_text(WEIGHT_HEADER, rows))
+             for name, rows in weight_tables]
     summary_rows, all_reports_csv = [], []
-    for (lbl, task, *_), ((outcome, texts, report_rows), *_) in zip(jobs, done):
-        for name, text in texts.items():
-            files.append((_write_json if name.endswith(".json") else _write_csv)(
-                out_dir / name, text))
+    for (lbl, task, _), ((outcome, texts, report_rows), *_) in zip(jobs, done):
+        files += _write_files(out_dir, texts)
         all_reports_csv += report_rows
         summary_rows.append((lbl, task, *outcome))
     files.append(_write_csv(out_dir / "check_summary.csv",

@@ -297,10 +297,11 @@ class GaussianMixture(TestFunction):
         super().__init__(name, n)
 
 
-def _random_mixture_member(name, n, rng, terms=3, box=1.5):
-    amps = rng.uniform(-1.0, 1.0, terms)
-    cs = rng.uniform(-box, box, (terms, n))
-    bs = rng.uniform(0.3, 1.2, terms)
+def _random_mixture_member(name, n, rng, box):
+    """Three Gaussian terms with centres drawn in [-box, box]^n."""
+    amps = rng.uniform(-1.0, 1.0, 3)
+    cs = rng.uniform(-box, box, (3, n))
+    bs = rng.uniform(0.3, 1.2, 3)
     return GaussianMixture(name, n, amps, cs, bs)
 
 
@@ -385,7 +386,7 @@ def corpus_nd(n, seed=0, scale=1.0):
         members.append(_bump_direction_member("bump_dir2", n, 0.6 * scale, 1.0 * scale, 0.3 * scale, axis=1))
 
     for j in range(_RANDOM_MEMBERS):
-        members.append(_random_mixture_member(f"random{j}", n, rng, box=1.5 * scale))
+        members.append(_random_mixture_member(f"random{j}", n, rng, 1.5 * scale))
     return members
 
 

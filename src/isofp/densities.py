@@ -186,12 +186,9 @@ class IsotropicDensity:
     __call__ = eval
 
     def radial_weight(self, rho):
-        """Weight of the radial volume element: sigma_n rho^(n-1), or 1 in 1-D
-        half-line geometry."""
-        rho = np.asarray(rho, dtype=float)
-        if self.half_line:
-            return np.ones_like(rho)
-        return self.geometry_factor * rho ** (self.n - 1)
+        """Weight geometry_factor rho^(n-1) of the radial volume element:
+        sigma_n rho^(n-1), or 1 for the 1-D half-line entry."""
+        return self.geometry_factor * np.asarray(rho, dtype=float) ** (self.n - 1)
 
 
 def density_label(d):

@@ -69,14 +69,15 @@ def _read_only(a):
 class RadialGrid:
     """Finite-volume cells 0 = r_0 < ... < r_M = r_max.
 
-    ``cell_volumes`` integrates the geometric factor over each cell
-    (sigma_n (r_{i+1}^n - r_i^n) / n in radial geometry, the plain width
-    for the 1-D half-line entry).  ``centers``, ``widths`` and
-    ``cell_volumes`` are computed once, on first use, and are read-only."""
+    ``cell_volumes`` integrates the density's volume element
+    ``geometry_factor`` rho^(n-1) over each cell: sigma_n (r_{i+1}^n -
+    r_i^n) / n in R^n, the plain width for the 1-D half-line entry, whose
+    factor is 1.  ``centers``, ``widths`` and ``cell_volumes`` are computed
+    once, on first use, and are read-only."""
 
     n: int
     edges: np.ndarray
-    geometry: str  # "radial" | "line"
+    geometry_factor: float
 
     @cached_property
     def centers(self):
@@ -88,11 +89,7 @@ class RadialGrid:
 
     @cached_property
     def cell_volumes(self):
-        if self.geometry == "line":
-            return self.widths
-        from .densities import surface_measure
-        sn = surface_measure(self.n)
-        return _read_only(sn * np.diff(self.edges ** self.n) / self.n)
+        return _read_only(self.geometry_factor * np.diff(self.edges ** self.n) / self.n)
 
 
 # _NEWTON_PROBES exceeds the 29 doublings from 2 to _R_CAP (the last doubling
@@ -180,13 +177,12 @@ def _lower_positive_radius(d):
     return x
 
 
-def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
+def make_radial_grid(d, cells, tail_mass=1e-12):
     """Grid for a density: uniform, except sinh-graded toward the origin
     for heavy-tailed half-line domains where the truncation radius is much
     larger than the core scale.  The grading strength is solved so the
     first cell centre stays where the density is numerically positive."""
-    if r_max is None:
-        r_max = _truncation_radius(d, tail_mass)
+    r_max = _truncation_radius(d, tail_mass)
     grading = 0.0
     target = _lower_positive_radius(d) if d.half_line else None
     if target is not None and r_max > 100.0 * target:
@@ -200,8 +196,7 @@ def make_radial_grid(d, cells, r_max=None, tail_mass=1e-12):
         edges = r_max * np.sinh(grading * u) / math.sinh(grading)
     else:
         edges = r_max * u
-    geometry = "line" if d.half_line else "radial"
-    return RadialGrid(n=d.n, edges=_read_only(edges), geometry=geometry)
+    return RadialGrid(n=d.n, edges=_read_only(edges), geometry_factor=d.geometry_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,6 @@ class Solver:
         # face conductances: area * K * f_eq / distance between centers, the
         # area being the density's volume element at the face
         self.face_coeff = density.radial_weight(faces) * K_faces * f_eq_faces / dc
-        self.face_coeff = np.maximum(self.face_coeff, 0.0)
         self.D = grid.cell_volumes * self.f_eq  # equilibrium-weighted cell masses
         self._factored = None  # (dt, d, e) of the last implicit step size
         rho_probe = centers[(centers > 2e-3 * centers[-1])
@@ -402,18 +396,12 @@ class Solver:
         stride = max(1, int(round(sample_every / dt)))
         mass0 = state.mass
 
-        samples = {k: [] for k in ("t", "chi2", "ent", "hell", "d_chi2",
-                                   "d_ent", "mass", "l1")}
+        rows = []  # one per sample, in the order of DecayTrace's fields
 
         def record(s):
-            samples["t"].append(s.t)
-            samples["chi2"].append(self.theta(s, "chi2"))
-            samples["ent"].append(self.theta(s, "entropy"))
-            samples["hell"].append(self.theta(s, "hellinger2"))
-            samples["d_chi2"].append(self.dissipation(s, "chi2"))
-            samples["d_ent"].append(self.dissipation(s, "entropy"))
-            samples["mass"].append(s.mass)
-            samples["l1"].append(self.l1_distance(s))
+            rows.append((s.t, self.theta(s, "chi2"), self.theta(s, "entropy"),
+                         self.theta(s, "hellinger2"), self.dissipation(s, "chi2"),
+                         self.dissipation(s, "entropy"), s.mass, self.l1_distance(s)))
 
         record(state)
         for k in range(1, n_steps + 1):
@@ -425,16 +413,7 @@ class Solver:
             if k % stride == 0 or k == n_steps:
                 record(state)
 
-        trace = DecayTrace(
-            times=np.array(samples["t"]),
-            theta_chi2=np.array(samples["chi2"]),
-            theta_entropy=np.array(samples["ent"]),
-            hellinger2=np.array(samples["hell"]),
-            dissipation_chi2=np.array(samples["d_chi2"]),
-            dissipation_entropy=np.array(samples["d_ent"]),
-            mass=np.array(samples["mass"]),
-            l1_dist=np.array(samples["l1"]),
-        )
+        trace = DecayTrace(*map(np.array, zip(*rows)))
         try:
             trace.fitted_rate = fit_decay_rate(trace.times, trace.theta_chi2)
         except ValueError:

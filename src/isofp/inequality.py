@@ -82,6 +82,12 @@ def _make_report(theorem, witness, lhs, rhs, tol, **details):
     )
 
 
+def _rejected_report(theorem, witness, tol, reason):
+    """A member outside the theorem's hypotheses: no sides, no ratio, not passed."""
+    return InequalityReport(theorem, witness, math.nan, math.nan, math.nan, False, tol,
+                            status="rejected", details={"reason": reason})
+
+
 def _sorted(reports):
     return sorted(reports, key=lambda r: r.witness)
 
@@ -304,10 +310,9 @@ def check_refined_outside_ball(d, K, R, corpus, tol=DEFAULT_RATIO_TOL):
             gmax = np.max(np.abs(phi.grad(probe)))
             ok = v <= 1e-13 and gmax <= 1e-13
         if not ok:
-            reports.append(InequalityReport(
-                "refined_outside_ball", phi.name, math.nan, math.nan, math.nan,
-                False, tol, status="rejected",
-                details={"reason": f"support not confined outside the ball of radius {R}"}))
+            reports.append(_rejected_report(
+                "refined_outside_ball", phi.name, tol,
+                f"support not confined outside the ball of radius {R}"))
         else:
             admissible.append(phi)
     grid = build_grid(d, admissible, extra_breakpoints=(R, *K.breakpoints))
@@ -339,9 +344,8 @@ def check_hybrid(d, w_radial, K, R, corpus, C_mult=4.0, tol=DEFAULT_RATIO_TOL):
     admissible = []
     for phi in corpus:
         if not phi.bounded:
-            reports.append(InequalityReport(
-                "hybrid", phi.name, math.nan, math.nan, math.nan, False, tol,
-                status="rejected", details={"reason": "member violates the boundedness hypothesis"}))
+            reports.append(_rejected_report("hybrid", phi.name, tol,
+                                            "member violates the boundedness hypothesis"))
         else:
             admissible.append(phi)
     grid = build_grid(d, admissible, extra_breakpoints=W.breakpoints)

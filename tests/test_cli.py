@@ -15,8 +15,8 @@ import pytest
 import isofp.cli as cli
 from isofp.cli import main, marginal_weight, reports_for_pair
 from isofp.corpus import corpus_1d
-from isofp.densities import (closed_form_weight, full_line_density, make_density,
-                              parse_density_spec, radial_marginal)
+from isofp.densities import (closed_form_weight, density_label, full_line_density,
+                              make_density, parse_density_spec, radial_marginal)
 from isofp.inequality import check_poincare_1d, summarize_reports
 from isofp.weights import p_weight_1d
 
@@ -561,17 +561,30 @@ class TestRunCommand:
         assert profile["wall_s"] > 0.0 and profile["peak_rss_mb"] > 0.0
 
     def test_check_and_evolve_write_what_run_writes(self, tmp_path):
-        cfg = dict(TINY_CONFIG, theorems=["poincare_1d"])
-        assert cli.run_experiment(cfg, tmp_path / "run")[0] == 0
-        one = tmp_path / "one"
-        assert main(["check", "--theorem", "poincare_1d", "--density", "gaussian:sigma=1,n=1",
-                     "--corpus-seed", "99", "--out", str(one)]) == 0
+        # a 1-D pair, an n-D pair and an evolution, each alone and in one run
+        pairs = [("poincare_1d", "gaussian:sigma=1,n=1"), ("isotropic_Wstar", "cauchy:beta=3,n=2")]
+        cfg = dict(TINY_CONFIG, densities=[spec for _, spec in pairs],
+                   theorems=[theorem for theorem, _ in pairs])
+        ran, one = tmp_path / "run", tmp_path / "one"
+        assert cli.run_experiment(cfg, ran)[0] == 0
+        with open(ran / "check_summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
+        for theorem, spec in pairs:
+            assert main(["check", "--theorem", theorem, "--density", spec,
+                         "--corpus-seed", "99", "--out", str(one)]) == 0
+            lbl = density_label(parse_density_spec(spec))
+            alone = one / f"check_{theorem}_{cli._slug(lbl)}.json"
+            assert alone.read_bytes() == (ran / alone.name).read_bytes()
+            with open(alone.with_suffix(".csv"), newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == summary[0]
+            assert rows[1:] == [r for r in summary if r[:2] == [lbl, theorem]] != []
         assert main(["evolve", "--density", "gaussian:sigma=1,n=1", "--cells", "120",
                      "--t-final", "4", "--dt", "5e-3", "--out", str(one)]) == 0
-        for pattern in ("check_*.json", "rates_*.json", "trace_*.csv"):
-            ran, alone = (sorted(d.glob(pattern)) for d in (tmp_path / "run", one))
-            assert [p.name for p in ran] == [p.name for p in alone] != []
-            assert [p.read_bytes() for p in ran] == [p.read_bytes() for p in alone]
+        for pattern in ("rates_*.json", "trace_*.csv"):
+            ran_files, alone = (sorted(d.glob(pattern)) for d in (ran, one))
+            assert [p.name for p in ran_files] == [p.name for p in alone] != []
+            assert [p.read_bytes() for p in ran_files] == [p.read_bytes() for p in alone]
         rates = json.loads(next(one.glob("rates_*.json")).read_text())
         assert rates["monotone_chi2"] and rates["monotone_hellinger2"]
         assert rates["cells"] == 120 and rates["hellinger_decay"]["passed"]

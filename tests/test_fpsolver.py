@@ -218,22 +218,27 @@ class TestTruncationRadius:
         assert got == R0
 
 
-def formula_volumes(grid):
-    e = grid.edges
-    if grid.geometry == "line":
-        return np.diff(e)
-    return surface_measure(grid.n) * np.diff(e ** grid.n) / grid.n
+def formula_volumes(d, grid):
+    return d.geometry_factor * np.diff(grid.edges ** grid.n) / grid.n
 
 
 class TestGridGeometry:
     # a radial grid and a line grid
     @pytest.mark.parametrize("spec", ["cauchy:beta=4,n=3", "inverse_gamma:mu=2,n=1"])
     def test_cached_geometry_is_the_formula(self, spec):
-        grid = make_radial_grid(parse_density_spec(spec), 400)
+        d = parse_density_spec(spec)
+        grid = make_radial_grid(d, 400)
         e = grid.edges
+        if d.half_line:
+            # factor 1 at n = 1: the volumes are the widths, the weight is 1
+            assert np.array_equal(formula_volumes(d, grid), np.diff(e))
+            assert np.array_equal(d.radial_weight([0.0, 1e-300, np.inf, np.nan, -1.0]),
+                                  np.ones(5))
+        else:
+            assert d.geometry_factor == surface_measure(d.n)
         for name, want in (("centers", 0.5 * (e[:-1] + e[1:])),
                            ("widths", np.diff(e)),
-                           ("cell_volumes", formula_volumes(grid))):
+                           ("cell_volumes", formula_volumes(d, grid))):
             got = getattr(grid, name)
             assert np.array_equal(got, want)
             assert getattr(grid, name) is got
@@ -254,7 +259,7 @@ class TestGridGeometry:
             dd, e = solver._factor(1e-3)
             values = dpttrs(dd, e, solver.D * (values / solver.f_eq))[0] * solver.f_eq
         assert np.array_equal(state.values, values)
-        assert state.mass == float(np.dot(values, formula_volumes(solver.grid)))
+        assert state.mass == float(np.dot(values, formula_volumes(d, solver.grid)))
 
 
 class TestBuildSolver:
