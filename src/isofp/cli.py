@@ -21,7 +21,6 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 from resource import RUSAGE_CHILDREN, RUSAGE_SELF, getrusage
 
@@ -281,47 +280,56 @@ def _check_file(theorem, lbl):
     return f"check_{theorem}_{_slug(lbl)}.json"
 
 
-def check_task(lbl, theorem, seed, tol, d=None, V=None, u=None):
-    """One check's (verdict, detail), its ``check_*.json`` as {name: text}
-    and its check_summary.csv rows: ``theorem`` on the density ``d``, or,
-    without one, the anisotropic Gaussian check on covariance V, with the
-    mean u recorded beside it.  The verdict is FAIL if any report fails and
-    pass otherwise; a skip is ("skipped", reason), with no file and no row."""
-    if d is None:
-        head = {"covariance": _plain(V), "mean": _plain(u)}
-        reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
-    else:
-        head = {"density": lbl}
-        reports = reports_for_pair(d, theorem, seed, tol)
-        if isinstance(reports, str):
-            return ("skipped", reports), {}, []
+def _check_artifacts(lbl, head, reports):
+    """The (verdict, detail) of one check's reports, its ``check_*.json``
+    as {name: text} and its check_summary.csv rows.  The JSON holds the
+    items of ``head``, which name the theorem, the tolerance and the corpus
+    seed, then the summary and the reports.  The verdict is FAIL if any
+    report fails and pass otherwise."""
     s = summarize_reports(reports)
-    payload = dict(head, theorem=theorem, tol=tol, corpus_seed=seed, summary=s,
-                   reports=[r.to_dict() for r in reports])
-    rows = [[lbl, theorem, r.witness, f"{r.lhs:.12g}", f"{r.rhs:.12g}", f"{r.ratio:.12g}",
-             r.status, "pass" if r.passed else "fail"] for r in reports]
+    payload = dict(head, summary=s, reports=[r.to_dict() for r in reports])
+    rows = [[lbl, head["theorem"], r.witness, f"{r.lhs:.12g}", f"{r.rhs:.12g}",
+             f"{r.ratio:.12g}", r.status, "pass" if r.passed else "fail"] for r in reports]
     return (("pass" if s["failed"] == 0 else "FAIL",
              f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"),
-            {_check_file(theorem, lbl): _json_text(payload)}, rows)
+            {_check_file(head["theorem"], lbl): _json_text(payload)}, rows)
+
+
+def check_task(d, theorem, seed, tol):
+    """``theorem`` on the density ``d``, as :func:`_check_artifacts` gives it;
+    a skip is ("skipped", reason), with no file and no row."""
+    lbl = density_label(d)
+    reports = reports_for_pair(d, theorem, seed, tol)
+    if isinstance(reports, str):
+        return ("skipped", reports), {}, []
+    return _check_artifacts(lbl, {"density": lbl, "theorem": theorem, "tol": tol,
+                                  "corpus_seed": seed}, reports)
+
+
+def anisotropic_task(lbl, V, u, seed, tol):
+    """The anisotropic Gaussian check on covariance V, as
+    :func:`_check_artifacts` gives it, with the mean u recorded beside V."""
+    reports = check_gaussian_anisotropic(V, corpus_anisotropic(V, seed=seed), tol=tol)
+    return _check_artifacts(lbl, {"covariance": _plain(V), "mean": _plain(u), "tol": tol,
+                                  "corpus_seed": seed, "theorem": "gaussian_anisotropic"}, reports)
 
 
 def cmd_check(args):
     d = parse_density_spec(args.density)
     lbl = density_label(d)
-    (verdict, detail), texts, rows = check_task(lbl, args.theorem, args.corpus_seed,
-                                                args.tol, d)
+    reports = reports_for_pair(d, args.theorem, args.corpus_seed, args.tol)
     path = Path(args.out) / _check_file(args.theorem, lbl)
-    if verdict == "skipped":
-        print(f"skipped: {detail}")
-        _write_json(path, _json_text({"density": lbl, "theorem": args.theorem,
-                                      "skipped": detail}))
+    if isinstance(reports, str):
+        print(f"skipped: {reports}")
+        _write_json(path, _json_text({"density": lbl, "theorem": args.theorem, "skipped": reports}))
         return 0
-    text = texts[path.name]
-    _write_json(path, text)
+    head = dict(density=lbl, theorem=args.theorem, tol=args.tol, corpus_seed=args.corpus_seed)
+    (verdict, _), texts, rows = _check_artifacts(lbl, head, reports)
+    _write_files(args.out, texts)
     _write_csv(path.with_suffix(".csv"), _csv_text(REPORT_HEADER, rows))
-    s = json.loads(text)["summary"]  # an inf or nan max_ratio is a string
+    s = summarize_reports(reports)
     print(f"{lbl} / {args.theorem}: {s['passed']} passed, {s['failed']} failed, "
-          f"{s['rejected']} rejected, max ratio {float(s['max_ratio']):.9f}")
+          f"{s['rejected']} rejected, max ratio {s['max_ratio']:.9f}")
     return 0 if verdict == "pass" else 1
 
 
@@ -333,19 +341,16 @@ def cmd_check(args):
 def _rate_constant_c(d):
     """Constant c with w = c K linking the marginal weight to the diffusion
     weight, used for the predicted chi-square rate 2/c."""
-    if d.kind == "gaussian":
+    if d.kind in ("gaussian", "inverse_gamma_1d"):
         return 1.0
     if d.kind == "cauchy_type":
-        beta, n = d.param("beta"), d.n
-        w0 = wmod.optimal_cauchy_weight(beta, n)
-        return float(w0(0.0) * 2.0 * (beta - 1.0))
-    if d.kind == "inverse_gamma_1d":
-        return 1.0
+        beta = d.param("beta")
+        return float(wmod.optimal_cauchy_weight(beta, d.n)(0.0) * 2.0 * (beta - 1.0))
     return None
 
 
 def evolution_settings(solver_cfg):
-    """The keyword arguments of :func:`run_evolution` from a config's
+    """The march (solver settings) of :func:`run_evolution` from a config's
     ``solver`` block, each missing key taken from ``DEFAULT_CONFIG``; other
     keys are ignored."""
     s = {**SOLVER_DEFAULTS, **solver_cfg}
@@ -354,21 +359,25 @@ def evolution_settings(solver_cfg):
                 tail_mass=float(s["truncation_mass"]))
 
 
-def run_evolution(d, cells, t_final, dt, eps, perturbation, tail_mass):
-    solver = build_solver(d, closed_form_weight(d), cells=cells, tail_mass=tail_mass)
-    state = perturbed_initial_state(solver, perturbation, eps=eps)
-    return solver.evolve(state, t_final, dt)
+def run_evolution(d, march):
+    solver = build_solver(d, closed_form_weight(d), cells=march["cells"],
+                          tail_mass=march["tail_mass"])
+    state = perturbed_initial_state(solver, march["perturbation"], eps=march["eps"])
+    return solver.evolve(state, march["t_final"], march["dt"])
 
 
-TRACE_HEADER = ["t", "theta_chi2", "theta_entropy", "hellinger2",
-                "I_theta_chi2", "I_theta_entropy", "mass", "l1_dist"]
-# the format of each column, in the order of DecayTrace's fields
-TRACE_FORMATS = [".10g", ".12g", ".12g", ".12g", ".12g", ".12g", ".14g", ".12g"]
+# (DecayTrace field, trace_*.csv header, format) of each trace column
+TRACE_COLUMNS = [("times", "t", ".10g"), ("theta_chi2", "theta_chi2", ".12g"),
+                 ("theta_entropy", "theta_entropy", ".12g"), ("hellinger2", "hellinger2", ".12g"),
+                 ("dissipation_chi2", "I_theta_chi2", ".12g"),
+                 ("dissipation_entropy", "I_theta_entropy", ".12g"),
+                 ("mass", "mass", ".14g"), ("l1_dist", "l1_dist", ".12g")]
 
 
-def trace_rows(trace):
-    columns = [getattr(trace, f.name) for f in fields(trace)[:len(TRACE_FORMATS)]]
-    return [[format(v, spec) for v, spec in zip(row, TRACE_FORMATS)] for row in zip(*columns)]
+def _trace_csv(trace):
+    columns = [[format(v, spec) for v in getattr(trace, name)]
+               for name, _, spec in TRACE_COLUMNS]
+    return _csv_text([header for _, header, _ in TRACE_COLUMNS], zip(*columns))
 
 
 def _evolution_artifacts(d, trace, march):
@@ -402,17 +411,16 @@ def _evolution_artifacts(d, trace, march):
         outcome = ("pass" if ok else "FAIL",
                    f"rate {rate:.4f} {'>=' if ok else '<'} {bound:.4f}")
     slug = _slug(density_label(d))
-    return outcome, {f"trace_{slug}.csv": _csv_text(TRACE_HEADER, trace_rows(trace)),
+    return outcome, {f"trace_{slug}.csv": _trace_csv(trace),
                      f"rates_{slug}.json": _json_text(payload)}
 
 
 def evolution_task(d, march):
-    """One evolution's (verdict, detail), its ``trace_*.csv`` and
-    ``rates_*.json`` as {name: text}, and no check_summary.csv row; a
-    density without a solver (TruncationError, or WeightError: no
-    closed-form K) is unchecked, with no file."""
+    """One evolution as :func:`_evolution_artifacts` gives it, and no
+    check_summary.csv row; a density without a solver (TruncationError, or
+    WeightError: no closed-form K) is unchecked, with no file."""
     try:
-        trace = run_evolution(d, **march)
+        trace = run_evolution(d, march)
     except (TruncationError, wmod.WeightError) as exc:
         return ("unchecked", f"no solver: {exc}"), {}, []
     return (*_evolution_artifacts(d, trace, march), [])
@@ -421,12 +429,12 @@ def evolution_task(d, march):
 def cmd_evolve(args):
     d = parse_density_spec(args.density)
     march = evolution_settings(vars(args))  # the flags, and the default truncation mass
-    trace = run_evolution(d, **march)
+    trace = run_evolution(d, march)
     (verdict, _), texts = _evolution_artifacts(d, trace, march)
     _write_files(args.out, texts)
-    _, rates = texts.values()
+    c = _rate_constant_c(d)
     print(f"{density_label(d)}: fitted chi2 rate {trace.fitted_rate}, "
-          f"bound {json.loads(rates)['rate_bound_2_over_c']}")
+          f"bound {2.0 / c if c else None}")
     return 1 if verdict == "FAIL" else 0
 
 
@@ -531,7 +539,7 @@ def run_experiment(config, out_dir):
     check_perturbation(evolution["perturbation"], evolution["eps"])
     check_march(evolution["t_final"], evolution["dt"])
     # (label, check or relaxation_rate, task) of each check, then evolution
-    jobs = [(density_label(d), theorem, (check_task, density_label(d), theorem, seed, tol, d))
+    jobs = [(density_label(d), theorem, (check_task, d, theorem, seed, tol))
             for d in densities for theorem in theorems
             if theorem != "gaussian_anisotropic"]
     if "gaussian_anisotropic" in theorems:
@@ -548,8 +556,7 @@ def run_experiment(config, out_dir):
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             jobs.append((f"gaussianV{idx}", "gaussian_anisotropic",
-                         (check_task, f"gaussianV{idx}", "gaussian_anisotropic", seed, tol,
-                          None, V, u)))
+                         (anisotropic_task, f"gaussianV{idx}", V, u, seed, tol)))
     jobs += [(density_label(d), "relaxation_rate", (evolution_task, d, evolution))
              for d in map(parse_density_spec, config.get("evolve_densities", []))]
     # weight CSVs and the growth-exponent observational statistic

@@ -396,12 +396,16 @@ class Solver:
         stride = max(1, int(round(sample_every / dt)))
         mass0 = state.mass
 
-        rows = []  # one per sample, in the order of DecayTrace's fields
+        rows = []  # one {DecayTrace field: value} per sample
 
         def record(s):
-            rows.append((s.t, self.theta(s, "chi2"), self.theta(s, "entropy"),
-                         self.theta(s, "hellinger2"), self.dissipation(s, "chi2"),
-                         self.dissipation(s, "entropy"), s.mass, self.l1_distance(s)))
+            rows.append(dict(
+                times=s.t, theta_chi2=self.theta(s, "chi2"),
+                theta_entropy=self.theta(s, "entropy"),
+                hellinger2=self.theta(s, "hellinger2"),
+                dissipation_chi2=self.dissipation(s, "chi2"),
+                dissipation_entropy=self.dissipation(s, "entropy"),
+                mass=s.mass, l1_dist=self.l1_distance(s)))
 
         record(state)
         for k in range(1, n_steps + 1):
@@ -413,7 +417,7 @@ class Solver:
             if k % stride == 0 or k == n_steps:
                 record(state)
 
-        trace = DecayTrace(*map(np.array, zip(*rows)))
+        trace = DecayTrace(**{k: np.array([row[k] for row in rows]) for k in rows[0]})
         try:
             trace.fitted_rate = fit_decay_rate(trace.times, trace.theta_chi2)
         except ValueError:
