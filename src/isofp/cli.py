@@ -314,7 +314,16 @@ def anisotropic_task(lbl, V, u, seed, tol):
                                   "corpus_seed": seed, "theorem": "gaussian_anisotropic"}, reports)
 
 
+def check_ratio_tol(tol):
+    """Raise ValueError unless the ratio tolerance is finite and nonnegative:
+    a nan tolerance would leave every report inconclusive, an infinite one
+    pass it."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"the ratio tolerance must be finite and nonnegative, got {tol}")
+
+
 def cmd_check(args):
+    check_ratio_tol(args.tol)
     d = parse_density_spec(args.density)
     lbl = density_label(d)
     reports = reports_for_pair(d, args.theorem, args.corpus_seed, args.tol)
@@ -523,6 +532,7 @@ def run_experiment(config, out_dir):
     out_dir = Path(out_dir)
     seed = int(config.get("corpus_seed", DEFAULT_CONFIG["corpus_seed"]))
     tol = float(config.get("tolerances", {}).get("ratio_tol", DEFAULT_RATIO_TOL))
+    check_ratio_tol(tol)
     if "densities" not in config:
         raise ValueError("config: missing required key 'densities'")
     densities = [parse_density_spec(s) for s in config["densities"]]

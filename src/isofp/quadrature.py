@@ -14,15 +14,18 @@ on the radial nodes of modified Bessel functions (the von Mises-Fisher
 normaliser and its first two moments), and only the angular parts of its
 gradient, which are not rotation invariant, take a pass over the angular
 rule.
-Adaptive Gauss-Kronrod quadrature (QUADPACK) takes one shape here:
+Adaptive Gauss-Kronrod quadrature takes one shape here:
 ``integrate_interval`` of a tail (lo, inf), mapped onto (0, 1) by the
 rational substitution r = lo + t/(1-t), for the truncation radius of the
-Fokker-Planck domain.
+Fokker-Planck domain.  It runs a pure-Python port of QUADPACK's ``dqagse``
+that returns scipy's value, error estimate and flag bit for bit, so no
+process imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache, reduce
 from operator import add, mul
 from typing import NamedTuple
@@ -60,8 +63,12 @@ class QuadratureError(RuntimeError):
         self.err_estimate = err_estimate
 
 
-# QUADPACK's tolerances and subdivision budget for the truncation tail
+# QUADPACK's tolerances and subdivision budget for the truncation tail, and
+# what each of its flags (ier = 1 to 5) means
 _REL_TOL, _ABS_TOL, _MAX_SUBDIVISIONS = 1e-10, 1e-13, 200
+_QAGSE_FLAGS = (None, "the subdivision limit is reached", "roundoff error is detected",
+                "the integrand is bad at some point", "the extrapolation does not converge",
+                "the integral is probably divergent")
 
 
 def integrate_interval(g, lo):
@@ -76,25 +83,278 @@ def integrate_interval(g, lo):
     """
     if not math.isfinite(lo):
         raise ValueError(f"integrate_interval takes a tail (lo, inf), not ({lo}, inf)")
-    # imported on first use: only the truncation radius calls QUADPACK,
-    # whose import costs a fresh process ~0.2 s and ~20 MB
-    from scipy.integrate import quad
 
     def gt(t):
         # r = lo + t/(1-t), dr = dt/(1-t)^2
         u = 1.0 - t
-        return g(lo + t / u) / (u * u)
+        return float(g(lo + t / u) / (u * u))
 
-    out = quad(gt, 0.0, 1.0, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
-               full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3 and err > max(_REL_TOL * abs(value), _ABS_TOL):
+    value, err, _, ier = _qagse(gt, 0.0, 1.0, _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
+    if ier and err > max(_REL_TOL * abs(value), _ABS_TOL):
         raise QuadratureError(
-            f"adaptive integration on ({lo}, inf) did not converge: {out[3]}",
+            f"adaptive integration on ({lo}, inf) did not converge: {_QAGSE_FLAGS[ier]}",
             value=value,
             err_estimate=err,
         )
     return value, err
+
+
+# QUADPACK's dqagse (Piessens et al., *QUADPACK*, Springer 1983) in Python
+# floats, in its operation order, so that it returns the value, error
+# estimate, subinterval count and flag of scipy's ``quad`` bit for bit.
+# Lists are indexed from 1 as in QUADPACK; slot 0 is unused.
+_EPMACH, _UFLOW, _OFLOW = sys.float_info.epsilon, sys.float_info.min, sys.float_info.max
+# the 21-point Kronrod abscissae, whose odd (0-based) entries are the Gauss
+# nodes, Kronrod weights and 10-point Gauss weights: QUADPACK's 33-digit
+# values rounded to double
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+        0.2943928627014602, 0.14887433898163122)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+        0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+        0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+
+
+def _qk21(f, a, b):
+    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centr)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [None] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+        absc = hlgth * _XGK[j]
+        fval1, fval2 = f(centr - absc), f(centr + absc)
+        fv[j] = fval1, fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv[j][0] - reskh) + abs(fv[j][1] - reskh))
+    dhlgth = abs(hlgth)
+    result, resabs, resasc = resk * hlgth, resabs * dhlgth, resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """dqpsrt: keep ``iord`` descending in ``elist`` after a bisection;
+    returns the next (maxerr, errmax, nrmax)."""
+    if last <= 2:
+        iord[1], iord[2] = 1, 2
+    else:
+        errmax = elist[maxerr]
+        while nrmax > 1 and not errmax <= elist[iord[nrmax - 1]]:
+            iord[nrmax] = iord[nrmax - 1]
+            nrmax -= 1
+        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        errmin, jbnd = elist[last], jupbn - 1
+        i = nrmax + 1
+        while i <= jbnd and not errmax >= elist[iord[i]]:
+            iord[i - 1] = iord[i]
+            i += 1
+        if i > jbnd:
+            iord[jbnd], iord[jupbn] = maxerr, last
+        else:
+            iord[i - 1], k = maxerr, jbnd
+            while k >= i and not errmin < elist[iord[k]]:
+                iord[k + 1] = iord[k]
+                k -= 1
+            iord[k + 1] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """dqelg: the epsilon algorithm on epstab[1..n]; returns (n, result,
+    abserr, nres), updating ``epstab`` and ``res3la`` in place."""
+    nres += 1
+    abserr, result = _OFLOW, epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    epstab[n + 2], epstab[n] = epstab[n], _OFLOW
+    num, newelm, k1 = n, (n - 1) // 2, n
+    for i in range(1, newelm + 1):
+        res = e2 = epstab[k1 + 2]
+        e0, e1 = epstab[k1 - 2], epstab[k1 - 1]
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2, tol2 = abs(delta2), max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3, tol3 = abs(delta3), max(e1abs, abs(e0)) * _EPMACH
+        if not (err2 > tol2 or err3 > tol3):  # e0, e1 and e2 agree: converged
+            return n, res, max(err2 + err3, 5.0 * _EPMACH * abs(res)), nres
+        e3, epstab[k1] = epstab[k1], e1
+        delta1 = e1 - e3
+        err1, tol1 = abs(delta1), max(e1abs, abs(e3)) * _EPMACH
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        if not abs(ss * e1) > 1e-4:  # irregular table
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 -= 2
+        error = err2 + abs(res - e2) + err3
+        if not error > abserr:
+            abserr, result = error, res
+    if n == 50:
+        n = 49
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        epstab[ib] = epstab[ib + 2]
+        ib += 2
+    if num != n:
+        epstab[1:n + 1] = epstab[num - n + 1:num + 1]
+    if nres < 4:
+        res3la[nres], abserr = result, _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1:] = res3la[2], res3la[3], result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def _qagse(f, a, b, epsabs, epsrel, limit):
+    """dqagse for epsabs > 0: (result, abserr, last, ier), ier as scipy's
+    ``quad`` reports it (0 for success)."""
+    alist, blist = [a] * (limit + 1), [b] * (limit + 1)
+    rlist, elist, iord = [0.0] * (limit + 1), [0.0] * (limit + 1), [0] * (limit + 1)
+    rlist2, res3la = [0.0] * 53, [0.0] * 4
+    ier = ierro = 0
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    last, rlist[1], elist[1], iord[1] = 1, result, abserr, 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, last, ier
+    rlist2[1], errmax, maxerr, area, errsum, abserr = result, abserr, 1, result, abserr, _OFLOW
+    nrmax, nres, numrl2, ktmin, iroff1, iroff2, iroff3 = 1, 0, 2, 0, 0, 0, 0
+    extrap = noext = False
+    small = erlarg = ertest = correc = 0.0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1, b2 = alist[maxerr], blist[maxerr]
+        a2 = b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area12, erro12 = area1 + area2, error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr], rlist[last] = area1, area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr], alist[last], blist[last] = a2, a1, b1
+            rlist[maxerr], rlist[last] = area2, area1
+            elist[maxerr], elist[last] = error2, error1
+        else:
+            alist[last], blist[maxerr], blist[last] = a2, b1, b2
+            elist[maxerr], elist[last] = error1, error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd or ier != 0:
+            break
+        if last == 2:
+            small, erlarg, ertest, rlist2[2] = abs(b - a) * 0.375, errsum, errbnd, area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # extrapolate only once the next interval to bisect is the smallest
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap, nrmax = True, 2
+        if ierro != 3 and erlarg > ertest:
+            # the smallest interval has the largest error: bisect the larger
+            # ones first, while any is left
+            large = False
+            for _ in range(nrmax, (limit + 3 - last if last > 2 + limit // 2 else last) + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                large = abs(blist[maxerr] - alist[maxerr]) > small
+                if large:
+                    break
+                nrmax += 1
+            if large:
+                continue
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr, nrmax, extrap = iord[1], 1, False
+        errmax, small, erlarg = elist[maxerr], small * 0.5, errsum
+    # every exit but the first of the loop has the extrapolated result,
+    # unless the sum of the subintervals is better
+    summed = errsum <= errbnd or abserr == _OFLOW
+    if not summed:
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                summed = abserr / abs(result) > errsum / abs(area)
+            else:
+                summed = abserr > errsum
+                if not summed and area == 0.0:
+                    return result, abserr, last, ier - 1 if ier > 2 else ier
+        if not summed and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
+            # test on divergence
+            if (area == 0.0 or 0.01 > result / area or result / area > 100.0
+                    or errsum > abs(area)):
+                ier = 6
+    if summed:
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    return result, abserr, last, ier - 1 if ier > 2 else ier
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,17 @@ class TestCheckCommand:
         payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
         assert payload["skipped"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_malformed_tolerance_exits_2(self, tol, tmp_path, capsys):
+        # a nan tolerance left every report inconclusive and an infinite one
+        # passed every report, each with exit 0
+        code = main(["check", "--theorem", "poincare_1d", "--density", "gaussian:sigma=1,n=1",
+                     f"--tol={tol}", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the ratio tolerance must be finite and nonnegative, got {float(tol)}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_skip_reason_for_inapplicable_pair(self, tmp_path, capsys):
         code = main(["check", "--theorem", "isotropic_Wstar",
                      "--density", "gaussian:sigma=1,n=1", "--out", str(tmp_path)])
@@ -385,6 +396,17 @@ class TestRunCommand:
                                                      capsys, monkeypatch):
         config = dict(TINY_CONFIG, solver=dict(TINY_CONFIG["solver"], **solver))
         self.assert_fails_before_any_work(config, message, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_malformed_tolerance_fails_before_any_work(self, tol, tmp_path, capsys,
+                                                      monkeypatch):
+        config = dict(TINY_CONFIG, tolerances={"ratio_tol": tol})
+        self.assert_fails_before_any_work(
+            config, f"the ratio tolerance must be finite and nonnegative, got {tol}",
+            tmp_path, capsys, monkeypatch)
+        with pytest.raises(ValueError, match="ratio tolerance"):
+            cli.run_experiment(config, tmp_path / "direct")
+        assert not (tmp_path / "direct").exists()
 
     def test_unknown_theorem_fails_before_any_check(self, tmp_path, capsys, monkeypatch):
         config = dict(TINY_CONFIG, theorems=["poincare_1d", "bogus"])

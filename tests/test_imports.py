@@ -1,11 +1,11 @@
 """What a fresh interpreter loads, and what the package exposes.
 
-Adaptive QUADPACK (``scipy.integrate``, which itself imports
-``scipy.optimize`` and ``scipy.special``) is imported on first use, and
-only the truncation radius of an evolution uses it, so the Poincare checks
-never load it.  log Gamma is the package's own (``densities.gammaln``), and
-scipy's ``ive`` is imported on first use, which only the mixtures of an
-even-n check make; so ``weights`` and every check at odd n load no
+No process imports ``scipy.integrate`` (which would also load
+``scipy.optimize`` and ``scipy.special``): the truncation radius of an
+evolution takes its tails with the package's port of QUADPACK.  log Gamma
+is the package's own (``densities.gammaln``), and scipy's ``ive`` is
+imported on first use, which only the mixtures of an even-n check make;
+so evolutions, ``weights`` and every check at odd n load no
 ``scipy.special`` either.
 
 Code that only the tests use lives in ``tests/oracles.py``, not in the
@@ -53,11 +53,14 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
                  "--out", out]) == 0
 """
 
-TRUNCATION = """
+LINE_RELAX_EVOLUTIONS = """
+from isofp.cli import evolution_settings, evolution_task
 from isofp.densities import parse_density_spec
-from isofp.fpsolver import _truncation_radius
 
-_truncation_radius(parse_density_spec("cauchy:beta=4,n=1"))
+for spec in ("gaussian:sigma=1,n=1", "cauchy:beta=4,n=1", "inverse_gamma:mu=2,n=1",
+             "cauchy:beta=4,n=3"):
+    (verdict, _), texts, _ = evolution_task(parse_density_spec(spec), evolution_settings({}))
+    assert verdict == "pass" and texts
 """
 
 
@@ -139,8 +142,9 @@ def test_even_n_check_loads_special_on_first_use():
     assert loaded_after(EVEN_N_WSTAR) == ["scipy.special"]
 
 
-def test_truncation_radius_loads_quadpack():
-    assert "scipy.integrate" in loaded_after(TRUNCATION)
+def test_evolutions_load_no_quadpack_and_no_special():
+    # each evolution takes a dozen truncation tails
+    assert loaded_after(LINE_RELAX_EVOLUTIONS) == []
 
 
 def test_surface_resolves_and_holds_no_oracle():

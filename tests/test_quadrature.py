@@ -1,11 +1,14 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.special import ive
 
+from isofp.cli import DEFAULT_CONFIG
 from isofp.corpus import (
     Fn1D,
     GaussianMixture,
@@ -18,6 +21,7 @@ from isofp.corpus import (
 )
 from isofp.densities import (closed_form_weight, make_density, parse_density_spec,
                              radial_marginal)
+from isofp.fpsolver import TruncationError, _truncation_radius
 import isofp.inequality as inequality
 import isofp.quadrature as quadrature
 from isofp.inequality import (
@@ -110,8 +114,113 @@ class TestIntegrateInterval:
         assert abs(val - exact) < 1e-12
 
 
+# scipy's QUADPACK messages, by the flag (ier) of dqagse they report
+QUADPACK_MESSAGES = (("maximum number of subdivisions", 1), ("occurrence of roundoff", 2),
+                     ("Extremely bad integrand", 3), ("extrapolation table", 4),
+                     ("probably divergent", 5))
+
+
+def scipy_qagse(f, a, b, epsabs, epsrel, limit):
+    """scipy's ``quad`` on the arguments of ``quadrature._qagse``, as its
+    (value, abserr, last, ier)."""
+    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    ier = 0 if len(out) == 3 else next(i for key, i in QUADPACK_MESSAGES if key in out[3])
+    return out[0], out[1], out[2]["last"], ier
+
+
+def seeded_integrands(seed, count):
+    """(name, f) on (0, 1): endpoint power and log singularities, interior
+    peaks, jumps and poles, oscillation, divergence and noise; seeds 0 and 2
+    together reach every flag, the cut of the epsilon table and each
+    roundoff count."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, c, w = rng.uniform(-0.95, 0.5), rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-4, -1)
+        yield from [
+            ("power", lambda x, p=p: x ** p),
+            ("log", lambda x, p=p: (-math.log(x)) ** (1.0 - 3.0 * p) * x ** (0.5 * p)),
+            ("peak", lambda x, c=c, w=w: w / ((x - c) ** 2 + w * w)),
+            ("jump", lambda x, c=c: 1.0 if x < c else -2.0 * x),
+            ("oscillation", lambda x, w=w: math.cos(x / w) / math.sqrt(x)),
+            ("pole", lambda x, c=c: 1.0 / max(abs(x - c), 1e-300)),
+            ("divergent", lambda x, p=p: x ** (-1.25 + 0.2 * p)),
+            # near x^-1: long extrapolation tables, past QUADPACK's 50 entries
+            ("log-edge", lambda x, p=p: (-math.log(x)) ** (3.0 + p) * x ** -0.95),
+            # noise of size 1e-9 that differs at every float, so no bisection
+            # resolves it
+            ("noise", lambda x, p=p: x ** p + 1e-9 * (hash(x) % 1009 / 1009.0 - 0.5)),
+        ]
+
+
+class TestQuadpackPort:
+    """The package's dqagse returns scipy's value, error estimate,
+    subinterval count and flag bit for bit."""
+
+    def test_seeded_family_reaches_every_flag(self, monkeypatch):
+        extrapolations = [0]
+        qelg = quadrature._qelg
+
+        def count(*args):
+            extrapolations[0] += 1
+            return qelg(*args)
+
+        monkeypatch.setattr(quadrature, "_qelg", count)
+        flags = set()
+        for limit in (5, 50, 200):
+            for name, f in [*seeded_integrands(0, 6), *seeded_integrands(2, 6)]:
+                # the package's tolerances, and a relative one below QUADPACK's
+                # roundoff level 100 eps, which flags a smooth integrand at once
+                for epsabs, epsrel in ((1e-13, 1e-10), (1e-300, 1e-14)):
+                    want = scipy_qagse(f, 0.0, 1.0, epsabs, epsrel, limit)
+                    assert quadrature._qagse(f, 0.0, 1.0, epsabs, epsrel, limit) == want, (
+                        name, limit, epsrel)
+                    flags.add(want[3])
+        assert flags == {0, 1, 2, 3, 4, 5}
+        assert extrapolations[0] > 1000
+
+    # the evolved densities of the default run and line-relax, the tails CI
+    # ends as too heavy, and the dimensions whose mass density turns to log space
+    @pytest.mark.parametrize("spec", sorted(
+        {*DEFAULT_CONFIG["evolve_densities"], "gaussian:sigma=1,n=1", "cauchy:beta=4,n=1",
+         "inverse_gamma:mu=2,n=1", "cauchy:beta=4,n=3", "cauchy:beta=1.6,n=2",
+         "inverse_gamma:mu=0.5,n=1", "cauchy:beta=2.5,n=3"}
+        | {f"gaussian:sigma=1,n={n}" for n in range(37, 41)}))
+    def test_every_probe_tail_of_the_truncation_radius(self, spec, monkeypatch):
+        calls = []
+        qagse = quadrature._qagse
+
+        def record(*args):
+            calls.append((args, qagse(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(quadrature, "_qagse", record)
+        try:
+            _truncation_radius(parse_density_spec(spec))
+        except TruncationError:
+            pass
+        assert len(calls) >= 5
+        for args, got in calls:
+            assert got == scipy_qagse(*args), args[1:]
+
+    def test_failure_carries_the_best_estimate(self):
+        # (1 + r)^-1.05 on (10, inf): flagged (no convergence of the
+        # extrapolation) with an error estimate above 1e-10 relative
+        g, lo = (lambda r: (1.0 + r) ** -1.05), 10.0
+
+        def mapped(t):
+            u = 1.0 - t
+            return float(g(lo + t / u) / (u * u))
+
+        value, err, _, ier = scipy_qagse(mapped, 0.0, 1.0, 1e-13, 1e-10, 200)
+        assert ier == 4 and err > 1e-10 * value
+        with pytest.raises(QuadratureError, match="the extrapolation does not converge") as exc:
+            quadrature.integrate_interval(g, lo)
+        assert (exc.value.value, exc.value.err_estimate) == (value, err)
+        assert abs(value - 20.0 * 11.0 ** -0.05) <= err
+
+
 class TestTruncationTail:
-    """The package's one QUADPACK call, a tail (lo, inf) with the default
+    """The package's one adaptive integral, a tail (lo, inf) with the default
     tolerances of the oracle integrator, which it matches float for float."""
 
     # tails of evolved densities at radii where a tolerance 10 times
