@@ -285,13 +285,14 @@ def _check_artifacts(lbl, head, reports):
     as {name: text} and its check_summary.csv rows.  The JSON holds the
     items of ``head``, which name the theorem, the tolerance and the corpus
     seed, then the summary and the reports.  The verdict is FAIL if any
-    report fails and pass otherwise."""
+    report fails, inconclusive if none passes or fails (every member was
+    rejected or inconclusive), and pass otherwise."""
     s = summarize_reports(reports)
     payload = dict(head, summary=s, reports=[r.to_dict() for r in reports])
     rows = [[lbl, head["theorem"], r.witness, f"{r.lhs:.12g}", f"{r.rhs:.12g}",
              f"{r.ratio:.12g}", r.status, "pass" if r.passed else "fail"] for r in reports]
-    return (("pass" if s["failed"] == 0 else "FAIL",
-             f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"),
+    verdict = ("FAIL" if s["failed"] else "pass" if s["passed"] else "inconclusive")
+    return ((verdict, f"{s['passed']}/{s['total']} max ratio {s['max_ratio']:.8f}"),
             {_check_file(head["theorem"], lbl): _json_text(payload)}, rows)
 
 
@@ -338,7 +339,8 @@ def cmd_check(args):
     _write_csv(path.with_suffix(".csv"), _csv_text(REPORT_HEADER, rows))
     s = summarize_reports(reports)
     print(f"{lbl} / {args.theorem}: {s['passed']} passed, {s['failed']} failed, "
-          f"{s['rejected']} rejected, max ratio {s['max_ratio']:.9f}")
+          f"{s['rejected']} rejected, {s['inconclusive']} inconclusive, "
+          f"max ratio {s['max_ratio']:.9f}")
     return 0 if verdict == "pass" else 1
 
 

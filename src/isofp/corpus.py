@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import TestFunction, _sphere_polynomial
+from .quadrature import TestFunction
 
 __all__ = [
     "Fn1D",
@@ -196,16 +196,16 @@ class PolarMember(TestFunction):
     knots) times a polynomial a(u) = sum_t c_t u^e_t of the direction, given
     as ``terms``, pairs (c_t, e_t) of a coefficient and n exponents >= 0.
 
-    Values and gradients come from (s, terms) alone: phi = s(rho) a(u) and
-    grad phi = s'(rho) a(u) u + (s(rho) / rho) grad_S a, where grad_S is
-    the surface gradient on the unit sphere.  Where a is not constant the
-    profile must vanish at the origin (s = O(rho)); at x = 0 the direction
-    reads 0 and s / rho its limit s'(0), so grad phi(0) is s'(0) b for a
-    linear a(u) = b . u and 0 for every other member.
+    The member is (s, terms) alone, with grad phi = s'(rho) a(u) u +
+    (s(rho) / rho) grad_S a, where grad_S is the surface gradient on the
+    unit sphere.  Where a is not constant the profile must vanish at the
+    origin (s = O(rho)).
 
     ``polar = (s, terms)`` lets :func:`~isofp.quadrature.grid_moments`
     reduce the member to moments of s on the radial rule and of a on the
-    angular rule, without evaluating it on the grid.
+    angular rule, and :func:`~isofp.quadrature.sphere_dirichlet` take its
+    sphere integral from s at one radius; the member has no values at
+    points.
     """
 
     def __init__(self, name, n, s, terms, support="full", bounded=True):
@@ -214,33 +214,8 @@ class PolarMember(TestFunction):
             raise ValueError(f"{name!r}: polar exponents {[e for _, e in terms]} are "
                              f"not {n} nonnegative integers")
         self.polar = (s, terms)
-        self._radial = terms == ((1.0, (0,) * int(n)),)  # a = 1
-        super().__init__(name, n, self._eval_points, self._grad_points,
-                         support=support, bounded=bounded,
+        super().__init__(name, n, support=support, bounded=bounded,
                          radial_breakpoints=s.breakpoints)
-
-    @staticmethod
-    def _radius(pts):
-        """|x|, and |x| with 0 read as 1 for dividing by."""
-        rho = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        return rho, np.where(rho == 0.0, 1.0, rho)
-
-    def _eval_points(self, pts):
-        s, terms = self.polar
-        rho, safe = self._radius(pts)
-        return s(rho) * _sphere_polynomial(pts / safe[:, None], terms)[0]
-
-    def _grad_points(self, pts):
-        s, terms = self.polar
-        rho, safe = self._radius(pts)
-        ds = s.deriv(rho)
-        if self._radial:  # a = 1 and grad_S a = 0
-            return (ds / safe)[:, None] * pts
-        u = pts / safe[:, None]
-        a, grad = _sphere_polynomial(u, terms)
-        grad *= np.where(rho == 0.0, ds, s(rho) / safe)[:, None]
-        u *= (ds * a)[:, None]
-        return np.add(grad, u, out=grad)
 
 
 def _radial_u_member(name, n, sigma, dsigma):

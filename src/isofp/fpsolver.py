@@ -72,8 +72,8 @@ class RadialGrid:
     ``cell_volumes`` integrates the density's volume element
     ``geometry_factor`` rho^(n-1) over each cell: sigma_n (r_{i+1}^n -
     r_i^n) / n in R^n, the plain width for the 1-D half-line entry, whose
-    factor is 1.  ``centers``, ``widths`` and ``cell_volumes`` are computed
-    once, on first use, and are read-only."""
+    factor is 1.  ``centers`` and ``cell_volumes`` are computed once, on
+    first use, and are read-only."""
 
     n: int
     edges: np.ndarray
@@ -82,10 +82,6 @@ class RadialGrid:
     @cached_property
     def centers(self):
         return _read_only(0.5 * (self.edges[:-1] + self.edges[1:]))
-
-    @cached_property
-    def widths(self):
-        return _read_only(np.diff(self.edges))
 
     @cached_property
     def cell_volumes(self):
@@ -382,8 +378,10 @@ class Solver:
 
     # -- evolution -----------------------------------------------------------
 
-    def evolve(self, state, t_final, dt, sample_every=None):
-        """March to t_final by implicit steps, sampling the decay functionals.
+    def evolve(self, state, t_final, dt):
+        """March to t_final by implicit steps, sampling the decay functionals
+        at the start, every max(dt, t_final / 400) (rounded to whole steps)
+        and at t_final.
 
         Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``,
         and before the first step unless :func:`check_march` accepts
@@ -391,9 +389,8 @@ class Solver:
         rate fitted on the standard window.
         """
         check_march(t_final, dt)
-        sample_every = sample_every or max(dt, t_final / 400.0)
         n_steps = int(round(t_final / dt))
-        stride = max(1, int(round(sample_every / dt)))
+        stride = max(1, int(round(max(dt, t_final / 400.0) / dt)))
         mass0 = state.mass
 
         rows = []  # one {DecayTrace field: value} per sample

@@ -422,49 +422,40 @@ def interval_rule(lo, hi, order=12, levels=28, breakpoints=(), halved=False):
 
 
 class TestFunction:
-    """Smooth scalar function with gradient access and support metadata.
+    """A corpus member: its name, dimension, support and boundedness
+    metadata, and the radial knots where quadrature panels split.
 
-    ``eval_fn`` maps an (m, n) array of points to (m,) values and
-    ``grad_fn`` to (m, n) gradients.  ``support`` is ``"full"`` or
-    ``("outside_ball", R)``.  ``polar`` and ``mixture`` are None here;
-    :class:`~isofp.corpus.PolarMember` sets ``polar`` to (s, terms) and
-    :class:`~isofp.corpus.GaussianMixture` sets ``mixture`` to (amps,
-    centres, widths), the factors :func:`grid_moments` takes moments of.
-    A member built with no ``eval_fn`` and ``grad_fn`` (a mixture, or a
-    :class:`~isofp.corpus.SeparableMember`, whose check takes 1-D moments
-    of its shapes) has no values at points: calling it raises
-    ``TypeError``.
+    ``support`` is ``"full"`` or ``("outside_ball", R)``.  ``polar`` and
+    ``mixture`` are None here; :class:`~isofp.corpus.PolarMember` sets
+    ``polar`` to (s, terms) and :class:`~isofp.corpus.GaussianMixture`
+    sets ``mixture`` to (amps, centres, widths), the factors
+    :func:`grid_moments` and :func:`sphere_dirichlet` take moments of; a
+    :class:`~isofp.corpus.SeparableMember`'s check takes 1-D moments of
+    its shapes.  No member has values at points: calling one, or its
+    ``grad``, raises ``TypeError``.
 
     Nothing is checked on construction: the test suite compares every
     corpus member's derivatives with finite differences, and
     :func:`~isofp.inequality.check_refined_outside_ball` rejects a member
-    that does not vanish where its support flag says it does.
+    whose profile does not vanish where its support flag says it does.
     """
 
     __test__ = False  # not a pytest collection target
     polar = None
     mixture = None
 
-    def __init__(self, name, n, eval_fn=None, grad_fn=None, support="full", bounded=True,
-                 radial_breakpoints=()):
+    def __init__(self, name, n, support="full", bounded=True, radial_breakpoints=()):
         self.name = name
         self.n = int(n)
-        self._eval = eval_fn
-        self._grad = grad_fn
         self.support = support
         self.bounded = bool(bounded)
         self.radial_breakpoints = tuple(sorted(radial_breakpoints))
 
-    def _at(self, fn, points):
-        if fn is None:
-            raise TypeError(f"member {self.name!r} has no values at points")
-        return np.asarray(fn(np.atleast_2d(np.asarray(points, dtype=float))))
-
     def __call__(self, points):
-        return self._at(self._eval, points)
+        raise TypeError(f"member {self.name!r} has no values at points")
 
     def grad(self, points):
-        return self._at(self._grad, points)
+        raise TypeError(f"member {self.name!r} has no values at points")
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +728,15 @@ def _moments(variance, dirichlet, radial, angular, split_weight):
                        *(tuple(float(v) for v in col) for col in np.reshape(angular, (-1, 2)).T))
 
 
+def _sphere_sums(grid, terms):
+    """The angular factor a(u) = sum_t c_t u^e_t and its surface gradient
+    on the grid's directions, with sum_a w_a a^2 and sum_a w_a |grad_S
+    a|^2 over the angular rule."""
+    a, grad_a = _sphere_polynomial(grid.unit, terms)
+    return (a, grad_a, float(grid.ang_weights @ (a * a)),
+            float(grid.ang_weights @ np.einsum("ij,ij->i", grad_a, grad_a)))
+
+
 def _polar_moments(grid, polar, weights, split_weight, axis_weights):
     """:func:`grid_moments` of s(rho) a(u) from one radial and one angular
     pass; ``weights`` holds the radial weights as rows."""
@@ -745,15 +745,14 @@ def _polar_moments(grid, polar, weights, split_weight, axis_weights):
     total = float(ang_w.sum())
     j0, k0 = divmod(grid.anchor, len(ang_w))
     s, ds = s_fn(r), s_fn.deriv(r)
-    a, grad_a = _sphere_polynomial(grid.unit, terms)
-    a2 = float(ang_w @ (a * a))
+    a, grad_a, a2, grad2 = _sphere_sums(grid, terms)
     # p_j ang_w_k is the node's probability weight; p * total and
     # ang_w / total are the radial and angular probability weights
     variance = (shifted_variance(p * total, s, j0) * a2 / total
                 + (total * float(p @ s)) ** 2 * shifted_variance(ang_w / total, a, k0))
     # sum over the angular rule of |grad phi|_c^2 at each radius
     if axis_weights is None:
-        uu, ug, gg = a2, 0.0, float(ang_w @ np.einsum("ij,ij->i", grad_a, grad_a))
+        uu, ug, gg = a2, 0.0, grad2
     else:
         cu = grid.unit * axis_weights
         uu, ug, gg = (float(ang_w @ v) for v in (
@@ -964,10 +963,22 @@ def _mixture_angular(grid, mixture):
 
 def sphere_dirichlet(grid, phi, radius):
     """Integral of |grad phi|^2 over the sphere |x| = radius against the
-    grid's angular rule (the measure dTheta of the unit sphere), exact in
-    angle for a Gaussian mixture (:func:`_mixture_shells`)."""
+    grid's angular rule (the measure dTheta of the unit sphere).
+
+    A polar member s(rho) a(u) has |grad phi|^2 = s'^2 a^2 + (s / rho)^2
+    |grad_S a|^2 there, since grad_S a is tangent to the sphere, so the
+    integral is s'(R)^2 sum_a w_a a^2 + (s(R) / R)^2 sum_a w_a |grad_S
+    a|^2, the angular sums of :func:`_polar_moments`.  A Gaussian mixture
+    is exact in angle (:func:`_mixture_shells`).  Any other member raises
+    ``TypeError``."""
+    r = np.array([float(radius)])
+    if phi.polar is not None:
+        s, terms = phi.polar
+        _, _, a2, grad2 = _sphere_sums(grid, terms)
+        ds, s_r = float(s.deriv(r)[0]), float(s(r)[0]) / r[0]
+        return ds * ds * a2 + s_r * s_r * grad2
     if phi.mixture is not None:
-        grad2 = _mixture_shells(grid.n, phi.mixture, np.array([float(radius)]))[2]
+        grad2 = _mixture_shells(grid.n, phi.mixture, r)[2]
         return float(grid.ang_weights.sum() * grad2[0])
-    g = phi.grad(radius * grid.unit)
-    return float(grid.ang_weights @ np.einsum("ij,ij->i", g, g))
+    raise TypeError(f"member {phi.name!r} has neither polar nor mixture factors; "
+                    "sphere_dirichlet has no kernel for it")

@@ -26,7 +26,7 @@ def cauchy_4_1():
 def _evolution(d, cells):
     solver = build_solver(d, closed_form_weight(d), cells=cells)
     state = perturbed_initial_state(solver, "cosine", eps=0.1)
-    trace = solver.evolve(state, 10.0, 1e-3, sample_every=0.01)
+    trace = solver.evolve(state, 10.0, 1e-3)
     return solver, trace
 
 

@@ -10,10 +10,11 @@ equilibrium state, its flux divergence and the second route to its entropy
 dissipation.  The two-pass angular kernel of a Gaussian mixture is the one
 :func:`isofp.quadrature._mixture_angular` must match bit for bit.  The
 general adaptive integrator (QUADPACK on finite, semi-infinite and
-infinite intervals, with breakpoints), the walk of a member over a grid's
-nodes, the values and gradients of mixtures and separable members at
-points, and the unbounded linear and bilinear members are the references
-of the integrals, the moment kernels and the checks.
+infinite intervals, with breakpoints), the walks of a member over a grid's
+nodes and over a sphere's directions, the values and gradients of polar
+members, mixtures and separable members at points, and the unbounded
+linear and bilinear members are the references of the integrals, the
+moment kernels and the checks.
 
 Tests import this module as ``from oracles import ...``.
 """
@@ -356,8 +357,53 @@ def integrate_interval(g, lo, hi, integrator=None, breakpoints=()):
 
 
 # ---------------------------------------------------------------------------
-# Members at points, and the walk over a grid's nodes
+# Members at points, and the walks over a grid's nodes and a sphere
 # ---------------------------------------------------------------------------
+
+
+class Pointwise(TestFunction):
+    """A member with values and gradients at points and no kernel:
+    ``eval_fn`` maps an (m, n) array of points to (m,) values and
+    ``grad_fn`` to (m, n) gradients."""
+
+    def __init__(self, name, n, eval_fn, grad_fn, support="full", bounded=True,
+                 radial_breakpoints=()):
+        super().__init__(name, n, support=support, bounded=bounded,
+                         radial_breakpoints=radial_breakpoints)
+        self._eval, self._grad = eval_fn, grad_fn
+
+    def __call__(self, points):
+        return np.asarray(self._eval(np.atleast_2d(np.asarray(points, dtype=float))))
+
+    def grad(self, points):
+        return np.asarray(self._grad(np.atleast_2d(np.asarray(points, dtype=float))))
+
+
+def _polar_parts(terms, pts):
+    """(|x|, |x| with 0 read as 1, u, a(u), grad_S a(u)) at the rows of
+    ``pts``; the direction u reads 0 at the origin."""
+    rho = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    safe = np.where(rho == 0.0, 1.0, rho)
+    u = pts / safe[:, None]
+    return (rho, safe, u, *quadrature._sphere_polynomial(u, terms))
+
+
+def polar_values(polar, pts):
+    """phi = s(rho) a(u) at the rows of ``pts`` for ``polar`` = (s, terms)."""
+    s, terms = polar
+    rho, _, _, a, _ = _polar_parts(terms, pts)
+    return s(rho) * a
+
+
+def polar_grad(polar, pts):
+    """grad phi = s'(rho) a(u) u + (s(rho) / rho) grad_S a.  At x = 0 the
+    direction reads 0 and s / rho its limit s'(0), so grad phi(0) is
+    s'(0) b for a linear a(u) = b . u and 0 for every other member."""
+    s, terms = polar
+    rho, safe, u, a, grad_a = _polar_parts(terms, pts)
+    ds = s.deriv(rho)
+    return (np.where(rho == 0.0, ds, s(rho) / safe)[:, None] * grad_a
+            + (ds * a)[:, None] * u)
 
 
 def _mixture_terms(mixture, pts):
@@ -403,10 +449,14 @@ def separable_grad(shapes, combine, pts):
 
 
 def pointwise(phi):
-    """``phi`` as a plain :class:`TestFunction` with values and gradients at
-    points and no kernel: a polar member through its own methods, a
-    mixture or a separable member through the functions above."""
-    if phi.mixture is not None:
+    """``phi`` as a :class:`Pointwise` member with values and gradients at
+    points and no kernel: a polar member, a mixture or a separable member
+    through the functions above, any other member through its own
+    methods."""
+    if phi.polar is not None:
+        ev = lambda p: polar_values(phi.polar, p)
+        gr = lambda p: polar_grad(phi.polar, p)
+    elif phi.mixture is not None:
         ev = lambda p: mixture_values(phi.mixture, p)
         gr = lambda p: mixture_grad(phi.mixture, p)
     elif isinstance(phi, SeparableMember):
@@ -414,8 +464,16 @@ def pointwise(phi):
         gr = lambda p: separable_grad(phi.shapes, phi.combine, p)
     else:
         ev, gr = phi, phi.grad
-    return TestFunction(phi.name, phi.n, ev, gr, support=phi.support, bounded=phi.bounded,
-                        radial_breakpoints=phi.radial_breakpoints)
+    return Pointwise(phi.name, phi.n, ev, gr, support=phi.support, bounded=phi.bounded,
+                     radial_breakpoints=phi.radial_breakpoints)
+
+
+def sphere_walk(grid, phi, radius):
+    """:func:`isofp.quadrature.sphere_dirichlet` of any member, walked over
+    the grid's directions: |grad phi|^2 at radius * u from
+    :func:`pointwise`, summed against the angular rule."""
+    g = pointwise(phi).grad(radius * grid.unit)
+    return float(grid.ang_weights @ np.einsum("ij,ij->i", g, g))
 
 
 def linear_members(n):
@@ -499,14 +557,18 @@ def node_moments(grid, phi, radial_weights=(), split_weight=None, axis_weights=N
 
 def walk_plain_members(monkeypatch):
     """Let the n-D checks take a member with neither ``polar`` nor
-    ``mixture`` factors, which :func:`isofp.quadrature.grid_moments`
-    refuses, through :func:`node_moments`."""
+    ``mixture`` factors, which :func:`isofp.quadrature.grid_moments` and
+    :func:`isofp.quadrature.sphere_dirichlet` refuse, through
+    :func:`node_moments` and :func:`sphere_walk`."""
     from isofp import inequality
 
-    kernels = quadrature.grid_moments
+    def by_kernel(kernel, walk):
+        def dispatch(grid, phi, *args, **kwargs):
+            plain = phi.polar is None and phi.mixture is None
+            return (walk if plain else kernel)(grid, phi, *args, **kwargs)
+        return dispatch
 
-    def moments(grid, phi, *args, **kwargs):
-        plain = phi.polar is None and phi.mixture is None
-        return (node_moments if plain else kernels)(grid, phi, *args, **kwargs)
-
-    monkeypatch.setattr(inequality, "grid_moments", moments)
+    monkeypatch.setattr(inequality, "grid_moments",
+                        by_kernel(quadrature.grid_moments, node_moments))
+    monkeypatch.setattr(inequality, "sphere_dirichlet",
+                        by_kernel(quadrature.sphere_dirichlet, sphere_walk))

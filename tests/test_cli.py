@@ -14,10 +14,10 @@ import pytest
 
 import isofp.cli as cli
 from isofp.cli import main, marginal_weight, reports_for_pair
-from isofp.corpus import corpus_1d
+from isofp.corpus import corpus_1d, corpus_nd
 from isofp.densities import (closed_form_weight, density_label, full_line_density,
                               make_density, parse_density_spec, radial_marginal)
-from isofp.inequality import check_poincare_1d, summarize_reports
+from isofp.inequality import check_poincare_1d, check_refined_outside_ball, summarize_reports
 from isofp.weights import p_weight_1d
 
 
@@ -181,6 +181,27 @@ class TestCheckCommand:
             f"error: the ratio tolerance must be finite and nonnegative, got {float(tol)}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_check_that_decides_nothing_exits_1(self, tmp_path, capsys):
+        # at tolerance 0 every report of the standard normal is inconclusive;
+        # this read "0 passed, 0 failed, 0 rejected" and exited 0
+        code = main(["check", "--theorem", "poincare_1d", "--density", "gaussian:sigma=1,n=1",
+                     "--tol", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "0 passed, 0 failed, 0 rejected, 42 inconclusive" in capsys.readouterr().out
+        payload = json.loads(next(tmp_path.glob("check_*.json")).read_text())
+        assert payload["summary"]["inconclusive"] == payload["summary"]["total"] == 42
+
+    def test_refined_check_with_every_member_rejected_is_inconclusive(self):
+        # corpus_nd members do not vanish on the ball, so the guard rejects
+        # every one of them
+        d = make_density("gaussian", {"sigma": 1.0}, 2)
+        reports = check_refined_outside_ball(d, closed_form_weight(d), 1.0,
+                                             corpus_nd(2, seed=0))
+        assert reports and all(r.status == "rejected" for r in reports)
+        (verdict, _), _, _ = cli._check_artifacts(
+            "gaussian", {"theorem": "refined_outside_ball", "tol": 1e-6}, reports)
+        assert verdict == "inconclusive"
+
     def test_skip_reason_for_inapplicable_pair(self, tmp_path, capsys):
         code = main(["check", "--theorem", "isotropic_Wstar",
                      "--density", "gaussian:sigma=1,n=1", "--out", str(tmp_path)])
@@ -279,6 +300,18 @@ class TestRunCommand:
         # metadata (timestamps) is deliberately outside the manifest
         assert "metadata.json" not in names
         assert (out / "metadata.json").exists()
+
+    def test_check_that_decides_nothing_reads_inconclusive(self, tmp_path, capsys):
+        # the check of the test above, at the default corpus seed; only a
+        # FAIL sets run's exit code
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, theorems=["poincare_1d"],
+                                       corpus_seed=cli.DEFAULT_CONFIG["corpus_seed"],
+                                       tolerances={"ratio_tol": 0.0}, evolve_densities=[])))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "| gaussian(sigma=1,n=1) | poincare_1d | inconclusive | 0/42 " in (
+            (out / "summary.md").read_text())
 
     def test_manifest_hashes_verify(self, tmp_path):
         import hashlib

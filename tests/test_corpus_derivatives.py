@@ -2,7 +2,7 @@
 
 The checks take a member's exact derivative: a 1-D shape's ``deriv`` (the
 1-D and product checks), a polar profile's ``s.deriv`` (the polar kernel,
-the hybrid check's sphere integral and the refined check's probe), or a
+the hybrid check's sphere integral and the refined check's guard), or a
 mixture's parameters.  Members are not checked when they are built, so
 this module compares each of them with a Richardson-extrapolated central
 difference on the corpora the default ``run`` and the benchmark
@@ -20,10 +20,9 @@ from isofp.corpus import (Fn1D, PolarMember, corpus_1d, corpus_anisotropic,
                           corpus_nd, corpus_outside_ball, corpus_product)
 from isofp.densities import closed_form_weight, make_density, parse_density_spec
 from isofp.inequality import check_refined_outside_ball
-from isofp.quadrature import TestFunction
 from isofp.weights import WeightError, critical_tail_radius
 
-from oracles import bilinear_member, linear_members, pointwise
+from oracles import Pointwise, bilinear_member, linear_members, pointwise
 
 # the default corpus seed and the reference seeds of the n3-grid and
 # line-relax benchmark workloads
@@ -66,8 +65,8 @@ def shape_mismatch(g, lo, hi, rng):
 
 def member_mismatch(phi, lo, hi, rng):
     """fd_mismatch of an n-D member's ``grad`` against its values, at radii
-    in (lo, hi) away from its radial knots and uniform directions; a
-    mixture takes its values and gradients from :mod:`oracles`."""
+    in (lo, hi) away from its radial knots and uniform directions; the
+    member takes its values and gradients from :mod:`oracles`."""
     phi = pointwise(phi)
     rho = away_from(rng.uniform(lo, hi, 4 * PROBES), phi.radial_breakpoints)[:PROBES]
     u = rng.normal(size=(len(rho), phi.n))
@@ -163,8 +162,9 @@ class TestDerivatives:
         pts = R * np.append(rng.uniform(0.0, 1.0, 224), np.ones(32))[:, None] * u
         for phi in corpus_outside_ball(n, R, r_max=r_max, seed=seed):
             assert phi.support == ("outside_ball", R), phi.name
-            assert np.max(np.abs(phi(pts))) <= 1e-13, phi.name
-            assert np.max(np.abs(phi.grad(pts))) <= 1e-13, phi.name
+            at_points = pointwise(phi)
+            assert np.max(np.abs(at_points(pts))) <= 1e-13, phi.name
+            assert np.max(np.abs(at_points.grad(pts))) <= 1e-13, phi.name
 
 
 class TestTheCheckCanFail:
@@ -184,10 +184,21 @@ class TestTheCheckCanFail:
         assert shape_mismatch(rho, 0.0, 3.0, np.random.default_rng(0)) > TOL
 
     def test_refined_check_rejects_a_member_not_vanishing_inside(self):
-        liar = TestFunction("liar", 2, lambda p: np.exp(-self.square(p)),
-                            lambda p: -2.0 * np.exp(-self.square(p))[:, None] * p,
+        # exp(-|x|^2) with no polar factors, and exp(-rho^2) u_1^2 u_2^2, whose
+        # angular factor vanishes on the coordinate axes: it reads 0.15 at
+        # (0.5, 0.5), and probes along the axes would admit it
+        gauss = Fn1D("gauss", lambda r: np.exp(-r * r), lambda r: -2.0 * r * np.exp(-r * r))
+        plain = Pointwise("liar", 2, lambda p: np.exp(-self.square(p)),
+                          lambda p: -2.0 * np.exp(-self.square(p))[:, None] * p,
+                          support=("outside_ball", 1.0))
+        polar = PolarMember("polar_liar", 2, gauss, [(1.0, (2, 2))],
                             support=("outside_ball", 1.0))
+        at_points = pointwise(polar)
+        assert at_points(np.eye(2)).tolist() == [0.0, 0.0]
+        assert abs(at_points(np.array([[0.5, 0.5]]))[0] - 0.25 * math.exp(-0.5)) < 1e-15
         d = make_density("gaussian", {"sigma": 1.0}, 2)
-        (report,) = check_refined_outside_ball(d, closed_form_weight(d), 1.0, [liar])
-        assert report.status == "rejected" and not report.passed
-        assert "support" in report.details["reason"]
+        reports = check_refined_outside_ball(d, closed_form_weight(d), 1.0, [plain, polar])
+        assert [r.witness for r in reports] == ["liar", "polar_liar"]
+        for report in reports:
+            assert report.status == "rejected" and not report.passed, report.witness
+            assert "support" in report.details["reason"]

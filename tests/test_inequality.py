@@ -42,11 +42,9 @@ from isofp.inequality import (
 from isofp.quadrature import (
     ANGULAR_AZIMUTHAL_BOUND,
     ANGULAR_POLAR_BOUND,
-    TestFunction,
     build_grid,
     interval_rule,
     shifted_variance,
-    sphere_dirichlet,
 )
 from isofp.weights import (
     WeightFunction,
@@ -57,8 +55,9 @@ from isofp.weights import (
     p_weight_function,
 )
 
-from oracles import (Integrator, bilinear_member, integrate_interval, linear_members,
-                     node_moments, pointwise, std_normal_1d, walk_plain_members)
+from oracles import (Integrator, Pointwise, bilinear_member, integrate_interval,
+                     linear_members, node_moments, pointwise, sphere_walk, std_normal_1d,
+                     walk_plain_members)
 
 
 def unit_weight():
@@ -115,8 +114,9 @@ class TestCorpora:
         pts = rng.uniform(-2.0, 2.0, size=(200, 3))
         pts = pts[np.linalg.norm(pts, axis=1) <= 2.0]
         for m in c:
-            assert np.max(np.abs(m(pts))) < 1e-13
-            assert np.max(np.abs(m.grad(pts))) < 1e-13
+            at_points = pointwise(m)
+            assert np.max(np.abs(at_points(pts))) < 1e-13
+            assert np.max(np.abs(at_points.grad(pts))) < 1e-13
 
     def test_product_size(self):
         assert len(corpus_product([(-math.inf, math.inf)] * 2, seed=0)) >= 40
@@ -451,7 +451,7 @@ def offset_linear_member(n):
         g[:, 0] = 1e-6
         return g
 
-    return TestFunction("offset_linear", n, lambda p: 1000.0 + 1e-6 * p[:, 0], gr)
+    return Pointwise("offset_linear", n, lambda p: 1000.0 + 1e-6 * p[:, 0], gr)
 
 
 def offset_radial_member(n):
@@ -662,7 +662,7 @@ class TestHybrid:
         assert len(ok) >= 40
         for r in ok:
             assert np.isfinite(r.details["empirical_constant"])
-            assert r.details["empirical_constant"] <= 4.0  # default C_mult passes
+            assert r.details["empirical_constant"] <= 4.0  # passes at C = 4
         assert any("not pinned" in r.details["constants_note"] for r in ok)
 
     def test_unbounded_member_rejected(self, setting):
@@ -774,11 +774,12 @@ class TestNegativeControls:
         base = check_refined_outside_ball(d, K, R, corpus)
         self.assert_scaled(base, check_refined_outside_ball(d, scaled(K, self.S), R, corpus))
 
-    def test_hybrid(self, setting):
+    def test_hybrid(self, setting, monkeypatch):
         d, w, K, R = setting
         corpus = list(corpus_nd(2, seed=31))[::7]
         base = check_hybrid(d, w, K, R, corpus)
-        self.assert_scaled(base, check_hybrid(d, w, K, R, corpus, C_mult=self.S * 4.0))
+        monkeypatch.setattr(inequality, "_HYBRID_C_MULT", self.S * 4.0)
+        self.assert_scaled(base, check_hybrid(d, w, K, R, corpus))
 
     def test_product(self):
         d = make_density("cauchy_type", {"beta": 3.0}, 2)
@@ -918,13 +919,14 @@ class TestFullNodeOracle:
         return out
 
     def counting(self, member, calls):
+        at_points = pointwise(member)
+
         def ev(p):
             calls.append(len(p))
-            return member(p)
+            return at_points(p)
 
-        return TestFunction(member.name, member.n, ev, member.grad, support=member.support,
-                            bounded=member.bounded,
-                            radial_breakpoints=member.radial_breakpoints)
+        return Pointwise(member.name, member.n, ev, at_points.grad, support=member.support,
+                         bounded=member.bounded, radial_breakpoints=member.radial_breakpoints)
 
     def oracle(self, recorded, corpus):
         (grid, bp), = recorded["grids"]
@@ -941,7 +943,7 @@ class TestFullNodeOracle:
     def fine_walk(self, recorded, phi, monkeypatch, weight, split=None, radius=None):
         """The moments of ``phi`` walked over the checker's grid rebuilt
         with a 64-point angular rule, and with a ``radius`` also its
-        :func:`sphere_dirichlet` there on that rule.  The 24-point rule
+        sphere integral there on that rule (:func:`sphere_walk`).  The 24-point rule
         misses a mixture's Dirichlet forms by up to 3e-7 and its sphere
         integrals by up to 3e-4."""
         (grid, bp), = recorded["grids"]
@@ -951,7 +953,7 @@ class TestFullNodeOracle:
         walker = pointwise(phi)
         split = None if split is None else fine.radial_values(split)
         m = node_moments(fine, walker, [fine.radial_values(weight)], split_weight=split)
-        return m if radius is None else (m, sphere_dirichlet(fine, walker, radius))
+        return m if radius is None else (m, sphere_walk(fine, walker, radius))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_wstar(self, n, recorded, monkeypatch):
@@ -985,16 +987,22 @@ class TestFullNodeOracle:
             assert close(rep.details["radial_part"], radial)
             assert close(rep.details["angular_part"], angular, radial + angular)
 
-    def test_refined(self, recorded):
+    def test_refined(self, recorded, monkeypatch):
         d = make_density("gaussian", {"sigma": 1.0}, 3)
         K = closed_form_weight(d)
         members = list(corpus_outside_ball(3, 2.0, seed=5))[:5]
         corpus = [self.counting(members[0], recorded["calls"])] + members[1:]
+        # the guard admits only polar members; the counting member stands
+        # for members[0]
+        guard = inequality._vanishes_on_ball
+        monkeypatch.setattr(inequality, "_vanishes_on_ball",
+                            lambda phi, R: guard(members[0] if phi is corpus[0] else phi, R))
         reports = check_refined_outside_ball(d, K, 2.0, corpus)
+        assert all(r.status == "ok" for r in reports)
         nodes, by_name = self.oracle(recorded, corpus)
         K_nodes = nodes.radial(K)
         for rep in reports:
-            phi = by_name[rep.witness]
+            phi = pointwise(by_name[rep.witness])
             assert close(rep.lhs, shifted_variance(nodes.pw, phi(nodes.points), nodes.anchor))
             assert close(rep.rhs, 2.0 * nodes.dirichlet(K_nodes, phi.grad(nodes.points)))
 

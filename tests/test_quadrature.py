@@ -49,7 +49,7 @@ from isofp.weights import (
     optimal_cauchy_weight,
 )
 from oracles import (Integrator, integrate_interval, linear_members,
-                     mixture_angular_two_pass, node_moments, pointwise)
+                     mixture_angular_two_pass, node_moments, pointwise, sphere_walk)
 
 
 def const_weight(c, hi=math.inf):
@@ -354,8 +354,10 @@ class TestGridMoments:
     def test_member_without_a_kernel_is_refused(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
         phi = pointwise(linear_test_function(2))
-        with pytest.raises(TypeError, match="'linear' has neither polar nor mixture"):
-            grid_moments(build_grid(d, [phi]), phi)
+        grid = build_grid(d, [phi])
+        for kernel in (lambda: grid_moments(grid, phi), lambda: sphere_dirichlet(grid, phi, 1.0)):
+            with pytest.raises(TypeError, match="'linear' has neither polar nor mixture"):
+                kernel()
 
     def test_without_split_weight(self):
         d = make_density("gaussian", {"sigma": 1.0}, 2)
@@ -661,7 +663,7 @@ class TestPolarMoments:
         reports = check_refined_outside_ball(d, K, 2.0, corpus)
         assert len(reports) == len(corpus) and all(r.passed for r in reports)
         (grid,) = grids
-        largest = max(len(grid.r_nodes), len(grid.ang_weights), 8 * d.n)
+        largest = max(len(grid.r_nodes), len(grid.ang_weights), inequality._BALL_RADII)
         assert sizes and max(sizes) <= largest < len(grid.points)
 
 
@@ -796,8 +798,10 @@ def assert_close(got, want, tol, label):
 
 
 class TestPolarMember:
-    """A :class:`PolarMember` is defined by (s, e) alone; its values and
-    gradients match the Cartesian formulas of the same member."""
+    """A :class:`PolarMember` is defined by (s, e) alone and has no values
+    at points; the values and gradients :func:`oracles.pointwise` takes
+    from (s, e) match the Cartesian formulas of the same member, and the
+    sphere integral of its kernel matches the walk over the directions."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_cartesian_formulas(self, n):
@@ -816,22 +820,50 @@ class TestPolarMember:
         for name, (ev, gr) in refs.items():
             phi = members[name]
             assert isinstance(phi, PolarMember), name
-            assert_close(phi(pts), ev(pts), 1e-12, name)
-            assert_close(phi.grad(pts), gr(pts), 1e-12, name)
+            at_points = pointwise(phi)
+            assert_close(at_points(pts), ev(pts), 1e-12, name)
+            assert_close(at_points.grad(pts), gr(pts), 1e-12, name)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_origin(self, n):
         members = {m.name: m for m in corpus_nd(n, seed=2024) + linear_members(n)}
         zero = np.zeros((1, n))
         e1 = np.eye(n)[:1]
-        assert np.array_equal(members["linear_x1"].grad(zero), e1)
-        assert np.array_equal(members["x100_c1"].grad(zero), e1)
+        assert np.array_equal(pointwise(members["linear_x1"]).grad(zero), e1)
+        assert np.array_equal(pointwise(members["x100_c1"]).grad(zero), e1)
         radial = [m for m in members.values()
                   if isinstance(m, PolarMember) and m.polar[1] == ((1.0, (0,) * n),)]
         assert len(radial) >= 18
         for phi in radial:
-            assert np.all(phi.grad(zero) == 0.0), phi.name
-            assert phi(zero)[0] == phi.polar[0](0.0), phi.name
+            at_points = pointwise(phi)
+            assert np.all(at_points.grad(zero) == 0.0), phi.name
+            assert at_points(zero)[0] == phi.polar[0](0.0), phi.name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_member_has_values_at_points(self, n):
+        V = np.diag(np.arange(1.0, n + 1.0))
+        pts = np.ones((3, n))
+        members = (corpus_nd(n, seed=2024) + linear_members(n)
+                   + list(corpus_outside_ball(n, 2.0, seed=2024))
+                   + list(corpus_anisotropic(V, seed=2024)))
+        for phi in members:
+            for method in (phi, phi.grad):
+                with pytest.raises(TypeError) as err:
+                    method(pts)
+                assert str(err.value) == f"member {phi.name!r} has no values at points"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sphere_dirichlet_matches_the_walk(self, n):
+        # at the hybrid check's radius on its grid for cauchy beta = 4, R =
+        # sqrt(2), where the profile of u_exp_u_wide peaks: both of its
+        # integrals are roundoff of 0, below 1e-30
+        grid, _, _, R = checker_grid("hybrid", n)
+        polar = [m for m in corpus_nd(n, seed=2024) if m.polar is not None]
+        assert len(polar) >= 30
+        for phi in polar:
+            got = sphere_dirichlet(grid, phi, R)
+            want = sphere_walk(grid, phi, R)
+            assert abs(got - want) <= 1e-13 * want + 1e-30, phi.name
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_smooth_member_is_polar(self, n):
@@ -998,7 +1030,7 @@ class TestMixtureMoments:
         for phi in random_members(n):
             for radius in (0.5, 2.7, 6.0):
                 got = sphere_dirichlet(grid, phi, radius)
-                want = sphere_dirichlet(fine, pointwise(phi), radius)
+                want = sphere_walk(fine, phi, radius)
                 assert abs(got - want) <= 1e-12 * want, (phi.name, radius)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
