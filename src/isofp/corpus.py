@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng  # at import, so no forked worker loads it
 
 from .quadrature import TestFunction
 
@@ -104,7 +105,7 @@ def corpus_1d(support, seed=0, include_linear=False):
     variance against light-tailed densities.
     """
     a, b = support
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     members = []
 
     if np.isinf(a) and np.isinf(b):
@@ -294,7 +295,7 @@ def corpus_nd(n, seed=0, scale=1.0):
 
     ``scale`` stretches all length scales (use ~half the support radius for
     compactly supported densities)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     s2 = scale ** 2
     members = []
 
@@ -374,7 +375,7 @@ def corpus_outside_ball(n, R, r_max=None, seed=0):
     shared radius lattice so the breakpoint union over the whole corpus
     stays small and tensor grids remain affordable.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     span = (r_max - R) if r_max is not None and np.isfinite(r_max) else max(2.0, R)
     lattice = R + span * np.linspace(0.02, 0.94, _LATTICE_SIZE)
     members = []
@@ -495,7 +496,7 @@ def corpus_product(supports, seed=0):
     factor rules free of extra panels.
     """
     n = len(supports)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     per_coord = [corpus_1d(s, seed=seed + 17 * i) for i, s in enumerate(supports)]
     smooth_coord = [[g for g in shapes if not g.breakpoints] for shapes in per_coord]
     const = Fn1D("one", lambda x: np.ones_like(np.asarray(x, dtype=float)),

@@ -8,20 +8,36 @@ M-matrix system, factored once per time step size, whose inverse is a
 stochastic matrix in the equilibrium-weighted metric; the convex
 functionals (chi-square, relative entropy, squared Hellinger) therefore
 decrease monotonically step by step, mirroring the continuum dissipation
-identity d Theta / dt = -I_Theta.
+identity d Theta / dt = -I_Theta.  LAPACK's ``dpttrf`` and ``dpttrs`` come
+from scipy's Fortran extension, without the scipy package and its start-up.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .weights import bisect, residual_step, steady_state_residual
+
+
+def _dpttrf_dpttrs():
+    """scipy.linalg._flapack's, loaded by file and name, so import scipy.linalg reuses it."""
+    linalg = importlib.util.find_spec("scipy").submodule_search_locations[0] + "/linalg"
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg])
+    if spec is None:
+        raise ImportError(f"scipy.linalg._flapack is not in {linalg}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dpttrf, module.dpttrs
+
+
+dpttrf, dpttrs = _dpttrf_dpttrs()
 
 __all__ = [
     "RadialGrid",
@@ -116,15 +132,17 @@ def _truncation_radius(d, tail_mass=1e-12):
         return d.support_radius
 
     def mass_density(r):
-        # f(r) times the volume element at one radius; every r > R >= 1 lies
-        # inside the unbounded support, so the profile is taken unmasked; in
-        # log space from rho^(n-1) = e^400 on, where it may overflow (n >= 37)
+        # f(r) times the volume element at an array of radii; every r > R >= 1
+        # lies inside the unbounded support, so the profile is taken unmasked;
+        # in log space from rho^(n-1) = e^400 on, where it may overflow (n >= 37)
         # or the profile underflow against it (below, the product is < 1e-130)
-        if (d.n - 1) * math.log(r) >= 400.0:
-            return math.exp(math.log(d.geometry_factor) + math.log(d.norm_const)
-                            + (d.n - 1) * math.log(r) + d._log_profile(r))
-        x = np.array([r])
-        return float((d.radial_weight(x) * (d.norm_const * d._profile(x)))[0])
+        logged = np.array([(d.n - 1) * math.log(x) >= 400.0 for x in r.tolist()], dtype=bool)
+        out, x = np.empty_like(r), r[~logged]
+        out[~logged] = d.radial_weight(x) * (d.norm_const * d._profile(x))
+        out[logged] = [math.exp(math.log(d.geometry_factor) + math.log(d.norm_const)
+                                + (d.n - 1) * math.log(x) + d._log_profile(x))
+                       for x in r[logged].tolist()]
+        return out
 
     def tail(R):
         try:
@@ -145,7 +163,7 @@ def _truncation_radius(d, tail_mass=1e-12):
     for _ in range(_NEWTON_PROBES - 1):
         if math.nextafter(lo, hi) == hi:
             return hi
-        rho = mass_density(r)
+        rho = mass_density(np.array([r])).item()
         x = r + math.log(T / tail_mass) * T / rho if T > 0.0 and rho > 0.0 else math.nan
         if abs(x - r) <= _CLOSE_ULPS * math.ulp(r):
             # past the root, on the side of it that r is not

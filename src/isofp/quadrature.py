@@ -72,7 +72,7 @@ _QAGSE_FLAGS = (None, "the subdivision limit is reached", "roundoff error is det
 
 
 def integrate_interval(g, lo):
-    """Integrate ``g`` over the tail (lo, inf), lo finite.
+    """Integrate ``g``, which takes arrays, over the tail (lo, inf), lo finite.
 
     The tail is mapped to (0, 1) with r = lo + t/(1-t) before the adaptive
     subdivision runs; QUADPACK's nodes are interior, so the mapped end t =
@@ -85,9 +85,9 @@ def integrate_interval(g, lo):
         raise ValueError(f"integrate_interval takes a tail (lo, inf), not ({lo}, inf)")
 
     def gt(t):
-        # r = lo + t/(1-t), dr = dt/(1-t)^2
+        # r = lo + t/(1-t), dr = dt/(1-t)^2, at an array of nodes t
         u = 1.0 - t
-        return float(g(lo + t / u) / (u * u))
+        return g(lo + t / u) / (u * u)
 
     value, err, _, ier = _qagse(gt, 0.0, 1.0, _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS)
     if ier and err > max(_REL_TOL * abs(value), _ABS_TOL):
@@ -107,9 +107,9 @@ _EPMACH, _UFLOW, _OFLOW = sys.float_info.epsilon, sys.float_info.min, sys.float_
 # the 21-point Kronrod abscissae, whose odd (0-based) entries are the Gauss
 # nodes, Kronrod weights and 10-point Gauss weights: QUADPACK's 33-digit
 # values rounded to double
-_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-        0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-        0.2943928627014602, 0.14887433898163122)
+_XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                 0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                 0.2943928627014602, 0.14887433898163122])
 _WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
         0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
         0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
@@ -118,25 +118,23 @@ _WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.269266719
 
 
 def _qk21(f, a, b):
-    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule."""
+    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule; f takes all nodes at once."""
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(centr)
+    absc = hlgth * _XGK
+    fv = f(np.concatenate([centr - absc, [centr], centr + absc])).tolist()
+    fc = fv[10]
     resg, resk = 0.0, _WGK[10] * fc
     resabs = abs(resk)
-    fv = [None] * 10
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
-        absc = hlgth * _XGK[j]
-        fval1, fval2 = f(centr - absc), f(centr + absc)
-        fv[j] = fval1, fval2
-        fsum = fval1 + fval2
+        fsum = fv[j] + fv[11 + j]
         if j % 2:
             resg = resg + _WG[j // 2] * fsum
         resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+        resabs = resabs + _WGK[j] * (abs(fv[j]) + abs(fv[11 + j]))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
     for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv[j][0] - reskh) + abs(fv[j][1] - reskh))
+        resasc = resasc + _WGK[j] * (abs(fv[j] - reskh) + abs(fv[11 + j] - reskh))
     dhlgth = abs(hlgth)
     result, resabs, resasc = resk * hlgth, resabs * dhlgth, resasc * dhlgth
     abserr = abs((resk - resg) * hlgth)
@@ -366,11 +364,12 @@ def _panel_edges(lo, hi, levels, breakpoints, halved):
     width = hi - lo
     grading = width * 0.5 ** np.arange(1, levels + 1)
     bp = np.asarray(breakpoints, dtype=float).ravel()
-    edges = np.unique(np.concatenate([[lo, hi], lo + grading, hi - grading,
-                                      bp[(bp > lo) & (bp < hi)]]))
+    edges = np.sort(np.concatenate([[lo, hi], lo + grading, hi - grading,
+                                    bp[(bp > lo) & (bp < hi)]]))
     if halved:
-        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    return edges
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    # np.unique's edges without its import of numpy.ma: a repeat's midpoint repeats it
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,17 @@
 """What a fresh interpreter loads, and what the package exposes.
 
-No process imports ``scipy.integrate`` (which would also load
-``scipy.optimize`` and ``scipy.special``): the truncation radius of an
-evolution takes its tails with the package's port of QUADPACK.  log Gamma
-is the package's own (``densities.gammaln``), and scipy's ``ive`` is
-imported on first use, which only the mixtures of an even-n check make;
-so evolutions, ``weights`` and every check at odd n load no
-``scipy.special`` either.
+No process imports the ``scipy`` package at start-up: the solver's
+``dpttrf`` and ``dpttrs`` come from scipy's compiled
+``scipy.linalg._flapack``, loaded from its file under its own name, so
+neither ``scipy.linalg`` nor scipy's ``_array_api`` (which clones numpy's
+namespace) loads.  No process imports ``scipy.integrate`` (which would
+also load ``scipy.optimize`` and ``scipy.special``): the truncation radius
+of an evolution takes its tails with the package's port of QUADPACK.  log
+Gamma is the package's own (``densities.gammaln``), and scipy's ``ive`` is
+imported on first use, which only the mixtures of an even-n check make; so
+evolutions, ``weights`` and every check at odd n load no ``scipy`` at all.
+The modules that the n3-grid checks and line-relax evolutions use, which
+``run`` computes in forked workers, ``import isofp.cli`` loads already.
 
 Code that only the tests use lives in ``tests/oracles.py``, not in the
 package.
@@ -20,7 +25,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy.special", "scipy.optimize", "scipy.integrate")
+WATCHED = ("scipy", "scipy.linalg", "scipy._lib._array_api", "scipy.special", "scipy.optimize",
+           "scipy.integrate")
 
 N3_GRID_PAIRS = """
 from isofp.cli import reports_for_pair
@@ -138,13 +144,36 @@ def test_checks_load_no_special_and_no_quadpack(code):
 
 
 def test_even_n_check_loads_special_on_first_use():
-    # the n = 2 mixtures' sphere averages call scipy's ive, imported there
-    assert loaded_after(EVEN_N_WSTAR) == ["scipy.special"]
+    # the n = 2 mixtures' sphere averages call scipy's ive, imported there;
+    # scipy.special imports the scipy package and its _array_api itself
+    assert loaded_after(EVEN_N_WSTAR) == ["scipy", "scipy._lib._array_api", "scipy.special"]
 
 
 def test_evolutions_load_no_quadpack_and_no_special():
     # each evolution takes a dozen truncation tails
     assert loaded_after(LINE_RELAX_EVOLUTIONS) == []
+
+
+def test_forked_workers_load_no_new_module():
+    # run forks its workers after import isofp.cli; a module they load on
+    # first use (numpy.random for a corpus, numpy.ma for np.unique) is loaded
+    # again in every worker
+    assert fresh("\n".join([
+        "import isofp.cli",
+        "before = set(sys.modules)",
+        N3_GRID_PAIRS,
+        LINE_RELAX_EVOLUTIONS,
+        "RESULT = sorted(set(sys.modules) - before)",
+    ])) == []
+
+
+def test_solver_lapack_is_scipys():
+    # the module loaded from its file is the one scipy.linalg imports later
+    assert fresh("""
+from isofp import fpsolver
+from scipy.linalg import lapack
+RESULT = [fpsolver.dpttrf is lapack.dpttrf, fpsolver.dpttrs is lapack.dpttrs]
+""") == [True, True]
 
 
 def test_surface_resolves_and_holds_no_oracle():

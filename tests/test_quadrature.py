@@ -122,33 +122,36 @@ QUADPACK_MESSAGES = (("maximum number of subdivisions", 1), ("occurrence of roun
 
 def scipy_qagse(f, a, b, epsabs, epsrel, limit):
     """scipy's ``quad`` on the arguments of ``quadrature._qagse``, as its
-    (value, abserr, last, ier)."""
-    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    (value, abserr, last, ier); ``f`` takes arrays, and quad's points go in
+    one at a time."""
+    out = quad(lambda x: f(np.array([x]))[0], a, b, epsabs=epsabs, epsrel=epsrel,
+               limit=limit, full_output=1)
     ier = 0 if len(out) == 3 else next(i for key, i in QUADPACK_MESSAGES if key in out[3])
     return out[0], out[1], out[2]["last"], ier
 
 
 def seeded_integrands(seed, count):
-    """(name, f) on (0, 1): endpoint power and log singularities, interior
-    peaks, jumps and poles, oscillation, divergence and noise; seeds 0 and 2
-    together reach every flag, the cut of the epsilon table and each
-    roundoff count."""
+    """(name, f) on (0, 1), f taking arrays: endpoint power and log
+    singularities, interior peaks, jumps and poles, oscillation, divergence
+    and noise; seeds 0 and 2 together reach every flag, the cut of the
+    epsilon table and each roundoff count."""
     rng = random.Random(seed)
     for _ in range(count):
         p, c, w = rng.uniform(-0.95, 0.5), rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-4, -1)
         yield from [
             ("power", lambda x, p=p: x ** p),
-            ("log", lambda x, p=p: (-math.log(x)) ** (1.0 - 3.0 * p) * x ** (0.5 * p)),
+            ("log", lambda x, p=p: (-np.log(x)) ** (1.0 - 3.0 * p) * x ** (0.5 * p)),
             ("peak", lambda x, c=c, w=w: w / ((x - c) ** 2 + w * w)),
-            ("jump", lambda x, c=c: 1.0 if x < c else -2.0 * x),
-            ("oscillation", lambda x, w=w: math.cos(x / w) / math.sqrt(x)),
-            ("pole", lambda x, c=c: 1.0 / max(abs(x - c), 1e-300)),
+            ("jump", lambda x, c=c: np.where(x < c, 1.0, -2.0 * x)),
+            ("oscillation", lambda x, w=w: np.cos(x / w) / np.sqrt(x)),
+            ("pole", lambda x, c=c: 1.0 / np.maximum(abs(x - c), 1e-300)),
             ("divergent", lambda x, p=p: x ** (-1.25 + 0.2 * p)),
             # near x^-1: long extrapolation tables, past QUADPACK's 50 entries
-            ("log-edge", lambda x, p=p: (-math.log(x)) ** (3.0 + p) * x ** -0.95),
+            ("log-edge", lambda x, p=p: (-np.log(x)) ** (3.0 + p) * x ** -0.95),
             # noise of size 1e-9 that differs at every float, so no bisection
             # resolves it
-            ("noise", lambda x, p=p: x ** p + 1e-9 * (hash(x) % 1009 / 1009.0 - 0.5)),
+            ("noise", lambda x, p=p: x ** p + 1e-9 * (
+                np.array([hash(v) for v in x.tolist()]) % 1009 / 1009.0 - 0.5)),
         ]
 
 
@@ -209,7 +212,7 @@ class TestQuadpackPort:
 
         def mapped(t):
             u = 1.0 - t
-            return float(g(lo + t / u) / (u * u))
+            return g(lo + t / u) / (u * u)
 
         value, err, _, ier = scipy_qagse(mapped, 0.0, 1.0, 1e-13, 1e-10, 200)
         assert ier == 4 and err > 1e-10 * value
@@ -231,7 +234,7 @@ class TestTruncationTail:
         d = parse_density_spec(spec)
 
         def mass(r):
-            return float(d.radial_weight(r) * d.eval(r))
+            return d.radial_weight(r) * d.eval(r)
 
         assert quadrature.integrate_interval(mass, lo) == integrate_interval(
             mass, lo, math.inf)
