@@ -8,8 +8,11 @@ M-matrix system, factored once per time step size, whose inverse is a
 stochastic matrix in the equilibrium-weighted metric; the convex
 functionals (chi-square, relative entropy, squared Hellinger) therefore
 decrease monotonically step by step, mirroring the continuum dissipation
-identity d Theta / dt = -I_Theta.  LAPACK's ``dpttrf`` and ``dpttrs`` come
-from scipy's Fortran extension, without the scipy package and its start-up.
+identity d Theta / dt = -I_Theta.  An evolution marches one array in place
+on buffers it allocates once, through the step kernel that ``step`` also
+uses, and samples every functional from one quotient.  LAPACK's ``dpttrf``
+and ``dpttrs`` come from scipy's Fortran extension, without the scipy
+package and its start-up.
 """
 
 from __future__ import annotations
@@ -249,22 +252,18 @@ class DecayTrace:
         return len(self.times)
 
 
-def _entropy_bregman(r):
-    """r log r - r + 1 evaluated without cancellation near r = 1."""
-    d = r - 1.0
+def _entropy_bregman(r, d):
+    """r log r - r + 1, given d = r - 1, evaluated without cancellation
+    near r = 1."""
     small = np.abs(d) < 1e-4
     safe = np.where(small, 2.0, np.maximum(r, 1e-300))
     series = d * d * (0.5 - d / 6.0 + d * d / 12.0)
     return np.where(small, series, safe * np.log(safe) - d)
 
 
-_THETA_FUNCS = {
-    "chi2": lambda r: (r - 1.0) ** 2,
-    # r log r, split into the positive Bregman part plus the linear part
-    # (r - 1) whose weighted sum is the conserved mass difference
-    "entropy": lambda r: _entropy_bregman(r) + (r - 1.0),
-    "hellinger2": lambda r: (np.sqrt(r) - 1.0) ** 2,
-}
+# the index of each functional in Solver._sample's result
+_THETA_ROW = {"chi2": 0, "entropy": 1, "hellinger2": 2}
+_DISSIPATION_ROW = {"chi2": 3, "entropy": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -338,68 +337,85 @@ class Solver:
     def quotient(self, state):
         return state.values / self.f_eq
 
-    def step(self, state, dt):
-        """One implicit Euler step, for any dt > 0.  Mass is conserved to
-        roundoff; values below -1e-14 raise, tinier negatives are clamped
-        mass-preservingly."""
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        d, e = self._factor(dt)
-        F_new, info = dpttrs(d, e, self.D * self.quotient(state))
+    def _advance(self, values, b, d, e):
+        """One implicit Euler step of ``values``, in place, with the factor
+        (d, e) of its step size; ``b`` is scratch of the same length.  Mass
+        is conserved to roundoff; values below -1e-14 raise, tinier
+        negatives are clamped mass-preservingly."""
+        np.divide(values, self.f_eq, out=b)
+        np.multiply(self.D, b, out=b)
+        F_new, info = dpttrs(d, e, b, overwrite_b=1)
         if info != 0:
             raise SolverError(f"implicit solve failed (info {info})")
-        values = F_new * self.f_eq
-        neg = values.min()
+        np.multiply(F_new, self.f_eq, out=values)
+        neg = np.minimum.reduce(values)
         if neg < 0.0:
-            if neg < -1e-14 * max(1.0, values.max()):
+            if neg < -1e-14 * max(1.0, np.maximum.reduce(values)):
                 raise SolverError(f"negative density {neg:.3e} produced by a step")
-            clipped = np.clip(values, 0.0, None)
-            total = np.dot(clipped, self.grid.cell_volumes)
+            mass = np.dot(values, self.grid.cell_volumes)
+            np.clip(values, 0.0, None, out=values)
+            total = np.dot(values, self.grid.cell_volumes)
             if total > 0.0:
-                clipped *= np.dot(values, self.grid.cell_volumes) / total
-            values = clipped
+                values *= mass / total
+
+    def step(self, state, dt):
+        """One implicit Euler step (:meth:`_advance`), for any dt > 0."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        values = np.array(state.values, dtype=float)
+        self._advance(values, np.empty_like(values), *self._factor(dt))
         return FPState(self.grid, values, state.t + dt)
 
     # -- functionals ---------------------------------------------------------
 
-    def theta(self, state, kind):
-        """Theta(F) = sum f_eq phi(F) dV for the convex phi of ``kind``:
-        chi2 ((F - 1)^2), entropy (F log F) or hellinger2 ((sqrt F - 1)^2)."""
-        F = self.quotient(state)
-        if kind == "entropy" and np.any(F <= 0.0):
-            raise SolverError("entropy functional requires F > 0 on the grid")
-        return float(np.dot(self.D, _THETA_FUNCS[kind](F)))
+    def _sample(self, values):
+        """The sampled DecayTrace columns of one state, in their order.
 
-    def dissipation(self, state, kind):
-        """Discrete I_Theta = sum over faces of c (dF)^2 phi''(F_face) for
-        the chi2 or the entropy functional of ``kind``.
-
-        For the entropy the face value of F is the squared mean of the
-        square roots, which makes the 1/F form agree exactly with the
-        4 |d sqrt(F)|^2 form (the discrete mirror of the algebraic
+        Theta(F) = sum f_eq phi(F) dV for chi2 ((F - 1)^2), entropy
+        (F log F) and hellinger2 ((sqrt F - 1)^2); the discrete I_Theta =
+        sum over faces of c (dF)^2 phi''(F_face) for chi2 and the entropy;
+        the mass; the L1 distance to f_eq.  F, F - 1, sqrt F and dF are
+        computed once.  For the entropy the face value of F is the squared
+        mean of the square roots, which makes the 1/F form agree exactly
+        with the 4 |d sqrt(F)|^2 form (the discrete mirror of the algebraic
         identity between the two).
         """
-        F = self.quotient(state)
-        dF = np.diff(F)
-        if kind == "chi2":
-            return 2.0 * float(np.dot(self.face_coeff, dF ** 2))
-        if kind == "entropy":
-            if np.any(F <= 0.0):
-                raise SolverError("entropy dissipation requires F > 0")
-            F_face = (0.5 * (np.sqrt(F[1:]) + np.sqrt(F[:-1]))) ** 2
-            return float(np.dot(self.face_coeff, dF ** 2 / F_face))
-        raise ValueError(f"unknown functional kind {kind!r}")
+        F = values / self.f_eq
+        if (F <= 0.0).any():
+            raise SolverError("entropy functional requires F > 0 on the grid")
+        Fm1, sqrt_F, dF2 = F - 1.0, np.sqrt(F), (F[1:] - F[:-1]) ** 2
+        F_face = (0.5 * (sqrt_F[1:] + sqrt_F[:-1])) ** 2
+        vol = self.grid.cell_volumes
+        return (float(np.dot(self.D, Fm1 ** 2)),
+                # F log F: the positive Bregman part plus the linear part F - 1,
+                # whose weighted sum is the conserved mass difference
+                float(np.dot(self.D, _entropy_bregman(F, Fm1) + Fm1)),
+                float(np.dot(self.D, (sqrt_F - 1.0) ** 2)),
+                2.0 * float(np.dot(self.face_coeff, dF2)),
+                float(np.dot(self.face_coeff, dF2 / F_face)),
+                float(np.dot(values, vol)),
+                float(np.dot(np.abs(values - self.f_eq), vol)))
+
+    def theta(self, state, kind):
+        """Theta of ``kind``, chi2, entropy or hellinger2 (:meth:`_sample`)."""
+        return self._sample(state.values)[_THETA_ROW[kind]]
+
+    def dissipation(self, state, kind):
+        """I_Theta of ``kind``, chi2 or entropy (:meth:`_sample`)."""
+        if kind not in _DISSIPATION_ROW:
+            raise ValueError(f"unknown functional kind {kind!r}")
+        return self._sample(state.values)[_DISSIPATION_ROW[kind]]
 
     def l1_distance(self, state):
-        return float(np.dot(np.abs(state.values - self.f_eq),
-                            self.grid.cell_volumes))
+        return self._sample(state.values)[6]
 
     # -- evolution -----------------------------------------------------------
 
     def evolve(self, state, t_final, dt):
         """March to t_final by implicit steps, sampling the decay functionals
         at the start, every max(dt, t_final / 400) (rounded to whole steps)
-        and at t_final.
+        and at t_final.  The march factors once, advances one array in
+        place and takes each sample from one quotient (:meth:`_sample`).
 
         Raises if the relative mass drift ever exceeds ``_MASS_DRIFT_TOL``,
         and before the first step unless :func:`check_march` accepts
@@ -409,30 +425,27 @@ class Solver:
         check_march(t_final, dt)
         n_steps = int(round(t_final / dt))
         stride = max(1, int(round(max(dt, t_final / 400.0) / dt)))
-        mass0 = state.mass
-
-        rows = []  # one {DecayTrace field: value} per sample
-
-        def record(s):
-            rows.append(dict(
-                times=s.t, theta_chi2=self.theta(s, "chi2"),
-                theta_entropy=self.theta(s, "entropy"),
-                hellinger2=self.theta(s, "hellinger2"),
-                dissipation_chi2=self.dissipation(s, "chi2"),
-                dissipation_entropy=self.dissipation(s, "entropy"),
-                mass=s.mass, l1_dist=self.l1_distance(s)))
-
-        record(state)
+        vol, values = self.grid.cell_volumes, np.array(state.values, dtype=float)
+        b, (d, e), t = np.empty_like(values), self._factor(dt), state.t
+        mass0 = float(np.dot(values, vol))
+        drift_cap = _MASS_DRIFT_TOL * abs(mass0)
+        # one column per sample: the start, every stride-th step and the last
+        columns = np.empty((8, 1 + n_steps // stride + (n_steps % stride > 0)))
+        columns[:, 0] = (t, *self._sample(values))
+        j = 1
         for k in range(1, n_steps + 1):
-            state = self.step(state, dt)
-            if abs(state.mass - mass0) > _MASS_DRIFT_TOL * abs(mass0):
+            self._advance(values, b, d, e)
+            t = t + dt
+            mass = float(np.dot(values, vol))
+            if abs(mass - mass0) > drift_cap:
                 raise SolverError(
-                    f"mass drift {abs(state.mass - mass0) / abs(mass0):.3e} "
-                    f"exceeds {_MASS_DRIFT_TOL:.0e} at t = {state.t:.4g}")
+                    f"mass drift {abs(mass - mass0) / abs(mass0):.3e} "
+                    f"exceeds {_MASS_DRIFT_TOL:.0e} at t = {t:.4g}")
             if k % stride == 0 or k == n_steps:
-                record(state)
+                columns[:, j] = (t, *self._sample(values))
+                j += 1
 
-        trace = DecayTrace(**{k: np.array([row[k] for row in rows]) for k in rows[0]})
+        trace = DecayTrace(*columns)
         try:
             trace.fitted_rate = fit_decay_rate(trace.times, trace.theta_chi2)
         except ValueError:

@@ -380,13 +380,14 @@ class TestRunCommand:
 
     def test_solver_failure_during_evolution_fails_the_run(self, tmp_path, monkeypatch,
                                                           capsys):
-        # a built solver whose step fails is a failed run, not an unchecked rate
+        # a built solver whose step fails is a failed run, not an unchecked
+        # rate; the march takes every step through the kernel
         from isofp.fpsolver import Solver, SolverError
 
-        def failing_step(self, state, dt):
+        def failing_advance(self, values, b, d, e):
             raise SolverError("negative density -1.000e-03 produced by a step")
 
-        monkeypatch.setattr(Solver, "step", failing_step)
+        monkeypatch.setattr(Solver, "_advance", failing_advance)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(TINY_CONFIG, densities=[], theorems=[])))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])

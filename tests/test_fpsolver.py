@@ -373,6 +373,99 @@ class TestFactoredStep:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def patch_solution(monkeypatch, change, call=1):
+    """Wrap fpsolver.dpttrs so that its ``call``-th solve from now on returns
+    ``change(F, info)``; returns the right-hand side of every solve, copied
+    before it is solved."""
+    solve, rhs = fpsolver.dpttrs, []
+
+    def wrapped(d, e, b, **kwargs):
+        rhs.append(b.copy())
+        F, info = solve(d, e, b, **kwargs)
+        return change(F, info) if len(rhs) == call else (F, info)
+
+    monkeypatch.setattr(fpsolver, "dpttrs", wrapped)
+    return rhs
+
+
+def set_value(solver, cell, value):
+    """A solve result edit that makes the step's value in ``cell`` about ``value``."""
+    def change(F, info):
+        F[cell] = value / solver.f_eq[cell]
+        return F, info
+    return change
+
+
+class TestStepGuards:
+    """The step kernel's guards, reached through step and through evolve by
+    editing one solve's result.  The start's values are read-only, so a
+    march that wrote into them would raise ValueError."""
+
+    @pytest.fixture
+    def solver(self):
+        # the last cell holds 2.5e-14 of the unit mass and has volume 1.5e6,
+        # so a value edited there moves the mass visibly but not past the
+        # march's drift limit
+        d = parse_density_spec("cauchy:beta=4,n=3")
+        return build_solver(d, closed_form_weight(d), cells=200)
+
+    @pytest.fixture
+    def state(self, solver):
+        state = perturbed_initial_state(solver, "cosine", eps=0.1)
+        state.values.flags.writeable = False
+        return state
+
+    @staticmethod
+    def march(solver, state, how):
+        # evolve's stride is 2 at t_final 1, so its first step is not sampled
+        return solver.step(state, 1e-3) if how == "step" else solver.evolve(state, 1.0, 1e-3)
+
+    def test_tiny_negative_is_clamped_keeping_the_mass(self, solver, state, monkeypatch):
+        # -1e-20, above the -1e-14 that raises (the values are below 1), is
+        # -1.5e-14 of mass: 68 ulps of 1
+        dip, unclamped = set_value(solver, -1, -1e-20), []
+
+        def recorded_dip(F, info):
+            dip(F, info)
+            unclamped.append(F * solver.f_eq)
+            return F, info
+
+        patch_solution(monkeypatch, recorded_dip)
+        out = solver.step(state, 1e-3)
+        mass = np.dot(unclamped[0], solver.grid.cell_volumes)
+        assert unclamped[0][-1] < 0.0 and out.values[-1] == 0.0 == out.values.min()
+        assert abs(out.mass - mass) <= 2.0 * np.spacing(mass)
+        # evolve clamps its first step alike: its second solve is given the
+        # values step returned
+        rhs = patch_solution(monkeypatch, dip)
+        solver.evolve(state, 1.0, 1e-3)
+        assert np.array_equal(rhs[1], solver.D * (out.values / solver.f_eq))
+
+    @pytest.mark.parametrize("how", ["step", "evolve"])
+    def test_negative_density_raises(self, solver, state, how, monkeypatch):
+        patch_solution(monkeypatch, set_value(solver, -1, -1e-3))
+        with pytest.raises(SolverError,
+                           match=r"^negative density -1\.000e-03 produced by a step$"):
+            self.march(solver, state, how)
+
+    @pytest.mark.parametrize("how", ["step", "evolve"])
+    def test_failed_solve_raises(self, solver, state, how, monkeypatch):
+        patch_solution(monkeypatch, lambda F, info: (F, 3))
+        with pytest.raises(SolverError, match=r"^implicit solve failed \(info 3\)$"):
+            self.march(solver, state, how)
+
+    def test_mass_drift_raises(self, solver, state, monkeypatch):
+        # the check is evolve's, after every step: here the fifth
+        def inflate(F, info):
+            F *= 1.0 + 1e-9
+            return F, info
+
+        patch_solution(monkeypatch, inflate, call=5)
+        with pytest.raises(SolverError,
+                           match=r"^mass drift 1\.000e-09 exceeds 1e-10 at t = 0\.005$"):
+            solver.evolve(state, 1.0, 1e-3)
+
+
 class TestFunctionals:
     def test_equilibrium_gives_zero(self, gaussian_1d):
         solver = build_solver(gaussian_1d, closed_form_weight(gaussian_1d), cells=128)
@@ -421,21 +514,24 @@ def per_state_trace(solver, state, t_final, dt):
 
 
 class TestSampling:
-    # a half-line solver and an n = 3 radial one, sampled at every step, since
-    # t_final / 400 is below dt
+    # a half-line solver and an n = 3 radial one.  At t_final 0.5 every step
+    # is sampled, since t_final / 400 is below dt; at 1.001 every third of
+    # the 1001 steps is, and the last step, which is off that stride
     @pytest.mark.parametrize("spec", ["inverse_gamma:mu=2,n=1", "cauchy:beta=4,n=3"])
     def test_trace_is_the_per_state_values(self, spec):
         d = parse_density_spec(spec)
         solver = build_solver(d, closed_form_weight(d), cells=400)
         state = perturbed_initial_state(solver, "cosine", eps=0.1)
-        trace = solver.evolve(state, 0.5, 5e-3)
-        assert len(trace) == 101
-        columns = (trace.times, trace.theta_chi2, trace.theta_entropy, trace.hellinger2,
-                   trace.dissipation_chi2, trace.dissipation_entropy, trace.mass,
-                   trace.l1_dist)
-        for got, want in zip(columns, per_state_trace(solver, state, 0.5, 5e-3)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        for t_final, dt, sampled in ((0.5, 5e-3, list(range(101))),
+                                     (1.001, 1e-3, list(range(0, 1001, 3)) + [1001])):
+            trace = solver.evolve(state, t_final, dt)
+            assert len(trace) == len(sampled)
+            columns = (trace.times, trace.theta_chi2, trace.theta_entropy, trace.hellinger2,
+                       trace.dissipation_chi2, trace.dissipation_entropy, trace.mass,
+                       trace.l1_dist)
+            for got, want in zip(columns, per_state_trace(solver, state, t_final, dt)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want[sampled])
 
     # a negative cell would make the first step raise "negative density" if
     # the entropy were not taken before it
